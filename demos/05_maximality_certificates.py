@@ -14,7 +14,9 @@ each of the 15 maximal subgroups must be ruled out:
     -1, 2, a, 2 - a, which pins the quotient modulo the Frattini
     subgroup directly.
 
-Every verdict is a certificate that can be rechecked by table lookups.
+Every verdict is a certificate.  Its recheck recomputes the square
+classes and, at each witness prime, the Frobenius cycle type, then
+checks the witnesses against the cycle-type tables.
 """
 
 import dataclasses

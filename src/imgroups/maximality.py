@@ -29,9 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Optional
+from math import isqrt, prod
+from operator import xor
+from typing import Iterator, Optional
 
 from .arithmodel import (
     ArithLevelModel,
@@ -48,7 +50,7 @@ from .polyarith import (
     factor_degrees_mod_p,
     primes_up_to,
     specialize_numerator,
-    squarefree_part,
+    square_class_primes,
 )
 
 DEFAULT_PRIME_BOUND = 10**4
@@ -107,16 +109,16 @@ class SquareClassReport:
         }
 
 
-def _f2_rank(parts) -> int:
-    # encode each squarefree integer as an F2 vector over {sign} + primes
-    primes = sorted({p for part in parts for p in _squarefree_primes(part)})
+def _f2_rows(classes) -> list[int]:
+    # encode each square class as an F2 vector over {sign} + primes
+    primes = sorted({p for _, support in classes for p in support})
     index = {p: i + 1 for i, p in enumerate(primes)}
-    rows = []
-    for part in parts:
-        mask = 1 if part < 0 else 0
-        for p in _squarefree_primes(part):
-            mask |= 1 << index[p]
-        rows.append(mask)
+    return [int(sign < 0) | sum(1 << index[p] for p in support)
+            for sign, support in classes]
+
+
+def _f2_rank(rows) -> int:
+    rows = list(rows)
     rank = 0
     for row in rows:
         cur = row
@@ -128,40 +130,25 @@ def _f2_rank(parts) -> int:
     return rank
 
 
-def _squarefree_primes(part: int) -> list[int]:
-    out = []
-    m = abs(part)
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            m //= d
-        else:
-            d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def square_class_test(point: BasePoint) -> SquareClassReport:
     """Pass iff -1, 2, a, 2-a are independent modulo rational squares."""
     a = point.a
     values = (Fraction(-1), Fraction(2), a, 2 - a)
-    parts = tuple(squarefree_part(v) for v in values)
-    rank = _f2_rank(list(parts))
+    classes = [square_class_primes(v) for v in values]
+    parts = tuple(sign * prod(support) for sign, support in classes)
+    rows = _f2_rows(classes)
+    rank = _f2_rank(rows)
     passed = rank == 4
     dependent: Optional[tuple[str, ...]] = None
     if not passed:
-        for size in range(1, 5):
-            for combo in combinations(range(4), size):
-                prod = 1
-                for i in combo:
-                    prod *= parts[i]
-                if squarefree_part(prod) == 1:
-                    dependent = tuple(SQUARE_CLASS_LABELS[i] for i in combo)
-                    break
-            if dependent:
-                break
+        # smallest subset first, so the witness is stable; a subset's
+        # product is a square iff its rows cancel
+        dependent = next(
+            tuple(SQUARE_CLASS_LABELS[i] for i in combo)
+            for size in range(1, 5)
+            for combo in combinations(range(4), size)
+            if not reduce(xor, (rows[i] for i in combo))
+        )
     derivation = (
         "the level-4 splitting field of the iterated preimages of a "
         "contains Q(i, sqrt(2), sqrt(a), sqrt(2-a))",
@@ -172,7 +159,7 @@ def square_class_test(point: BasePoint) -> SquareClassReport:
             f"{lab} ~ {part}" for lab, part in zip(SQUARE_CLASS_LABELS, parts)
         ),
         (f"classes independent (rank 4): degree 16 attained" if passed else
-         f"product over {{{', '.join(dependent or ())}}} is a square: "
+         f"product over {{{', '.join(dependent)}}} is a square: "
          f"the composite collapses below degree 16"),
     )
     return SquareClassReport(
@@ -192,15 +179,15 @@ class FrobeniusObservation:
     cycle_type: tuple[int, ...]
 
 
-def sample_frobenius(point: BasePoint, prime_bound: int, *,
-                     min_usable: int = MIN_USABLE_PRIMES
-                     ) -> tuple[FrobeniusObservation, ...]:
-    """Factorization degree patterns mod the good odd primes up to bound."""
+def _frobenius_stream(point: BasePoint, prime_bound: int
+                      ) -> Iterator[FrobeniusObservation]:
+    """One observation per good odd prime up to the bound, in increasing
+    order; primes dividing the leading coefficient or giving a
+    non-squarefree reduction are skipped."""
     if prime_bound < 3:
         raise ValueError(f"prime bound {prime_bound} < 3")
     poly = specialize_numerator(4, point.a)
     degree = poly.degree()
-    out = []
     for p in primes_up_to(prime_bound):
         if p == 2 or poly.lc % p == 0:
             continue
@@ -209,13 +196,23 @@ def sample_frobenius(point: BasePoint, prime_bound: int, *,
             continue
         if sum(degs) != degree:  # pragma: no cover - lc survived, so it cannot
             raise ModelInconsistencyError(f"degree loss at prime {p}")
-        out.append(FrobeniusObservation(prime=p, cycle_type=degs))
-    if len(out) < min_usable:
+        yield FrobeniusObservation(prime=p, cycle_type=degs)
+
+
+def _require_usable(usable: int, prime_bound: int, need: int) -> None:
+    if usable < need:
         raise InsufficientDataError(
-            f"only {len(out)} usable primes below {prime_bound} "
-            f"(need {min_usable})"
+            f"only {usable} usable primes below {prime_bound} (need {need})"
         )
-    return tuple(out)
+
+
+def sample_frobenius(point: BasePoint, prime_bound: int, *,
+                     min_usable: int = MIN_USABLE_PRIMES
+                     ) -> tuple[FrobeniusObservation, ...]:
+    """Factorization degree patterns mod the good odd primes up to bound."""
+    out = tuple(_frobenius_stream(point, prime_bound))
+    _require_usable(len(out), prime_bound, min_usable)
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -241,6 +238,23 @@ class EliminationReport:
     observation_count: int
 
 
+def _eliminate(obs: FrobeniusObservation, pending: set,
+               eliminated: dict) -> None:
+    """Move every pending subgroup whose cycle-type table misses the
+    observation from pending to eliminated."""
+    _, model_types, tables, _ = _level4_data()
+    if obs.cycle_type not in model_types:
+        raise ModelInconsistencyError(
+            f"cycle type {obs.cycle_type} at prime {obs.prime} is not "
+            f"realized by the level-4 model; the containment assumption "
+            f"is violated"
+        )
+    for name in sorted(pending):
+        if obs.cycle_type not in tables[name]:
+            eliminated[name] = obs
+            pending.discard(name)
+
+
 def eliminate_maximal_subgroups(observations, model: ArithLevelModel
                                 ) -> EliminationReport:
     """Cycle-type elimination alone (observed in the model's table but
@@ -248,25 +262,15 @@ def eliminate_maximal_subgroups(observations, model: ArithLevelModel
     the model cannot realize instead of discarding it."""
     if model.level != 4:
         raise ValueError(f"elimination is defined at level 4, got {model.level}")
-    model_types = frozenset(cycle_type_table(model.group))
-    tables = {ms.name: frozenset(cycle_type_table(ms.group))
-              for ms in maximal_subgroups(model)}
+    _, _, tables, _ = _level4_data()
+    pending = set(tables)
     eliminated: dict[str, FrobeniusObservation] = {}
     ordered = sorted(observations, key=lambda o: o.prime)
     for obs in ordered:
-        if obs.cycle_type not in model_types:
-            raise ModelInconsistencyError(
-                f"cycle type {obs.cycle_type} at prime {obs.prime} is not "
-                f"realized by the level-4 model; the containment assumption "
-                f"is violated"
-            )
-        for name in sorted(tables):
-            if name not in eliminated and obs.cycle_type not in tables[name]:
-                eliminated[name] = obs
-    surviving = tuple(sorted(set(tables) - set(eliminated)))
+        _eliminate(obs, pending, eliminated)
     return EliminationReport(
         eliminated=tuple(sorted(eliminated.items())),
-        surviving=surviving,
+        surviving=tuple(sorted(pending)),
         observation_count=len(ordered),
     )
 
@@ -346,36 +350,16 @@ def maximality_verdict(point: BasePoint,
             primes_tried=0,
             reason="; ".join(sq.derivation),
         )
-    if prime_bound < 3:
-        raise ValueError(f"prime bound {prime_bound} < 3")
-    _, model_types, tables, blind = _level4_data()
+    _, _, tables, blind = _level4_data()
     pending = set(tables) - set(blind)
     eliminated: dict[str, FrobeniusObservation] = {}
-    poly = specialize_numerator(4, point.a)
     usable = 0
-    for p in primes_up_to(prime_bound):
-        if p == 2 or poly.lc % p == 0:
-            continue
-        degs = factor_degrees_mod_p(poly, p)
-        if degs is None:
-            continue
+    for obs in _frobenius_stream(point, prime_bound):
         usable += 1
-        if degs not in model_types:
-            raise ModelInconsistencyError(
-                f"cycle type {degs} at prime {p} is not realized by the "
-                f"level-4 model"
-            )
-        for name in sorted(pending):
-            if degs not in tables[name]:
-                eliminated[name] = FrobeniusObservation(p, degs)
-                pending.discard(name)
+        _eliminate(obs, pending, eliminated)
         if not pending and usable >= MIN_USABLE_PRIMES:
             break
-    if usable < MIN_USABLE_PRIMES:
-        raise InsufficientDataError(
-            f"only {usable} usable primes below {prime_bound} "
-            f"(need {MIN_USABLE_PRIMES})"
-        )
+    _require_usable(usable, prime_bound, MIN_USABLE_PRIMES)
     if pending:
         return MaximalityVerdict(
             status="inconclusive",
@@ -402,26 +386,38 @@ def maximality_verdict(point: BasePoint,
 
 
 def recheck_certificate(verdict: MaximalityVerdict) -> bool:
-    """Pure table lookups; no resampling.  True iff the stored witnesses
-    actually support the stored verdict."""
+    """True iff the stored witnesses actually support the stored verdict.
+
+    The square classes are recomputed, and so is every Frobenius witness:
+    its prime must be an odd prime not dividing the leading coefficient,
+    and the factor degrees of the specialized numerator at that prime
+    must reproduce the stored cycle type.  A bad witness gives False,
+    never an exception.  The witnesses are then checked against the
+    level-4 cycle-type tables."""
     _, model_types, tables, blind = _level4_data()
     sq = square_class_test(verdict.point)
     if sq.passed != verdict.square_class.passed or sq.parts != verdict.square_class.parts:
         return False
     if verdict.status == "not_maximal":
-        if sq.passed or not sq.dependent_subset:
+        subset = verdict.square_class.dependent_subset
+        if sq.passed or not subset or not set(subset) <= set(sq.labels):
             return False
-        prod = 1
-        for lab, part in zip(sq.labels, sq.parts):
-            if lab in sq.dependent_subset:
-                prod *= part
-        return squarefree_part(prod) == 1
+        value = prod(part for lab, part in zip(sq.labels, sq.parts)
+                     if lab in subset)
+        return value > 0 and isqrt(value) ** 2 == value
+    poly = specialize_numerator(4, verdict.point.a)
     for name, obs in verdict.frobenius_eliminations:
         if name not in tables or name in blind:
             return False
         if obs.cycle_type not in model_types:
             return False
         if obs.cycle_type in tables[name]:
+            return False
+        try:
+            degs = factor_degrees_mod_p(poly, obs.prime)
+        except ValueError:  # not an odd prime, or it divides the lc
+            return False
+        if degs != obs.cycle_type:
             return False
     if verdict.status == "maximal":
         if not sq.passed or sq.rank != 4:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import (
@@ -759,15 +759,18 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def squarefree_part(a) -> int:
-    """The squarefree integer representing a rational's square class."""
+def square_class_primes(a) -> tuple[int, tuple[int, ...]]:
+    """Sign and odd-exponent primes of a nonzero rational, from one
+    factorization; together they name its square class."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("0 has no square class")
     n = a.numerator * a.denominator
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in _factorize(abs(n)).items():
-        if e & 1:
-            out *= p
-    return out
+    primes = tuple(sorted(p for p, e in _factorize(abs(n)).items() if e & 1))
+    return (-1 if n < 0 else 1), primes
+
+
+def squarefree_part(a) -> int:
+    """The squarefree integer representing a rational's square class."""
+    sign, primes = square_class_primes(a)
+    return sign * prod(primes)

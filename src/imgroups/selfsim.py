@@ -162,14 +162,6 @@ class LevelGroup:
             self._sorted = tuple(sorted(self.elements))
         return self._sorted
 
-    def verify_closed(self) -> tuple[Portrait, Portrait] | None:
-        """Return a violating pair if the set is not product-closed."""
-        for u in self.sorted_elements():
-            for v in self.sorted_elements():
-                if u * v not in self.elements:
-                    return (u, v)
-        return None
-
 
 def _mulclose(generators, max_size: int) -> set[Portrait] | None:
     """Breadth-first closure under right multiplication by the generators.
@@ -221,7 +213,7 @@ def generating_set(group: LevelGroup) -> list[Portrait]:
         if g not in have:
             gens.append(g)
             have = _mulclose(gens, max_size=len(group))
-            if have is None:  # pragma: no cover - inputs are real subgroups
+            if have is None:  # the closure outgrew the set
                 raise ValueError("element set is not closed")
     return gens
 

@@ -338,16 +338,6 @@ def iter_all(level: int, cap: int = 4):
         yield Portrait(level, [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)])
 
 
-def compose(u: Portrait, v: Portrait) -> Portrait:
-    """Functional form of u * v (apply u first, then v)."""
-    return u * v
-
-
-def invert(u: Portrait) -> Portrait:
-    """Functional form of u.inverse()."""
-    return u.inverse()
-
-
 # -- conjugacy ------------------------------------------------------------
 
 _CONJ_MEMO: dict[tuple[int, tuple[int, ...], tuple[int, ...]], bool] = {}

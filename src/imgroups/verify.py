@@ -468,7 +468,7 @@ def _claim_verdict_recheck(caps: VerifyCaps) -> str:
                                           min(caps.prime_bound, 10**4))
         assert v.status == expected, (a, v.status)
         assert maximality.recheck_certificate(v), a
-    return "stored certificates recheck by pure table lookups"
+    return "stored certificates recheck with every witness recomputed"
 
 
 def _claim_elimination_edges(caps: VerifyCaps) -> str:

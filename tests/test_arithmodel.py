@@ -9,6 +9,7 @@ ones.
 
 import pytest
 
+from imgroups import arithmodel
 from imgroups.arithmodel import (
     ARITH_LEVEL_CAP,
     build_model,
@@ -19,7 +20,7 @@ from imgroups.arithmodel import (
     odometer_elements,
     order_growth_report,
 )
-from imgroups.errors import ResourceLimitError
+from imgroups.errors import ModelConstructionError, ResourceLimitError
 from imgroups.selfsim import geometric_group, subgroup_index
 from imgroups.treeauto import sigma
 
@@ -64,6 +65,23 @@ class TestConstruction:
 
     def test_inverse_closed(self, m4):
         assert all(x.inverse() in m4.group for x in m4.group.elements)
+
+    def test_failed_closure_check_is_construction_error(self, monkeypatch):
+        # the survivor set is the one group handed over without recorded
+        # generators; its closure check failing must surface as a model
+        # construction fault (exit 1), not as a bad argument (exit 2)
+        real = arithmodel.generating_set
+
+        def not_closed(group):
+            if not group.generators:
+                raise ValueError("element set is not closed")
+            return real(group)
+
+        monkeypatch.setattr(arithmodel, "generating_set", not_closed)
+        monkeypatch.setattr(arithmodel, "_MODEL_CACHE", {})
+        with pytest.raises(ModelConstructionError,
+                           match="level 2: element set is not closed"):
+            build_model(2)
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exit codes, and output stability."""
 
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,23 @@ class TestMaximality:
     def test_zero_denominator(self, capsys):
         code, _, err = run(capsys, "maximality", "--a", "1/0")
         assert code == 2
+
+    def test_prime_near_factoring_cap(self, capsys):
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "maximality", "--a", "999999999999999989")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+
+    def test_square_product_beyond_factoring_cap(self, capsys):
+        # a = 2/(1 + t^2) with t = 10000044: a(2 - a) is a square
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "maximality", "--a", "2/100000880001937",
+                           "--format", "json")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "not_maximal"
+        assert data["square_class"]["dependent_subset"] == ["a", "2-a"]
 
     def test_prime_bound_flag(self, capsys):
         code, out, _ = run(capsys, "maximality", "--a", "5",

@@ -1,0 +1,25 @@
+"""The demos run as scripts and print what they promise."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(name: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_maximality_certificates_demo():
+    proc = run_demo("05_maximality_certificates.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "recheck stored certificate: True" in lines
+    assert lines[-1] == "recheck forged certificate: False"

@@ -8,6 +8,7 @@ alone, are recomputed here from the cycle tables rather than trusted.
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,15 @@ class TestSquareClasses:
         for part in rep.parts:
             assert part == oracles.squarefree_part_slow(part)
 
+    def test_large_prime_part_in_bounded_time(self):
+        # each part is factored once, by the certified route; plain trial
+        # division over a prime part near 10^15 would take seconds
+        start = time.perf_counter()
+        rep = square_class_test(BasePoint(Fraction(10**15 + 37)))
+        assert time.perf_counter() - start < 5
+        assert rep.parts[2] == 10**15 + 37
+        assert rep.passed
+
 
 class TestFrobeniusSampling:
     def test_point_5_observations(self):
@@ -170,6 +180,17 @@ class TestElimination:
     def test_wrong_level_rejected(self):
         with pytest.raises(ValueError):
             eliminate_maximal_subgroups((), build_model(3))
+
+    @pytest.mark.parametrize("a", [Fraction(5), Fraction(7, 3), Fraction(-3)],
+                             ids=str)
+    def test_public_routes_match_the_streamed_verdict(self, a):
+        # the early-stopping verdict and the exhaustive public route share
+        # one prime stream and one elimination step, so they agree
+        point = BasePoint(a)
+        rep = eliminate_maximal_subgroups(sample_frobenius(point, 10**4),
+                                          build_model(4))
+        v = maximality_verdict(point, 10**4)
+        assert v.frobenius_eliminations == rep.eliminated
 
 
 class TestVerdict:
@@ -242,3 +263,24 @@ class TestCertificateRecheck:
             v, square_class_eliminations=v.square_class_eliminations[:-1]
         )
         assert not recheck_certificate(tampered)
+
+    @pytest.mark.parametrize("forge", [
+        lambda obs: dataclasses.replace(obs, prime=4),
+        lambda obs: dataclasses.replace(obs, prime=13),
+    ], ids=["prime-4", "prime-13"])
+    def test_forged_witness_primes_fail(self, forge):
+        # the stored cycle types stay valid table entries; only a
+        # recomputation at the stored prime can reject them
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        forged = dataclasses.replace(v, frobenius_eliminations=tuple(
+            (name, forge(obs)) for name, obs in v.frobenius_eliminations
+        ))
+        assert not recheck_certificate(forged)
+
+    def test_square_product_beyond_factoring_cap_rechecks(self):
+        # a = 2/(1 + t^2) with t = 10000044, so a(2 - a) is a square whose
+        # root exceeds the factoring cap
+        v = maximality_verdict(BasePoint(Fraction(2, 100000880001937)))
+        assert v.status == "not_maximal"
+        assert v.square_class.dependent_subset == ("a", "2-a")
+        assert recheck_certificate(v)
