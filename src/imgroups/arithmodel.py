@@ -48,9 +48,25 @@ class ArithLevelModel:
 _MODEL_CACHE: dict[int, ArithLevelModel] = {}
 
 
-def _normalizes(m: Portrait, gens, target: frozenset) -> bool:
-    mi = m.inverse()
-    return all((mi * g) * m in target for g in gens)
+def _normalizer_conditions(*groups: LevelGroup):
+    """(generator perms, element perm set) per group, for `_normalizes`."""
+    return tuple((tuple(g.perm for g in generating_set(H)),
+                  frozenset(x.perm for x in H.elements)) for H in groups)
+
+
+def _normalizes(m: Portrait, conditions) -> bool:
+    """True iff m^-1 g m lies in the target for every (gens, target) pair.
+
+    The conjugates are composed as leaf permutations; no portrait is built
+    for them.
+    """
+    mp = m.perm
+    mi = m.inverse().perm
+    for gens, target in conditions:
+        for g in gens:
+            if tuple(map(mp.__getitem__, map(g.__getitem__, mi))) not in target:
+                return False
+    return True
 
 
 def build_model(level: int, *, allow_deep: bool = False) -> ArithLevelModel:
@@ -76,9 +92,7 @@ def build_model(level: int, *, allow_deep: bool = False) -> ArithLevelModel:
         return model
 
     prev = build_model(level - 1, allow_deep=allow_deep)
-    gens_g = generating_set(G)
-    gens_u = generating_set(U)
-    gset, uset = G.elements, U.elements
+    conditions = _normalizer_conditions(G, U)
 
     survivors: set[Portrait] = set()
     for x in prev.group:
@@ -86,7 +100,7 @@ def build_model(level: int, *, allow_deep: bool = False) -> ArithLevelModel:
             y = rho * x
             for t in (0, 1):
                 m = pair(x, y, t)
-                if _normalizes(m, gens_g, gset) and _normalizes(m, gens_u, uset):
+                if _normalizes(m, conditions):
                     survivors.add(m)
 
     missing = [g for g in G if g not in survivors]
@@ -121,8 +135,7 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
     prev = build_model(level - 1)
     G = geometric_group(level)
     U = subgroup_U(level)
-    gens_g = generating_set(G)
-    gens_u = generating_set(U)
+    conditions = _normalizer_conditions(G, U)
     brute: set[Portrait] = set()
     for m in iter_all(level):
         left, right, _ = m.sections()
@@ -130,7 +143,7 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
             continue
         if right * left.inverse() not in prev.twist:
             continue
-        if _normalizes(m, gens_g, G.elements) and _normalizes(m, gens_u, U.elements):
+        if _normalizes(m, conditions):
             brute.add(m)
     return (brute == model.group.elements, len(brute), model.order)
 

@@ -644,7 +644,9 @@ def _small_primes() -> list[int]:
 
 def primes_up_to(limit: int) -> list[int]:
     if limit > TRIAL_DIVISION_LIMIT:
-        raise ValueError(f"prime table capped at {TRIAL_DIVISION_LIMIT}")
+        raise ResourceLimitError(
+            f"prime table capped at {TRIAL_DIVISION_LIMIT}, asked for {limit}"
+        )
     table = _small_primes()
     # bisect by hand to avoid importing for one call site
     lo, hi = 0, len(table)

@@ -21,7 +21,7 @@ import os
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .treeauto import Portrait, identity, iter_all, pair, sigma
+from .treeauto import Portrait, _from_perm, identity, iter_all, pair, sigma
 
 # Refuse closures that would outgrow the full level-4 tree group.
 CLOSURE_MAX_SIZE = 1 << 15
@@ -163,28 +163,30 @@ class LevelGroup:
         return self._sorted
 
 
-def _mulclose(generators, max_size: int) -> set[Portrait] | None:
+def _mulclose(generators, max_size: int) -> set[tuple[int, ...]] | None:
     """Breadth-first closure under right multiplication by the generators.
 
-    Returns None as soon as the closure would exceed max_size.  Starting
-    from the identity and multiplying by generators only is enough: in a
-    finite group the products of generators already form a subgroup.
+    Works on leaf permutations and returns the set of them; None as soon
+    as the closure would exceed max_size.  Starting from the identity and
+    multiplying by generators only is enough: in a finite group the
+    products of generators already form a subgroup.
     """
-    gens = sorted(set(generators))
-    level = gens[0].level
-    els = {identity(level)}
-    frontier = sorted(els)
+    perms = {g.perm for g in generators}
+    steps = [p.__getitem__ for p in perms]
+    start = tuple(range(len(next(iter(perms)))))
+    els = {start}
+    frontier = [start]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = x * g
+            for step in steps:
+                y = tuple(map(step, x))
                 if y not in els:
                     if len(els) >= max_size:
                         return None
                     els.add(y)
                     new.append(y)
-        frontier = sorted(new)
+        frontier = new
     return els
 
 
@@ -200,7 +202,7 @@ def closure(generators, max_size: int = CLOSURE_MAX_SIZE) -> LevelGroup:
     els = _mulclose(gens, max_size)
     if els is None:
         raise ResourceLimitError(f"closure exceeded cap {max_size}")
-    return LevelGroup(level, els, gens)
+    return LevelGroup(level, [_from_perm(level, p) for p in els], gens)
 
 
 def generating_set(group: LevelGroup) -> list[Portrait]:
@@ -208,9 +210,9 @@ def generating_set(group: LevelGroup) -> list[Portrait]:
     if group.generators:
         return list(group.generators)
     gens: list[Portrait] = []
-    have: set[Portrait] = {identity(group.level)}
+    have = {identity(group.level).perm}
     for g in group.sorted_elements():
-        if g not in have:
+        if g.perm not in have:
             gens.append(g)
             have = _mulclose(gens, max_size=len(group))
             if have is None:  # the closure outgrew the set
@@ -394,7 +396,8 @@ def section_pair_count(group_n: LevelGroup, x: Portrait) -> int:
         raise ValueError("x is not a truncation of any group element")
     count = 0
     for w in group_n.elements:
-        if w.swaps[0] == 0 and w.sections()[0] == x:
+        left, _, root = w.sections()
+        if root == 0 and left == x:
             count += 1
     return count
 

@@ -1,4 +1,4 @@
-"""Automorphisms of finite rooted binary trees, stored as swap-bit portraits.
+"""Automorphisms of finite rooted binary trees, stored as leaf permutations.
 
 Conventions, fixed package-wide and exercised by the property tests:
 
@@ -14,9 +14,19 @@ Conventions, fixed package-wide and exercised by the property tests:
 Leaves at depth n are numbered 0 .. 2**n - 1 by reading the path word as
 binary digits (symbol 1 -> bit 0), first symbol most significant.
 
-Wire format: ``"<level>:<HEX>"`` where HEX encodes the breadth-first bit
-string, root bit most significant, left-padded with zero bits to a whole
-number of hex digits.  Level 0 encodes as ``"0:"``.
+Stored form: a portrait keeps only its leaf permutation ``perm``, a tuple
+with ``perm[j]`` the image of leaf j.  The tree automorphism group acts
+faithfully on the leaves, so ``perm`` determines the element; a product
+is then one tuple map and an inverse one scatter.  The swap bits are
+derived, never stored: the bit at the j-th vertex of depth d is bit
+n-d-1 of ``perm[j << (n-d)]``, the image of the first leaf below the
+vertex's child 1.  ``code`` packs the derived bits into one int, root bit
+most significant; it is cached, and it orders portraits of one level
+exactly as their swap tuples would.
+
+Wire format: ``"<level>:<HEX>"`` where HEX is ``code`` in hex, left-padded
+with zero bits to a whole number of hex digits.  Level 0 encodes as
+``"0:"``.
 """
 
 from __future__ import annotations
@@ -25,15 +35,19 @@ from math import lcm
 
 from .errors import ResourceLimitError
 
-# The recursive conjugacy test memoizes pairs of portraits; above this level
-# the table can blow up, so calls refuse to run unless the caller raises it.
+# Conjugacy recursion memoizes pairs of portraits for the length of one
+# call; above this level the table can blow up, so calls refuse to run
+# unless the caller raises it.
 CONJUGACY_LEVEL_CAP = 6
 
 
 class Portrait:
-    """An automorphism of the depth-``level`` rooted binary tree."""
+    """An automorphism of the depth-``level`` rooted binary tree.
 
-    __slots__ = ("level", "swaps", "_hash")
+    ``Portrait(level, swaps)`` builds it from breadth-first swap bits.
+    """
+
+    __slots__ = ("level", "perm", "_hash", "_code")
 
     def __init__(self, level: int, swaps):
         swaps = tuple(swaps)
@@ -43,28 +57,45 @@ class Portrait:
             raise ValueError(
                 f"level {level} needs {(1 << level) - 1} swap bits, got {len(swaps)}"
             )
+        for bit in swaps:
+            if bit not in (0, 1):
+                raise ValueError(f"swap bits must be 0 or 1, got {bit!r}")
         self.level = level
-        self.swaps = swaps
-        self._hash = hash((level, swaps))
+        self.perm = _perm_from_swaps(level, swaps)
+        self._hash = hash(self.perm)
+        self._code = None
 
     # -- identity, equality, ordering ------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Portrait)
-            and self.level == other.level
-            and self.swaps == other.swaps
-        )
+        # a leaf permutation of length 2**n fixes the level as well
+        return isinstance(other, Portrait) and self.perm == other.perm
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
         # canonical order used wherever determinism matters
-        return (self.level, self.swaps) < (other.level, other.swaps)
+        return (self.level, self.code) < (other.level, other.code)
 
     def __repr__(self):
         return f"Portrait({self.encode()!r})"
+
+    @property
+    def swaps(self) -> tuple[int, ...]:
+        """Breadth-first swap bits, recomputed from ``perm``."""
+        return tuple(_swap_bits(self.perm, self.level))
+
+    @property
+    def code(self) -> int:
+        """The swap bits as one int, root bit most significant."""
+        code = self._code
+        if code is None:
+            code = 0
+            for bit in _swap_bits(self.perm, self.level):
+                code = (code << 1) | bit
+            self._code = code
+        return code
 
     # -- composition ------------------------------------------------------
 
@@ -74,128 +105,66 @@ class Portrait:
             return NotImplemented
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} vs {other.level}")
-        n = self.level
-        a = self.swaps
-        b = other.swaps
-        out = [0] * len(a)
-        # img[j] = position, within its depth, of the image under self of
-        # the j-th input vertex at that depth
-        img = [0]
-        base = 0
-        for depth in range(n):
-            width = 1 << depth
-            grow = depth + 1 < n
-            nxt = [0] * (width << 1) if grow else None
-            for j in range(width):
-                bu = a[base + j]
-                out[base + j] = bu ^ b[base + img[j]]
-                if grow:
-                    k = img[j] << 1
-                    jj = j << 1
-                    nxt[jj] = k + bu
-                    nxt[jj + 1] = k + 1 - bu
-            img = nxt
-            base += width
-        return Portrait(n, out)
+        return _from_perm(self.level, tuple(map(other.perm.__getitem__, self.perm)))
 
     def inverse(self) -> "Portrait":
-        """The inverse automorphism: bit at u(v) equals the bit of u at v."""
-        n = self.level
-        a = self.swaps
-        out = [0] * len(a)
-        img = [0]
-        base = 0
-        for depth in range(n):
-            width = 1 << depth
-            grow = depth + 1 < n
-            nxt = [0] * (width << 1) if grow else None
-            for j in range(width):
-                bu = a[base + j]
-                out[base + img[j]] = bu
-                if grow:
-                    k = img[j] << 1
-                    jj = j << 1
-                    nxt[jj] = k + bu
-                    nxt[jj + 1] = k + 1 - bu
-            img = nxt
-            base += width
-        return Portrait(n, out)
+        """The inverse automorphism: the argsort of the leaf permutation."""
+        out = [0] * len(self.perm)
+        for leaf, image in enumerate(self.perm):
+            out[image] = leaf
+        return _from_perm(self.level, tuple(out))
 
     # -- action on vertices and leaves ------------------------------------
 
     def apply(self, word: str) -> str:
         """Image of a vertex, given and returned as a word over '1','2'."""
         _check_word(word, self.level)
-        a = self.swaps
-        pos = 0  # index, within its depth, of the current input vertex
-        out = []
-        base = 0
-        for depth, ch in enumerate(word):
-            bit = ord(ch) - ord("1")
-            swap = a[base + pos]
-            out.append("12"[bit ^ swap])
-            base += 1 << depth
-            pos = (pos << 1) + bit
-        return "".join(out)
+        depth = len(word)
+        below = self.level - depth
+        image = self.perm[_word_index(word) << below] >> below
+        return "".join("12"[(image >> (depth - 1 - i)) & 1] for i in range(depth))
 
     def leaf_permutation(self) -> list[int]:
         """perm[j] = image of leaf j under this automorphism."""
-        n = self.level
-        a = self.swaps
-        img = [0]
-        base = 0
-        for depth in range(n):
-            width = 1 << depth
-            nxt = [0] * (width << 1)
-            for j in range(width):
-                bu = a[base + j]
-                k = img[j] << 1
-                jj = j << 1
-                nxt[jj] = k + bu
-                nxt[jj + 1] = k + 1 - bu
-            img = nxt
-            base += width
-        return img
+        return list(self.perm)
 
     # -- sections and truncation ------------------------------------------
 
     def section(self, word: str) -> "Portrait":
         """The automorphism of the subtree hanging below an input vertex."""
         _check_word(word, self.level)
-        cur = self
-        for ch in word:
-            left, right, _ = cur.sections()
-            cur = left if ch == "1" else right
-        return cur
+        below = self.level - len(word)
+        first = _word_index(word) << below
+        mask = (1 << below) - 1
+        block = self.perm[first : first + (1 << below)]
+        return _from_perm(below, tuple(map(mask.__and__, block)))
 
     def sections(self) -> tuple["Portrait", "Portrait", int]:
         """Split into (section at 1, section at 2, root swap bit)."""
         n = self.level
         if n < 1:
             raise ValueError("level-0 portrait has no sections")
-        left: list[int] = []
-        right: list[int] = []
-        base = 1
-        for depth in range(1, n):
-            width = 1 << depth
-            half = width >> 1
-            seg = self.swaps[base : base + width]
-            left.extend(seg[:half])
-            right.extend(seg[half:])
-            base += width
-        return Portrait(n - 1, left), Portrait(n - 1, right), self.swaps[0]
+        half = 1 << (n - 1)
+        mask = half - 1
+        perm = self.perm
+        return (
+            _from_perm(n - 1, tuple(map(mask.__and__, perm[:half]))),
+            _from_perm(n - 1, tuple(map(mask.__and__, perm[half:]))),
+            perm[0] >> (n - 1),
+        )
 
     def restrict(self, m: int) -> "Portrait":
         """Truncate to the depth-m tree; a group homomorphism level n -> m."""
         if not 0 <= m <= self.level:
             raise ValueError(f"cannot restrict level {self.level} to {m}")
-        return Portrait(m, self.swaps[: (1 << m) - 1])
+        below = self.level - m
+        return _from_perm(m, tuple(p >> below for p in self.perm[:: 1 << below]))
 
     # -- invariants ---------------------------------------------------------
 
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of leaf-orbit sizes, sorted descending."""
-        perm = self.leaf_permutation()
+        perm = self.perm
         seen = [False] * len(perm)
         parts = []
         for start in range(len(perm)):
@@ -223,9 +192,8 @@ class Portrait:
         """
         if not 1 <= m <= self.level:
             raise ValueError(f"sign level {m} out of range 1..{self.level}")
-        lo = (1 << (m - 1)) - 1
-        hi = (1 << m) - 1
-        ones = sum(self.swaps[lo:hi])
+        below = self.level - m
+        ones = sum((p >> below) & 1 for p in self.perm[:: 2 << below])
         return -1 if ones & 1 else 1
 
     def is_level_odometer(self) -> bool:
@@ -245,12 +213,8 @@ class Portrait:
     # -- wire format ----------------------------------------------------------
 
     def encode(self) -> str:
-        nbits = len(self.swaps)
-        value = 0
-        for bit in self.swaps:
-            value = (value << 1) | bit
-        ndigits = (nbits + 3) // 4
-        return f"{self.level}:{value:0{ndigits}X}" if ndigits else f"{self.level}:"
+        ndigits = ((1 << self.level) + 2) // 4
+        return f"{self.level}:{self.code:0{ndigits}X}" if ndigits else f"{self.level}:"
 
     @classmethod
     def decode(cls, text: str) -> "Portrait":
@@ -276,6 +240,51 @@ class Portrait:
         return cls(level, swaps)
 
 
+def _from_perm(level: int, perm: tuple[int, ...]) -> Portrait:
+    """Wrap the leaf permutation of a tree automorphism without checks."""
+    u = object.__new__(Portrait)
+    u.level = level
+    u.perm = perm
+    u._hash = hash(perm)
+    u._code = None
+    return u
+
+
+def _perm_from_swaps(level: int, swaps: tuple[int, ...]) -> tuple[int, ...]:
+    """Walk the swap bits depth by depth, tracking each vertex's image."""
+    img = [0]
+    for depth in range(level):
+        width = 1 << depth
+        img = _grow(img, swaps[width - 1 : 2 * width - 1])
+    return tuple(img)
+
+
+def _grow(img: list[int], bits) -> list[int]:
+    """Images of the vertices one depth down, from the images at this
+    depth and the swap bits these vertices carry."""
+    nxt = []
+    for k, bit in zip(img, bits):
+        k <<= 1
+        nxt += (k + 1, k) if bit else (k, k + 1)
+    return nxt
+
+
+def _swap_bits(perm: tuple[int, ...], level: int):
+    """Yield the breadth-first swap bits of a leaf permutation."""
+    for depth in range(level):
+        below = level - 1 - depth
+        for image in perm[:: 2 << below]:
+            yield (image >> below) & 1
+
+
+def _word_index(word: str) -> int:
+    """Index of a vertex within its depth: symbol 1 -> bit 0, first bit high."""
+    index = 0
+    for ch in word:
+        index = (index << 1) | (ch == "2")
+    return index
+
+
 def _check_word(word: str, level: int) -> None:
     if len(word) > level:
         raise ValueError(f"word {word!r} longer than level {level}")
@@ -288,14 +297,14 @@ def _check_word(word: str, level: int) -> None:
 
 
 def identity(level: int) -> Portrait:
-    return Portrait(level, (0,) * ((1 << level) - 1))
+    return _from_perm(level, tuple(range(1 << level)))
 
 
 def sigma(level: int) -> Portrait:
     """The root swap: (id, id) with the top bit set."""
     if level < 1:
         raise ValueError("sigma needs level >= 1")
-    return Portrait(level, (1,) + (0,) * ((1 << level) - 2))
+    return pair(identity(level - 1), identity(level - 1), 1)
 
 
 def pair(left: Portrait, right: Portrait, swap: int = 0) -> Portrait:
@@ -304,14 +313,13 @@ def pair(left: Portrait, right: Portrait, swap: int = 0) -> Portrait:
         raise ValueError(f"section levels differ: {left.level} vs {right.level}")
     if swap not in (0, 1):
         raise ValueError(f"swap bit must be 0 or 1, got {swap}")
-    bits = [swap]
-    base = 0
-    for depth in range(left.level):
-        width = 1 << depth
-        bits.extend(left.swaps[base : base + width])
-        bits.extend(right.swaps[base : base + width])
-        base += width
-    return Portrait(left.level + 1, bits)
+    # leaves below child 1 come first; a root swap moves them to the back
+    shift = (1 << left.level).__add__
+    if swap:
+        perm = tuple(map(shift, left.perm)) + right.perm
+    else:
+        perm = left.perm + tuple(map(shift, right.perm))
+    return _from_perm(left.level + 1, perm)
 
 
 def adding_machine(level: int) -> Portrait:
@@ -329,18 +337,28 @@ def iter_all(level: int, cap: int = 4):
     There are 2**(2**level - 1) of them; enumeration is refused above the
     cap (default 4, i.e. 32768 elements).
     """
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
     if level > cap:
         raise ResourceLimitError(
             f"full enumeration at level {level} exceeds cap {cap}"
         )
-    nbits = (1 << level) - 1
-    for value in range(1 << nbits):
-        yield Portrait(level, [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)])
+
+    def extend(img, depth):
+        # bits are ordered depth by depth, so counting through each depth's
+        # block under every prefix walks the values of ``code`` in order
+        if depth == level:
+            yield _from_perm(level, tuple(img))
+            return
+        width = 1 << depth
+        for block in range(1 << width):
+            bits = [(block >> (width - 1 - j)) & 1 for j in range(width)]
+            yield from extend(_grow(img, bits), depth + 1)
+
+    yield from extend([0], 0)
 
 
 # -- conjugacy ------------------------------------------------------------
-
-_CONJ_MEMO: dict[tuple[int, tuple[int, ...], tuple[int, ...]], bool] = {}
 
 
 def are_conjugate(u: Portrait, v: Portrait, cap: int = CONJUGACY_LEVEL_CAP) -> bool:
@@ -356,25 +374,25 @@ def are_conjugate(u: Portrait, v: Portrait, cap: int = CONJUGACY_LEVEL_CAP) -> b
         raise ResourceLimitError(
             f"conjugacy at level {u.level} exceeds cap {cap}"
         )
-    return _conj(u, v)
+    return _conj(u, v, {})
 
 
-def _conj(u: Portrait, v: Portrait) -> bool:
-    if u.level == 0:
+def _conj(u: Portrait, v: Portrait, memo: dict) -> bool:
+    if u.level == 0 or u.perm == v.perm:
         return True
-    if u.swaps == v.swaps:
-        return True
-    if u.swaps[0] != v.swaps[0]:
+    top = u.level - 1
+    if u.perm[0] >> top != v.perm[0] >> top:  # root swap bits differ
         return False
-    key = (u.level, *sorted((u.swaps, v.swaps)))
-    hit = _CONJ_MEMO.get(key)
+    key = (u.perm, v.perm) if u.perm < v.perm else (v.perm, u.perm)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     u1, u2, root = u.sections()
     v1, v2, _ = v.sections()
     if root == 0:
-        res = (_conj(u1, v1) and _conj(u2, v2)) or (_conj(u1, v2) and _conj(u2, v1))
+        res = ((_conj(u1, v1, memo) and _conj(u2, v2, memo))
+               or (_conj(u1, v2, memo) and _conj(u2, v1, memo)))
     else:
-        res = _conj(u1 * u2, v1 * v2)
-    _CONJ_MEMO[key] = res
+        res = _conj(u1 * u2, v1 * v2, memo)
+    memo[key] = res
     return res

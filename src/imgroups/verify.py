@@ -63,6 +63,19 @@ def _need(cond: bool, reason: str) -> None:
         raise _Skip(reason)
 
 
+def _check(cond, detail=None) -> None:
+    """Fail the claim unless cond holds; unlike `assert`, kept under -O.
+
+    The AssertionError carries the same argument a bare `assert cond, detail`
+    would, so a failing claim reports the same detail either way.
+    """
+    if cond:
+        return
+    if detail is None:
+        raise AssertionError
+    raise AssertionError(detail)
+
+
 def _rand_portrait(rng: random.Random, level: int) -> treeauto.Portrait:
     return treeauto.Portrait(
         level, tuple(rng.randrange(2) for _ in range((1 << level) - 1))
@@ -94,7 +107,7 @@ def _claim_wire_roundtrip(caps: VerifyCaps) -> str:
     for level in range(0, min(caps.group_level, 6) + 1):
         for _ in range(min(caps.samples // 50, 200)):
             u = _rand_portrait(rng, level)
-            assert treeauto.Portrait.decode(u.encode()) == u, u.encode()
+            _check(treeauto.Portrait.decode(u.encode()) == u, u.encode())
             count += 1
     bad = ["1:", "2:X", "3:FF", "-1:0", "2:41"]
     rejected = 0
@@ -103,7 +116,7 @@ def _claim_wire_roundtrip(caps: VerifyCaps) -> str:
             treeauto.Portrait.decode(text)
         except ValueError:
             rejected += 1
-    assert rejected == len(bad), f"only {rejected}/{len(bad)} bad strings rejected"
+    _check(rejected == len(bad), f"only {rejected}/{len(bad)} bad strings rejected")
     return f"{count} roundtrips, {rejected} malformed strings rejected"
 
 
@@ -114,7 +127,7 @@ def _claim_leaf_action(caps: VerifyCaps) -> str:
         level = rng.randint(1, 5)
         u, v = _rand_portrait(rng, level), _rand_portrait(rng, level)
         w = "".join(rng.choice("12") for _ in range(level))
-        assert (u * v).apply(w) == v.apply(u.apply(w))
+        _check((u * v).apply(w) == v.apply(u.apply(w)))
     return f"{n} samples: (u*v)(w) = v(u(w))"
 
 
@@ -124,7 +137,7 @@ def _claim_associative(caps: VerifyCaps) -> str:
     for _ in range(n):
         level = rng.randint(1, 5)
         u, v, w = (_rand_portrait(rng, level) for _ in range(3))
-        assert (u * v) * w == u * (v * w)
+        _check((u * v) * w == u * (v * w))
     return f"{n} random triples associate"
 
 
@@ -134,8 +147,8 @@ def _claim_inverse(caps: VerifyCaps) -> str:
     for _ in range(n):
         level = rng.randint(0, 6)
         u = _rand_portrait(rng, level)
-        assert u * u.inverse() == treeauto.identity(level)
-        assert u.inverse().inverse() == u
+        _check(u * u.inverse() == treeauto.identity(level))
+        _check(u.inverse().inverse() == u)
     return f"{n} inverses verified"
 
 
@@ -146,9 +159,9 @@ def _claim_sign_character(caps: VerifyCaps) -> str:
         level = rng.randint(1, 5)
         u, v = _rand_portrait(rng, level), _rand_portrait(rng, level)
         m = rng.randint(1, level)
-        assert u.sign(m) * v.sign(m) == (u * v).sign(m)
+        _check(u.sign(m) * v.sign(m) == (u * v).sign(m))
         # independent route: parity of the full level-m leaf permutation
-        assert u.sign(m) == _perm_parity(u.restrict(m).leaf_permutation())
+        _check(u.sign(m) == _perm_parity(u.restrict(m).leaf_permutation()))
     return f"{n} samples: sign is a character and matches permutation parity"
 
 
@@ -161,13 +174,13 @@ def _claim_odometer_routes(caps: VerifyCaps) -> str:
         u = _rand_portrait(rng, level)
         cyc = u.cycle_type() == ((1 << level),)
         signs = all(u.sign(m) == -1 for m in range(1, level + 1))
-        assert cyc == signs == u.is_level_odometer()
+        _check(cyc == signs == u.is_level_odometer())
         hits += cyc
     for level in range(1, 7):
-        assert treeauto.adding_machine(level).is_level_odometer()
+        _check(treeauto.adding_machine(level).is_level_odometer())
     g = _rand_portrait(rng, 5)
     conj = g.inverse() * treeauto.adding_machine(5) * g
-    assert conj.is_level_odometer()
+    _check(conj.is_level_odometer())
     return f"{n} samples ({hits} odometers), adding machines and a conjugate"
 
 
@@ -183,7 +196,7 @@ def _claim_conjugacy_brute(caps: VerifyCaps) -> str:
     pairs = 0
     for u in omega:
         for v in omega:
-            assert treeauto.are_conjugate(u, v) == (v in classes[u]), (u, v)
+            _check(treeauto.are_conjugate(u, v) == (v in classes[u]), (u, v))
             pairs += 1
     return f"all {pairs} pairs at level 3 agree with orbit enumeration"
 
@@ -191,7 +204,7 @@ def _claim_conjugacy_brute(caps: VerifyCaps) -> str:
 def _claim_presentation(caps: VerifyCaps) -> str:
     level = min(caps.group_level, 4)
     checks = selfsim.verify_geometric_presentation(level)
-    assert all(checks.values()), checks
+    _check(all(checks.values()), checks)
     return f"level {level}: " + ", ".join(sorted(checks))
 
 
@@ -199,8 +212,8 @@ def _claim_triple_theorem(caps: VerifyCaps) -> str:
     out = []
     for level in range(1, min(caps.group_level, 3) + 1):
         res = selfsim.verify_triple_theorem(level)
-        assert res["all_witnessed"], res
-        assert res["wreath_description_agrees"], res
+        _check(res["all_witnessed"], res)
+        _check(res["wreath_description_agrees"], res)
         out.append(f"L{level}:{res['triples']}")
     return "triples witnessed exhaustively " + " ".join(out)
 
@@ -209,7 +222,7 @@ def _claim_geometric_orders(caps: VerifyCaps) -> str:
     got = []
     for n in range(3, caps.group_level + 1):
         order = len(selfsim.geometric_group(n))
-        assert order == 1 << (n + 2), (n, order)
+        _check(order == 1 << (n + 2), (n, order))
         got.append(f"|G{n}|=2^{n + 2}")
     _need(bool(got), "needs group level >= 3")
     return " ".join(got)
@@ -220,8 +233,8 @@ def _claim_subgroup_indices(caps: VerifyCaps) -> str:
     for n in range(3, min(caps.group_level, 6) + 1):
         g = selfsim.geometric_group(n)
         idx = [selfsim.subgroup_index(g, selfsim.subgroup_H(i, n)) for i in (1, 2, 3)]
-        assert idx == [4, 2, 2], (n, idx)
-        assert selfsim.subgroup_index(g, selfsim.subgroup_U(n)) == 4, n
+        _check(idx == [4, 2, 2], (n, idx))
+        _check(selfsim.subgroup_index(g, selfsim.subgroup_U(n)) == 4, n)
     return f"H1/H2/H3 indices 4/2/2 and twist index 4 for n=3..{min(caps.group_level, 6)}"
 
 
@@ -231,14 +244,14 @@ def _claim_commutator_antidiagonal(caps: VerifyCaps) -> str:
     for n in range(3, top + 1):
         g = selfsim.geometric_group(n)
         comm = selfsim.commutator_subgroup(g)
-        assert selfsim.subgroup_index(g, comm) == 8, n
+        _check(selfsim.subgroup_index(g, comm) == 8, n)
         h1 = selfsim.subgroup_H(1, n)
         h3 = selfsim.subgroup_H(3, n)
         meet = h1.elements & h3.elements
-        assert comm.elements == meet, n
+        _check(comm.elements == meet, n)
         anti = {treeauto.pair(x, x.inverse(), 0)
                 for x in selfsim.subgroup_U(n - 1)}
-        assert comm.elements == anti, n
+        _check(comm.elements == anti, n)
     return f"[G,G] = H1 meet H3 = antidiagonal twists, index 8, n=3..{top}"
 
 
@@ -246,7 +259,7 @@ def _claim_abelianization(caps: VerifyCaps) -> str:
     _need(caps.group_level >= 3, "needs group level >= 3")
     for n in range(3, min(caps.group_level, 6) + 1):
         inv = selfsim.abelian_invariants(selfsim.geometric_group(n))
-        assert inv == (2, 4), (n, inv)
+        _check(inv == (2, 4), (n, inv))
     return "abelian invariants (2, 4) at every computed level"
 
 
@@ -257,7 +270,7 @@ def _claim_centralizers(caps: VerifyCaps) -> str:
         g = selfsim.geometric_group(n)
         for i in (1, 2, 3):
             c = selfsim.centralizer(g, sysf.unfold(f"a{i}", n))
-            assert len(c) == 8, (n, i, len(c))
+            _check(len(c) == 8, (n, i, len(c)))
     return "all three generator centralizers have order 8, n=3.."
 
 
@@ -268,7 +281,7 @@ def _claim_twist_abelian(caps: VerifyCaps) -> str:
         els = u.sorted_elements()
         for a in els:
             for b in els:
-                assert a * b == b * a, (n, a, b)
+                _check(a * b == b * a, (n, a, b))
     return "twist subgroup abelian at every computed level"
 
 
@@ -278,7 +291,7 @@ def _claim_model_orders(caps: VerifyCaps) -> str:
     got = []
     for n in range(1, caps.model_level + 1):
         order = arithmodel.build_model(n).order
-        assert order == expected[n], (n, order)
+        _check(order == expected[n], (n, order))
         got.append(f"|M{n}|={order}")
     return " ".join(got)
 
@@ -287,10 +300,10 @@ def _claim_model_growth(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 3, "needs model level >= 3")
     rep = arithmodel.order_growth_report(caps.model_level)
     expected = (4, 8, 4, 4)[: caps.model_level - 1]
-    assert rep.growth_factors == expected, rep.growth_factors
+    _check(rep.growth_factors == expected, rep.growth_factors)
     for n, order in zip(rep.levels, rep.model_orders):
         if n >= 3:
-            assert order == 1 << (2 * n), (n, order)
+            _check(order == 1 << (2 * n), (n, order))
     return (f"growth {rep.growth_factors} (level-3 jump is 8, not 4) and "
             f"|Mn| = 2^(2n) from level 3")
 
@@ -299,8 +312,8 @@ def _claim_model_contains_geometric(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 2, "needs model level >= 2")
     for n in range(2, caps.model_level + 1):
         m = arithmodel.build_model(n)
-        assert all(g in m.group for g in m.geometric), n
-        assert treeauto.sigma(n) in m.group, n
+        _check(all(g in m.group for g in m.geometric), n)
+        _check(treeauto.sigma(n) in m.group, n)
     return "geometric group and root swap inside every model"
 
 
@@ -309,7 +322,7 @@ def _claim_model_odometer_free(caps: VerifyCaps) -> str:
     counts = []
     for n in range(3, caps.model_level + 1):
         odos = arithmodel.odometer_elements(arithmodel.build_model(n))
-        assert not odos, (n, len(odos))
+        _check(not odos, (n, len(odos)))
         counts.append(n)
     return f"no full-cycle elements in levels {counts}"
 
@@ -319,7 +332,7 @@ def _claim_model_brute_sweep(caps: VerifyCaps) -> str:
     top = min(caps.model_level, 4)
     for n in range(2, top + 1):
         ok, brute, model = arithmodel.brute_model_cross_check(n)
-        assert ok, (n, brute, model)
+        _check(ok, (n, brute, model))
     return f"full automorphism sweep agrees up to level {top}"
 
 
@@ -328,15 +341,15 @@ def _claim_frattini(caps: VerifyCaps) -> str:
     m4 = arithmodel.build_model(4)
     phi = arithmodel.frattini_subgroup(m4)  # cross-checks two routes inside
     index = selfsim.subgroup_index(m4.group, phi)
-    assert index == 16, index
+    _check(index == 16, index)
     return "Frattini index 16 (rank 4); generator and kernel routes agree"
 
 
 def _claim_maximal_count(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     maxes = arithmodel.maximal_subgroups(arithmodel.build_model(4))
-    assert len(maxes) == 15, len(maxes)
-    assert [m.name for m in maxes] == [f"Mmax-{i:02d}" for i in range(1, 16)]
+    _check(len(maxes) == 15, len(maxes))
+    _check([m.name for m in maxes] == [f"Mmax-{i:02d}" for i in range(1, 16)])
     return "15 index-2 subgroups, deterministic names"
 
 
@@ -344,15 +357,15 @@ def _claim_arith_ratio(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 5, "needs model level >= 5")
     m5 = arithmodel.build_model(5)
     ratio = m5.order // len(m5.geometric)
-    assert ratio == 8, ratio
+    _check(ratio == 8, ratio)
     return "|M5| / |G5| = 8"
 
 
 def _claim_iterate_shape(caps: VerifyCaps) -> str:
     for n in range(2, 9):
         fr = polyarith.iterate_pair(n)
-        assert fr.g.degree() == fr.h.degree() == 1 << n, n
-        assert fr.g.lc == 2 and fr.h.lc == 1, n
+        _check(fr.g.degree() == fr.h.degree() == 1 << n, n)
+        _check(fr.g.lc == 2 and fr.h.lc == 1, n)
     return "degrees 2^n, leading coefficients 2 and 1, n <= 8 (coprime mod 3)"
 
 
@@ -365,11 +378,11 @@ def _claim_resultant_routes(caps: VerifyCaps) -> str:
         q = polyarith.IntPoly([rng.randint(-9, 9) for _ in range(db)] + [rng.randint(1, 9)])
         r1 = polyarith.resultant(p, q)
         r2 = polyarith.resultant_modular(p, q)
-        assert r1 == r2, (p, q, r1, r2)
+        _check(r1 == r2, (p, q, r1, r2))
         swap = polyarith.resultant(q, p)
-        assert swap == (-1) ** (p.degree() * q.degree()) * r1
-    assert polyarith.resultant(polyarith.IntPoly([-1, 1]),
-                               polyarith.IntPoly([1, 1])) == 2
+        _check(swap == (-1) ** (p.degree() * q.degree()) * r1)
+    _check(polyarith.resultant(polyarith.IntPoly([-1, 1]),
+                               polyarith.IntPoly([1, 1])) == 2)
     return f"{n} random pairs: subresultant = CRT route, swap sign law holds"
 
 
@@ -381,7 +394,7 @@ def _claim_resultant_power_of_two(caps: VerifyCaps) -> str:
         for k in range(2, n + 1):
             r = polyarith.resultant(polyarith.iterate_pair(k).g, hn)
             mag = abs(r)
-            assert mag and mag & (mag - 1) == 0, (k, n, r)
+            _check(mag and mag & (mag - 1) == 0, (k, n, r))
             checked.append(f"({k},{n})")
     return "Res(g_k, h_n) = +/-2^e for " + " ".join(checked)
 
@@ -393,22 +406,22 @@ def _claim_disc_shapes(caps: VerifyCaps) -> str:
         s = polyarith.discriminant_shape(n)
         shapes.append(f"n={n}:{s}")
     first = polyarith.discriminant_shape(1)
-    assert (first.sign, first.c, first.a, first.b) == (1, 3, 1, 0), first
+    _check((first.sign, first.c, first.a, first.b) == (1, 3, 1, 0), first)
     return "; ".join(shapes)
 
 
 def _claim_wronskian(caps: VerifyCaps) -> str:
     for n in range(1, 7):
         meta = polyarith.iterate_metadata(n)
-        assert abs(meta.wronskian_lc) == 4**n, (n, meta.wronskian_lc)
-    assert polyarith.iterate_metadata(1).wronskian_lc == -4
-    assert polyarith.iterate_metadata(2).wronskian_lc == -16
+        _check(abs(meta.wronskian_lc) == 4**n, (n, meta.wronskian_lc))
+    _check(polyarith.iterate_metadata(1).wronskian_lc == -4)
+    _check(polyarith.iterate_metadata(2).wronskian_lc == -16)
     return "|D_n| = 4^n for n <= 6 (signs recorded: D1 = -4, D2 = -16)"
 
 
 def _claim_specialize(caps: VerifyCaps) -> str:
     sp = polyarith.specialize_numerator(1, Fraction(5))
-    assert sp.coeffs == (-3, 10, -5), sp
+    _check(sp.coeffs == (-3, 10, -5), sp)
     for bad in (0, 2):
         try:
             polyarith.specialize_numerator(1, bad)
@@ -420,9 +433,9 @@ def _claim_specialize(caps: VerifyCaps) -> str:
 
 def _claim_factor_degrees(caps: VerifyCaps) -> str:
     poly = polyarith.specialize_numerator(1, Fraction(5))
-    assert polyarith.factor_degrees_mod_p(poly, 3) == (1, 1)
+    _check(polyarith.factor_degrees_mod_p(poly, 3) == (1, 1))
     sq = polyarith.IntPoly([1, -2, 1])  # (x-1)^2, never squarefree
-    assert polyarith.factor_degrees_mod_p(sq, 7) is None
+    _check(polyarith.factor_degrees_mod_p(sq, 7) is None)
     try:
         polyarith.factor_degrees_mod_p(poly, 5)  # 5 divides the lc
         raise AssertionError("bad prime accepted")
@@ -433,21 +446,21 @@ def _claim_factor_degrees(caps: VerifyCaps) -> str:
 
 def _claim_square_classes(caps: VerifyCaps) -> str:
     r5 = maximality.square_class_test(maximality.BasePoint(Fraction(5)))
-    assert r5.passed and r5.parts == (-1, 2, 5, -3), r5
+    _check(r5.passed and r5.parts == (-1, 2, 5, -3), r5)
     r1 = maximality.square_class_test(maximality.BasePoint(Fraction(1)))
-    assert not r1.passed and r1.dependent_subset in (("a",), ("2-a",)), r1
+    _check(not r1.passed and r1.dependent_subset in (("a",), ("2-a",)), r1)
     r8 = maximality.square_class_test(maximality.BasePoint(Fraction(8)))
-    assert not r8.passed and r8.dependent_subset == ("2", "a"), r8
+    _check(not r8.passed and r8.dependent_subset == ("2", "a"), r8)
     w = Fraction(9, 4)  # representation invariance: a and a*w^2/w^2 agree
     r5b = maximality.square_class_test(maximality.BasePoint(Fraction(5) * w / w))
-    assert r5b.parts == r5.parts
+    _check(r5b.parts == r5.parts)
     return "a=5 independent; a=1 and a=8 fail with witnesses"
 
 
 def _claim_blind_subgroups(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     blind = maximality.cycle_blind_subgroups()
-    assert blind == ("Mmax-01", "Mmax-05", "Mmax-09", "Mmax-13", "Mmax-14"), blind
+    _check(blind == ("Mmax-01", "Mmax-05", "Mmax-09", "Mmax-13", "Mmax-14"), blind)
     return f"5 cycle-type-blind subgroups: {', '.join(blind)}"
 
 
@@ -455,9 +468,9 @@ def _claim_verdict_a5(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     bound = min(caps.prime_bound, 10**4)
     v = maximality.maximality_verdict(maximality.BasePoint(Fraction(5)), bound)
-    assert v.status == "maximal", v.status
-    assert len(v.frobenius_eliminations) == 10
-    assert len(v.square_class_eliminations) == 5
+    _check(v.status == "maximal", v.status)
+    _check(len(v.frobenius_eliminations) == 10)
+    _check(len(v.square_class_eliminations) == 5)
     return f"a=5 maximal with {v.primes_tried} usable primes"
 
 
@@ -466,8 +479,8 @@ def _claim_verdict_recheck(caps: VerifyCaps) -> str:
     for a, expected in ((Fraction(5), "maximal"), (Fraction(1), "not_maximal")):
         v = maximality.maximality_verdict(maximality.BasePoint(a),
                                           min(caps.prime_bound, 10**4))
-        assert v.status == expected, (a, v.status)
-        assert maximality.recheck_certificate(v), a
+        _check(v.status == expected, (a, v.status))
+        _check(maximality.recheck_certificate(v), a)
     return "stored certificates recheck with every witness recomputed"
 
 
@@ -475,19 +488,19 @@ def _claim_elimination_edges(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     model = arithmodel.build_model(4)
     rep = maximality.eliminate_maximal_subgroups((), model)
-    assert len(rep.surviving) == 15 and not rep.eliminated
+    _check(len(rep.surviving) == 15 and not rep.eliminated)
     full = [maximality.FrobeniusObservation(prime=3, cycle_type=t)
             for t in arithmodel.cycle_type_table(model.group)]
     rep2 = maximality.eliminate_maximal_subgroups(full, model)
-    assert set(rep2.surviving) == set(maximality.cycle_blind_subgroups())
+    _check(set(rep2.surviving) == set(maximality.cycle_blind_subgroups()))
     return "empty data eliminates nothing; full table eliminates all but the blind 5"
 
 
 def _claim_preimage_tree(caps: VerifyCaps) -> str:
     tree = constantfield.preimage_tree(3, 1, caps.precision)
     a1, a2 = tree.value("1"), tree.value("2")
-    assert abs(a1 - mpmath.mpf("1.816496580927726")) < 1e-12
-    assert abs(a2 - mpmath.mpf("0.183503419072274")) < 1e-12
+    _check(abs(a1 - mpmath.mpf("1.816496580927726")) < 1e-12)
+    _check(abs(a2 - mpmath.mpf("0.183503419072274")) < 1e-12)
     try:
         constantfield.preimage_tree(2, 1, caps.precision)
         raise AssertionError("postcritical root accepted")
@@ -501,7 +514,7 @@ def _claim_radical_identities(caps: VerifyCaps) -> str:
     worst = mpmath.mpf(0)
     for t0 in pts:
         rep = constantfield.verify_radical_identities(t0, caps.precision)
-        assert rep.ok, (t0, rep.residuals)
+        _check(rep.ok, (t0, rep.residuals))
         worst = max(worst, max(rep.residuals.values()))
     return (f"{len(pts)} base values at {caps.precision} bits, worst "
             f"residual {mpmath.nstr(worst, 3)}")
@@ -513,19 +526,19 @@ def _claim_radical_shrink(caps: VerifyCaps) -> str:
     hi = constantfield.verify_radical_identities(t0, caps.precision * 2)
     for name in constantfield.IDENTITY_NAMES:
         a, b = lo.residuals[name], hi.residuals[name]
-        assert b == 0 or (a / b) >= mpmath.mpf(10) ** 10, (name, a, b)
+        _check(b == 0 or (a / b) >= mpmath.mpf(10) ** 10, (name, a, b))
     return "doubling precision shrinks every residual by >= 10^10"
 
 
 def _claim_branch_flips(caps: VerifyCaps) -> str:
-    assert constantfield.branch_flip_invariance(mpmath.mpc(3, 2), caps.precision)
+    _check(constantfield.branch_flip_invariance(mpmath.mpc(3, 2), caps.precision))
     return "identity (3) invariant under any single branch flip"
 
 
 def _claim_dihedral(caps: VerifyCaps) -> str:
     rep = constantfield.dihedral_constant_field_check()
-    assert rep["dihedral"], rep
-    assert all(v == (2, 4) for v in rep["abelian_invariants"].values())
+    _check(rep["dihedral"], rep)
+    _check(all(v == (2, 4) for v in rep["abelian_invariants"].values()))
     return ("Aut(Z/2 x Z/4): order 8, non-abelian, 5 involutions "
             "(dihedral, not quaternion)")
 
@@ -535,15 +548,15 @@ def _claim_cache_roundtrip(caps: VerifyCaps) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = selfsim.save_level_group(tmp, "f", "G", g3)
         again = selfsim.load_level_group(tmp, "f", "G", 3)
-        assert again is not None and again.elements == g3.elements
+        _check(again is not None and again.elements == g3.elements)
         with open(path) as fh:
             text = fh.read()
         with open(path, "w") as fh:
             fh.write(text.replace("G 3", "G 4", 1))
-        assert selfsim.load_level_group(tmp, "f", "G", 3) is None
+        _check(selfsim.load_level_group(tmp, "f", "G", 3) is None)
         with open(path, "w") as fh:
             fh.write(text + "junk\n")
-        assert selfsim.load_level_group(tmp, "f", "G", 3) is None
+        _check(selfsim.load_level_group(tmp, "f", "G", 3) is None)
     return "save/load roundtrip; corrupted headers and bodies rejected"
 
 

@@ -20,7 +20,7 @@ import mpmath
 
 def bfs_nodes(level: int) -> list[str]:
     """Internal nodes as binary strings, breadth first, root first."""
-    out = [""]
+    out = [""] if level else []
     for depth in range(1, level):
         out.extend("".join(bits) for bits in itertools.product("01", repeat=depth))
     return out

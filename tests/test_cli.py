@@ -124,6 +124,12 @@ class TestMaximality:
         assert code == 0
         assert "verdict: inconclusive" in out
 
+    def test_prime_bound_over_table_cap(self, capsys):
+        code, _, err = run(capsys, "maximality", "--a", "5",
+                           "--prime-bound", "2000000")
+        assert code == 3
+        assert "resource limit" in err and "prime table capped" in err
+
 
 class TestRadical:
     def test_small_run(self, capsys):
@@ -157,6 +163,14 @@ class TestVerify:
                            "--config", str(cfg))
         assert code == 0
         assert "verdict: inconclusive" in out
+
+    def test_config_prime_bound_over_table_cap(self, capsys, tmp_path):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("prime_bound = 2000000\n")
+        code, _, err = run(capsys, "maximality", "--a", "5",
+                           "--config", str(cfg))
+        assert code == 3
+        assert "prime table capped at 1000000, asked for 2000000" in err
 
     def test_config_bad_value(self, capsys, tmp_path):
         cfg = tmp_path / "img.cfg"

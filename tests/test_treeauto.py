@@ -1,11 +1,13 @@
 """Portrait arithmetic against the independent node-string oracle."""
 
+import copy
 import math
 import random
 
 import pytest
 
 import oracles
+from imgroups import treeauto
 from imgroups.errors import ResourceLimitError
 from imgroups.treeauto import (
     Portrait,
@@ -50,6 +52,14 @@ class TestWireFormat:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             Portrait.decode(bad)
+
+    @pytest.mark.parametrize("level, bits", [
+        (1, [2]), (1, [-1]), (1, ["1"]), (1, [0.5]), (1, [None]),
+        (2, [0, 1, 2]),
+    ])
+    def test_swap_bits_must_be_binary(self, level, bits):
+        with pytest.raises(ValueError, match="swap bits must be 0 or 1"):
+            Portrait(level, bits)
 
 
 class TestAction:
@@ -149,6 +159,65 @@ class TestInvariants:
             assert pair(left, right, root) == u
 
 
+LEVELS = range(0, 8)
+
+
+class TestKernelAgainstOracles:
+    """Every kernel operation against the node-string oracle, levels 0-7."""
+
+    @pytest.fixture
+    def samples(self):
+        rng = random.Random(43)
+        return {lvl: [rand_portrait(rng, lvl) for _ in range(12)] for lvl in LEVELS}
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_product(self, samples, lvl):
+        us = samples[lvl]
+        for u, v in zip(us, us[1:]):
+            assert (u * v).swaps == oracles.compose_swaps(u.swaps, v.swaps, lvl)
+            assert u.leaf_permutation() == oracles.leaf_permutation(u.swaps, lvl)
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_inverse(self, samples, lvl):
+        for u in samples[lvl]:
+            assert u.inverse().swaps == oracles.invert_swaps(u.swaps, lvl)
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_sections_pair_and_restrict(self, samples, lvl):
+        for u in samples[lvl]:
+            if lvl:
+                assert pair(*u.sections()) == u
+            for m in range(lvl + 1):
+                assert u.restrict(m).swaps == u.swaps[: (1 << m) - 1]
+
+    def test_wire_roundtrip_at_level_7(self, samples):
+        for u in samples[7]:
+            text = u.encode()
+            assert len(text) == len("7:") + 32
+            assert Portrait.decode(text) == u
+            assert Portrait.decode(text).swaps == u.swaps
+
+    def test_order_is_swap_tuple_order(self, samples):
+        mixed = [u for lvl in LEVELS for u in samples[lvl]]
+        random.Random(47).shuffle(mixed)
+        assert sorted(mixed) == sorted(mixed, key=lambda u: (u.level, u.swaps))
+        for lvl in LEVELS:
+            got = [u.swaps for u in sorted(samples[lvl])]
+            assert got == sorted(u.swaps for u in samples[lvl])
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_hash_and_equality_across_routes(self, samples, lvl):
+        us = samples[lvl]
+        for u, v in zip(us, us[1:]):
+            reached = u * v
+            built = Portrait(lvl, oracles.compose_swaps(u.swaps, v.swaps, lvl))
+            assert reached == built and hash(reached) == hash(built)
+            assert built in {reached}
+            e = u * u.inverse()
+            assert e == identity(lvl) == Portrait(lvl, e.swaps)
+            assert hash(e) == hash(Portrait(lvl, [0] * ((1 << lvl) - 1)))
+
+
 class TestConjugacy:
     def test_matches_orbit_enumeration(self):
         omega = list(iter_all(3))
@@ -160,6 +229,20 @@ class TestConjugacy:
         for u in sample:
             for v in sample:
                 assert are_conjugate(u, v) == (v in classes[u])
+
+    def test_no_module_state_between_calls(self):
+        def module_state():
+            return {name: copy.deepcopy(value)
+                    for name, value in vars(treeauto).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (dict, list, set))}
+
+        before = module_state()
+        a = adding_machine(4)
+        g = Portrait(4, [1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1])
+        assert are_conjugate(a, g.inverse() * a * g)
+        assert not are_conjugate(a, pair(identity(3), sigma(3), 1))
+        assert module_state() == before
 
     def test_basic_facts(self):
         assert are_conjugate(identity(3), identity(3))
@@ -173,6 +256,16 @@ class TestEnumeration:
     def test_counts(self):
         for lvl in range(4):
             assert sum(1 for _ in iter_all(lvl)) == 1 << ((1 << lvl) - 1)
+
+    def test_canonical_order(self):
+        for lvl in range(5):
+            nbits = (1 << lvl) - 1
+            assert [u.code for u in iter_all(lvl)] == list(range(1 << nbits))
+        built = [Portrait(3, [(v >> (6 - i)) & 1 for i in range(7)])
+                 for v in range(1 << 7)]
+        assert list(iter_all(3)) == built
+        with pytest.raises(ValueError):
+            next(iter_all(-1))
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

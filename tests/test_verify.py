@@ -1,0 +1,47 @@
+"""`img verify` claims fail for real, also when Python strips asserts."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from imgroups import verify
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_check_raises_with_the_assert_detail():
+    verify._check(True, "unused")
+    with pytest.raises(AssertionError) as bare:
+        verify._check(False)
+    assert bare.value.args == ()
+    with pytest.raises(AssertionError) as tagged:
+        verify._check(0, (3, 32))
+    assert str(tagged.value) == "(3, 32)"
+
+
+def test_claim_bodies_use_no_bare_assert():
+    tree = ast.parse((ROOT / "src" / "imgroups" / "verify.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+def test_failing_check_reports_fail_under_optimize():
+    script = (
+        "import imgroups.verify as v\n"
+        "assert False, 'stripped under -O'\n"
+        "v.CLAIMS = (('forced', lambda caps: v._check(1 == 2, 'forced') or 'ok'),)\n"
+        "[r] = v.run_claims()\n"
+        "print(__debug__, r.status, r.detail)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False FAIL forced"
