@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ModelConstructionError, ResourceLimitError
 from .selfsim import (
@@ -43,9 +44,6 @@ class ArithLevelModel:
     @property
     def order(self) -> int:
         return len(self.group)
-
-
-_MODEL_CACHE: dict[int, ArithLevelModel] = {}
 
 
 def _normalizer_conditions(*groups: LevelGroup):
@@ -80,18 +78,19 @@ def build_model(level: int, *, allow_deep: bool = False) -> ArithLevelModel:
             + ("" if allow_deep else " (allow_deep=True raises it to "
                f"{ARITH_LEVEL_HARD_CAP})")
         )
-    if level in _MODEL_CACHE:
-        return _MODEL_CACHE[level]
+    return _model(level)
 
+
+@lru_cache(maxsize=None)
+def _model(level: int) -> ArithLevelModel:
+    """The certified level model, lifted from the one below it."""
     G = geometric_group(level)
     U = subgroup_U(level)
     if level == 1:
         grp = LevelGroup(1, {identity(1), sigma(1)}, (sigma(1),))
-        model = ArithLevelModel(1, grp, G, U)
-        _MODEL_CACHE[1] = model
-        return model
+        return ArithLevelModel(1, grp, G, U)
 
-    prev = build_model(level - 1, allow_deep=allow_deep)
+    prev = _model(level - 1)
     conditions = _normalizer_conditions(G, U)
 
     survivors: set[Portrait] = set()
@@ -115,9 +114,7 @@ def build_model(level: int, *, allow_deep: bool = False) -> ArithLevelModel:
         gens = generating_set(LevelGroup(level, survivors))
     except ValueError as exc:
         raise ModelConstructionError(f"level {level}: {exc}") from None
-    model = ArithLevelModel(level, LevelGroup(level, survivors, tuple(gens)), G, U)
-    _MODEL_CACHE[level] = model
-    return model
+    return ArithLevelModel(level, LevelGroup(level, survivors, tuple(gens)), G, U)
 
 
 def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
@@ -167,6 +164,12 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
     against the intersection of all index-2 kernels, which is a second
     characterization computed by an unrelated route.
     """
+    return _frattini(model)[0]
+
+
+@lru_cache(maxsize=None)
+def _frattini(model: ArithLevelModel):
+    """(Frattini subgroup, index-2 kernels), computed once per model."""
     grp = model.group
     gens = generating_set(grp)
     seeds = {x * x for x in grp}
@@ -182,7 +185,7 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
             f"level {model.level}: Frattini routes disagree "
             f"({len(phi)} vs {len(meet)})"
         )
-    return phi
+    return phi, tuple(kernels)
 
 
 def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]:
@@ -217,6 +220,7 @@ class MaximalSubgroup:
         return 2
 
 
+@lru_cache(maxsize=None)
 def maximal_subgroups(model: ArithLevelModel) -> tuple[MaximalSubgroup, ...]:
     """The index-2 subgroups, deterministically named Mmax-01, Mmax-02, ...
 
@@ -225,10 +229,8 @@ def maximal_subgroups(model: ArithLevelModel) -> tuple[MaximalSubgroup, ...]:
     characters of the elementary quotient.  Order (and therefore naming)
     follows the character masks over the sorted coset basis.
     """
-    phi = frattini_subgroup(model)
-    kernels = _index2_kernels(model, phi)
     out = []
-    for i, k in enumerate(kernels, start=1):
+    for i, k in enumerate(_frattini(model)[1], start=1):
         if 2 * len(k) != len(model.group):  # pragma: no cover
             raise ModelConstructionError(f"kernel {i} has wrong index")
         generating_set(k)  # raises if the kernel is somehow not closed

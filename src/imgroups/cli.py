@@ -113,6 +113,16 @@ def _cache_dir(args) -> str | None:
     return getattr(args, "cache_dir", None) or os.environ.get("IMG_CACHE_DIR")
 
 
+def _sync_cache(cache: str, system: str, name: str, group) -> str:
+    """Compare the exported group file with the fresh group, rewriting it
+    unless it matches; "valid", "rebuilt" or "stale, rebuilt"."""
+    cached = selfsim.load_level_group(cache, system, name, group.level)
+    if cached is not None and cached.elements == group.elements:
+        return "valid"
+    selfsim.save_level_group(cache, system, name, group)
+    return "rebuilt" if cached is None else "stale, rebuilt"
+
+
 def _cmd_group(args, caps) -> tuple[dict, list[str], int]:
     level = args.level
     if level < 1:
@@ -144,12 +154,7 @@ def _cmd_group(args, caps) -> tuple[dict, list[str], int]:
                                                    for i in (1, 2, 3)))
     cache = _cache_dir(args)
     if cache:
-        cached = selfsim.load_level_group(cache, "f", "G", level)
-        if cached is not None and cached.elements == g.elements:
-            report["cache"] = "valid"
-        else:
-            selfsim.save_level_group(cache, "f", "G", g)
-            report["cache"] = "rebuilt" if cached is None else "stale, rebuilt"
+        report["cache"] = _sync_cache(cache, "f", "G", g)
         lines.append(f"  cache        {report['cache']}")
     return report, lines, 0
 
@@ -184,17 +189,10 @@ def _cmd_arith(args, caps) -> tuple[dict, list[str], int]:
                      f" (rank 4), {len(maxes)} maximal subgroups")
     cache = _cache_dir(args)
     if cache:
-        cached = selfsim.load_level_group(cache, CACHE_SYSTEM, "M", level)
-        if cached is not None and cached.elements == model.group.elements:
-            report["cache"] = "valid"
-        else:
-            report["cache"] = "rebuilt" if cached is None else "stale, rebuilt"
-            selfsim.save_level_group(cache, CACHE_SYSTEM, "M", model.group)
+        report["cache"] = _sync_cache(cache, CACHE_SYSTEM, "M", model.group)
         if level >= 4:
-            m4 = arithmodel.build_model(4)
-            selfsim.save_level_group(cache, CACHE_SYSTEM, "Frattini(M)",
-                                     arithmodel.frattini_subgroup(m4))
-            for ms in arithmodel.maximal_subgroups(m4):
+            selfsim.save_level_group(cache, CACHE_SYSTEM, "Frattini(M)", phi)
+            for ms in maxes:
                 selfsim.save_level_group(cache, CACHE_SYSTEM, ms.name, ms.group)
         lines.append(f"  cache  {report['cache']}")
     return report, lines, 0

@@ -222,13 +222,13 @@ def _level4_data():
     model_types = frozenset(cycle_type_table(model.group))
     tables = {ms.name: frozenset(cycle_type_table(ms.group)) for ms in maxes}
     blind = tuple(sorted(n for n, tb in tables.items() if tb == model_types))
-    return model, model_types, tables, blind
+    return model_types, tables, blind
 
 
 def cycle_blind_subgroups() -> tuple[str, ...]:
     """Maximal subgroups realizing every model cycle type (undetectable
     by Frobenius data; handled by the square-class route)."""
-    return _level4_data()[3]
+    return _level4_data()[2]
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def _eliminate(obs: FrobeniusObservation, pending: set,
                eliminated: dict) -> None:
     """Move every pending subgroup whose cycle-type table misses the
     observation from pending to eliminated."""
-    _, model_types, tables, _ = _level4_data()
+    model_types, tables, _ = _level4_data()
     if obs.cycle_type not in model_types:
         raise ModelInconsistencyError(
             f"cycle type {obs.cycle_type} at prime {obs.prime} is not "
@@ -262,7 +262,7 @@ def eliminate_maximal_subgroups(observations, model: ArithLevelModel
     the model cannot realize instead of discarding it."""
     if model.level != 4:
         raise ValueError(f"elimination is defined at level 4, got {model.level}")
-    _, _, tables, _ = _level4_data()
+    _, tables, _ = _level4_data()
     pending = set(tables)
     eliminated: dict[str, FrobeniusObservation] = {}
     ordered = sorted(observations, key=lambda o: o.prime)
@@ -350,7 +350,7 @@ def maximality_verdict(point: BasePoint,
             primes_tried=0,
             reason="; ".join(sq.derivation),
         )
-    _, _, tables, blind = _level4_data()
+    _, tables, blind = _level4_data()
     pending = set(tables) - set(blind)
     eliminated: dict[str, FrobeniusObservation] = {}
     usable = 0
@@ -394,7 +394,7 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
     must reproduce the stored cycle type.  A bad witness gives False,
     never an exception.  The witnesses are then checked against the
     level-4 cycle-type tables."""
-    _, model_types, tables, blind = _level4_data()
+    model_types, tables, blind = _level4_data()
     sq = square_class_test(verdict.point)
     if sq.passed != verdict.square_class.passed or sq.parts != verdict.square_class.parts:
         return False

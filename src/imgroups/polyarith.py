@@ -15,6 +15,7 @@ evaluating at integer nodes and interpolating.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -301,17 +302,13 @@ def _resultant_bound(a: list[int], b: list[int]) -> int:
     return isqrt(na ** _deg(b) * nb ** _deg(a)) + 1
 
 
-_BIG_PRIMES: list[int] = []
-
-
-def _more_big_primes() -> None:
-    start = _BIG_PRIMES[-1] + 2 if _BIG_PRIMES else (1 << 62) + 1
-    n = start
-    while True:
-        if _is_probable_prime(n):
-            _BIG_PRIMES.append(n)
-            return
+@lru_cache(maxsize=None)
+def _big_prime(i: int) -> int:
+    """The i-th prime above 2^62, counting from 0."""
+    n = _big_prime(i - 1) + 2 if i else (1 << 62) + 1
+    while not _is_probable_prime(n):
         n += 2
+    return n
 
 
 def resultant_modular(p: IntPoly, q: IntPoly) -> int:
@@ -333,9 +330,7 @@ def resultant_modular(p: IntPoly, q: IntPoly) -> int:
     acc, modulus = 0, 1
     idx = 0
     while modulus <= 2 * bound:
-        while idx >= len(_BIG_PRIMES):
-            _more_big_primes()
-        pr = _BIG_PRIMES[idx]
+        pr = _big_prime(idx)
         idx += 1
         if a[-1] % pr == 0 or b[-1] % pr == 0:
             continue
@@ -482,10 +477,9 @@ def _interpolate_int(xs: list[int], ys: list[int]) -> IntPoly:
     return IntPoly(out)
 
 
-def _disc_direct(F: IntPoly, use_modular: bool = False) -> int:
+def _disc_direct(F: IntPoly) -> int:
     d = F.degree()
-    res = resultant_modular(F, F.derivative()) if use_modular else resultant(
-        F, F.derivative())
+    res = resultant_modular(F, F.derivative())
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
     return sign * _divexact_int(res, F.lc)
 
@@ -563,7 +557,7 @@ def discriminant_shape(n: int) -> DiscriminantShape:
         if lead(tau) == 0:
             continue
         F = g - h.scale(tau)
-        if _disc_direct(F, use_modular=True) != delta(tau):
+        if _disc_direct(F) != delta(tau):
             raise AssertionError(
                 f"level {n}: modular cross-check failed at t={tau}"
             )
@@ -648,15 +642,7 @@ def primes_up_to(limit: int) -> list[int]:
             f"prime table capped at {TRIAL_DIVISION_LIMIT}, asked for {limit}"
         )
     table = _small_primes()
-    # bisect by hand to avoid importing for one call site
-    lo, hi = 0, len(table)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if table[mid] <= limit:
-            lo = mid + 1
-        else:
-            hi = mid
-    return table[:lo]
+    return table[:bisect_right(table, limit)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

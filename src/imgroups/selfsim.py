@@ -289,12 +289,6 @@ def subgroup_index(group: LevelGroup, sub: LevelGroup) -> int:
     return len(group) // len(sub)
 
 
-def intersection(h1: LevelGroup, h2: LevelGroup) -> LevelGroup:
-    if h1.level != h2.level:
-        raise ValueError("level mismatch")
-    return LevelGroup(h1.level, h1.elements & h2.elements)
-
-
 def coset_decomposition(group: LevelGroup, sub: LevelGroup):
     """Left cosets of a subgroup: sorted reps plus an element->rep map."""
     if not sub.elements <= group.elements:

@@ -12,13 +12,18 @@ from __future__ import annotations
 import os
 import random
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import mpmath
 
 from . import arithmodel, constantfield, maximality, polyarith, selfsim, treeauto
-from .errors import BadPrimeError, DegenerateTreeError, ExcludedBasePointError
+from .errors import (
+    BadPrimeError,
+    DegenerateTreeError,
+    ExcludedBasePointError,
+    ResourceLimitError,
+)
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,20 @@ class VerifyCaps:
     precision: int = 256
     radical_points: int = 20
 
+    def __post_init__(self):
+        for key, low in (("prime_bound", 3), ("samples", 1), ("precision", 1),
+                         ("radical_points", 1)):
+            value = getattr(self, key)
+            if value < low:
+                raise ValueError(f"verification cap {key} = {value} is below {low}")
+        for key, cap in (("group_level", selfsim.GROUP_LEVEL_CAP),
+                         ("model_level", arithmodel.ARITH_LEVEL_CAP),
+                         ("disc_n", 5)):
+            value = getattr(self, key)
+            if value > cap:
+                raise ResourceLimitError(
+                    f"verification cap {key} = {value} exceeds {cap}")
+
     def quick(self, level: int) -> "VerifyCaps":
         return replace(
             self,
@@ -43,8 +62,7 @@ class VerifyCaps:
         )
 
 
-CONFIG_KEYS = ("group_level", "model_level", "disc_n", "prime_bound",
-               "samples", "seed", "precision", "radical_points")
+CONFIG_KEYS = tuple(f.name for f in fields(VerifyCaps))
 
 
 @dataclass(frozen=True)

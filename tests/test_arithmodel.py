@@ -78,10 +78,17 @@ class TestConstruction:
             return real(group)
 
         monkeypatch.setattr(arithmodel, "generating_set", not_closed)
-        monkeypatch.setattr(arithmodel, "_MODEL_CACHE", {})
-        with pytest.raises(ModelConstructionError,
-                           match="level 2: element set is not closed"):
-            build_model(2)
+        arithmodel._model.cache_clear()
+        try:
+            with pytest.raises(ModelConstructionError,
+                               match="level 2: element set is not closed"):
+                build_model(2)
+        finally:
+            arithmodel._model.cache_clear()
+
+    def test_models_are_built_once(self):
+        for n in range(1, ARITH_LEVEL_CAP + 1):
+            assert build_model(n) is build_model(n)
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -123,6 +130,24 @@ class TestFrattini:
         phi = frattini_subgroup(m4)
         assert subgroup_index(m4.group, phi) == 16
 
+    def test_kernels_computed_once_per_model(self, m4, monkeypatch):
+        # frattini_subgroup and maximal_subgroups share one computation
+        calls = []
+        real = arithmodel._index2_kernels
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arithmodel, "_index2_kernels", counting)
+        arithmodel._frattini.cache_clear()
+        maximal_subgroups.cache_clear()
+        phi = frattini_subgroup(m4)
+        subs = maximal_subgroups(m4)
+        assert len(calls) == 1
+        assert frattini_subgroup(m4) is phi and maximal_subgroups(m4) is subs
+        assert len(calls) == 1
+
     def test_equals_intersection_of_maximals(self, m4):
         # third route: meet of all maximal subgroups
         phi = frattini_subgroup(m4)
@@ -149,5 +174,7 @@ class TestMaximalSubgroups:
 
     def test_names_stable_across_rebuilds(self, m4):
         first = {s.name: frozenset(s.group.elements) for s in maximal_subgroups(m4)}
+        arithmodel._frattini.cache_clear()
+        maximal_subgroups.cache_clear()
         second = {s.name: frozenset(s.group.elements) for s in maximal_subgroups(m4)}
         assert first == second

@@ -180,6 +180,42 @@ class TestVerify:
         assert "bad value" in err
 
 
+class TestVerificationCaps:
+    @pytest.mark.parametrize("argv, key", [
+        (("verify", "--prime-bound", "2"), "prime_bound"),
+        (("verify", "--level", "3", "--samples", "-5"), "samples"),
+        (("radical", "--samples", "0"), "samples"),
+        (("radical", "--samples", "-1"), "samples"),
+        (("radical", "--precision", "0"), "precision"),
+    ])
+    def test_flag_below_range_is_bad_input(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"verification cap {key} = " in err
+        assert "postcritical" not in err
+
+    def test_config_below_range_is_bad_input(self, capsys, tmp_path):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("radical_points = -3\n")
+        code, out, err = run(capsys, "verify", "--level", "3",
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "verification cap radical_points = -3 is below 1" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("group_level = 99", "group_level = 99 exceeds 7"),
+        ("model_level = 7", "model_level = 7 exceeds 5"),
+        ("disc_n = 9", "disc_n = 9 exceeds 5"),
+    ])
+    def test_config_over_cap_is_resource_limit(self, capsys, tmp_path,
+                                               line, message):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "resource limit" in err and message in err
+
+
 class TestJsonOutput:
     @pytest.mark.parametrize("argv", [
         ("group", "--level", "4"),
