@@ -4,11 +4,11 @@ The geometric group describes the monodromy visible over an algebraically
 closed constant field.  Over the rationals there is extra room: at each
 level the candidates are the automorphisms (x, rho*x)tau with x taken from
 the previous model, rho from the previous abelian twist subgroup, and an
-arbitrary root swap; a candidate survives if it normalizes both the
-geometric group and the twist subgroup at its own level.  Nothing here
-assumes the survivors form a group: closure is certified after the fact,
-and a brute-force recomputation over the full automorphism group is
-available as an independent route at small levels.
+arbitrary root swap; the model is the stabilizer, among them, of the
+geometric group and the twist subgroup at its own level under conjugation.
+Schreier generators generate it and the orbit-stabilizer count certifies
+it; a brute-force sweep over the full automorphism group at small levels
+and an element-by-element filter in the test oracles are second opinions.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ from functools import lru_cache
 from .errors import ModelConstructionError, ResourceLimitError
 from .selfsim import (
     LevelGroup,
+    _mulclose,
     closure,
     coset_decomposition,
-    commutator,
     generating_set,
     geometric_group,
-    normal_closure,
     subgroup_U,
 )
-from .treeauto import Portrait, identity, iter_all, pair, sigma
+from .treeauto import Portrait, _from_perm, identity, iter_all, pair, sigma
 
 ARITH_LEVEL_CAP = 5
 ARITH_LEVEL_HARD_CAP = 6
@@ -92,29 +91,36 @@ def _model(level: int) -> ArithLevelModel:
 
     prev = _model(level - 1)
     conditions = _normalizer_conditions(G, U)
-
-    survivors: set[Portrait] = set()
-    for x in prev.group:
-        for rho in prev.twist:
-            y = rho * x
-            for t in (0, 1):
-                m = pair(x, y, t)
-                if _normalizes(m, conditions):
-                    survivors.add(m)
-
-    missing = [g for g in G if g not in survivors]
+    lifts = ([pair(x, x, 0) for x in generating_set(prev.group)]
+             + [pair(identity(level - 1), r, 0) for r in generating_set(prev.twist)]
+             + [sigma(level)])
+    candidates = 2 * len(prev.group) * len(prev.twist)
+    # walk the orbit of (G, U) under conjugation with a transversal: t*c
+    # lands on the point of u iff the Schreier generator t*c*u^-1 fixes it
+    transversal = [identity(level)]
+    gens: list[Portrait] = []
+    stab = {identity(level).perm}
+    for t in transversal:  # grows while it is walked
+        for c in lifts:
+            tc = t * c
+            s = next((s for s in (tc * u.inverse() for u in transversal)
+                      if _normalizes(s, conditions)), None)
+            if s is None:
+                transversal.append(tc)
+            elif stab is not None and s.perm not in stab:
+                gens.append(s)
+                stab = _mulclose(gens, max_size=candidates)  # None if larger
+    if stab is None or len(stab) * len(transversal) != candidates:
+        raise ModelConstructionError(f"level {level}: stabilizer times orbit "
+                                     f"{len(transversal)} is not {candidates}")
+    missing = [g for g in G if g.perm not in stab]
     if missing:
         raise ModelConstructionError(
             f"level {level}: {len(missing)} geometric elements dropped, "
             f"first {missing[0].encode()}"
         )
-    try:
-        # the one closure certificate: a finite set closed under products
-        # is a group, and generating_set escapes the set iff it is not
-        gens = generating_set(LevelGroup(level, survivors))
-    except ValueError as exc:
-        raise ModelConstructionError(f"level {level}: {exc}") from None
-    return ArithLevelModel(level, LevelGroup(level, survivors, tuple(gens)), G, U)
+    grp = LevelGroup(level, [_from_perm(level, p) for p in stab], gens)
+    return ArithLevelModel(level, grp, G, U)
 
 
 def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
@@ -130,9 +136,7 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
     if level == 1:
         return (True, 2, model.order)
     prev = build_model(level - 1)
-    G = geometric_group(level)
-    U = subgroup_U(level)
-    conditions = _normalizer_conditions(G, U)
+    conditions = _normalizer_conditions(model.geometric, model.twist)
     brute: set[Portrait] = set()
     for m in iter_all(level):
         left, right, _ = m.sections()
@@ -157,10 +161,10 @@ def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:
 
 
 def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
-    """Squares and commutators; certified against the kernel intersection.
+    """The group of squares; certified against the kernel intersection.
 
-    For a finite 2-group the Frattini subgroup is generated by all squares
-    together with the commutator subgroup.  The result is cross-checked
+    For a finite 2-group the Frattini subgroup is generated by the squares,
+    as a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.  The result is cross-checked
     against the intersection of all index-2 kernels, which is a second
     characterization computed by an unrelated route.
     """
@@ -171,11 +175,7 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
 def _frattini(model: ArithLevelModel):
     """(Frattini subgroup, index-2 kernels), computed once per model."""
     grp = model.group
-    gens = generating_set(grp)
-    seeds = {x * x for x in grp}
-    comm_seeds = {commutator(a, b) for a in gens for b in gens}
-    comm = normal_closure(grp, comm_seeds)
-    phi = closure(sorted(seeds | comm.elements), max_size=len(grp))
+    phi = closure(sorted({x * x for x in grp}), max_size=len(grp))
     kernels = _index2_kernels(model, phi)
     meet = grp.elements
     for k in kernels:
@@ -247,10 +247,9 @@ class GrowthReport:
     odometer_counts: tuple[int, ...]
 
 
-def order_growth_report(max_level: int = ARITH_LEVEL_CAP, *,
-                        allow_deep: bool = False) -> GrowthReport:
+def order_growth_report(max_level: int = ARITH_LEVEL_CAP) -> GrowthReport:
     levels = tuple(range(1, max_level + 1))
-    models = [build_model(n, allow_deep=allow_deep) for n in levels]
+    models = [build_model(n) for n in levels]
     orders = tuple(m.order for m in models)
     factors = tuple(orders[i] // orders[i - 1] for i in range(1, len(orders)))
     return GrowthReport(

@@ -189,11 +189,14 @@ def _cmd_arith(args, caps) -> tuple[dict, list[str], int]:
                      f" (rank 4), {len(maxes)} maximal subgroups")
     cache = _cache_dir(args)
     if cache:
-        report["cache"] = _sync_cache(cache, CACHE_SYSTEM, "M", model.group)
+        groups = [("M", model.group)]
         if level >= 4:
-            selfsim.save_level_group(cache, CACHE_SYSTEM, "Frattini(M)", phi)
-            for ms in maxes:
-                selfsim.save_level_group(cache, CACHE_SYSTEM, ms.name, ms.group)
+            groups.append(("Frattini(M)", phi))
+            groups.extend((ms.name, ms.group) for ms in maxes)
+        # every file is synced; the report names the first that was not valid
+        statuses = [_sync_cache(cache, CACHE_SYSTEM, name, group)
+                    for name, group in groups]
+        report["cache"] = next((s for s in statuses if s != "valid"), "valid")
         lines.append(f"  cache  {report['cache']}")
     return report, lines, 0
 

@@ -39,7 +39,8 @@ class VerifyCaps:
 
     def __post_init__(self):
         for key, low in (("prime_bound", 3), ("samples", 1), ("precision", 1),
-                         ("radical_points", 1)):
+                         ("radical_points", 1), ("group_level", 1),
+                         ("model_level", 0), ("disc_n", 0)):
             value = getattr(self, key)
             if value < low:
                 raise ValueError(f"verification cap {key} = {value} is below {low}")

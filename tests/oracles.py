@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import mpmath
 
+from imgroups import build_model, geometric_group, pair, subgroup_U
+
 
 # -- tree automorphisms as node-string actions ------------------------------
 
@@ -120,6 +122,27 @@ def perm_parity(perm) -> int:
     flips = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                 if perm[i] > perm[j])
     return -1 if flips & 1 else 1
+
+
+# -- the arithmetic model, one candidate at a time ---------------------------
+
+def lift_filter_model(level: int) -> frozenset:
+    """Elements of the level model, testing every lift candidate on its own.
+
+    A candidate (x, rho*x)tau, with x in the previous model, rho in the
+    previous twist subgroup and tau a root swap, is kept iff conjugating
+    the recorded generators of G and U at this level by it stays in G and U.
+    """
+    G, U = geometric_group(level), subgroup_U(level)
+    kept = set()
+    for x in build_model(level - 1).group.elements:
+        for rho in subgroup_U(level - 1).elements:
+            for t in (0, 1):
+                m = pair(x, rho * x, t)
+                mi = m.inverse()
+                if all(mi * g * m in H for H in (G, U) for g in H.generators):
+                    kept.add(m)
+    return frozenset(kept)
 
 
 # -- resultants and discriminants over Q -------------------------------------

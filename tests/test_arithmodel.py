@@ -1,7 +1,8 @@
 """Arithmetic model construction, growth, Frattini data, maximal subgroups.
 
-The model filter is cross-checked against a full sweep of the ambient
+The model lift is cross-checked against a full sweep of the ambient
 automorphism group at every level where that sweep is affordable, and
+against the element-by-element lift filter of the oracles up to level 6;
 the Frattini subgroup is recomputed here as the intersection of all
 fifteen maximal subgroups, a third route independent of both internal
 ones.
@@ -9,6 +10,7 @@ ones.
 
 import pytest
 
+import oracles
 from imgroups import arithmodel
 from imgroups.arithmodel import (
     ARITH_LEVEL_CAP,
@@ -21,8 +23,8 @@ from imgroups.arithmodel import (
     order_growth_report,
 )
 from imgroups.errors import ModelConstructionError, ResourceLimitError
-from imgroups.selfsim import geometric_group, subgroup_index
-from imgroups.treeauto import sigma
+from imgroups.selfsim import geometric_group, subgroup_index, subgroup_U
+from imgroups.treeauto import identity, sigma
 
 EXPECTED_ORDERS = {1: 2, 2: 8, 3: 64, 4: 256, 5: 1024}
 
@@ -66,25 +68,54 @@ class TestConstruction:
     def test_inverse_closed(self, m4):
         assert all(x.inverse() in m4.group for x in m4.group.elements)
 
-    def test_failed_closure_check_is_construction_error(self, monkeypatch):
-        # the survivor set is the one group handed over without recorded
-        # generators; its closure check failing must surface as a model
-        # construction fault (exit 1), not as a bad argument (exit 2)
+    def test_broken_orbit_count_is_construction_error(self, monkeypatch):
+        # a twist generating set that misses the twist leaves the lifts
+        # short of the candidate set; the orbit-stabilizer count must
+        # surface that as a model construction fault (exit 1), not as a
+        # bad argument (exit 2)
         real = arithmodel.generating_set
 
-        def not_closed(group):
-            if not group.generators:
-                raise ValueError("element set is not closed")
+        def short_twist(group):
+            if group is subgroup_U(1):
+                return [identity(1)]
             return real(group)
 
-        monkeypatch.setattr(arithmodel, "generating_set", not_closed)
+        monkeypatch.setattr(arithmodel, "generating_set", short_twist)
         arithmodel._model.cache_clear()
         try:
             with pytest.raises(ModelConstructionError,
-                               match="level 2: element set is not closed"):
+                               match="level 2: stabilizer times orbit"):
                 build_model(2)
         finally:
             arithmodel._model.cache_clear()
+
+    def test_lift_runs_few_normalizer_tests(self, monkeypatch):
+        # the element-by-element filter made 2 |M_5| |U_5| = 65,536 tests
+        # at level 6 alone; the orbit walk needs under 2,000 for all levels
+        calls = []
+        real = arithmodel._normalizes
+
+        def counting(m, conditions):
+            calls.append(m)
+            return real(m, conditions)
+
+        monkeypatch.setattr(arithmodel, "_normalizes", counting)
+        arithmodel._model.cache_clear()
+        try:
+            assert arithmodel._model(6).order == 4096
+        finally:
+            arithmodel._model.cache_clear()
+        assert len(calls) <= 2000
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lift_filter_oracle_agreement(self, n):
+        assert oracles.lift_filter_model(n) == \
+            build_model(n, allow_deep=True).group.elements
+
+    def test_level_7(self):
+        m7 = arithmodel._model(7)
+        assert m7.order == 16384 == 4 * build_model(6, allow_deep=True).order
+        assert geometric_group(7).elements <= m7.group.elements
 
     def test_models_are_built_once(self):
         for n in range(1, ARITH_LEVEL_CAP + 1):

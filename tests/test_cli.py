@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exit codes, and output stability."""
 
 import json
+import os
 import time
 
 import pytest
@@ -59,6 +60,26 @@ class TestArith:
         target.write_text("M 4 999\n" + target.read_text().split("\n", 1)[1])
         code, out, _ = run(capsys, "arith", "--level", "4", "--cache-dir", cache)
         assert code == 0 and "cache  rebuilt" in out
+
+    def test_cache_checks_every_level_4_file(self, capsys, tmp_path):
+        cache = str(tmp_path)
+        run(capsys, "arith", "--level", "4", "--cache-dir", cache)
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == 17
+        for p in paths:
+            os.utime(p, ns=(10**18, 10**18))
+        code, out, _ = run(capsys, "arith", "--level", "4", "--cache-dir", cache)
+        assert code == 0 and "cache  valid" in out
+        assert all(p.stat().st_mtime_ns == 10**18 for p in paths)
+
+        # a well-formed file holding another group is stale, and rewritten
+        target = tmp_path / "arith_Mmax-07_L4.grp"
+        fresh = target.read_text()
+        other = (tmp_path / "arith_Mmax-08_L4.grp").read_text()
+        target.write_text(other.replace("Mmax-08", "Mmax-07", 1))
+        code, out, _ = run(capsys, "arith", "--level", "4", "--cache-dir", cache)
+        assert code == 0 and "cache  stale, rebuilt" in out
+        assert target.read_text() == fresh
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("IMG_CACHE_DIR", str(tmp_path))
@@ -201,6 +222,27 @@ class TestVerificationCaps:
                              "--config", str(cfg))
         assert code == 2 and out == ""
         assert "verification cap radical_points = -3 is below 1" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("group_level = 0", "group_level = 0 is below 1"),
+        ("group_level = -1", "group_level = -1 is below 1"),
+        ("model_level = -1", "model_level = -1 is below 0"),
+        ("disc_n = -1", "disc_n = -1 is below 0"),
+    ])
+    def test_config_level_below_range_is_bad_input(self, capsys, tmp_path,
+                                                   line, message):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"verification cap {message}" in err
+
+    def test_zero_level_caps_skip_their_claims(self, capsys, tmp_path):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("group_level = 3\nmodel_level = 0\ndisc_n = 0\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == 0 and "0 failed" in out
+        assert "model level < 1" in out and "disc cap < 1" in out
 
     @pytest.mark.parametrize("line, message", [
         ("group_level = 99", "group_level = 99 exceeds 7"),
