@@ -384,26 +384,29 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _gf_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _gf_rem(out, f, p)
+def _gf_pack(coeffs: list[int], width: int) -> int:
+    """Kronecker substitution: coefficient i in bytes [i*width, (i+1)*width)."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs),
+                          "little")
 
 
-def _gf_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    b = _gf_rem(base, f, p)
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, b, f, p)
-        b = _gf_mulmod(b, b, f, p)
-        e >>= 1
-    return result
+def _gf_unpack(v: int, slots: int, width: int, p: int) -> list[int]:
+    raw = v.to_bytes(slots * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % p
+            for i in range(0, slots * width, width)]
+
+
+def _gf_mulmod_packed(a: int, b: int, fold: list[int], width: int,
+                      p: int) -> int:
+    """a*b mod f for packed a, b of degree < n = len(fold) + 1; fold[k] is
+    x^(n+k) mod f packed.  One big-int multiply, then the high slots are
+    reduced mod p and folded back onto the low ones."""
+    n = len(fold) + 1
+    full = a * b
+    acc = full & ((1 << 8 * width * n) - 1)
+    for c, row in zip(_gf_unpack(full >> 8 * width * n, n - 1, width, p), fold):
+        acc += c * row
+    return _gf_pack(_gf_unpack(acc, n, width, p), width)
 
 
 def _gf_resultant(a: list[int], b: list[int], p: int) -> int:
@@ -585,6 +588,20 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     None means the reduction is not squarefree (a "bad" prime for
     Frobenius sampling).  Distinct-degree splitting is all that is needed:
     the factors themselves are never computed.
+
+    The p-power map is F_p-linear on F_p[x]/(f), n = deg f, so x^p mod f is
+    computed once by square-and-multiply and the rows x^(ip) mod f, i < n,
+    form the Frobenius (Berlekamp Q) matrix; each degree step
+    h -> h^p mod f is then the matrix-vector product sum h_i * row_i (von
+    zur Gathen-Gerhard, Modern Computer Algebra, ch. 14).  h stays reduced
+    mod f: the gcd with the unsplit part reduces it anyway.
+
+    Polynomials are Kronecker-packed into one int each, a byte-aligned slot
+    per coefficient (Harvey, J. Symb. Comp. 2009), so a product is one
+    big-int multiply.  A slot holds 2n(p-1)^2, so no slot carries into the
+    next: an unreduced product coefficient is at most n(p-1)^2, folding the
+    high slots back (each reduced mod p, times x^(n+k) mod f) adds at most
+    (n-1)(p-1)^2, and a matrix-vector sum of n rows is at most n(p-1)^2.
     """
     if prime < 3 or not _is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
@@ -600,6 +617,24 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     fprime = _strip([i * c % prime for i, c in enumerate(f)][1:])
     if not fprime or _deg(_gf_gcd(f, fprime, prime)) > 0:
         return None
+    n = _deg(f)
+    if n == 1:
+        return (1,)
+    width = ((2 * n * (prime - 1) ** 2).bit_length() + 7) // 8
+    fold = []
+    r = [-c % prime for c in f[:n]]
+    for _ in range(n - 1):
+        fold.append(_gf_pack(r, width))
+        r = [(c - r[-1] * fc) % prime for c, fc in zip([0] + r[:-1], f)]
+    x = 1 << 8 * width
+    xp = x
+    for bit in bin(prime)[3:]:
+        xp = _gf_mulmod_packed(xp, xp, fold, width, prime)
+        if bit == "1":
+            xp = _gf_mulmod_packed(xp, x, fold, width, prime)
+    rows = [1, xp]
+    while len(rows) < n:
+        rows.append(_gf_mulmod_packed(rows[-1], xp, fold, width, prime))
     degrees: list[int] = []
     work = f
     h = [0, 1]
@@ -609,16 +644,13 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
         if 2 * d > _deg(work):
             degrees.append(_deg(work))
             break
-        h = _gf_powmod(h, prime, work, prime)
+        h = _gf_unpack(sum(c * row for c, row in zip(h, rows)), n, width, prime)
         diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
         diff[1] = (diff[1] - 1) % prime
         g = _gf_gcd(_strip(diff), work, prime)
         if _deg(g) > 0:
             degrees.extend([d] * (_deg(g) // d))
             work = _gf_quo(work, g, prime)
-            h = _gf_rem(h, work, prime) if _deg(work) > 0 else h
     return tuple(sorted(degrees, reverse=True))
 
 

@@ -56,8 +56,8 @@ class VerifyCaps:
         return replace(
             self,
             group_level=level,
-            model_level=min(level, arithmodel.ARITH_LEVEL_CAP),
-            disc_n=min(level, 4),
+            model_level=min(level, self.model_level),
+            disc_n=min(level, self.disc_n),
             samples=min(self.samples, 2000),
             radical_points=min(self.radical_points, 5),
         )

@@ -316,17 +316,127 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
     return out
 
 
-def stickelberger_factor_parity(coeffs, p: int, degrees) -> bool:
+def stickelberger_factor_parity(disc: int, p: int, degrees) -> bool:
     """Number-of-factors parity against the discriminant's quadratic character.
 
     For squarefree f mod p of degree d with r irreducible factors,
-    (disc(f) | p) == (-1)^(d - r).
+    (disc(f) | p) == (-1)^(d - r).  disc is the integer discriminant of f,
+    e.g. from `discriminant_via_sylvester`, computed once per polynomial.
     """
-    disc = discriminant_via_sylvester(coeffs)
-    assert disc.denominator == 1
-    chi = legendre(disc.numerator % p, p)
+    chi = legendre(disc % p, p)
     d, r = sum(degrees), len(degrees)
     return chi == (-1) ** (d - r)
+
+
+# -- distinct-degree splitting by square-and-multiply -------------------------
+#
+# A second route for factor_degrees_mod_p: every degree step raises h to the
+# p-th power modulo the unsplit part by schoolbook square-and-multiply, with
+# no Frobenius matrix and no packed products.  Dense lists, constant first.
+
+def _gf_strip(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gf_rem(a, b, p):
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = _gf_strip([c % p for c in a])
+    while r and len(r) - 1 >= db:
+        coef = r[-1] * inv % p
+        pos = len(r) - 1 - db
+        for i, bc in enumerate(b):
+            r[pos + i] = (r[pos + i] - coef * bc) % p
+        _gf_strip(r)
+    return r
+
+
+def _gf_quo(a, b, p):
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = _gf_strip([c % p for c in a])
+    quo = [0] * max(len(r) - db, 1)
+    while r and len(r) - 1 >= db:
+        coef = r[-1] * inv % p
+        pos = len(r) - 1 - db
+        quo[pos] = coef
+        for i, bc in enumerate(b):
+            r[pos + i] = (r[pos + i] - coef * bc) % p
+        _gf_strip(r)
+    return _gf_strip(quo)
+
+
+def _gf_gcd(a, b, p):
+    a = _gf_strip([c % p for c in a])
+    b = _gf_strip([c % p for c in b])
+    while b:
+        a, b = b, _gf_rem(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _gf_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _gf_rem(out, f, p)
+
+
+def _gf_powmod(base, e, f, p):
+    result = [1]
+    b = _gf_rem(base, f, p)
+    while e:
+        if e & 1:
+            result = _gf_mulmod(result, b, f, p)
+        b = _gf_mulmod(b, b, f, p)
+        e >>= 1
+    return result
+
+
+def ddf_degrees_reference(coeffs, p: int):
+    """Factor degrees of an integer polynomial mod an odd prime p, sorted
+    descending, or None when the reduction is not squarefree.
+
+    coeffs are constant term first; the leading one must be a unit mod p.
+    """
+    if coeffs[-1] % p == 0:
+        raise ValueError(f"{p} divides the leading coefficient")
+    f = [c % p for c in coeffs]
+    if len(f) == 1:
+        return ()
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    fprime = _gf_strip([i * c % p for i, c in enumerate(f)][1:])
+    if not fprime or len(_gf_gcd(f, fprime, p)) > 1:
+        return None
+    degrees = []
+    work = f
+    h = [0, 1]
+    d = 0
+    while len(work) > 1:
+        d += 1
+        if 2 * d > len(work) - 1:
+            degrees.append(len(work) - 1)
+            break
+        h = _gf_powmod(h, p, work, p)
+        diff = list(h)
+        while len(diff) < 2:
+            diff.append(0)
+        diff[1] = (diff[1] - 1) % p
+        g = _gf_gcd(_gf_strip(diff), work, p)
+        if len(g) > 1:
+            degrees.extend([d] * ((len(g) - 1) // d))
+            work = _gf_quo(work, g, p)
+            h = _gf_rem(h, work, p) if len(work) > 1 else h
+    return tuple(sorted(degrees, reverse=True))
 
 
 # -- misc ---------------------------------------------------------------------

@@ -244,6 +244,14 @@ class TestVerificationCaps:
         assert code == 0 and "0 failed" in out
         assert "model level < 1" in out and "disc cap < 1" in out
 
+    def test_quick_level_keeps_config_level_caps(self, capsys, tmp_path):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("model_level = 0\ndisc_n = 0\n")
+        code, out, _ = run(capsys, "verify", "--level", "3",
+                           "--config", str(cfg))
+        assert code == 0 and "0 failed" in out
+        assert "model level < 1" in out and "disc cap < 1" in out
+
     @pytest.mark.parametrize("line, message", [
         ("group_level = 99", "group_level = 99 exceeds 7"),
         ("model_level = 7", "model_level = 7 exceeds 5"),

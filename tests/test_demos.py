@@ -23,3 +23,16 @@ def test_maximality_certificates_demo():
     lines = proc.stdout.splitlines()
     assert "recheck stored certificate: True" in lines
     assert lines[-1] == "recheck forged certificate: False"
+
+
+def test_iterates_demo_factor_degrees():
+    proc = run_demo("04_iterates_discriminants.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-6:] == [
+        "g_2 - 5*h_2 = -3 -28 2 12 -3",
+        "  factor degrees mod 7: (2, 2)",
+        "  factor degrees mod 11: (2, 2)",
+        "  factor degrees mod 13: (2, 1, 1)",
+        "  factor degrees mod 17: (2, 2)",
+        "  factor degrees mod 19: (4,)",
+    ]

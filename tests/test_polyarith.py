@@ -3,7 +3,8 @@
 Dual routes everywhere: the subresultant chain is checked against both
 the CRT route and a Fraction Sylvester determinant; discriminant shapes
 against direct discriminants at specialized points; mod-p factor degree
-lists against root counting and the factor-count parity law.
+lists against root counting, the factor-count parity law and
+square-and-multiply distinct-degree splitting.
 """
 
 import random
@@ -19,6 +20,9 @@ from imgroups.errors import (
 )
 from imgroups.polyarith import (
     IntPoly,
+    _gf_mulmod_packed,
+    _gf_pack,
+    _gf_unpack,
     X,
     discriminant_shape,
     factor_degrees_mod_p,
@@ -231,17 +235,76 @@ class TestFactorDegrees:
     def test_degree_lists_against_roots_and_parity(self):
         # number of linear factors equals the root count; the total factor
         # count matches the discriminant's quadratic character
-        num = specialize_numerator(3, Fraction(5))
-        for p in primes_up_to(60):
-            if p == 2 or num.coeffs[-1] % p == 0:
+        for level in (3, 4):
+            num = specialize_numerator(level, Fraction(5))
+            disc = oracles.discriminant_via_sylvester(num.coeffs)
+            assert disc.denominator == 1
+            for p in primes_up_to(60):
+                if p == 2 or num.coeffs[-1] % p == 0:
+                    continue
+                degs = factor_degrees_mod_p(num, p)
+                if degs is None:
+                    continue
+                assert sum(degs) == num.degree()
+                roots = oracles.roots_mod_p(num.coeffs, p)
+                assert degs.count(1) == len(roots)
+                assert oracles.stickelberger_factor_parity(disc.numerator, p,
+                                                           degs)
+
+    @pytest.mark.parametrize("a", ["5", "7/3", "-3", "9/4", "-78/119",
+                                   "1/4549"])
+    def test_level_4_matches_reference(self, a):
+        # the Frobenius-matrix kernel against square-and-multiply splitting
+        num = specialize_numerator(4, Fraction(a))
+        primes = (oracles.primes_between(3, 300)[:60]
+                  + oracles.primes_between(10**4, 10**4 + 300)[:20]
+                  + oracles.primes_between(10**6, 10**6 + 300)[:10])
+        checked = 0
+        for p in primes:
+            if num.coeffs[-1] % p == 0:
                 continue
-            degs = factor_degrees_mod_p(num, p)
-            if degs is None:
-                continue
-            assert sum(degs) == num.degree()
-            roots = oracles.roots_mod_p(num.coeffs, p)
-            assert degs.count(1) == len(roots)
-            assert oracles.stickelberger_factor_parity(num.coeffs, p, degs)
+            assert factor_degrees_mod_p(num, p) == \
+                oracles.ddf_degrees_reference(num.coeffs, p), p
+            checked += 1
+        assert checked >= 85
+
+    def test_level_5_matches_reference(self):
+        num = specialize_numerator(5, Fraction(7, 3))
+        for p in oracles.primes_between(10**4, 10**4 + 100)[:4]:
+            assert factor_degrees_mod_p(num, p) == \
+                oracles.ddf_degrees_reference(num.coeffs, p), p
+
+    @pytest.mark.parametrize("p", [3, 7, 10007, 999983])
+    @pytest.mark.parametrize("n", [2, 16, 32])
+    def test_packed_product_at_largest_coefficients(self, n, p):
+        # all coefficients p - 1 make the unreduced middle coefficient of
+        # the product n(p-1)^2, the most a product slot holds before folding
+        f = [p - 1] * n + [1]
+        width = ((2 * n * (p - 1) ** 2).bit_length() + 7) // 8
+        fold, r = [], [1] * n       # x^n = 1 + x + ... + x^(n-1) mod f
+        for _ in range(n - 1):
+            fold.append(_gf_pack(r, width))
+            r = oracles._gf_mulmod(r, [0, 1], f, p)
+            r += [0] * (n - len(r))
+        a = [p - 1] * n
+        got = _gf_mulmod_packed(_gf_pack(a, width), _gf_pack(a, width),
+                                fold, width, p)
+        want = oracles._gf_mulmod(a, a, f, p)
+        assert _gf_unpack(got, n, width, p) == want + [0] * (n - len(want))
+
+    @pytest.mark.parametrize("coeffs, p, expected", [
+        ((3, 1), 7, (1,)),                  # degree 1
+        ((6, 2), 7, (1,)),                  # degree 1, lc 2
+        ((1, 0, 1), 7, (2,)),               # x^2 + 1, -1 not a square mod 7
+        ((-1, 0, 1), 7, (1, 1)),            # degree 2, split
+        ((2, 0, 5), 11, (1, 1)),            # lc 5: x^2 + 7 = (x-2)(x+2) mod 11
+        ((1, 0, 0, 0, 1), 3, (2, 2)),       # p = 3 below the degree: x^4 + 1,
+                                            # 3 has order 2 mod 8
+        ((-2, 0, 0, 0, 0, 0, 0, 1), 7, None),  # x^7 - 2: f' == 0 mod 7
+    ])
+    def test_edge_cases_match_reference(self, coeffs, p, expected):
+        assert factor_degrees_mod_p(IntPoly(coeffs), p) == expected
+        assert oracles.ddf_degrees_reference(coeffs, p) == expected
 
 
 class TestIntegerHelpers:
