@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -358,21 +359,6 @@ def _gf_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return r
 
 
-def _gf_quo(a: list[int], b: list[int], p: int) -> list[int]:
-    db = _deg(b)
-    inv = pow(b[-1], -1, p)
-    r = _strip([c % p for c in a])
-    quo = [0] * max(len(r) - db, 1)
-    while r and _deg(r) >= db:
-        coef = r[-1] * inv % p
-        pos = _deg(r) - db
-        quo[pos] = coef
-        for i, bc in enumerate(b):
-            r[pos + i] = (r[pos + i] - coef * bc) % p
-        _strip(r)
-    return _strip(quo)
-
-
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a = _strip([c % p for c in a])
     b = _strip([c % p for c in b])
@@ -384,29 +370,96 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _gf_pack(coeffs: list[int], width: int) -> int:
-    """Kronecker substitution: coefficient i in bytes [i*width, (i+1)*width)."""
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs),
-                          "little")
+class _GFPackedRing:
+    """F_p[x]/(f) for a monic f of degree n >= 2 over F_p, p an odd prime,
+    with each polynomial of degree <= n Kronecker-packed into one int:
+    coefficient i in bits [i*width, (i+1)*width) (Harvey, J. Symb. Comp.
+    2009).  A product is one big-int multiply, and every reduction is a
+    handful of big-int operations over all slots at once.
 
+    Every value handed to `reduce` has at most n + 1 slots, each below
+    bound = 2np^2.  Slotwise Barrett reduction with m = floor(2^k / p),
+    2^k > bound, multiplies each slot by m, so width = k + bits(2np) keeps
+    those products below 2^width: no slot ever carries into the next.
+    Callers keep to the bound; `factor_degrees_mod_p` says why they do.
+    """
 
-def _gf_unpack(v: int, slots: int, width: int, p: int) -> list[int]:
-    raw = v.to_bytes(slots * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") % p
-            for i in range(0, slots * width, width)]
+    __slots__ = ("p", "width", "nbits", "low", "ones", "m", "k", "qmask",
+                 "c", "bias", "f", "negf", "mu")
 
+    def __init__(self, f: list[int], p: int):
+        n = _deg(f)
+        bound = 2 * n * p * p
+        self.k = bound.bit_length()
+        self.width = self.k + (bound // p).bit_length()
+        self.p, self.nbits = p, n * self.width
+        self.low = (1 << self.nbits) - 1
+        self.ones = (((1 << self.nbits + self.width) - 1)
+                     // ((1 << self.width) - 1))  # bit 0 of n + 1 slots
+        self.m = (1 << self.k) // p
+        self.qmask = self.ones * ((1 << self.width - self.k) - 1)
+        self.c = p.bit_length()
+        self.bias = self.ones * ((1 << self.c) - p)
+        self.f = self.pack(f)
+        self.negf = self.pack([-a % p for a in f[:n]])  # x^n mod f
+        self.mu = self.divmod(1 << 2 * self.nbits, self.f)[0]
 
-def _gf_mulmod_packed(a: int, b: int, fold: list[int], width: int,
-                      p: int) -> int:
-    """a*b mod f for packed a, b of degree < n = len(fold) + 1; fold[k] is
-    x^(n+k) mod f packed.  One big-int multiply, then the high slots are
-    reduced mod p and folded back onto the low ones."""
-    n = len(fold) + 1
-    full = a * b
-    acc = full & ((1 << 8 * width * n) - 1)
-    for c, row in zip(_gf_unpack(full >> 8 * width * n, n - 1, width, p), fold):
-        acc += c * row
-    return _gf_pack(_gf_unpack(acc, n, width, p), width)
+    def pack(self, coeffs: list[int]) -> int:
+        v = 0
+        for c in reversed(coeffs):
+            v = v << self.width | c
+        return v
+
+    def unpack(self, v: int) -> list[int]:
+        """The n coefficients of a reduced element of degree < n."""
+        mask = (1 << self.width) - 1
+        return [v >> s & mask for s in range(0, self.nbits, self.width)]
+
+    def degree(self, v: int) -> int:
+        """Degree of a reduced polynomial, -1 for zero."""
+        return (v.bit_length() - 1) // self.width
+
+    def reduce(self, v: int) -> int:
+        """Every slot mod p.  A slot a < bound gets q = floor(a*m / 2^k),
+        which is floor(a/p) or one less, so a - q*p < 2p; bit c of
+        a - q*p + 2^c - p is then set exactly in the slots that need one
+        more subtraction of p."""
+        p = self.p
+        v -= (v * self.m >> self.k & self.qmask) * p
+        return v - (v + self.bias >> self.c & self.ones) * p
+
+    def mul(self, a: int, b: int, times_x: bool = False) -> int:
+        """a*b (times x if asked) mod f for reduced a, b of degree < n, by
+        polynomial Barrett reduction: a product P of degree < 2n has
+        quotient (P div x^n) * mu div x^n by f (von zur Gathen-Gerhard,
+        Modern Computer Algebra, ch. 9)."""
+        full = a * b << self.width if times_x else a * b
+        hi = self.reduce(full >> self.nbits)
+        quo = self.reduce(hi * self.mu >> self.nbits)
+        return self.reduce((full & self.low) + (quo * self.negf & self.low))
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of reduced polynomials, b nonzero.  Each
+        step adds at most (p-1)^2 to a slot of a and clears the top one,
+        which is then 0 mod p; at most n + 1 steps keep every slot below
+        bound until the one reduction at the end."""
+        w, p = self.width, self.p
+        db = self.degree(b) * w
+        inv = pow(b >> db, -1, p)
+        q = 0
+        for top in range(self.degree(a) * w, db - 1, -w):
+            t = (a >> top) * inv % p
+            if t:
+                q |= t << top - db
+                a += (p - t) * b << top - db
+            a &= (1 << top) - 1
+        return q, self.reduce(a)
+
+    def gcd(self, a: int, b: int) -> int:
+        """Monic gcd of reduced polynomials, not both zero."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.reduce(a * pow(a >> self.degree(a) * self.width, -1, self.p))
 
 
 def _gf_resultant(a: list[int], b: list[int], p: int) -> int:
@@ -582,6 +635,12 @@ def specialize_numerator(n: int, a) -> IntPoly:
     return poly.primitive()
 
 
+@lru_cache(maxsize=64)
+def _squarefree_resultant(poly: IntPoly) -> int:
+    """Res(f, f') over Z, computed once per polynomial."""
+    return resultant(poly, poly.derivative())
+
+
 def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]:
     """Degrees of the irreducible factors mod an odd prime, or None.
 
@@ -589,19 +648,37 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     Frobenius sampling).  Distinct-degree splitting is all that is needed:
     the factors themselves are never computed.
 
-    The p-power map is F_p-linear on F_p[x]/(f), n = deg f, so x^p mod f is
-    computed once by square-and-multiply and the rows x^(ip) mod f, i < n,
-    form the Frobenius (Berlekamp Q) matrix; each degree step
-    h -> h^p mod f is then the matrix-vector product sum h_i * row_i (von
-    zur Gathen-Gerhard, Modern Computer Algebra, ch. 14).  h stays reduced
-    mod f: the gcd with the unsplit part reduces it anyway.
+    Squarefree test: for p not dividing lc(f), p divides the integer
+    resultant Res(f, f') exactly when f mod p is not squarefree.  Reducing
+    the Sylvester matrix mod p gives +-lc(f)^j * Res(f mod p, f' mod p) even
+    when f' drops degree mod p, and a zero determinant when f' vanishes mod
+    p, where f mod p is a p-th power.  The resultant is computed once per
+    polynomial and reused for every prime.
 
-    Polynomials are Kronecker-packed into one int each, a byte-aligned slot
-    per coefficient (Harvey, J. Symb. Comp. 2009), so a product is one
-    big-int multiply.  A slot holds 2n(p-1)^2, so no slot carries into the
-    next: an unreduced product coefficient is at most n(p-1)^2, folding the
-    high slots back (each reduced mod p, times x^(n+k) mod f) adds at most
-    (n-1)(p-1)^2, and a matrix-vector sum of n rows is at most n(p-1)^2.
+    The p-power map is F_p-linear on F_p[x]/(f), n = deg f, so x^p mod f is
+    computed once by square-and-multiply, starting from the monomial x^k
+    for the longest leading bit string k of p with k < n, and the rows
+    x^(ip) mod f, i < n, form the Frobenius (Berlekamp Q) matrix (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14).  Matrix-vector
+    products give h_d = x^(p^d) mod f until h_L = x: f is squarefree, so L
+    is the lcm of the factor degrees, every factor degree divides L, and
+    only the divisors d < L of L need the gcd of h_d - x with the unsplit
+    part; what is left then has only factors of degree L.  When L exceeds
+    n, every d is tried in turn.
+
+    Elements of F_p[x]/(f) are Kronecker-packed into one int each
+    (`_GFPackedRing`), and every value that gets reduced has slots below
+    2np^2: a product of reduced elements and a matrix-vector sum of n rows
+    have coefficients of at most n(p-1)^2, the low half of a product plus
+    its Barrett correction at most 2n(p-1)^2, and a division step adds
+    (p-1)^2 to a slot at most n + 1 times.  A slot is k + bits(2np) bits
+    wide, with 2^k > 2np^2, so that even a slot times the Barrett
+    multiplier floor(2^k / p) fits in it and no slot carries into the
+    next.  Barrett reduction mod p is then a multiply, shift, mask and
+    subtract over all slots at once plus one masked conditional
+    subtraction; a product of degree < 2n is reduced mod f by polynomial
+    Barrett reduction, two more packed products against mu = x^(2n) div f.
+    The splitting gcds and quotients run on the same packed ints.
     """
     if prime < 3 or not _is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
@@ -609,48 +686,47 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
         raise ValueError("zero polynomial")
     if poly.lc % prime == 0:
         raise BadPrimeError(f"{prime} divides the leading coefficient")
-    f = [c % prime for c in poly.coeffs]
-    if _deg(f) == 0:
+    if poly.degree() == 0:
         return ()
-    inv = pow(f[-1], -1, prime)
-    f = [c * inv % prime for c in f]
-    fprime = _strip([i * c % prime for i, c in enumerate(f)][1:])
-    if not fprime or _deg(_gf_gcd(f, fprime, prime)) > 0:
+    if _squarefree_resultant(poly) % prime == 0:
         return None
-    n = _deg(f)
+    n = poly.degree()
     if n == 1:
         return (1,)
-    width = ((2 * n * (prime - 1) ** 2).bit_length() + 7) // 8
-    fold = []
-    r = [-c % prime for c in f[:n]]
-    for _ in range(n - 1):
-        fold.append(_gf_pack(r, width))
-        r = [(c - r[-1] * fc) % prime for c, fc in zip([0] + r[:-1], f)]
-    x = 1 << 8 * width
-    xp = x
-    for bit in bin(prime)[3:]:
-        xp = _gf_mulmod_packed(xp, xp, fold, width, prime)
-        if bit == "1":
-            xp = _gf_mulmod_packed(xp, x, fold, width, prime)
+    inv = pow(poly.lc, -1, prime)
+    f = [c * inv % prime for c in poly.coeffs]
+    ring = _GFPackedRing(f, prime)
+    bits = bin(prime)[2:]
+    k, i = 1, 1
+    while i < len(bits) and 2 * k + (bits[i] == "1") < n:
+        k, i = 2 * k + (bits[i] == "1"), i + 1
+    xp = 1 << k * ring.width
+    for bit in bits[i:]:
+        xp = ring.mul(xp, xp, bit == "1")
     rows = [1, xp]
     while len(rows) < n:
-        rows.append(_gf_mulmod_packed(rows[-1], xp, fold, width, prime))
+        rows.append(ring.mul(rows[-1], xp))
+    x = 1 << ring.width
+    frob = [None, xp]  # frob[d] = x^(p^d) mod f
+    while frob[-1] != x and len(frob) <= n:
+        frob.append(ring.reduce(sum(map(mul, ring.unpack(frob[-1]), rows))))
+    order = len(frob) - 1 if frob[-1] == x else None
+    steps = (range(1, n + 1) if order is None
+             else [d for d in range(1, order) if order % d == 0])
     degrees: list[int] = []
-    work = f
-    h = [0, 1]
-    d = 0
-    while _deg(work) > 0:
-        d += 1
-        if 2 * d > _deg(work):
-            degrees.append(_deg(work))
+    work = ring.f
+    for d in steps:
+        if 2 * d > ring.degree(work):
+            last = ring.degree(work)  # what is left is irreducible
             break
-        h = _gf_unpack(sum(c * row for c, row in zip(h, rows)), n, width, prime)
-        diff = list(h)
-        diff[1] = (diff[1] - 1) % prime
-        g = _gf_gcd(_strip(diff), work, prime)
-        if _deg(g) > 0:
-            degrees.extend([d] * (_deg(g) // d))
-            work = _gf_quo(work, g, prime)
+        g = ring.gcd(ring.reduce(frob[d] + (prime - 1 << ring.width)), work)
+        if ring.degree(g) > 0:
+            degrees.extend([d] * (ring.degree(g) // d))
+            work = ring.divmod(work, g)[0]
+    else:  # only reached with L found, as 2n > deg(work) ends the d <= n run
+        last = order
+    if ring.degree(work) > 0:
+        degrees.extend([last] * (ring.degree(work) // last))
     return tuple(sorted(degrees, reverse=True))
 
 

@@ -53,9 +53,13 @@ class VerifyCaps:
                     f"verification cap {key} = {value} exceeds {cap}")
 
     def quick(self, level: int) -> "VerifyCaps":
+        if level > selfsim.GROUP_LEVEL_CAP:
+            raise ResourceLimitError(
+                f"verification cap group_level = {level} exceeds "
+                f"{selfsim.GROUP_LEVEL_CAP}")
         return replace(
             self,
-            group_level=level,
+            group_level=min(level, self.group_level),
             model_level=min(level, self.model_level),
             disc_n=min(level, self.disc_n),
             samples=min(self.samples, 2000),

@@ -252,6 +252,22 @@ class TestVerificationCaps:
         assert code == 0 and "0 failed" in out
         assert "model level < 1" in out and "disc cap < 1" in out
 
+    def test_quick_level_keeps_config_group_level(self, capsys, tmp_path):
+        # --level lowers the caps and never raises one: the group claims
+        # stay at the config's level 3
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("group_level = 3\nmodel_level = 0\ndisc_n = 0\n")
+        code, out, _ = run(capsys, "verify", "--level", "5",
+                           "--config", str(cfg))
+        assert code == 0 and "0 failed" in out
+        wreath = next(l for l in out.splitlines() if "wreath-presentation" in l)
+        assert "level 3:" in wreath
+
+    def test_quick_level_over_group_cap_is_resource_limit(self, capsys):
+        code, out, err = run(capsys, "verify", "--level", "8")
+        assert code == 3 and out == ""
+        assert "resource limit" in err and "group_level = 8 exceeds 7" in err
+
     @pytest.mark.parametrize("line, message", [
         ("group_level = 99", "group_level = 99 exceeds 7"),
         ("model_level = 7", "model_level = 7 exceeds 5"),

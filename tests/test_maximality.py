@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from imgroups.arithmodel import build_model, cycle_type_table, maximal_subgroups
+from imgroups import polyarith
 from imgroups.errors import (
     ExcludedBasePointError,
     InsufficientDataError,
@@ -251,6 +252,18 @@ class TestCertificateRecheck:
                              (Fraction(1), 10**4), (Fraction(7, 3), 10**4)):
             v = maximality_verdict(BasePoint(point), bound)
             assert recheck_certificate(v), (point, bound, v.status)
+
+    def test_one_squarefree_resultant_per_verdict(self):
+        # every prime of the stream and of the recheck reuses one
+        # Res(f, f') of the level-4 numerator
+        memo = polyarith._squarefree_resultant
+        memo.cache_clear()
+        v = maximality_verdict(BasePoint(Fraction(7, 3)))
+        assert v.frobenius_eliminations
+        assert memo.cache_info().misses == 1
+        assert recheck_certificate(v)
+        assert memo.cache_info().misses == 1
+        assert memo.cache_info().hits >= v.primes_tried
 
     def test_tampered_observation_fails(self):
         v = maximality_verdict(BasePoint(Fraction(5)))

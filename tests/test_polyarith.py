@@ -7,6 +7,7 @@ lists against root counting, the factor-count parity law and
 square-and-multiply distinct-degree splitting.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,10 +21,8 @@ from imgroups.errors import (
 )
 from imgroups.polyarith import (
     IntPoly,
-    _gf_mulmod_packed,
-    _gf_pack,
-    _gf_unpack,
     X,
+    _GFPackedRing,
     discriminant_shape,
     factor_degrees_mod_p,
     iterate_metadata,
@@ -278,19 +277,41 @@ class TestFactorDegrees:
     @pytest.mark.parametrize("n", [2, 16, 32])
     def test_packed_product_at_largest_coefficients(self, n, p):
         # all coefficients p - 1 make the unreduced middle coefficient of
-        # the product n(p-1)^2, the most a product slot holds before folding
+        # the product n(p-1)^2, and of its Barrett correction the same, the
+        # most the product's slots hold before the slotwise reduction
         f = [p - 1] * n + [1]
-        width = ((2 * n * (p - 1) ** 2).bit_length() + 7) // 8
-        fold, r = [], [1] * n       # x^n = 1 + x + ... + x^(n-1) mod f
-        for _ in range(n - 1):
-            fold.append(_gf_pack(r, width))
-            r = oracles._gf_mulmod(r, [0, 1], f, p)
-            r += [0] * (n - len(r))
+        ring = _GFPackedRing(f, p)
         a = [p - 1] * n
-        got = _gf_mulmod_packed(_gf_pack(a, width), _gf_pack(a, width),
-                                fold, width, p)
-        want = oracles._gf_mulmod(a, a, f, p)
-        assert _gf_unpack(got, n, width, p) == want + [0] * (n - len(want))
+        packed = ring.pack(a)
+        for times_x, factor in ((False, [1]), (True, [0, 1])):
+            want = oracles._gf_mulmod(oracles._gf_mulmod(a, a, f, p),
+                                      factor, f, p)
+            got = ring.unpack(ring.mul(packed, packed, times_x))
+            assert got == want + [0] * (n - len(want))
+
+    @pytest.mark.parametrize("p", [3, 7, 10007, 999983])
+    @pytest.mark.parametrize("n", [2, 16, 32])
+    def test_slotwise_reduction_at_its_bound(self, n, p):
+        # every one of the n + 1 slots just below bound = 2np^2
+        ring = _GFPackedRing([1] * (n + 1), p)
+        top = 2 * n * p * p - 1
+        assert ring.reduce(ring.pack([top] * (n + 1))) == \
+            ring.pack([top % p] * (n + 1))
+
+    def test_small_polynomials_match_reference(self):
+        # every polynomial of degree 1..4 with coefficients in [-2, 2]: the
+        # resultant squarefree test against the reference's gcd(f, f')
+        checked = 0
+        for degree in range(1, 5):
+            for lower in itertools.product(range(-2, 3), repeat=degree):
+                for lc in (-2, -1, 1, 2):
+                    coeffs = lower + (lc,)
+                    poly = IntPoly(coeffs)
+                    for p in (3, 5, 7, 11):
+                        assert factor_degrees_mod_p(poly, p) == \
+                            oracles.ddf_degrees_reference(coeffs, p), (coeffs, p)
+                        checked += 1
+        assert checked == 4 * 4 * (5 + 5 ** 2 + 5 ** 3 + 5 ** 4)
 
     @pytest.mark.parametrize("coeffs, p, expected", [
         ((3, 1), 7, (1,)),                  # degree 1
@@ -301,6 +322,14 @@ class TestFactorDegrees:
         ((1, 0, 0, 0, 1), 3, (2, 2)),       # p = 3 below the degree: x^4 + 1,
                                             # 3 has order 2 mod 8
         ((-2, 0, 0, 0, 0, 0, 0, 1), 7, None),  # x^7 - 2: f' == 0 mod 7
+        ((1, 1, 0, 1), 3, (2, 1)),          # x^3 + x + 1: f' = 1 mod 3 drops
+                                            # degree, squarefree all the same
+        ((1, -1, 1, 0, 0, 1), 3, (3, 2)),   # (x^2 + 1)(x^3 - x + 1): the lcm
+                                            # of the degrees, 6, exceeds n = 5
+        ((-1, 0, 0, 0, -1, 0, -1, 0, 1), 3, (3, 3, 2)),
+                                            # (x^2 + 1)(x^3 - x + 1)(x^3 - x - 1):
+                                            # L = 6, and at d = 3 the gcd is
+                                            # all that is left
     ])
     def test_edge_cases_match_reference(self, coeffs, p, expected):
         assert factor_degrees_mod_p(IntPoly(coeffs), p) == expected
