@@ -20,7 +20,7 @@ from functools import lru_cache
 from .errors import ModelConstructionError, ResourceLimitError
 from .selfsim import (
     LevelGroup,
-    _mulclose,
+    _extend,
     closure,
     coset_decomposition,
     generating_set,
@@ -99,6 +99,7 @@ def _model(level: int) -> ArithLevelModel:
     # lands on the point of u iff the Schreier generator t*c*u^-1 fixes it
     transversal = [identity(level)]
     gens: list[Portrait] = []
+    steps = []
     stab = {identity(level).perm}
     for t in transversal:  # grows while it is walked
         for c in lifts:
@@ -109,7 +110,8 @@ def _model(level: int) -> ArithLevelModel:
                 transversal.append(tc)
             elif stab is not None and s.perm not in stab:
                 gens.append(s)
-                stab = _mulclose(gens, max_size=candidates)  # None if larger
+                steps.append(s.perm.__getitem__)
+                stab = _extend(stab, steps, s.perm, candidates)  # None if larger
     if stab is None or len(stab) * len(transversal) != candidates:
         raise ModelConstructionError(f"level {level}: stabilizer times orbit "
                                      f"{len(transversal)} is not {candidates}")
@@ -203,10 +205,18 @@ def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]
             vecs[repmap[r0 * r]] = v0 | bit
     if len(vecs) != len(reps):  # pragma: no cover - quotient is elementary
         raise ModelConstructionError("quotient by Frattini is not elementary")
+    # the group's own elements, not the products that keyed repmap, so the
+    # kernels share their portraits with the model
+    cosets: dict[Portrait, list[Portrait]] = {r: [] for r in reps}
+    for x in grp.elements:
+        cosets[repmap[x]].append(x)
+    # each kernel is the union of the cosets whose character vector has
+    # even parity under the mask
     out = []
     for mask in range(1, 1 << len(basis)):
-        els = {x for x in grp if (vecs[repmap[x]] & mask).bit_count() % 2 == 0}
-        out.append(LevelGroup(model.level, els))
+        out.append(LevelGroup(model.level, (
+            x for r in reps if (vecs[r] & mask).bit_count() % 2 == 0
+            for x in cosets[r])))
     return out
 
 

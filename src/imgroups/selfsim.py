@@ -163,35 +163,63 @@ class LevelGroup:
         return self._sorted
 
 
-def _mulclose(generators, max_size: int) -> set[tuple[int, ...]] | None:
-    """Breadth-first closure under right multiplication by the generators.
+def _extend(els, steps, new, max_size: int) -> set[tuple[int, ...]] | None:
+    """One Dimino step: the group generated by a closed set and one more perm.
 
-    Works on leaf permutations and returns the set of them; None as soon
-    as the closure would exceed max_size.  Starting from the identity and
-    multiplying by generators only is enough: in a finite group the
-    products of generators already form a subgroup.
+    `els` is a subgroup H of leaf permutations, `new` a permutation outside
+    it and `steps` the right-multiplication maps of generators of H plus
+    that of `new`.  The result is a union of right cosets H*r: a coset rep
+    times a generator either lands in a coset already present or starts a
+    new one, which is added whole.  A set that every rep times every
+    generator stays in is closed under right multiplication by the
+    generators, hence a group.  None as soon as the size would exceed
+    max_size.
     """
-    perms = {g.perm for g in generators}
-    steps = [p.__getitem__ for p in perms]
-    start = tuple(range(len(next(iter(perms)))))
-    els = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for step in steps:
-                y = tuple(map(step, x))
-                if y not in els:
-                    if len(els) >= max_size:
-                        return None
-                    els.add(y)
-                    new.append(y)
-        frontier = new
+    H = list(els)
+    if len(H) * 2 > max_size:
+        return None
+    out = set(els)
+    out.update(tuple(map(new.__getitem__, h)) for h in H)
+    reps = [new]  # the identity's products lie in H or in H*new
+    for r in reps:  # grows while it is walked
+        for step in steps:
+            y = tuple(map(step, r))
+            if y not in out:
+                if len(out) + len(H) > max_size:
+                    return None
+                out.update(tuple(map(y.__getitem__, h)) for h in H)
+                reps.append(y)
+    return out
+
+
+def _mulclose(generators, max_size: int) -> set[tuple[int, ...]] | None:
+    """The group generated by the portraits, as a set of leaf permutations.
+
+    Starts from the identity and takes one Dimino step (`_extend`) for each
+    generator not yet in the closure, so each element is made once, as a
+    member of a whole coset.  None as soon as the closure would exceed
+    max_size.
+    """
+    perms = [g.perm for g in generators]
+    els = {tuple(range(len(perms[0])))}
+    steps = []
+    for p in perms:
+        if p not in els:
+            steps.append(p.__getitem__)
+            els = _extend(els, steps, p, max_size)
+            if els is None:
+                return None
     return els
 
 
 def closure(generators, max_size: int = CLOSURE_MAX_SIZE) -> LevelGroup:
-    """The subgroup generated by the given portraits (all at one level)."""
+    """The subgroup generated by the given portraits (all at one level).
+
+    The generators are taken in sorted order and each one that is not yet
+    in the group extends it by a Dimino step; generators already inside
+    cost one membership test.  ResourceLimitError when the group would
+    exceed max_size.
+    """
     gens = sorted(set(generators))
     if not gens:
         raise ValueError("closure needs at least one generator")
@@ -206,15 +234,23 @@ def closure(generators, max_size: int = CLOSURE_MAX_SIZE) -> LevelGroup:
 
 
 def generating_set(group: LevelGroup) -> list[Portrait]:
-    """The recorded generators, or a greedy small generating set."""
+    """The recorded generators, or a greedy small generating set.
+
+    The greedy set takes each element, in sorted order, that the group
+    generated so far misses, and extends that group by one Dimino step.
+    ValueError if the generated group outgrows the element set, which is
+    then not closed; once every element is in, the two sets are equal.
+    """
     if group.generators:
         return list(group.generators)
     gens: list[Portrait] = []
+    steps = []
     have = {identity(group.level).perm}
     for g in group.sorted_elements():
         if g.perm not in have:
             gens.append(g)
-            have = _mulclose(gens, max_size=len(group))
+            steps.append(g.perm.__getitem__)
+            have = _extend(have, steps, g.perm, len(group))
             if have is None:  # the closure outgrew the set
                 raise ValueError("element set is not closed")
     return gens

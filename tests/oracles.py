@@ -37,7 +37,10 @@ def swap_dict(swaps, level: int) -> dict[str, int]:
 def act_on_word(swaps, level: int, word: str) -> str:
     """Image of a node word: each letter is flipped by the bit stored at
     the source prefix above it."""
-    table = swap_dict(swaps, level)
+    return _act(swap_dict(swaps, level), word)
+
+
+def _act(table: dict[str, int], word: str) -> str:
     out = []
     for i, ch in enumerate(word):
         prefix = word[:i]
@@ -56,8 +59,10 @@ def leaf_permutation(swaps, level: int) -> list[int]:
 
 def compose_swaps(u, v, level: int) -> tuple[int, ...]:
     """Portrait bits of "u then v", recovered from the composite action."""
+    tu, tv = swap_dict(u, level), swap_dict(v, level)
+
     def act(word: str) -> str:
-        return act_on_word(v, level, act_on_word(u, level, word))
+        return _act(tv, _act(tu, word))
 
     bits = []
     for node in bfs_nodes(level):

@@ -23,7 +23,12 @@ from imgroups.arithmodel import (
     order_growth_report,
 )
 from imgroups.errors import ModelConstructionError, ResourceLimitError
-from imgroups.selfsim import geometric_group, subgroup_index, subgroup_U
+from imgroups.selfsim import (
+    coset_decomposition,
+    geometric_group,
+    subgroup_index,
+    subgroup_U,
+)
 from imgroups.treeauto import identity, sigma
 
 EXPECTED_ORDERS = {1: 2, 2: 8, 3: 64, 4: 256, 5: 1024}
@@ -178,6 +183,28 @@ class TestFrattini:
         assert len(calls) == 1
         assert frattini_subgroup(m4) is phi and maximal_subgroups(m4) is subs
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_kernels_match_parity_filter(self, level):
+        # the kernels in mask order, as one parity test per element of the
+        # group: characters over the sorted coset basis of the quotient
+        model = build_model(level, allow_deep=True)
+        phi = frattini_subgroup(model)
+        reps, rep_of = coset_decomposition(model.group, phi)
+        vec = {rep_of[identity(level)]: 0}
+        rank = 0
+        for r in reps:
+            if r not in vec:
+                for r0, v0 in list(vec.items()):
+                    vec[rep_of[r0 * r]] = v0 | (1 << rank)
+                rank += 1
+        want = [frozenset(x for x in model.group
+                          if (vec[rep_of[x]] & mask).bit_count() % 2 == 0)
+                for mask in range(1, 1 << rank)]
+        assert rank == 4
+        got = arithmodel._index2_kernels(model, phi)
+        assert [k.elements for k in got] == want
+        assert [k.elements for k in arithmodel._frattini(model)[1]] == want
 
     def test_equals_intersection_of_maximals(self, m4):
         # third route: meet of all maximal subgroups

@@ -4,12 +4,18 @@ The group orders at level 3 are recomputed with the oracle's own closure
 over raw bit tuples, so the 2^(n+2) profile is not self-certifying.
 """
 
+import random
+
 import pytest
 
 import oracles
+from imgroups.arithmodel import build_model
 from imgroups.errors import ResourceLimitError
 from imgroups.selfsim import (
+    CLOSURE_MAX_SIZE,
     LevelGroup,
+    _extend,
+    _mulclose,
     abelian_invariants,
     builtin_system_f,
     center,
@@ -30,7 +36,7 @@ from imgroups.selfsim import (
     verify_geometric_presentation,
     verify_triple_theorem,
 )
-from imgroups.treeauto import identity, pair, sigma
+from imgroups.treeauto import Portrait, identity, iter_all, pair, sigma
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +177,115 @@ class TestClosureToolkit:
         with pytest.raises(ValueError):
             generating_set(broken)
 
+    def test_generating_set_rejects_non_closed_on_later_step(self):
+        # the first greedy generator closes to a real subgroup inside the
+        # set, so only a later Dimino step can outgrow it
+        g = geometric_group(3)
+        x = next(e for e in g.sorted_elements() if e.order() == 4)
+        cyclic = closure([x]).elements
+        rest = [e for e in reversed(g.sorted_elements()) if e not in cyclic]
+        broken = LevelGroup(3, cyclic | set(rest[:4]))
+        assert len(closure(list(broken.elements))) > len(broken)
+        first = closure([broken.sorted_elements()[1]])
+        assert len(first) > 1 and first.elements <= broken.elements
+        with pytest.raises(ValueError):
+            generating_set(broken)
+
     def test_triple_theorem(self):
         for n in (1, 2, 3):
             verify_triple_theorem(n)
+
+
+def _oracle_perms(gens, level: int) -> set:
+    """The oracle's bit-tuple closure of the portraits, as leaf permutations."""
+    return {Portrait(level, bits).perm
+            for bits in oracles.closure_of_swaps([g.swaps for g in gens], level)}
+
+
+def _irredundant(gens) -> list:
+    """A subset of the generators that generates the same group and has no
+    member the others generate."""
+    picked, have = [], set()
+    for g in gens:
+        if g.perm not in have:
+            picked.append(g)
+            have = _mulclose(picked, CLOSURE_MAX_SIZE)
+    for g in list(picked):
+        rest = [h for h in picked if h != g]
+        if rest and _mulclose(rest, CLOSURE_MAX_SIZE) == have:
+            picked = rest
+    return picked
+
+
+class TestDiminoClosure:
+    """`_mulclose` and `closure` against the oracle's breadth-first closure."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tower_generators(self, n):
+        for group in (geometric_group(n), subgroup_U(n), build_model(n).group):
+            gens = list(group.generators)
+            want = _oracle_perms(gens, n)
+            assert _mulclose(gens, CLOSURE_MAX_SIZE) == want
+            assert {u.perm for u in closure(gens).elements} == want
+
+    @pytest.mark.parametrize("level, sizes", [(3, (1, 2, 2, 3, 4)),
+                                              (4, (1, 1, 2, 2))])
+    def test_random_subsets(self, level, sizes):
+        rng = random.Random(4099 + level)
+        pool = list(iter_all(level))
+        for k in sizes:
+            gens = rng.sample(pool, k)
+            want = _oracle_perms(gens, level)
+            assert _mulclose(gens, CLOSURE_MAX_SIZE) == want
+            assert {u.perm for u in closure(gens).elements} == want
+
+    @pytest.mark.parametrize("level, order", [(5, 64), (6, 256)])
+    def test_squares_of_model(self, level, order):
+        grp = build_model(level, allow_deep=True).group
+        squares = sorted({x * x for x in grp})
+        got = _mulclose(squares, len(grp))
+        assert len(got) == order
+        assert {u.perm for u in closure(squares, len(grp)).elements} == got
+        # the oracle closes a subset of the squares, which keeps it affordable:
+        # a group inside the one the squares generate that holds every
+        # square is all of it
+        want = _oracle_perms(_irredundant(squares), level)
+        assert all(s.perm in want for s in squares)
+        assert got == want
+
+    def test_cap_boundary(self):
+        grp5 = build_model(5).group
+        for gens in (geometric_group(4).generators, build_model(4).group.generators,
+                     sorted({x * x for x in grp5})):
+            whole = _mulclose(gens, CLOSURE_MAX_SIZE)
+            assert _mulclose(gens, len(whole)) == whole
+            assert _mulclose(gens, len(whole) - 1) is None
+            assert len(closure(gens, max_size=len(whole))) == len(whole)
+            with pytest.raises(ResourceLimitError):
+                closure(gens, max_size=len(whole) - 1)
+
+    def test_cap_boundary_at_each_dimino_step(self):
+        # each step adds whole cosets of the group so far; the cap must
+        # fire exactly one element below the step's result, also when the
+        # overflow comes on a coset past the first one
+        seen_first, seen_later = False, False
+        for gens in (build_model(4).group.generators,
+                     build_model(5).group.generators):
+            have = {identity(gens[0].level).perm}
+            steps = []
+            for g in gens:
+                if g.perm in have:
+                    continue
+                steps.append(g.perm.__getitem__)
+                nxt = _extend(have, steps, g.perm, CLOSURE_MAX_SIZE)
+                assert _extend(have, steps, g.perm, len(nxt)) == nxt
+                assert _extend(have, steps, g.perm, len(nxt) - 1) is None
+                if len(have) > 1:
+                    seen_first |= len(nxt) == 2 * len(have)
+                    seen_later |= len(nxt) > 2 * len(have)
+                have = nxt
+            assert have == _mulclose(gens, CLOSURE_MAX_SIZE)
+        assert seen_first and seen_later
 
 
 class TestPersistence:
