@@ -22,7 +22,6 @@ from .selfsim import (
     LevelGroup,
     _extend,
     closure,
-    coset_decomposition,
     generating_set,
     geometric_group,
     subgroup_U,
@@ -158,7 +157,7 @@ def odometer_elements(model: ArithLevelModel) -> tuple[Portrait, ...]:
 
 def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:
     """How many elements realize each leaf cycle type."""
-    table = Counter(x.cycle_type() for x in group)
+    table = Counter(x.cycle_type() for x in group.elements)
     return dict(sorted(table.items()))
 
 
@@ -177,7 +176,9 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
 def _frattini(model: ArithLevelModel):
     """(Frattini subgroup, index-2 kernels), computed once per model."""
     grp = model.group
-    phi = closure(sorted({x * x for x in grp}), max_size=len(grp))
+    squares = {tuple(map(x.perm.__getitem__, x.perm)) for x in grp.elements}
+    phi = closure([_from_perm(model.level, s) for s in squares],
+                  max_size=len(grp))
     kernels = _index2_kernels(model, phi)
     meet = grp.elements
     for k in kernels:
@@ -191,10 +192,18 @@ def _frattini(model: ArithLevelModel):
 
 
 def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]:
+    """The kernels of the nontrivial characters of M / Phi, each the union
+    of its Phi cosets; cosets are keyed by leaf permutations, so only the
+    model's own portraits go into the kernels."""
     grp = model.group
-    reps, repmap = coset_decomposition(grp, phi)
-    e_rep = repmap[identity(model.level)]
-    vecs: dict[Portrait, int] = {e_rep: 0}
+    members = [s.perm for s in phi.elements]
+    reps: list[Portrait] = []
+    rep_of: dict[tuple[int, ...], Portrait] = {}  # perm -> left coset rep
+    for g in grp.sorted_elements():
+        if g.perm not in rep_of:
+            reps.append(g)
+            rep_of.update((tuple(map(s.__getitem__, g.perm)), g) for s in members)
+    vecs: dict[Portrait, int] = {rep_of[identity(model.level).perm]: 0}
     basis: list[Portrait] = []
     for r in reps:
         if r in vecs:
@@ -202,14 +211,12 @@ def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]
         basis.append(r)
         bit = 1 << (len(basis) - 1)
         for r0, v0 in list(vecs.items()):
-            vecs[repmap[r0 * r]] = v0 | bit
+            vecs[rep_of[tuple(map(r.perm.__getitem__, r0.perm))]] = v0 | bit
     if len(vecs) != len(reps):  # pragma: no cover - quotient is elementary
         raise ModelConstructionError("quotient by Frattini is not elementary")
-    # the group's own elements, not the products that keyed repmap, so the
-    # kernels share their portraits with the model
     cosets: dict[Portrait, list[Portrait]] = {r: [] for r in reps}
     for x in grp.elements:
-        cosets[repmap[x]].append(x)
+        cosets[rep_of[x.perm]].append(x)
     # each kernel is the union of the cosets whose character vector has
     # even parity under the mask
     out = []

@@ -176,9 +176,10 @@ class IterateFraction:
         # coprimality certificate: the resultant is +/- a power of 2, so a
         # constant gcd mod 3 already proves gcd = 1 over the rationals
         # (both leading coefficients survive mod 3, no degree drop)
-        g3 = [c % 3 for c in self.g.coeffs]
-        h3 = [c % 3 for c in self.h.coeffs]
-        if _deg(_gf_gcd(g3, h3, 3)) != 0:
+        ring = _GFPacking(3, max(self.g.degree(), self.h.degree(), 1))
+        g3 = ring.pack([c % 3 for c in self.g.coeffs])
+        h3 = ring.pack([c % 3 for c in self.h.coeffs])
+        if not (g3 or h3) or ring.degree(ring.gcd(g3, h3)) != 0:
             raise ValueError(f"iterate {self.n}: g and h are not coprime")
         if self.n >= 2:
             d = 1 << self.n
@@ -257,7 +258,7 @@ def _pseudo_rem(a: list[int], b: list[int], lb: int) -> list[int]:
 def _divexact_int(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:  # pragma: no cover - would indicate a broken remainder sequence
-        raise ArithmeticError("inexact division in subresultant sequence")
+        raise ArithmeticError("inexact integer division")
     return q
 
 
@@ -343,39 +344,14 @@ def resultant_modular(p: IntPoly, q: IntPoly) -> int:
     return acc - modulus if acc > modulus // 2 else acc
 
 
-# -- GF(p) helpers (dense lists, constant first) ------------------------------
+# -- GF(p) polynomials, Kronecker-packed -------------------------------------
 
 
-def _gf_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    db = _deg(b)
-    inv = pow(b[-1], -1, p)
-    r = _strip([c % p for c in a])
-    while r and _deg(r) >= db:
-        coef = r[-1] * inv % p
-        pos = _deg(r) - db
-        for i, bc in enumerate(b):
-            r[pos + i] = (r[pos + i] - coef * bc) % p
-        _strip(r)
-    return r
-
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _strip([c % p for c in a])
-    b = _strip([c % p for c in b])
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-class _GFPackedRing:
-    """F_p[x]/(f) for a monic f of degree n >= 2 over F_p, p an odd prime,
-    with each polynomial of degree <= n Kronecker-packed into one int:
-    coefficient i in bits [i*width, (i+1)*width) (Harvey, J. Symb. Comp.
-    2009).  A product is one big-int multiply, and every reduction is a
-    handful of big-int operations over all slots at once.
+class _GFPacking:
+    """GF(p) polynomials of degree <= n, p an odd prime, each one
+    Kronecker-packed into one int: coefficient i in bits
+    [i*width, (i+1)*width) (Harvey, J. Symb. Comp. 2009).  Every reduction
+    is a handful of big-int operations over all slots at once.
 
     Every value handed to `reduce` has at most n + 1 slots, each below
     bound = 2np^2.  Slotwise Barrett reduction with m = floor(2^k / p),
@@ -385,10 +361,9 @@ class _GFPackedRing:
     """
 
     __slots__ = ("p", "width", "nbits", "low", "ones", "m", "k", "qmask",
-                 "c", "bias", "f", "negf", "mu")
+                 "c", "bias")
 
-    def __init__(self, f: list[int], p: int):
-        n = _deg(f)
+    def __init__(self, p: int, n: int):
         bound = 2 * n * p * p
         self.k = bound.bit_length()
         self.width = self.k + (bound // p).bit_length()
@@ -400,9 +375,6 @@ class _GFPackedRing:
         self.qmask = self.ones * ((1 << self.width - self.k) - 1)
         self.c = p.bit_length()
         self.bias = self.ones * ((1 << self.c) - p)
-        self.f = self.pack(f)
-        self.negf = self.pack([-a % p for a in f[:n]])  # x^n mod f
-        self.mu = self.divmod(1 << 2 * self.nbits, self.f)[0]
 
     def pack(self, coeffs: list[int]) -> int:
         v = 0
@@ -428,16 +400,6 @@ class _GFPackedRing:
         v -= (v * self.m >> self.k & self.qmask) * p
         return v - (v + self.bias >> self.c & self.ones) * p
 
-    def mul(self, a: int, b: int, times_x: bool = False) -> int:
-        """a*b (times x if asked) mod f for reduced a, b of degree < n, by
-        polynomial Barrett reduction: a product P of degree < 2n has
-        quotient (P div x^n) * mu div x^n by f (von zur Gathen-Gerhard,
-        Modern Computer Algebra, ch. 9)."""
-        full = a * b << self.width if times_x else a * b
-        hi = self.reduce(full >> self.nbits)
-        quo = self.reduce(hi * self.mu >> self.nbits)
-        return self.reduce((full & self.low) + (quo * self.negf & self.low))
-
     def divmod(self, a: int, b: int) -> tuple[int, int]:
         """Quotient and remainder of reduced polynomials, b nonzero.  Each
         step adds at most (p-1)^2 to a slot of a and clears the top one,
@@ -462,23 +424,55 @@ class _GFPackedRing:
         return self.reduce(a * pow(a >> self.degree(a) * self.width, -1, self.p))
 
 
+class _GFPackedRing(_GFPacking):
+    """F_p[x]/(f) for a monic f of degree n >= 2 over F_p on the packing of
+    degree n, with products reduced mod f by polynomial Barrett reduction."""
+
+    __slots__ = ("f", "negf", "mu")
+
+    def __init__(self, f: list[int], p: int):
+        n = _deg(f)
+        super().__init__(p, n)
+        self.f = self.pack(f)
+        self.negf = self.pack([-a % p for a in f[:n]])  # x^n mod f
+        self.mu = self.divmod(1 << 2 * self.nbits, self.f)[0]
+
+    def mul(self, a: int, b: int, times_x: bool = False) -> int:
+        """a*b (times x if asked) mod f for reduced a, b of degree < n, by
+        polynomial Barrett reduction: a product P of degree < 2n has
+        quotient (P div x^n) * mu div x^n by f (von zur Gathen-Gerhard,
+        Modern Computer Algebra, ch. 9)."""
+        full = a * b << self.width if times_x else a * b
+        hi = self.reduce(full >> self.nbits)
+        quo = self.reduce(hi * self.mu >> self.nbits)
+        return self.reduce((full & self.low) + (quo * self.negf & self.low))
+
+
 def _gf_resultant(a: list[int], b: list[int], p: int) -> int:
-    res = 1
+    """Res(a, b) mod an odd prime p for coefficient lists reduced mod p
+    with nonzero leading coefficients, by the Euclidean remainder sequence
+    on packed ints: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
+    Res(b, r) for r = a mod b (von zur Gathen-Gerhard, ch. 6).  Each
+    division stays within `divmod`'s slot bound, as no operand exceeds
+    the packing's degree."""
     da, db = _deg(a), _deg(b)
+    ring = _GFPacking(p, max(da, db, 1))
+    res = 1
     if da < db:
         if da & db & 1:
             res = p - 1
         a, b, da, db = b, a, db, da
+    a, b = ring.pack(a), ring.pack(b)
     while db > 0:
-        r = _gf_rem(a, b, p)
+        r = ring.divmod(a, b)[1]
         if not r:
             return 0
-        dr = _deg(r)
-        res = res * pow(b[-1], da - dr, p) % p
+        dr = ring.degree(r)
+        res = res * pow(b >> db * ring.width, da - dr, p) % p
         if da & db & 1:
             res = (p - res) % p
         a, b, da, db = b, r, db, dr
-    return res * pow(b[0], da, p) % p
+    return res * pow(b, da, p) % p
 
 
 # -- discriminants in the parameter t -----------------------------------------
@@ -543,18 +537,51 @@ def _disc_direct(F: IntPoly) -> int:
 def discriminant_shape(n: int) -> DiscriminantShape:
     """Factor disc_x(g_n - t*h_n) as sign * 2^c * t^a * (2-t)^b.
 
-    The resultant Res_x(F, dF/dx) is a polynomial of degree < 2*2^n in t;
-    it is recovered by evaluating at 2*2^n integer nodes (skipping nodes
-    where the leading coefficient in x vanishes, so the Sylvester shape is
-    the generic one) and interpolating exactly.  Two extra evaluations
-    through the independent modular-resultant route guard the whole
-    pipeline.
+    Let d = 2^n, F = g_n - t*h_n and (H, K) = (h_(n-1), g_(n-1) - h_(n-1)),
+    with (H, K) = (1, x - 1) at n = 1, so that g_n = 2H^2 and h_n = K^2
+    (checked).  Then F' = 4HH' - 2tKK', and tK^2 = 2H^2 - F gives
+
+        K*F' = 4H*W + 2K'*F,   W = H'K - HK',
+
+    so K*F' = 4H*W mod F.  By Res(A, B) = lc(A)^(deg B) * prod B(alpha)
+    over the roots alpha of A, and Res(A, BC) = Res(A, B) * Res(A, C)
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6),
+
+        Res(F, K) * R(t) = lc_t^e * 4^d * Res(F, H) * Res(F, W)
+
+    for R(t) = Res_x(F, F'), lc_t = g_d - t*h_d the leading x-coefficient
+    of F and e = deg K + d - 1 - deg H - deg W.  F = 2H^2 at the roots of
+    K and F = -tK^2 at the roots of H, so Res(F, K) and
+    Res(F, H) / t^(deg H) do not depend on t, and
+
+        R(t) = C * t^(deg H) * lc_t^e * Res_x(F, W)
+
+    for a constant C.  Res_x(F, W) has degree at most deg W in t (for
+    n >= 2 the top terms of H'K and HK' cancel, so deg W <= d - 3); it is
+    recovered by evaluating at deg W + 1 integer nodes (skipping nodes
+    where lc_t vanishes, so the Sylvester shape is the generic one) and
+    interpolating exactly.  C is one exact division of a full Res_x(F, F')
+    at a node where the factor it multiplies is nonzero.  Two direct
+    discriminants through the independent modular-resultant route guard
+    the whole pipeline.
     """
     if not 1 <= n <= 5:
         raise ValueError(f"discriminant level {n} out of range 1..5")
     fr = iterate_pair(n)
     g, h = fr.g, fr.h
+    if n == 1:
+        H, K = IntPoly([1]), X - IntPoly([1])
+    else:
+        prev = iterate_pair(n - 1)
+        H, K = prev.h, prev.g - prev.h
+    if g != H.square().scale(2) or h != K.square():
+        raise ShapeViolationError(
+            f"level {n}: g_n is not 2*h_(n-1)^2 or h_n is not "
+            "(g_(n-1) - h_(n-1))^2"
+        )
+    W = H.derivative() * K - H * K.derivative()
     d = 1 << n
+    e = K.degree() + d - 1 - H.degree() - W.degree()
     gd = g.coeffs[d] if g.degree() >= d else 0
     hd = h.coeffs[d] if h.degree() >= d else 0
     lc_t = IntPoly([gd, -hd])  # leading x-coefficient, as a polynomial in t
@@ -564,15 +591,25 @@ def discriminant_shape(n: int) -> DiscriminantShape:
 
     nodes = []
     tau = 0
-    while len(nodes) < 2 * d:
+    while len(nodes) <= W.degree():
         if lead(tau) != 0:
             nodes.append(tau)
         tau += 1
-    values = []
-    for tau in nodes:
-        F = g - h.scale(tau)
-        values.append(resultant(F, F.derivative()))
-    big_r = _interpolate_int(nodes, values)
+    values = [resultant(g - h.scale(tau), W) for tau in nodes]
+    for tau, value in zip(nodes, values):
+        cofactor = tau ** H.degree() * lead(tau) ** e * value
+        if cofactor:
+            break
+    else:
+        raise ShapeViolationError(
+            f"level {n}: t^{H.degree()} * Res_x(F, W) vanishes at every node"
+        )
+    F = g - h.scale(tau)
+    const = _divexact_int(resultant(F, F.derivative()), cofactor)
+    big_r = IntPoly((0,) * H.degree()
+                    + _interpolate_int(nodes, values).scale(const).coeffs)
+    for _ in range(e):
+        big_r = big_r * lc_t
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
     if sign < 0:
         big_r = -big_r

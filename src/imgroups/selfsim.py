@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import ResourceLimitError
 from .treeauto import Portrait, _from_perm, identity, iter_all, pair, sigma
@@ -158,8 +159,10 @@ class LevelGroup:
         return f"<LevelGroup level={self.level} order={len(self)}>"
 
     def sorted_elements(self) -> tuple[Portrait, ...]:
+        """The elements in `Portrait` order, which within one level is the
+        order of their codes."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements))
+            self._sorted = tuple(sorted(self.elements, key=attrgetter("code")))
         return self._sorted
 
 

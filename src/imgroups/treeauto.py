@@ -31,7 +31,9 @@ with zero bits to a whole number of hex digits.  Level 0 encodes as
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
+from operator import and_, itemgetter
 
 from .errors import ResourceLimitError
 
@@ -84,17 +86,15 @@ class Portrait:
     @property
     def swaps(self) -> tuple[int, ...]:
         """Breadth-first swap bits, recomputed from ``perm``."""
-        return tuple(_swap_bits(self.perm, self.level))
+        nbits = (1 << self.level) - 1
+        return tuple(self.code >> (nbits - 1 - i) & 1 for i in range(nbits))
 
     @property
     def code(self) -> int:
         """The swap bits as one int, root bit most significant."""
         code = self._code
         if code is None:
-            code = 0
-            for bit in _swap_bits(self.perm, self.level):
-                code = (code << 1) | bit
-            self._code = code
+            code = self._code = _code_of(self.perm, self.level)
         return code
 
     # -- composition ------------------------------------------------------
@@ -269,12 +269,26 @@ def _grow(img: list[int], bits) -> list[int]:
     return nxt
 
 
-def _swap_bits(perm: tuple[int, ...], level: int):
-    """Yield the breadth-first swap bits of a leaf permutation."""
-    for depth in range(level):
-        below = level - 1 - depth
-        for image in perm[:: 2 << below]:
-            yield (image >> below) & 1
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@lru_cache(maxsize=None)
+def _code_layout(level: int):
+    """For level >= 2: a getter of the images that carry the swap bits,
+    breadth first, and for each one the mask of its swap bit."""
+    spots = [(j, 1 << below) for below in range(level - 1, -1, -1)
+             for j in range(0, 1 << level, 2 << below)]
+    return itemgetter(*(j for j, _ in spots)), tuple(m for _, m in spots)
+
+
+def _code_of(perm: tuple[int, ...], level: int) -> int:
+    """The swap bits of a leaf permutation as one int, root bit first,
+    read off all images at once."""
+    if level < 2:
+        return perm[0]  # no bit at level 0, the root bit at level 1
+    get, masks = _code_layout(level)
+    digits = bytes(map(bool, map(and_, get(perm), masks)))
+    return int(digits.translate(_BIT_DIGITS), 2)
 
 
 def _word_index(word: str) -> int:

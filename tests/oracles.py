@@ -15,7 +15,14 @@ from fractions import Fraction
 
 import mpmath
 
-from imgroups import build_model, geometric_group, pair, subgroup_U
+from imgroups import (
+    build_model,
+    geometric_group,
+    iterate_pair,
+    pair,
+    resultant,
+    subgroup_U,
+)
 
 
 # -- tree automorphisms as node-string actions ------------------------------
@@ -213,6 +220,93 @@ def resultant_via_roots(f, g, dps: int = 60) -> complex:
         for r in roots:
             acc *= mpmath.polyval([mpmath.mpf(c) for c in reversed(g)], r)
         return complex(acc)
+
+
+def discriminant_by_full_interpolation(n: int) -> tuple[int, ...]:
+    """disc_x(g_n - t*h_n) as integer coefficients in t, constant first.
+
+    R(t) = Res_x(F, F') for F = g_n - t*h_n has degree < 2d in t, d = 2^n.
+    It is evaluated with the library's subresultant `resultant` at the
+    first 2d integer nodes t >= 0 where the leading x-coefficient
+    lc_t = g_d - t*h_d does not vanish, interpolated by Lagrange's formula
+    over one common integer denominator, divided by lc_t and signed by
+    (-1)^(d(d-1)/2).  No factorization of F or of R is used.
+    """
+    fr = iterate_pair(n)
+    g, h = fr.g, fr.h
+    d = 1 << n
+    gd = g.coeffs[d] if len(g.coeffs) > d else 0
+    hd = h.coeffs[d]
+    nodes = [t for t in range(4 * d + 1) if gd - t * hd][:2 * d]
+    values = []
+    for t in nodes:
+        F = g - h.scale(t)
+        values.append(resultant(F, F.derivative()))
+    big_r = _lagrange_int(nodes, values)
+    quo = _divide_exact(big_r, [gd, -hd])
+    sign = -1 if (d * (d - 1) // 2) & 1 else 1
+    return tuple(sign * c for c in quo)
+
+
+def _lagrange_int(xs: list[int], ys: list[int]) -> list[int]:
+    """The integer polynomial through the points, constant first."""
+    master = [1]  # prod (t - x_i)
+    for x in xs:
+        master = [0] + master
+        for k in range(len(master) - 1):
+            master[k] -= x * master[k + 1]
+    dens = [math.prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    common = math.lcm(*dens)
+    acc = [0] * len(xs)
+    for xi, yi, den in zip(xs, ys, dens):
+        # master / (t - xi) by synthetic division, top coefficient first
+        basis, carry = [], 0
+        for c in reversed(master[1:]):
+            carry = c + xi * carry
+            basis.append(carry)
+        weight = yi * (common // den)
+        for k, c in enumerate(reversed(basis)):
+            acc[k] += weight * c
+    assert all(c % common == 0 for c in acc), "non-integer interpolant"
+    out = [c // common for c in acc]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _divide_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient of integer polynomials, constant first."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            rem[k + i] -= quo[k] * c
+    assert not any(rem) and all(q.denominator == 1 for q in quo), "inexact"
+    return [int(q) for q in quo]
+
+
+def gf_resultant_reference(a, b, p: int) -> int:
+    """Res(a, b) mod p for coefficient lists reduced mod p with nonzero
+    leading coefficients, by the Euclidean remainder sequence on dense
+    lists: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+    for r = a mod b."""
+    res = 1
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        if da & db & 1:
+            res = p - 1
+        a, b, da, db = b, a, db, da
+    while db > 0:
+        r = _gf_rem(a, b, p)
+        if not r:
+            return 0
+        dr = len(r) - 1
+        res = res * pow(b[-1], da - dr, p) % p
+        if da & db & 1:
+            res = (p - res) % p
+        a, b, da, db = b, r, db, dr
+    return res * pow(b[0], da, p) % p
 
 
 # -- elementary number theory -------------------------------------------------

@@ -24,6 +24,7 @@ from imgroups.arithmodel import (
 )
 from imgroups.errors import ModelConstructionError, ResourceLimitError
 from imgroups.selfsim import (
+    LevelGroup,
     coset_decomposition,
     geometric_group,
     subgroup_index,
@@ -160,6 +161,11 @@ class TestElementStatistics:
     def test_no_16_cycle(self, m4):
         assert (16,) not in cycle_type_table(m4.group)
 
+    def test_cycle_table_leaves_the_group_unsorted(self, m4):
+        fresh = LevelGroup(4, m4.group.elements)
+        assert cycle_type_table(fresh) == cycle_type_table(m4.group)
+        assert fresh._sorted is None
+
 
 class TestFrattini:
     def test_index_16(self, m4):
@@ -205,6 +211,13 @@ class TestFrattini:
         got = arithmodel._index2_kernels(model, phi)
         assert [k.elements for k in got] == want
         assert [k.elements for k in arithmodel._frattini(model)[1]] == want
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_generated_by_the_distinct_squares(self, level):
+        # squares taken as leaf permutations, one portrait per distinct one
+        model = build_model(level, allow_deep=True)
+        phi = frattini_subgroup(model)
+        assert phi.generators == tuple(sorted({x * x for x in model.group}))
 
     def test_equals_intersection_of_maximals(self, m4):
         # third route: meet of all maximal subgroups

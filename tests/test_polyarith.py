@@ -10,19 +10,25 @@ square-and-multiply distinct-degree splitting.
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
+from imgroups import polyarith
 from imgroups.errors import (
     BadPrimeError,
     ExcludedBasePointError,
     ResourceLimitError,
+    ShapeViolationError,
 )
 from imgroups.polyarith import (
     IntPoly,
+    IterateFraction,
     X,
+    _big_prime,
     _GFPackedRing,
+    _gf_resultant,
     discriminant_shape,
     factor_degrees_mod_p,
     iterate_metadata,
@@ -165,6 +171,7 @@ class TestDiscriminantShapes:
             2: (-1, 16, 3, 1),
             3: (1, 68, 6, 4),
             4: (1, 272, 12, 10),
+            5: (1, 1072, 24, 22),
         }
         for n, (sign, c, a, b) in expected.items():
             s = discriminant_shape(n)
@@ -189,6 +196,125 @@ class TestDiscriminantShapes:
             discriminant_shape(0)
         with pytest.raises(ValueError):
             discriminant_shape(6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_full_interpolation(self, n):
+        # the whole delta polynomial, against R(t) interpolated at 2 * 2^n
+        # nodes with no Wronskian factor
+        assert discriminant_shape(n).reconstruct().coeffs == \
+            oracles.discriminant_by_full_interpolation(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_wronskian_factor_identity(self, n):
+        # R(t) = C * t^(deg H) * lc_t^e * Res_x(F_t, W) with one C for every
+        # t, each resultant a Fraction Sylvester determinant
+        fr = iterate_pair(n)
+        if n == 1:
+            H, K = IntPoly([1]), X - IntPoly([1])
+        else:
+            prev = iterate_pair(n - 1)
+            H, K = prev.h, prev.g - prev.h
+        W = H.derivative() * K - H * K.derivative()
+        d = 1 << n
+        e = K.degree() + d - 1 - H.degree() - W.degree()
+        ratios = set()
+        for t in (-7, -1, 1, 97):
+            F = fr.g - fr.h.scale(t)
+            assert F.degree() == d
+            full = oracles.sylvester_resultant(F.coeffs, F.derivative().coeffs)
+            part = oracles.sylvester_resultant(F.coeffs, W.coeffs)
+            ratios.add(full / (t ** H.degree() * F.lc ** e * part))
+        assert len(ratios) == 1 and ratios != {0}
+
+    @pytest.mark.parametrize("broken", ["g", "h"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_broken_square_identity_is_shape_violation(self, n, broken,
+                                                       monkeypatch):
+        real = polyarith.iterate_pair
+
+        def patched(k):
+            fr = real(k)
+            if k != n:
+                return fr
+            one = IntPoly([1])
+            return SimpleNamespace(g=fr.g + one if broken == "g" else fr.g,
+                                   h=fr.h + one if broken == "h" else fr.h)
+
+        monkeypatch.setattr(polyarith, "iterate_pair", patched)
+        with pytest.raises(ShapeViolationError):
+            discriminant_shape(n)
+
+
+class TestPackedGFResultant:
+    """`_gf_resultant` on packed ints against the dense-list reference."""
+
+    PRIMES = [3, 5, 7, 11, _big_prime(0), _big_prime(1), _big_prime(2)]
+
+    @staticmethod
+    def _poly(rng, p, degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_random_against_reference(self, p):
+        rng = random.Random(p % 10007)
+        for _ in range(150):
+            a = self._poly(rng, p, rng.randint(0, 9))
+            b = self._poly(rng, p, rng.randint(0, 9))
+            assert _gf_resultant(a, b, p) == \
+                oracles.gf_resultant_reference(a, b, p), (a, b)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_constant_operands(self, p):
+        rng = random.Random(p % 10009)
+        c, k = rng.randrange(1, p), rng.randrange(1, p)
+        f = self._poly(rng, p, 5)
+        assert _gf_resultant([c], [k], p) == 1
+        assert _gf_resultant(f, [c], p) == pow(c, 5, p)
+        assert _gf_resultant([c], f, p) == pow(c, 5, p)
+        for a, b in (([c], [k]), (f, [c]), ([c], f)):
+            assert _gf_resultant(a, b, p) == oracles.gf_resultant_reference(a, b, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_swap_sign(self, p):
+        # Res(a, b) = (-1)^(deg a deg b) Res(b, a), on the deg a < deg b branch
+        rng = random.Random(p % 10037)
+        for da, db in ((1, 3), (3, 5), (2, 7), (1, 2)):
+            a, b = self._poly(rng, p, da), self._poly(rng, p, db)
+            got = _gf_resultant(a, b, p)
+            assert got == oracles.gf_resultant_reference(a, b, p)
+            assert got == (-1) ** (da * db) * _gf_resultant(b, a, p) % p
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_common_factor_is_zero(self, p):
+        rng = random.Random(p % 10039)
+        for dc in (1, 2, 4):
+            c = self._poly(rng, p, dc)
+            a = _gf_product(c, self._poly(rng, p, 3), p)
+            b = _gf_product(c, self._poly(rng, p, 2), p)
+            assert _gf_resultant(a, b, p) == 0
+            assert _gf_resultant(b, a, p) == 0
+            assert oracles.gf_resultant_reference(a, b, p) == 0
+
+    def test_iterate_fraction_rejects_common_factor_mod_3(self):
+        x1 = IntPoly([1, 1])
+        # (x+1) * (x+2) and (x+1)^2: a common factor over Q as well
+        with pytest.raises(ValueError, match="not coprime"):
+            IterateFraction(1, x1 * IntPoly([2, 1]), x1 * x1)
+        # x and x + 3 are coprime over Q but equal mod 3
+        with pytest.raises(ValueError, match="not coprime"):
+            IterateFraction(1, X, IntPoly([3, 1]))
+        # both vanish mod 3
+        with pytest.raises(ValueError, match="not coprime"):
+            IterateFraction(1, IntPoly([3]), IntPoly([3, 3]))
+        assert IterateFraction(1, IntPoly([2]), IntPoly([1, -2, 1])).n == 1
+
+
+def _gf_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return out
 
 
 class TestSpecialization:

@@ -288,6 +288,17 @@ class TestDiminoClosure:
         assert seen_first and seen_later
 
 
+class TestSortedElements:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_code_order_is_portrait_order(self, n):
+        # the keyed sort must give the order Portrait.__lt__ gives, which
+        # fixes greedy generator choice and the Mmax-NN names
+        for group in (geometric_group(n), build_model(n, allow_deep=True).group):
+            fresh = LevelGroup(n, group.elements)
+            assert fresh.sorted_elements() == tuple(sorted(group.elements))
+            assert group.sorted_elements() == fresh.sorted_elements()
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         g = geometric_group(3)

@@ -267,6 +267,16 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(iter_all(-1))
 
+    @pytest.mark.parametrize("lvl", range(10))
+    def test_code_reads_the_swap_bits(self, lvl):
+        # code is read off the leaf permutation's images at once; it must be
+        # the breadth-first swap bits as a binary number at every level
+        rng = random.Random(8191 + lvl)
+        for _ in range(20):
+            bits = [rng.getrandbits(1) for _ in range((1 << lvl) - 1)]
+            u = Portrait(lvl, bits)
+            assert u.code == int("".join(map(str, bits)) or "0", 2)
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             list(iter_all(5))
