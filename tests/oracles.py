@@ -3,8 +3,10 @@
 Everything in this file recomputes results from first principles with
 deliberately different algorithms and data layouts (binary strings for
 tree nodes, Fraction matrices for resultants, floating point roots for
-discriminants).  Nothing here imports library internals beyond public
-constructors, so agreement between the two routes is meaningful.
+discriminants).  Nothing here imports library internals: only public
+constructors and, for the full discriminant interpolation, the public
+subresultant `resultant`, so agreement between the two routes is
+meaningful.
 """
 
 from __future__ import annotations
