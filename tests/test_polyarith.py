@@ -289,8 +289,8 @@ class TestPackedGFResultant:
         rng = random.Random(p % 10039)
         for dc in (1, 2, 4):
             c = self._poly(rng, p, dc)
-            a = _gf_product(c, self._poly(rng, p, 3), p)
-            b = _gf_product(c, self._poly(rng, p, 2), p)
+            a = [x % p for x in (IntPoly(c) * IntPoly(self._poly(rng, p, 3))).coeffs]
+            b = [x % p for x in (IntPoly(c) * IntPoly(self._poly(rng, p, 2))).coeffs]
             assert _gf_resultant(a, b, p) == 0
             assert _gf_resultant(b, a, p) == 0
             assert oracles.gf_resultant_reference(a, b, p) == 0
@@ -307,14 +307,6 @@ class TestPackedGFResultant:
         with pytest.raises(ValueError, match="not coprime"):
             IterateFraction(1, IntPoly([3]), IntPoly([3, 3]))
         assert IterateFraction(1, IntPoly([2]), IntPoly([1, -2, 1])).n == 1
-
-
-def _gf_product(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return out
 
 
 class TestSpecialization:
