@@ -605,9 +605,9 @@ def discriminant_shape(n: int) -> DiscriminantShape:
             f"level {n}: t^{H.degree()} * Res_x(F, W) vanishes at every node"
         )
     F = g - h.scale(tau)
-    const = _divexact_int(resultant(F, F.derivative()), cofactor)
+    big_c = _divexact_int(resultant(F, F.derivative()), cofactor)
     big_r = IntPoly((0,) * H.degree()
-                    + _interpolate_int(nodes, values).scale(const).coeffs)
+                    + _interpolate_int(nodes, values).scale(big_c).coeffs)
     for _ in range(e):
         big_r = big_r * lc_t
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
