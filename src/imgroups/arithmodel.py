@@ -26,7 +26,15 @@ from .selfsim import (
     geometric_group,
     subgroup_U,
 )
-from .treeauto import Portrait, _from_perm, identity, iter_all, pair, sigma
+from .treeauto import (
+    Portrait,
+    _from_perm,
+    _table,
+    identity,
+    iter_all,
+    pair,
+    sigma,
+)
 
 ARITH_LEVEL_CAP = 5
 ARITH_LEVEL_HARD_CAP = 6
@@ -45,8 +53,8 @@ class ArithLevelModel:
 
 
 def _normalizer_conditions(*groups: LevelGroup):
-    """(generator perms, element perm set) per group, for `_normalizes`."""
-    return tuple((tuple(g.perm for g in generating_set(H)),
+    """(generator tables, element perm set) per group, for `_normalizes`."""
+    return tuple((tuple(_table(g.perm) for g in generating_set(H)),
                   frozenset(x.perm for x in H.elements)) for H in groups)
 
 
@@ -56,11 +64,11 @@ def _normalizes(m: Portrait, conditions) -> bool:
     The conjugates are composed as leaf permutations; no portrait is built
     for them.
     """
-    mp = m.perm
+    mt = _table(m.perm)
     mi = m.inverse().perm
     for gens, target in conditions:
         for g in gens:
-            if tuple(map(mp.__getitem__, map(g.__getitem__, mi))) not in target:
+            if mi.translate(g).translate(mt) not in target:
                 return False
     return True
 
@@ -109,7 +117,7 @@ def _model(level: int) -> ArithLevelModel:
                 transversal.append(tc)
             elif stab is not None and s.perm not in stab:
                 gens.append(s)
-                steps.append(s.perm.__getitem__)
+                steps.append(_table(s.perm))
                 stab = _extend(stab, steps, s.perm, candidates)  # None if larger
     if stab is None or len(stab) * len(transversal) != candidates:
         raise ModelConstructionError(f"level {level}: stabilizer times orbit "
@@ -176,7 +184,7 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
 def _frattini(model: ArithLevelModel):
     """(Frattini subgroup, index-2 kernels), computed once per model."""
     grp = model.group
-    squares = {tuple(map(x.perm.__getitem__, x.perm)) for x in grp.elements}
+    squares = {x.perm.translate(_table(x.perm)) for x in grp.elements}
     phi = closure([_from_perm(model.level, s) for s in squares],
                   max_size=len(grp))
     kernels = _index2_kernels(model, phi)
@@ -196,13 +204,13 @@ def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]
     of its Phi cosets; cosets are keyed by leaf permutations, so only the
     model's own portraits go into the kernels."""
     grp = model.group
-    members = [s.perm for s in phi.elements]
+    members = [_table(s.perm) for s in phi.elements]
     reps: list[Portrait] = []
-    rep_of: dict[tuple[int, ...], Portrait] = {}  # perm -> left coset rep
+    rep_of: dict[bytes, Portrait] = {}  # perm -> left coset rep
     for g in grp.sorted_elements():
         if g.perm not in rep_of:
             reps.append(g)
-            rep_of.update((tuple(map(s.__getitem__, g.perm)), g) for s in members)
+            rep_of.update((g.perm.translate(s), g) for s in members)
     vecs: dict[Portrait, int] = {rep_of[identity(model.level).perm]: 0}
     basis: list[Portrait] = []
     for r in reps:
@@ -210,8 +218,9 @@ def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]
             continue
         basis.append(r)
         bit = 1 << (len(basis) - 1)
+        table = _table(r.perm)
         for r0, v0 in list(vecs.items()):
-            vecs[rep_of[tuple(map(r.perm.__getitem__, r0.perm))]] = v0 | bit
+            vecs[rep_of[r0.perm.translate(table)]] = v0 | bit
     if len(vecs) != len(reps):  # pragma: no cover - quotient is elementary
         raise ModelConstructionError("quotient by Frattini is not elementary")
     cosets: dict[Portrait, list[Portrait]] = {r: [] for r in reps}

@@ -22,7 +22,16 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .errors import ResourceLimitError
-from .treeauto import Portrait, _from_perm, identity, iter_all, pair, sigma
+from .treeauto import (
+    Portrait,
+    _from_perm,
+    _ident,
+    _table,
+    identity,
+    iter_all,
+    pair,
+    sigma,
+)
 
 # Refuse closures that would outgrow the full level-4 tree group.
 CLOSURE_MAX_SIZE = 1 << 15
@@ -166,14 +175,14 @@ class LevelGroup:
         return self._sorted
 
 
-def _extend(els, steps, new, max_size: int) -> set[tuple[int, ...]] | None:
+def _extend(els, steps, new, max_size: int) -> set[bytes] | None:
     """One Dimino step: the group generated by a closed set and one more perm.
 
     `els` is a subgroup H of leaf permutations, `new` a permutation outside
-    it and `steps` the right-multiplication maps of generators of H plus
-    that of `new`.  The result is a union of right cosets H*r: a coset rep
-    times a generator either lands in a coset already present or starts a
-    new one, which is added whole.  A set that every rep times every
+    it and `steps` the translate tables (`treeauto._table`) of generators
+    of H plus that of `new`.  The result is a union of right cosets H*r: a
+    coset rep times a generator either lands in a coset already present or
+    starts a new one, which is added whole.  A set that every rep times every
     generator stays in is closed under right multiplication by the
     generators, hence a group.  None as soon as the size would exceed
     max_size.
@@ -182,20 +191,22 @@ def _extend(els, steps, new, max_size: int) -> set[tuple[int, ...]] | None:
     if len(H) * 2 > max_size:
         return None
     out = set(els)
-    out.update(tuple(map(new.__getitem__, h)) for h in H)
+    table = _table(new)
+    out.update(h.translate(table) for h in H)
     reps = [new]  # the identity's products lie in H or in H*new
     for r in reps:  # grows while it is walked
         for step in steps:
-            y = tuple(map(step, r))
+            y = r.translate(step)
             if y not in out:
                 if len(out) + len(H) > max_size:
                     return None
-                out.update(tuple(map(y.__getitem__, h)) for h in H)
+                table = _table(y)
+                out.update(h.translate(table) for h in H)
                 reps.append(y)
     return out
 
 
-def _mulclose(generators, max_size: int) -> set[tuple[int, ...]] | None:
+def _mulclose(generators, max_size: int) -> set[bytes] | None:
     """The group generated by the portraits, as a set of leaf permutations.
 
     Starts from the identity and takes one Dimino step (`_extend`) for each
@@ -203,12 +214,11 @@ def _mulclose(generators, max_size: int) -> set[tuple[int, ...]] | None:
     member of a whole coset.  None as soon as the closure would exceed
     max_size.
     """
-    perms = [g.perm for g in generators]
-    els = {tuple(range(len(perms[0])))}
+    els = {_ident(generators[0].level)}
     steps = []
-    for p in perms:
+    for p in (g.perm for g in generators):
         if p not in els:
-            steps.append(p.__getitem__)
+            steps.append(_table(p))
             els = _extend(els, steps, p, max_size)
             if els is None:
                 return None
@@ -252,7 +262,7 @@ def generating_set(group: LevelGroup) -> list[Portrait]:
     for g in group.sorted_elements():
         if g.perm not in have:
             gens.append(g)
-            steps.append(g.perm.__getitem__)
+            steps.append(_table(g.perm))
             have = _extend(have, steps, g.perm, len(group))
             if have is None:  # the closure outgrew the set
                 raise ValueError("element set is not closed")

@@ -14,15 +14,20 @@ Conventions, fixed package-wide and exercised by the property tests:
 Leaves at depth n are numbered 0 .. 2**n - 1 by reading the path word as
 binary digits (symbol 1 -> bit 0), first symbol most significant.
 
-Stored form: a portrait keeps only its leaf permutation ``perm``, a tuple
-with ``perm[j]`` the image of leaf j.  The tree automorphism group acts
-faithfully on the leaves, so ``perm`` determines the element; a product
-is then one tuple map and an inverse one scatter.  The swap bits are
-derived, never stored: the bit at the j-th vertex of depth d is bit
-n-d-1 of ``perm[j << (n-d)]``, the image of the first leaf below the
-vertex's child 1.  ``code`` packs the derived bits into one int, root bit
-most significant; it is cached, and it orders portraits of one level
-exactly as their swap tuples would.
+Stored form: a portrait keeps only its leaf permutation ``perm``, a
+``bytes`` object of length 2**n with ``perm[j]`` the image of leaf j.  The
+tree automorphism group acts faithfully on the leaves, so ``perm``
+determines the element.  A byte holds the leaf images up to level 8
+(``LEVEL_MAX``); portraits exist for levels 0..8 only.  Every operation on
+the stored form is a C loop: a product is one ``bytes.translate`` through
+the right factor's permutation padded to a 256-byte table, an inverse one
+``bytes.maketrans``, and sections, restrictions and pairs one translate
+through a per-level mask, shift or offset table.  The swap bits are
+derived, never stored: the bit at the j-th vertex of depth d is bit n-d-1
+of ``perm[j << (n-d)]``, the image of the first leaf below the vertex's
+child 1.  ``code`` packs the derived bits into one int, root bit most
+significant; it is cached, and it orders portraits of one level exactly
+as their swap tuples would.
 
 Wire format: ``"<level>:<HEX>"`` where HEX is ``code`` in hex, left-padded
 with zero bits to a whole number of hex digits.  Level 0 encodes as
@@ -33,9 +38,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from operator import and_, itemgetter
 
 from .errors import ResourceLimitError
+
+# One byte per leaf image: 2**8 leaves at most.
+LEVEL_MAX = 8
 
 # Conjugacy recursion memoizes pairs of portraits for the length of one
 # call; above this level the table can blow up, so calls refuse to run
@@ -49,12 +56,11 @@ class Portrait:
     ``Portrait(level, swaps)`` builds it from breadth-first swap bits.
     """
 
-    __slots__ = ("level", "perm", "_hash", "_code")
+    __slots__ = ("level", "perm", "_code")
 
     def __init__(self, level: int, swaps):
         swaps = tuple(swaps)
-        if level < 0:
-            raise ValueError(f"level must be nonnegative, got {level}")
+        _check_level(level)
         if len(swaps) != (1 << level) - 1:
             raise ValueError(
                 f"level {level} needs {(1 << level) - 1} swap bits, got {len(swaps)}"
@@ -64,7 +70,6 @@ class Portrait:
                 raise ValueError(f"swap bits must be 0 or 1, got {bit!r}")
         self.level = level
         self.perm = _perm_from_swaps(level, swaps)
-        self._hash = hash(self.perm)
         self._code = None
 
     # -- identity, equality, ordering ------------------------------------
@@ -74,7 +79,9 @@ class Portrait:
         return isinstance(other, Portrait) and self.perm == other.perm
 
     def __hash__(self):
-        return self._hash
+        # bytes hashes are salted by PYTHONHASHSEED, so set order is not
+        # stable across runs: sort wherever order reaches an output
+        return hash(self.perm)
 
     def __lt__(self, other):
         # canonical order used wherever determinism matters
@@ -105,14 +112,13 @@ class Portrait:
             return NotImplemented
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} vs {other.level}")
-        return _from_perm(self.level, tuple(map(other.perm.__getitem__, self.perm)))
+        return _from_perm(self.level, self.perm.translate(_table(other.perm)))
 
     def inverse(self) -> "Portrait":
         """The inverse automorphism: the argsort of the leaf permutation."""
-        out = [0] * len(self.perm)
-        for leaf, image in enumerate(self.perm):
-            out[image] = leaf
-        return _from_perm(self.level, tuple(out))
+        ident = _ident(self.level)
+        return _from_perm(self.level,
+                          bytes.maketrans(self.perm, ident)[: len(ident)])
 
     # -- action on vertices and leaves ------------------------------------
 
@@ -135,9 +141,8 @@ class Portrait:
         _check_word(word, self.level)
         below = self.level - len(word)
         first = _word_index(word) << below
-        mask = (1 << below) - 1
         block = self.perm[first : first + (1 << below)]
-        return _from_perm(below, tuple(map(mask.__and__, block)))
+        return _from_perm(below, block.translate(_low_bits(below)))
 
     def sections(self) -> tuple["Portrait", "Portrait", int]:
         """Split into (section at 1, section at 2, root swap bit)."""
@@ -145,11 +150,11 @@ class Portrait:
         if n < 1:
             raise ValueError("level-0 portrait has no sections")
         half = 1 << (n - 1)
-        mask = half - 1
+        low = _low_bits(n - 1)
         perm = self.perm
         return (
-            _from_perm(n - 1, tuple(map(mask.__and__, perm[:half]))),
-            _from_perm(n - 1, tuple(map(mask.__and__, perm[half:]))),
+            _from_perm(n - 1, perm[:half].translate(low)),
+            _from_perm(n - 1, perm[half:].translate(low)),
             perm[0] >> (n - 1),
         )
 
@@ -158,7 +163,7 @@ class Portrait:
         if not 0 <= m <= self.level:
             raise ValueError(f"cannot restrict level {self.level} to {m}")
         below = self.level - m
-        return _from_perm(m, tuple(p >> below for p in self.perm[:: 1 << below]))
+        return _from_perm(m, self.perm[:: 1 << below].translate(_high_bits(below)))
 
     # -- invariants ---------------------------------------------------------
 
@@ -225,8 +230,10 @@ class Portrait:
             level = int(head)
         except ValueError:
             raise ValueError(f"malformed portrait {text!r}: bad level") from None
-        if level < 0:
-            raise ValueError(f"malformed portrait {text!r}: negative level")
+        if not 0 <= level <= LEVEL_MAX:
+            raise ValueError(
+                f"malformed portrait {text!r}: level outside 0..{LEVEL_MAX}"
+            )
         nbits = (1 << level) - 1
         ndigits = (nbits + 3) // 4
         if len(hexpart) != ndigits:
@@ -240,23 +247,60 @@ class Portrait:
         return cls(level, swaps)
 
 
-def _from_perm(level: int, perm: tuple[int, ...]) -> Portrait:
+def _from_perm(level: int, perm: bytes) -> Portrait:
     """Wrap the leaf permutation of a tree automorphism without checks."""
     u = object.__new__(Portrait)
     u.level = level
     u.perm = perm
-    u._hash = hash(perm)
     u._code = None
     return u
 
 
-def _perm_from_swaps(level: int, swaps: tuple[int, ...]) -> tuple[int, ...]:
+def _check_level(level: int) -> None:
+    if not 0 <= level <= LEVEL_MAX:
+        raise ValueError(f"level must be in 0..{LEVEL_MAX}, got {level}")
+
+
+def _table(perm: bytes) -> bytes:
+    """The leaf permutation as a ``bytes.translate`` table: ``x.translate(
+    _table(p))`` applies x first, then p.  Bytes past the leaves are never
+    looked up."""
+    return perm.ljust(256, b"\0")
+
+
+@lru_cache(maxsize=None)
+def _ident(level: int) -> bytes:
+    """The identity leaf permutation."""
+    return bytes(range(1 << level))
+
+
+@lru_cache(maxsize=None)
+def _low_bits(k: int) -> bytes:
+    """Translate table keeping the low k bits: the leaf within a subtree
+    of depth k."""
+    return bytes(b & ((1 << k) - 1) for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _high_bits(k: int) -> bytes:
+    """Translate table dropping the low k bits: the vertex k levels up."""
+    return bytes(b >> k for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _offset(k: int) -> bytes:
+    """Translate table adding 2**k: a leaf of child 1's subtree of depth k
+    moved to child 2's.  Only images below 2**k are looked up."""
+    return bytes((b + (1 << k)) & 0xFF for b in range(256))
+
+
+def _perm_from_swaps(level: int, swaps: tuple[int, ...]) -> bytes:
     """Walk the swap bits depth by depth, tracking each vertex's image."""
     img = [0]
     for depth in range(level):
         width = 1 << depth
         img = _grow(img, swaps[width - 1 : 2 * width - 1])
-    return tuple(img)
+    return bytes(img)
 
 
 def _grow(img: list[int], bits) -> list[int]:
@@ -269,26 +313,19 @@ def _grow(img: list[int], bits) -> list[int]:
     return nxt
 
 
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 @lru_cache(maxsize=None)
-def _code_layout(level: int):
-    """For level >= 2: a getter of the images that carry the swap bits,
-    breadth first, and for each one the mask of its swap bit."""
-    spots = [(j, 1 << below) for below in range(level - 1, -1, -1)
-             for j in range(0, 1 << level, 2 << below)]
-    return itemgetter(*(j for j, _ in spots)), tuple(m for _, m in spots)
+def _bit_digits(k: int) -> bytes:
+    """Translate table mapping an image to the ASCII digit of its bit k."""
+    return bytes(48 + (b >> k & 1) for b in range(256))
 
 
-def _code_of(perm: tuple[int, ...], level: int) -> int:
-    """The swap bits of a leaf permutation as one int, root bit first,
-    read off all images at once."""
-    if level < 2:
-        return perm[0]  # no bit at level 0, the root bit at level 1
-    get, masks = _code_layout(level)
-    digits = bytes(map(bool, map(and_, get(perm), masks)))
-    return int(digits.translate(_BIT_DIGITS), 2)
+def _code_of(perm: bytes, level: int) -> int:
+    """The swap bits of a leaf permutation as one int, root bit first: the
+    bits of one depth are read off every image that carries one at once."""
+    if not level:
+        return 0
+    return int(b"".join([perm[:: 2 << below].translate(_bit_digits(below))
+                         for below in range(level - 1, -1, -1)]), 2)
 
 
 def _word_index(word: str) -> int:
@@ -311,7 +348,8 @@ def _check_word(word: str, level: int) -> None:
 
 
 def identity(level: int) -> Portrait:
-    return _from_perm(level, tuple(range(1 << level)))
+    _check_level(level)
+    return _from_perm(level, _ident(level))
 
 
 def sigma(level: int) -> Portrait:
@@ -327,12 +365,13 @@ def pair(left: Portrait, right: Portrait, swap: int = 0) -> Portrait:
         raise ValueError(f"section levels differ: {left.level} vs {right.level}")
     if swap not in (0, 1):
         raise ValueError(f"swap bit must be 0 or 1, got {swap}")
+    _check_level(left.level + 1)
     # leaves below child 1 come first; a root swap moves them to the back
-    shift = (1 << left.level).__add__
+    shift = _offset(left.level)
     if swap:
-        perm = tuple(map(shift, left.perm)) + right.perm
+        perm = left.perm.translate(shift) + right.perm
     else:
-        perm = left.perm + tuple(map(shift, right.perm))
+        perm = left.perm + right.perm.translate(shift)
     return _from_perm(left.level + 1, perm)
 
 
@@ -351,8 +390,7 @@ def iter_all(level: int, cap: int = 4):
     There are 2**(2**level - 1) of them; enumeration is refused above the
     cap (default 4, i.e. 32768 elements).
     """
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    _check_level(level)
     if level > cap:
         raise ResourceLimitError(
             f"full enumeration at level {level} exceeds cap {cap}"
@@ -362,7 +400,7 @@ def iter_all(level: int, cap: int = 4):
         # bits are ordered depth by depth, so counting through each depth's
         # block under every prefix walks the values of ``code`` in order
         if depth == level:
-            yield _from_perm(level, tuple(img))
+            yield _from_perm(level, bytes(img))
             return
         width = 1 << depth
         for block in range(1 << width):

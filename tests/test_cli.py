@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from imgroups.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -294,6 +299,27 @@ class TestJsonOutput:
         _, second, _ = run(capsys, *argv, "--format", "json")
         assert first == second
         json.loads(first)
+
+    @pytest.mark.parametrize("argv", [
+        ("group", "--level", "7"),
+        ("arith", "--level", "5"),
+        ("maximality", "--a", "5"),
+    ])
+    def test_stdout_does_not_depend_on_the_hash_seed(self, argv):
+        # portraits hash as bytes, which PYTHONHASHSEED salts; no set
+        # iteration order may reach the output
+        outs = []
+        for seed in ("1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "imgroups.cli", *argv, "--format", "json"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        json.loads(outs[0])
 
     def test_maximality_json_fields(self, capsys):
         _, out, _ = run(capsys, "maximality", "--a", "5", "--format", "json")

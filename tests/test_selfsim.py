@@ -36,7 +36,7 @@ from imgroups.selfsim import (
     verify_geometric_presentation,
     verify_triple_theorem,
 )
-from imgroups.treeauto import Portrait, identity, iter_all, pair, sigma
+from imgroups.treeauto import Portrait, _table, identity, iter_all, pair, sigma
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,7 @@ class TestDiminoClosure:
             for g in gens:
                 if g.perm in have:
                     continue
-                steps.append(g.perm.__getitem__)
+                steps.append(_table(g.perm))
                 nxt = _extend(have, steps, g.perm, CLOSURE_MAX_SIZE)
                 assert _extend(have, steps, g.perm, len(nxt)) == nxt
                 assert _extend(have, steps, g.perm, len(nxt) - 1) is None
@@ -319,6 +319,7 @@ class TestPersistence:
         lambda lines: lines[:-2],                      # truncated body
         lambda lines: lines + ["junk"],                # trailing garbage
         lambda lines: [lines[0]] + ["0:"] + lines[2:],  # element at wrong level
+        lambda lines: lines[:-1] + ["9:" + "0" * 128],  # no level-9 portraits
     ])
     def test_corruption_rejected(self, tmp_path, mangle):
         g = geometric_group(3)

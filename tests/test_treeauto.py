@@ -159,11 +159,11 @@ class TestInvariants:
             assert pair(left, right, root) == u
 
 
-LEVELS = range(0, 8)
+LEVELS = range(0, 9)
 
 
 class TestKernelAgainstOracles:
-    """Every kernel operation against the node-string oracle, levels 0-7."""
+    """Every kernel operation against the node-string oracle, levels 0-8."""
 
     @pytest.fixture
     def samples(self):
@@ -267,7 +267,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(iter_all(-1))
 
-    @pytest.mark.parametrize("lvl", range(10))
+    @pytest.mark.parametrize("lvl", range(9))
     def test_code_reads_the_swap_bits(self, lvl):
         # code is read off the leaf permutation's images at once; it must be
         # the breadth-first swap bits as a binary number at every level
@@ -276,6 +276,20 @@ class TestEnumeration:
             bits = [rng.getrandbits(1) for _ in range((1 << lvl) - 1)]
             u = Portrait(lvl, bits)
             assert u.code == int("".join(map(str, bits)) or "0", 2)
+
+    def test_level_9_is_refused(self):
+        # a leaf image is one byte, so levels stop at 8; the refusal is a
+        # ValueError like any other bad argument, not a resource cap
+        assert treeauto.LEVEL_MAX == 8
+        top = identity(8)
+        for build in (lambda: Portrait(9, [0] * 511),
+                      lambda: Portrait.decode("9:" + "0" * 128),
+                      lambda: identity(9),
+                      lambda: pair(top, top),
+                      lambda: pair(top, top, 1),
+                      lambda: next(iter_all(9, cap=9))):
+            with pytest.raises(ValueError, match="0..8"):
+                build()
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
