@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, prod
 from operator import mul
 from typing import Optional
@@ -534,6 +535,39 @@ def _disc_direct(F: IntPoly) -> int:
     return sign * _divexact_int(res, F.lc)
 
 
+def _full_degree_nodes(g: IntPoly, h: IntPoly):
+    """(tau, g - tau*h) for tau = 0, 1, 2, ... where g - tau*h keeps the
+    x-degree of the pencil, so a resultant taken there has the generic
+    Sylvester shape."""
+    d = max(g.degree(), h.degree())
+    tau = 0
+    while True:
+        F = g - h.scale(tau)
+        if F.degree() == d:
+            yield tau, F
+        tau += 1
+
+
+def _wronskian_factors(n: int) -> tuple[int, list[tuple[IntPoly, int]]]:
+    """w and the pairs (K_j, m_j) with W = w * prod K_j^(m_j) at level n,
+    as `discriminant_shape` derives them: K_0 = x - 1, K_j = g_j - h_j,
+    m_j = 3 for j < n - 2 and 1 at j = n - 2."""
+    if n == 1:
+        return -1, []
+    ks = [X - IntPoly([1])]
+    ks += [iterate_pair(j).g - iterate_pair(j).h for j in range(1, n - 1)]
+    return -(-4) ** (n - 1), [(k, 3) for k in ks[:-1]] + [(ks[-1], 1)]
+
+
+def _resultant_in_t(g: IntPoly, h: IntPoly, k: IntPoly) -> IntPoly:
+    """Res_x(g - t*h, k) as a polynomial in t.  Only the deg k Sylvester
+    rows of g - t*h hold t, each linearly, so its degree is at most deg k
+    and the first deg k + 1 full-degree nodes determine it."""
+    pts = list(islice(_full_degree_nodes(g, h), k.degree() + 1))
+    return _interpolate_int([tau for tau, _ in pts],
+                            [resultant(F, k) for _, F in pts])
+
+
 def discriminant_shape(n: int) -> DiscriminantShape:
     """Factor disc_x(g_n - t*h_n) as sign * 2^c * t^a * (2-t)^b.
 
@@ -556,14 +590,31 @@ def discriminant_shape(n: int) -> DiscriminantShape:
 
         R(t) = C * t^(deg H) * lc_t^e * Res_x(F, W)
 
-    for a constant C.  Res_x(F, W) has degree at most deg W in t (for
-    n >= 2 the top terms of H'K and HK' cancel, so deg W <= d - 3); it is
-    recovered by evaluating at deg W + 1 integer nodes (skipping nodes
-    where lc_t vanishes, so the Sylvester shape is the generic one) and
-    interpolating exactly.  C is one exact division of a full Res_x(F, F')
-    at a node where the factor it multiplies is nonzero.  Two direct
-    discriminants through the independent modular-resultant route guard
-    the whole pipeline.
+    for a constant C.
+
+    W splits over the lower iterates.  Let K_0 = x - 1, K_j = g_j - h_j
+    and h_0 = 1, so that f^j - 1 = K_j / h_j for f = 2/(x-1)^2 and
+    H/K = 1/(f^(n-1) - 1).  Then W = (H/K)' K^2 = -(f^(n-1))' H^2, the
+    chain rule with f'(y) = -4/(y-1)^3 gives
+    (f^(n-1))' = prod_(j<n-1) (-4) h_j^3 / K_j^3, and h_(j+1) = K_j^2
+    leaves
+
+        W = w * K_(n-2) * prod_(j<n-2) K_j^3,   w = -(-4)^(n-1),
+
+    with an empty product at n = 1 (checked exactly).  As deg K_j = 2^j,
+    deg W = d - 3 for n >= 2.  Res(A, cB) = c^(deg A) * Res(A, B) and
+    multiplicativity give, wherever F keeps x-degree d,
+
+        Res_x(F, W) = w^d * prod Res_x(F, K_j)^(m_j),
+
+    m_j the exponent of K_j above.  Each Res_x(F, K_j) has degree at most
+    deg K_j in t; it is recovered by evaluating at its first deg K_j + 1
+    integer nodes (skipping nodes where lc_t vanishes, so the Sylvester
+    shape is the generic one) and interpolating exactly: 19 resultants of
+    x-degree at most 8 at n = 5.  C is one exact division of a full
+    Res_x(F, F') at a node where the factor it multiplies is nonzero.  Two
+    direct discriminants through the independent modular-resultant route
+    guard the whole pipeline.
     """
     if not 1 <= n <= 5:
         raise ValueError(f"discriminant level {n} out of range 1..5")
@@ -580,34 +631,37 @@ def discriminant_shape(n: int) -> DiscriminantShape:
             "(g_(n-1) - h_(n-1))^2"
         )
     W = H.derivative() * K - H * K.derivative()
+    w, factors = _wronskian_factors(n)
+    product = IntPoly([w])
+    for k, m in factors:
+        for _ in range(m):
+            product = product * k
+    if product != W:
+        raise ShapeViolationError(
+            f"level {n}: W = H'K - HK' is not {w} * K_(n-2) * "
+            "prod_(j<n-2) K_j^3"
+        )
     d = 1 << n
     e = K.degree() + d - 1 - H.degree() - W.degree()
     gd = g.coeffs[d] if g.degree() >= d else 0
     hd = h.coeffs[d] if h.degree() >= d else 0
     lc_t = IntPoly([gd, -hd])  # leading x-coefficient, as a polynomial in t
 
-    def lead(tau: int) -> int:
-        return gd - tau * hd
-
-    nodes = []
-    tau = 0
-    while len(nodes) <= W.degree():
-        if lead(tau) != 0:
-            nodes.append(tau)
-        tau += 1
-    values = [resultant(g - h.scale(tau), W) for tau in nodes]
-    for tau, value in zip(nodes, values):
-        cofactor = tau ** H.degree() * lead(tau) ** e * value
+    res_w = IntPoly([w ** d])  # Res_x(F, W) as a polynomial in t
+    for k, m in factors:
+        res_k = _resultant_in_t(g, h, k)
+        for _ in range(m):
+            res_w = res_w * res_k
+    for tau, F in islice(_full_degree_nodes(g, h), W.degree() + 1):
+        cofactor = tau ** H.degree() * F.lc ** e * res_w(tau)
         if cofactor:
             break
     else:
         raise ShapeViolationError(
             f"level {n}: t^{H.degree()} * Res_x(F, W) vanishes at every node"
         )
-    F = g - h.scale(tau)
     big_c = _divexact_int(resultant(F, F.derivative()), cofactor)
-    big_r = IntPoly((0,) * H.degree()
-                    + _interpolate_int(nodes, values).scale(big_c).coeffs)
+    big_r = IntPoly((0,) * H.degree() + res_w.scale(big_c).coeffs)
     for _ in range(e):
         big_r = big_r * lc_t
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
@@ -647,7 +701,7 @@ def discriminant_shape(n: int) -> DiscriminantShape:
         raise ShapeViolationError(f"level {n}: reconstruction mismatch")
     # independent spot check through the modular resultant
     for tau in (5, 7):
-        if lead(tau) == 0:
+        if lc_t(tau) == 0:
             continue
         F = g - h.scale(tau)
         if _disc_direct(F) != delta(tau):

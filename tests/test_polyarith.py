@@ -244,6 +244,56 @@ class TestDiscriminantShapes:
         with pytest.raises(ShapeViolationError):
             discriminant_shape(n)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_wronskian_splits_over_lower_iterates(self, n):
+        # W = H'K - HK' = -(-4)^(n-1) * K_(n-2) * prod_(j<n-2) K_j^3 with
+        # K_0 = x - 1 and K_j = g_j - h_j
+        if n == 1:
+            H, K = IntPoly([1]), X - IntPoly([1])
+        else:
+            prev = iterate_pair(n - 1)
+            H, K = prev.h, prev.g - prev.h
+        W = H.derivative() * K - H * K.derivative()
+        ks = [X - IntPoly([1])] + [iterate_pair(j).g - iterate_pair(j).h
+                                   for j in range(1, n - 1)]
+        product = IntPoly([-(-4) ** (n - 1)])
+        for j in range(n - 1):
+            for _ in range(1 if j == n - 2 else 3):
+                product = product * ks[j]
+        assert product == W
+        if n >= 2:
+            assert W.degree() == (1 << n) - 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_factor_resultants_off_node(self, n):
+        # each Res_x(F_t, K_j), interpolated from deg K_j + 1 nodes, is the
+        # Sylvester determinant at t away from every node
+        fr = iterate_pair(n)
+        w, factors = polyarith._wronskian_factors(n)
+        assert len(factors) == n - 1
+        for k, _ in factors:
+            res_k = polyarith._resultant_in_t(fr.g, fr.h, k)
+            assert res_k.degree() <= k.degree()
+            for t in (-7, -1, 97):
+                F = fr.g - fr.h.scale(t)
+                assert res_k(t) == oracles.sylvester_resultant(F.coeffs,
+                                                               k.coeffs)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_broken_lower_iterate_is_shape_violation(self, j, monkeypatch):
+        # K_j = g_j - h_j for j < n - 1 enters only through the factored W
+        real = polyarith.iterate_pair
+
+        def patched(k):
+            fr = real(k)
+            if k != j:
+                return fr
+            return SimpleNamespace(g=fr.g + IntPoly([1]), h=fr.h)
+
+        monkeypatch.setattr(polyarith, "iterate_pair", patched)
+        with pytest.raises(ShapeViolationError, match="level 4"):
+            discriminant_shape(4)
+
 
 class TestPackedGFResultant:
     """`_gf_resultant` on packed ints against the dense-list reference."""
