@@ -594,10 +594,10 @@ def discriminant_shape(n: int) -> DiscriminantShape:
 
     W splits over the lower iterates.  Let K_0 = x - 1, K_j = g_j - h_j
     and h_0 = 1, so that f^j - 1 = K_j / h_j for f = 2/(x-1)^2 and
-    H/K = 1/(f^(n-1) - 1).  Then W = (H/K)' K^2 = -(f^(n-1))' H^2, the
+    H/K = 1/(f^(n-1) - 1).  Then W = (H/K)' K^2 = -(f^(n-1))' H^2.  The
     chain rule with f'(y) = -4/(y-1)^3 gives
     (f^(n-1))' = prod_(j<n-1) (-4) h_j^3 / K_j^3, and h_(j+1) = K_j^2
-    leaves
+    (so H^2 = K_(n-2)^4 for n >= 2) leaves
 
         W = w * K_(n-2) * prod_(j<n-2) K_j^3,   w = -(-4)^(n-1),
 
