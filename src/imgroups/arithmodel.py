@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from .errors import ModelConstructionError, ResourceLimitError
 from .selfsim import (
+    GROUP_LEVEL_CAP,
     LevelGroup,
     _extend,
     closure,
@@ -27,6 +28,7 @@ from .selfsim import (
     subgroup_U,
 )
 from .treeauto import (
+    ENUMERATION_LEVEL_CAP,
     Portrait,
     _from_perm,
     _table,
@@ -35,9 +37,6 @@ from .treeauto import (
     pair,
     sigma,
 )
-
-ARITH_LEVEL_CAP = 5
-ARITH_LEVEL_HARD_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,17 @@ def _normalizes(m: Portrait, conditions) -> bool:
 
 
 def build_model(level: int, *, allow_deep: bool = False) -> ArithLevelModel:
-    """Construct and certify the level model; results are cached."""
-    cap = ARITH_LEVEL_HARD_CAP if allow_deep else ARITH_LEVEL_CAP
+    """Construct and certify the level model; results are cached.
+
+    M_n is built from G_n and U_n, so it stops at their cap,
+    `selfsim.GROUP_LEVEL_CAP`.  `allow_deep` is accepted and ignored
+    because the benchmark scripts pass it; it goes with the next change
+    to the benchmark.
+    """
     if level < 1:
         raise ValueError(f"level {level} out of range")
-    if level > cap:
-        raise ResourceLimitError(
-            f"model level capped at {cap}"
-            + ("" if allow_deep else " (allow_deep=True raises it to "
-               f"{ARITH_LEVEL_HARD_CAP})")
-        )
+    if level > GROUP_LEVEL_CAP:
+        raise ResourceLimitError(f"model level capped at {GROUP_LEVEL_CAP}")
     return _model(level)
 
 
@@ -139,8 +139,9 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
     assembling candidates from below, every automorphism of the level is
     decomposed and tested.  Returns (agrees, brute order, model order).
     """
-    if level > 4:
-        raise ResourceLimitError("brute sweep capped at level 4")
+    if level > ENUMERATION_LEVEL_CAP:
+        raise ResourceLimitError(
+            f"brute sweep capped at level {ENUMERATION_LEVEL_CAP}")
     model = build_model(level)
     if level == 1:
         return (True, 2, model.order)
@@ -273,7 +274,7 @@ class GrowthReport:
     odometer_counts: tuple[int, ...]
 
 
-def order_growth_report(max_level: int = ARITH_LEVEL_CAP) -> GrowthReport:
+def order_growth_report(max_level: int = GROUP_LEVEL_CAP) -> GrowthReport:
     levels = tuple(range(1, max_level + 1))
     models = [build_model(n) for n in levels]
     orders = tuple(m.order for m in models)

@@ -203,8 +203,9 @@ def _cmd_arith(args, caps) -> tuple[dict, list[str], int]:
 
 def _cmd_disc(args, caps) -> tuple[dict, list[str], int]:
     top = args.n
-    if not 1 <= top <= 5:
-        raise ValueError(f"disc level {top} out of range 1..5")
+    if not 1 <= top <= polyarith.DISC_LEVEL_CAP:
+        raise ValueError(
+            f"disc level {top} out of range 1..{polyarith.DISC_LEVEL_CAP}")
     rows = []
     lines = [f"discriminant shapes, levels 1..{top}"]
     for n in range(1, top + 1):

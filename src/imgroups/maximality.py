@@ -360,26 +360,16 @@ def maximality_verdict(point: BasePoint,
         if not pending and usable >= MIN_USABLE_PRIMES:
             break
     _require_usable(usable, prime_bound, MIN_USABLE_PRIMES)
-    if pending:
-        return MaximalityVerdict(
-            status="inconclusive",
-            point=point,
-            square_class=sq,
-            frobenius_eliminations=tuple(sorted(eliminated.items())),
-            square_class_eliminations=blind,
-            surviving=tuple(sorted(pending)),
-            surviving_tables={name: tables[name] for name in sorted(pending)},
-            primes_tried=usable,
-            reason=None,
-        )
+    surviving = tuple(sorted(pending))
     return MaximalityVerdict(
-        status="maximal",
+        status="inconclusive" if surviving else "maximal",
         point=point,
         square_class=sq,
         frobenius_eliminations=tuple(sorted(eliminated.items())),
         square_class_eliminations=blind,
-        surviving=(),
-        surviving_tables=None,
+        surviving=surviving,
+        surviving_tables=({name: tables[name] for name in surviving}
+                          if surviving else None),
         primes_tried=usable,
         reason=None,
     )

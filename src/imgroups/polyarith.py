@@ -34,6 +34,8 @@ from .errors import (
 # squarefree_part: trial division limit, then certified general methods
 TRIAL_DIVISION_LIMIT = 10**6
 GENERAL_FACTOR_LIMIT = 10**18
+# discriminant_shape, `img disc` and `img verify` go no deeper than this
+DISC_LEVEL_CAP = 5
 
 
 class IntPoly:
@@ -616,8 +618,8 @@ def discriminant_shape(n: int) -> DiscriminantShape:
     direct discriminants through the independent modular-resultant route
     guard the whole pipeline.
     """
-    if not 1 <= n <= 5:
-        raise ValueError(f"discriminant level {n} out of range 1..5")
+    if not 1 <= n <= DISC_LEVEL_CAP:
+        raise ValueError(f"discriminant level {n} out of range 1..{DISC_LEVEL_CAP}")
     fr = iterate_pair(n)
     g, h = fr.g, fr.h
     if n == 1:

@@ -58,7 +58,8 @@ class RecursionSystem:
             if name in self.rules:
                 raise ValueError(f"name {name} is both a rule and a word")
             self._check_word(name, word)
-        self._memo: dict[tuple[str, int], Portrait] = {}
+        # per-instance, so the cache goes with the system that fills it
+        self._unfold_rule = lru_cache(maxsize=None)(self._unfold_rule)
 
     def _check_word(self, owner: str, word: Word) -> None:
         for sym, exp in word:
@@ -82,18 +83,14 @@ class RecursionSystem:
             return self.unfold_word(self.words[name], level)
         if name not in self.rules:
             raise ValueError(f"unknown name {name!r}")
-        key = (name, level)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        return self._unfold_rule(name, level)
+
+    def _unfold_rule(self, name: str, level: int) -> Portrait:
         if level == 0:
-            result = identity(0)
-        else:
-            left, right, swap = self.rules[name]
-            result = pair(self.unfold_word(left, level - 1),
-                          self.unfold_word(right, level - 1), swap)
-        self._memo[key] = result
-        return result
+            return identity(0)
+        left, right, swap = self.rules[name]
+        return pair(self.unfold_word(left, level - 1),
+                    self.unfold_word(right, level - 1), swap)
 
     def unfold_word(self, word: Word, level: int) -> Portrait:
         result = identity(level)

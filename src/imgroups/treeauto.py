@@ -44,9 +44,11 @@ from .errors import ResourceLimitError
 # One byte per leaf image: 2**8 leaves at most.
 LEVEL_MAX = 8
 
+# Full enumeration of a level stops here: 2**15 = 32768 automorphisms.
+ENUMERATION_LEVEL_CAP = 4
+
 # Conjugacy recursion memoizes pairs of portraits for the length of one
-# call; above this level the table can blow up, so calls refuse to run
-# unless the caller raises it.
+# call; above this level the table can blow up, so calls refuse to run.
 CONJUGACY_LEVEL_CAP = 6
 
 
@@ -384,16 +386,16 @@ def adding_machine(level: int) -> Portrait:
     return pair(identity(level - 1), adding_machine(level - 1), 1)
 
 
-def iter_all(level: int, cap: int = 4):
+def iter_all(level: int):
     """Yield every automorphism at the given level, in canonical order.
 
-    There are 2**(2**level - 1) of them; enumeration is refused above the
-    cap (default 4, i.e. 32768 elements).
+    There are 2**(2**level - 1) of them; enumeration is refused above
+    `ENUMERATION_LEVEL_CAP`.
     """
     _check_level(level)
-    if level > cap:
+    if level > ENUMERATION_LEVEL_CAP:
         raise ResourceLimitError(
-            f"full enumeration at level {level} exceeds cap {cap}"
+            f"full enumeration at level {level} exceeds cap {ENUMERATION_LEVEL_CAP}"
         )
 
     def extend(img, depth):
@@ -413,7 +415,7 @@ def iter_all(level: int, cap: int = 4):
 # -- conjugacy ------------------------------------------------------------
 
 
-def are_conjugate(u: Portrait, v: Portrait, cap: int = CONJUGACY_LEVEL_CAP) -> bool:
+def are_conjugate(u: Portrait, v: Portrait) -> bool:
     """Conjugacy in the full automorphism group of the depth-n tree.
 
     Recursive criterion: root symbols must match; below a trivial root the
@@ -422,9 +424,9 @@ def are_conjugate(u: Portrait, v: Portrait, cap: int = CONJUGACY_LEVEL_CAP) -> b
     """
     if u.level != v.level:
         raise ValueError(f"level mismatch: {u.level} vs {v.level}")
-    if u.level > cap:
+    if u.level > CONJUGACY_LEVEL_CAP:
         raise ResourceLimitError(
-            f"conjugacy at level {u.level} exceeds cap {cap}"
+            f"conjugacy at level {u.level} exceeds cap {CONJUGACY_LEVEL_CAP}"
         )
     return _conj(u, v, {})
 

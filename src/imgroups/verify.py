@@ -45,8 +45,8 @@ class VerifyCaps:
             if value < low:
                 raise ValueError(f"verification cap {key} = {value} is below {low}")
         for key, cap in (("group_level", selfsim.GROUP_LEVEL_CAP),
-                         ("model_level", arithmodel.ARITH_LEVEL_CAP),
-                         ("disc_n", 5)):
+                         ("model_level", selfsim.GROUP_LEVEL_CAP),
+                         ("disc_n", polyarith.DISC_LEVEL_CAP)):
             value = getattr(self, key)
             if value > cap:
                 raise ResourceLimitError(
@@ -308,13 +308,17 @@ def _claim_twist_abelian(caps: VerifyCaps) -> str:
     return "twist subgroup abelian at every computed level"
 
 
+def _model_order(n: int) -> int:
+    """|M_1| = 2, |M_2| = 8 and |M_n| = 2^(2n) from level 3 on."""
+    return {1: 2, 2: 8}.get(n, 1 << (2 * n))
+
+
 def _claim_model_orders(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 1, "model level < 1")
-    expected = {1: 2, 2: 8, 3: 64, 4: 256, 5: 1024}
     got = []
     for n in range(1, caps.model_level + 1):
         order = arithmodel.build_model(n).order
-        _check(order == expected[n], (n, order))
+        _check(order == _model_order(n), (n, order))
         got.append(f"|M{n}|={order}")
     return " ".join(got)
 
@@ -322,11 +326,11 @@ def _claim_model_orders(caps: VerifyCaps) -> str:
 def _claim_model_growth(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 3, "needs model level >= 3")
     rep = arithmodel.order_growth_report(caps.model_level)
-    expected = (4, 8, 4, 4)[: caps.model_level - 1]
+    expected = tuple(_model_order(n) // _model_order(n - 1)
+                     for n in rep.levels[1:])
     _check(rep.growth_factors == expected, rep.growth_factors)
-    for n, order in zip(rep.levels, rep.model_orders):
-        if n >= 3:
-            _check(order == 1 << (2 * n), (n, order))
+    _check(rep.model_orders == tuple(map(_model_order, rep.levels)),
+           rep.model_orders)
     return (f"growth {rep.growth_factors} (level-3 jump is 8, not 4) and "
             f"|Mn| = 2^(2n) from level 3")
 
@@ -352,7 +356,7 @@ def _claim_model_odometer_free(caps: VerifyCaps) -> str:
 
 def _claim_model_brute_sweep(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 2, "needs model level >= 2")
-    top = min(caps.model_level, 4)
+    top = min(caps.model_level, treeauto.ENUMERATION_LEVEL_CAP)
     for n in range(2, top + 1):
         ok, brute, model = arithmodel.brute_model_cross_check(n)
         _check(ok, (n, brute, model))

@@ -4,10 +4,11 @@ Every numeric tolerance and time budget is pinned here rather than
 imported, so a regression in any module flips exactly one line.
 
 Criterion 3 gates the slow growth of the arithmetic model that gives
-it Hausdorff dimension zero.  The orders are 2, 8, 64, 256, 1024: from
-level 3 on every step is a factor of 4, so |M_n| = 2^(2n) and
-log2|M_n| / (2^n - 1) tends to 0, and the one step above 4 is the
-level-3 jump by exactly 8.  |M_3| = 64 is backed by a count that shares
+it Hausdorff dimension zero.  The orders through the level cap 7 are
+2, 8, 64, 256, 1024, 4096, 16384: from level 3 on every step is a
+factor of 4, so |M_n| = 2^(2n) and log2|M_n| / (2^n - 1) tends to 0
+(14/127 at level 7), and the one step above 4 is the level-3 jump by
+exactly 8.  |M_3| = 64 is backed by a count that shares
 nothing with the model's lift filter: M_3 contains the level-3 arboreal
 group at a = 5, and of the 78,494 primes 11 <= p < 10^6 exactly 1,189
 split f^3(x) = 5 completely, a share of 1/66.0 (about 2,450 would split
@@ -82,15 +83,15 @@ def test_criterion_2_subgroup_ledger():
 
 
 def test_criterion_3_model_order_growth():
-    rep = order_growth_report(5)
+    rep = order_growth_report(7)
 
     # the true profile, each value confirmed by an independent sweep
     # wherever the sweep is affordable
-    assert rep.model_orders == (2, 8, 64, 256, 1024)
+    assert rep.model_orders == (2, 8, 64, 256, 1024, 4096, 16384)
     for n in (1, 2, 3, 4):
         agrees, _, _ = brute_model_cross_check(n)
         assert agrees, n
-    for n in (3, 4, 5):
+    for n in range(3, 8):
         assert rep.model_orders[n - 1] == 1 << (2 * n)  # 2^(2n) from level 3
         assert not odometer_elements(build_model(n))
     m4 = build_model(4)
@@ -103,14 +104,15 @@ def test_criterion_3_model_order_growth():
     # the only larger step is the level-3 jump, by exactly 8
     offenders = [
         (n + 1, rep.model_orders[n] // rep.model_orders[n - 1])
-        for n in range(1, 5)
+        for n in range(1, 7)
         if rep.model_orders[n] > 4 * rep.model_orders[n - 1]
     ]
     assert offenders == [(3, 8)], offenders
     dims = [
-        math.log2(rep.model_orders[n - 1]) / ((1 << n) - 1) for n in (3, 4, 5)
+        math.log2(rep.model_orders[n - 1]) / ((1 << n) - 1) for n in range(3, 8)
     ]
-    assert dims[0] > dims[1] > dims[2], dims
+    assert all(a > b for a, b in zip(dims, dims[1:])), dims
+    assert dims[-1] == 14 / 127, dims
 
     # independent of the lift filter: by Chebotarev, f^n(x) = 5 splits
     # completely mod p at a share 1/|G_n(5)| of primes, and G_n(5) <= M_n

@@ -13,7 +13,6 @@ import pytest
 import oracles
 from imgroups import arithmodel
 from imgroups.arithmodel import (
-    ARITH_LEVEL_CAP,
     build_model,
     brute_model_cross_check,
     cycle_type_table,
@@ -24,6 +23,7 @@ from imgroups.arithmodel import (
 )
 from imgroups.errors import ModelConstructionError, ResourceLimitError
 from imgroups.selfsim import (
+    GROUP_LEVEL_CAP,
     LevelGroup,
     coset_decomposition,
     geometric_group,
@@ -64,6 +64,11 @@ class TestConstruction:
         assert rep.growth_factors == (4, 8, 4, 4)
         assert rep.geometric_orders == (2, 8, 32, 64, 128)
         assert rep.odometer_counts == (1, 2, 0, 0, 0)
+
+    def test_default_report_follows_the_cap(self):
+        rep = order_growth_report()
+        assert rep.levels == tuple(range(1, GROUP_LEVEL_CAP + 1))
+        assert rep.model_orders[-1] == 1 << (2 * GROUP_LEVEL_CAP)
 
     def test_contains_geometric(self):
         for n in range(1, 6):
@@ -115,21 +120,25 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lift_filter_oracle_agreement(self, n):
-        assert oracles.lift_filter_model(n) == \
-            build_model(n, allow_deep=True).group.elements
+        assert oracles.lift_filter_model(n) == build_model(n).group.elements
 
     def test_level_7(self):
-        m7 = arithmodel._model(7)
-        assert m7.order == 16384 == 4 * build_model(6, allow_deep=True).order
+        m7 = build_model(7)
+        assert m7.order == 16384 == 4 * build_model(6).order
         assert geometric_group(7).elements <= m7.group.elements
 
     def test_models_are_built_once(self):
-        for n in range(1, ARITH_LEVEL_CAP + 1):
+        # allow_deep is still accepted and changes nothing
+        for n in range(1, GROUP_LEVEL_CAP + 1):
             assert build_model(n) is build_model(n)
+            assert build_model(n, allow_deep=True) is build_model(n)
 
     def test_level_cap(self):
-        with pytest.raises(ResourceLimitError):
-            build_model(ARITH_LEVEL_CAP + 1)
+        # the model stops where G_n and U_n stop; no keyword raises it
+        for allow_deep in (False, True):
+            with pytest.raises(ResourceLimitError,
+                               match=f"capped at {GROUP_LEVEL_CAP}$"):
+                build_model(GROUP_LEVEL_CAP + 1, allow_deep=allow_deep)
         with pytest.raises(ValueError):
             build_model(0)
 
@@ -194,7 +203,7 @@ class TestFrattini:
     def test_kernels_match_parity_filter(self, level):
         # the kernels in mask order, as one parity test per element of the
         # group: characters over the sorted coset basis of the quotient
-        model = build_model(level, allow_deep=True)
+        model = build_model(level)
         phi = frattini_subgroup(model)
         reps, rep_of = coset_decomposition(model.group, phi)
         vec = {rep_of[identity(level)]: 0}
@@ -215,7 +224,7 @@ class TestFrattini:
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_generated_by_the_distinct_squares(self, level):
         # squares taken as leaf permutations, one portrait per distinct one
-        model = build_model(level, allow_deep=True)
+        model = build_model(level)
         phi = frattini_subgroup(model)
         assert phi.generators == tuple(sorted({x * x for x in model.group}))
 

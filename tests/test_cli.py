@@ -49,6 +49,17 @@ class TestArith:
         code, _, err = run(capsys, "arith", "--level", "9")
         assert code == 3
 
+    def test_level_7_is_public(self, capsys):
+        code, out, _ = run(capsys, "arith", "--level", "7")
+        assert code == 0
+        assert "7 16384 512 4 0" in " ".join(out.split())
+
+    def test_level_8_names_the_cap(self, capsys):
+        # the message is for CLI users: no Python keyword raises the cap
+        code, out, err = run(capsys, "arith", "--level", "8")
+        assert code == 3 and out == ""
+        assert "capped at 7" in err and "allow_deep" not in err
+
     def test_cache_lifecycle(self, capsys, tmp_path):
         cache = str(tmp_path)
         code, out, _ = run(capsys, "arith", "--level", "4", "--cache-dir", cache)
@@ -275,7 +286,7 @@ class TestVerificationCaps:
 
     @pytest.mark.parametrize("line, message", [
         ("group_level = 99", "group_level = 99 exceeds 7"),
-        ("model_level = 7", "model_level = 7 exceeds 5"),
+        ("model_level = 8", "model_level = 8 exceeds 7"),
         ("disc_n = 9", "disc_n = 9 exceeds 5"),
     ])
     def test_config_over_cap_is_resource_limit(self, capsys, tmp_path,

@@ -241,7 +241,7 @@ class TestDiminoClosure:
 
     @pytest.mark.parametrize("level, order", [(5, 64), (6, 256)])
     def test_squares_of_model(self, level, order):
-        grp = build_model(level, allow_deep=True).group
+        grp = build_model(level).group
         squares = sorted({x * x for x in grp})
         got = _mulclose(squares, len(grp))
         assert len(got) == order
@@ -293,7 +293,7 @@ class TestSortedElements:
     def test_code_order_is_portrait_order(self, n):
         # the keyed sort must give the order Portrait.__lt__ gives, which
         # fixes greedy generator choice and the Mmax-NN names
-        for group in (geometric_group(n), build_model(n, allow_deep=True).group):
+        for group in (geometric_group(n), build_model(n).group):
             fresh = LevelGroup(n, group.elements)
             assert fresh.sorted_elements() == tuple(sorted(group.elements))
             assert group.sorted_elements() == fresh.sorted_elements()

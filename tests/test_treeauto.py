@@ -251,6 +251,14 @@ class TestConjugacy:
         g = Portrait(4, [1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1])
         assert are_conjugate(a, g.inverse() * a * g)
 
+    def test_level_cap(self):
+        top = treeauto.CONJUGACY_LEVEL_CAP
+        assert are_conjugate(identity(top), identity(top))
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap {top}"):
+            are_conjugate(identity(top + 1), identity(top + 1))
+        with pytest.raises(TypeError):
+            are_conjugate(identity(top + 1), identity(top + 1), cap=top + 1)
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -287,7 +295,7 @@ class TestEnumeration:
                       lambda: identity(9),
                       lambda: pair(top, top),
                       lambda: pair(top, top, 1),
-                      lambda: next(iter_all(9, cap=9))):
+                      lambda: next(iter_all(9))):
             with pytest.raises(ValueError, match="0..8"):
                 build()
 
@@ -295,7 +303,9 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             list(iter_all(5))
 
-    def test_cap_override(self):
-        # the cap is a default, not a hard wall
-        it = iter_all(4, cap=4)
-        assert sum(1 for _ in it) == 1 << 15
+    def test_cap_is_a_hard_wall(self):
+        # enumeration runs up to the module cap and no keyword raises it
+        assert treeauto.ENUMERATION_LEVEL_CAP == 4
+        assert sum(1 for _ in iter_all(4)) == 1 << 15
+        with pytest.raises(TypeError):
+            iter_all(5, cap=5)

@@ -45,3 +45,15 @@ def test_failing_check_reports_fail_under_optimize():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False FAIL forced"
+
+
+def test_model_claims_reach_the_level_cap():
+    # the expected orders follow |M_n| = 2^(2n) from level 3 on, so every
+    # model level up to the cap has them
+    results = verify.run_claims(verify.VerifyCaps(model_level=7))
+    assert [r for r in results if r.status != "PASS"] == []
+    assert len(results) == 41
+    details = {r.claim: r.detail for r in results}
+    assert details["model-orders"].endswith("|M6|=4096 |M7|=16384")
+    assert details["model-growth-profile"].startswith(
+        "growth (4, 8, 4, 4, 4, 4)")
