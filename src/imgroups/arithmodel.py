@@ -23,6 +23,7 @@ from .selfsim import (
     LevelGroup,
     _extend,
     closure,
+    coset_decomposition,
     generating_set,
     geometric_group,
     subgroup_U,
@@ -30,7 +31,9 @@ from .selfsim import (
 from .treeauto import (
     ENUMERATION_LEVEL_CAP,
     Portrait,
+    _cycle_type_of,
     _from_perm,
+    _ident,
     _table,
     identity,
     iter_all,
@@ -52,9 +55,9 @@ class ArithLevelModel:
 
 
 def _normalizer_conditions(*groups: LevelGroup):
-    """(generator tables, element perm set) per group, for `_normalizes`."""
-    return tuple((tuple(_table(g.perm) for g in generating_set(H)),
-                  frozenset(x.perm for x in H.elements)) for H in groups)
+    """(generator tables, element set) per group, for `_normalizes`."""
+    return tuple((tuple(_table(g.perm) for g in generating_set(H)), H.elements)
+                 for H in groups)
 
 
 def _normalizes(m: Portrait, conditions) -> bool:
@@ -93,7 +96,7 @@ def _model(level: int) -> ArithLevelModel:
     G = geometric_group(level)
     U = subgroup_U(level)
     if level == 1:
-        grp = LevelGroup(1, {identity(1), sigma(1)}, (sigma(1),))
+        grp = LevelGroup(1, {_ident(1), sigma(1).perm}, (sigma(1),))
         return ArithLevelModel(1, grp, G, U)
 
     prev = _model(level - 1)
@@ -107,7 +110,7 @@ def _model(level: int) -> ArithLevelModel:
     transversal = [identity(level)]
     gens: list[Portrait] = []
     steps = []
-    stab = {identity(level).perm}
+    stab = {_ident(level)}
     for t in transversal:  # grows while it is walked
         for c in lifts:
             tc = t * c
@@ -122,13 +125,13 @@ def _model(level: int) -> ArithLevelModel:
     if stab is None or len(stab) * len(transversal) != candidates:
         raise ModelConstructionError(f"level {level}: stabilizer times orbit "
                                      f"{len(transversal)} is not {candidates}")
-    missing = [g for g in G if g.perm not in stab]
+    missing = G.elements - stab
     if missing:
         raise ModelConstructionError(
             f"level {level}: {len(missing)} geometric elements dropped, "
-            f"first {missing[0].encode()}"
+            f"first {min(_from_perm(level, p) for p in missing).encode()}"
         )
-    grp = LevelGroup(level, [_from_perm(level, p) for p in stab], gens)
+    grp = LevelGroup(level, stab, gens)
     return ArithLevelModel(level, grp, G, U)
 
 
@@ -147,7 +150,7 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
         return (True, 2, model.order)
     prev = build_model(level - 1)
     conditions = _normalizer_conditions(model.geometric, model.twist)
-    brute: set[Portrait] = set()
+    brute: set[bytes] = set()
     for m in iter_all(level):
         left, right, _ = m.sections()
         if left not in prev.group:
@@ -155,18 +158,19 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
         if right * left.inverse() not in prev.twist:
             continue
         if _normalizes(m, conditions):
-            brute.add(m)
+            brute.add(m.perm)
     return (brute == model.group.elements, len(brute), model.order)
 
 
 def odometer_elements(model: ArithLevelModel) -> tuple[Portrait, ...]:
     """All model elements acting as a single full cycle on the leaves."""
-    return tuple(sorted(x for x in model.group if x.is_level_odometer()))
+    members = (_from_perm(model.level, p) for p in model.group.elements)
+    return tuple(sorted(x for x in members if x.is_level_odometer()))
 
 
 def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:
     """How many elements realize each leaf cycle type."""
-    table = Counter(x.cycle_type() for x in group.elements)
+    table = Counter(map(_cycle_type_of, group.elements))
     return dict(sorted(table.items()))
 
 
@@ -185,7 +189,7 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
 def _frattini(model: ArithLevelModel):
     """(Frattini subgroup, index-2 kernels), computed once per model."""
     grp = model.group
-    squares = {x.perm.translate(_table(x.perm)) for x in grp.elements}
+    squares = {x.translate(_table(x)) for x in grp.elements}
     phi = closure([_from_perm(model.level, s) for s in squares],
                   max_size=len(grp))
     kernels = _index2_kernels(model, phi)
@@ -202,38 +206,29 @@ def _frattini(model: ArithLevelModel):
 
 def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]:
     """The kernels of the nontrivial characters of M / Phi, each the union
-    of its Phi cosets; cosets are keyed by leaf permutations, so only the
-    model's own portraits go into the kernels."""
-    grp = model.group
-    members = [_table(s.perm) for s in phi.elements]
-    reps: list[Portrait] = []
-    rep_of: dict[bytes, Portrait] = {}  # perm -> left coset rep
-    for g in grp.sorted_elements():
-        if g.perm not in rep_of:
-            reps.append(g)
-            rep_of.update((g.perm.translate(s), g) for s in members)
-    vecs: dict[Portrait, int] = {rep_of[identity(model.level).perm]: 0}
+    of its Phi cosets and made of the model's own leaf permutations."""
+    reps, rep_of = coset_decomposition(model.group, phi)
+    vecs: dict[Portrait, int] = {rep_of[_ident(model.level)]: 0}
     basis: list[Portrait] = []
     for r in reps:
         if r in vecs:
             continue
         basis.append(r)
         bit = 1 << (len(basis) - 1)
-        table = _table(r.perm)
         for r0, v0 in list(vecs.items()):
-            vecs[rep_of[r0.perm.translate(table)]] = v0 | bit
+            vecs[rep_of[(r0 * r).perm]] = v0 | bit
     if len(vecs) != len(reps):  # pragma: no cover - quotient is elementary
         raise ModelConstructionError("quotient by Frattini is not elementary")
-    cosets: dict[Portrait, list[Portrait]] = {r: [] for r in reps}
-    for x in grp.elements:
-        cosets[rep_of[x.perm]].append(x)
+    cosets: dict[bytes, list[bytes]] = {r.perm: [] for r in reps}
+    for x in model.group.elements:
+        cosets[rep_of[x].perm].append(x)
     # each kernel is the union of the cosets whose character vector has
     # even parity under the mask
     out = []
     for mask in range(1, 1 << len(basis)):
         out.append(LevelGroup(model.level, (
             x for r in reps if (vecs[r] & mask).bit_count() % 2 == 0
-            for x in cosets[r])))
+            for x in cosets[r.perm])))
     return out
 
 

@@ -240,8 +240,10 @@ def _cmd_maximality(args, caps) -> tuple[dict, list[str], int]:
 
 
 def _cmd_radical(args, caps) -> tuple[dict, list[str], int]:
+    if args.samples is not None:  # capped as the config's radical_points
+        caps = replace(caps, radical_points=args.samples)
     precision = caps.precision
-    samples = args.samples if args.samples is not None else caps.radical_points
+    samples = caps.radical_points
     seed = caps.seed
     points = constantfield.sample_points(samples, seed)
     import mpmath

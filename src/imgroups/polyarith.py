@@ -36,6 +36,10 @@ TRIAL_DIVISION_LIMIT = 10**6
 GENERAL_FACTOR_LIMIT = 10**18
 # discriminant_shape, `img disc` and `img verify` go no deeper than this
 DISC_LEVEL_CAP = 5
+# iterate_pair builds the exact (g_n, h_n), of degree 2**n, up to this level
+ITERATE_LEVEL_CAP = 8
+# numerators of f^n(x) = a, which the level-4 certificate factors mod p
+SPECIALIZE_LEVEL_CAP = 5
 
 
 class IntPoly:
@@ -194,8 +198,8 @@ class IterateFraction:
 
 @lru_cache(maxsize=None)
 def iterate_pair(n: int) -> IterateFraction:
-    if not 1 <= n <= 8:
-        raise ValueError(f"iterate level {n} out of range 1..8")
+    if not 1 <= n <= ITERATE_LEVEL_CAP:
+        raise ValueError(f"iterate level {n} out of range 1..{ITERATE_LEVEL_CAP}")
     if n == 1:
         return IterateFraction(1, IntPoly([2]), IntPoly([1, -2, 1]))
     prev = iterate_pair(n - 1)
@@ -718,8 +722,8 @@ def discriminant_shape(n: int) -> DiscriminantShape:
 
 def specialize_numerator(n: int, a) -> IntPoly:
     """Primitive integer numerator of f^n(x) = a, sign of lc preserved."""
-    if not 1 <= n <= 5:
-        raise ValueError(f"level {n} out of range 1..5")
+    if not 1 <= n <= SPECIALIZE_LEVEL_CAP:
+        raise ValueError(f"level {n} out of range 1..{SPECIALIZE_LEVEL_CAP}")
     a = Fraction(a)
     if a == 0 or a == 2:
         raise ExcludedBasePointError(f"base point {a} is postcritical")

@@ -37,6 +37,8 @@ from .treeauto import (
 CLOSURE_MAX_SIZE = 1 << 15
 # Unfolding and cached group construction are not meant beyond this depth.
 GROUP_LEVEL_CAP = 7
+# The composable-triple search is exhaustive over the full level group.
+TRIPLE_LEVEL_CAP = 3
 
 # A word is a sequence of (symbol, +1|-1) letters, composed left to right.
 Word = tuple[tuple[str, int], ...]
@@ -124,18 +126,17 @@ def builtin_system_f() -> RecursionSystem:
 
 
 class LevelGroup:
-    """A fully enumerated subgroup of the level-n tree automorphisms."""
+    """A fully enumerated subgroup of the level-n tree automorphisms, stored
+    as the frozenset `elements` of its members' leaf permutations."""
 
     __slots__ = ("level", "elements", "generators", "_sorted")
 
-    def __init__(self, level: int, elements, generators=()):
-        elements = frozenset(elements)
-        if not elements:
-            raise ValueError("a group needs at least the identity")
-        for u in elements:
-            if u.level != level:
-                raise ValueError(f"element level {u.level} != group level {level}")
-        if identity(level) not in elements:
+    def __init__(self, level: int, perms, generators=()):
+        elements = frozenset(perms)
+        for p in elements:
+            if type(p) is not bytes or len(p) != 1 << level:
+                raise ValueError(f"not a level-{level} leaf permutation: {p!r:.40}")
+        if _ident(level) not in elements:
             raise ValueError("identity missing from element set")
         if len(elements) & (len(elements) - 1):
             raise ValueError(f"order {len(elements)} is not a power of 2")
@@ -148,7 +149,7 @@ class LevelGroup:
         return len(self.elements)
 
     def __contains__(self, item):
-        return item in self.elements
+        return isinstance(item, Portrait) and item.perm in self.elements
 
     def __iter__(self):
         return iter(self.sorted_elements())
@@ -168,7 +169,8 @@ class LevelGroup:
         """The elements in `Portrait` order, which within one level is the
         order of their codes."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements, key=attrgetter("code")))
+            members = (_from_perm(self.level, p) for p in self.elements)
+            self._sorted = tuple(sorted(members, key=attrgetter("code")))
         return self._sorted
 
 
@@ -240,7 +242,7 @@ def closure(generators, max_size: int = CLOSURE_MAX_SIZE) -> LevelGroup:
     els = _mulclose(gens, max_size)
     if els is None:
         raise ResourceLimitError(f"closure exceeded cap {max_size}")
-    return LevelGroup(level, [_from_perm(level, p) for p in els], gens)
+    return LevelGroup(level, els, gens)
 
 
 def generating_set(group: LevelGroup) -> list[Portrait]:
@@ -255,7 +257,7 @@ def generating_set(group: LevelGroup) -> list[Portrait]:
         return list(group.generators)
     gens: list[Portrait] = []
     steps = []
-    have = {identity(group.level).perm}
+    have = {_ident(group.level)}
     for g in group.sorted_elements():
         if g.perm not in have:
             gens.append(g)
@@ -302,13 +304,13 @@ def commutator_subgroup(group: LevelGroup) -> LevelGroup:
     seeds = {commutator(a, b) for a in gens for b in gens}
     seeds.discard(identity(group.level))
     if not seeds:
-        return LevelGroup(group.level, {identity(group.level)},
+        return LevelGroup(group.level, {_ident(group.level)},
                           (identity(group.level),))
     derived = normal_closure(group, seeds)
     reps, rep_of = coset_decomposition(group, derived)
     for a in reps:
         for b in reps:
-            if rep_of[a * b] is not rep_of[b * a]:  # pragma: no cover
+            if rep_of[(a * b).perm] is not rep_of[(b * a).perm]:  # pragma: no cover
                 raise AssertionError("quotient by commutators is not abelian")
     return derived
 
@@ -316,14 +318,15 @@ def commutator_subgroup(group: LevelGroup) -> LevelGroup:
 def centralizer(group: LevelGroup, x: Portrait) -> LevelGroup:
     if x not in group:
         raise ValueError("element lies outside the group")
-    els = {w for w in group.elements if w * x == x * w}
-    return LevelGroup(group.level, els)
+    xp, xt = x.perm, _table(x.perm)
+    return LevelGroup(group.level, {w for w in group.elements
+                                    if w.translate(xt) == xp.translate(_table(w))})
 
 
 def center(group: LevelGroup) -> LevelGroup:
-    els = set(group.elements)
-    for x in group.sorted_elements():
-        els = {w for w in els if w * x == x * w}
+    els = group.elements
+    for x in generating_set(group):
+        els = els & centralizer(group, x).elements
     return LevelGroup(group.level, els)
 
 
@@ -336,18 +339,17 @@ def subgroup_index(group: LevelGroup, sub: LevelGroup) -> int:
 
 
 def coset_decomposition(group: LevelGroup, sub: LevelGroup):
-    """Left cosets of a subgroup: sorted reps plus an element->rep map."""
+    """Left cosets of a subgroup: sorted reps plus a map from each element's
+    leaf permutation to its rep."""
     if not sub.elements <= group.elements:
         raise ValueError("not a subgroup")
     reps: list[Portrait] = []
-    rep_of: dict[Portrait, Portrait] = {}
-    members = sub.sorted_elements()
+    rep_of: dict[bytes, Portrait] = {}
+    members = [_table(s) for s in sub.elements]
     for g in group.sorted_elements():
-        if g in rep_of:
-            continue
-        reps.append(g)
-        for s in members:
-            rep_of[g * s] = g
+        if g.perm not in rep_of:
+            reps.append(g)
+            rep_of.update((g.perm.translate(s), g) for s in members)
     return reps, rep_of
 
 
@@ -361,13 +363,13 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
     reps, rep_of = coset_decomposition(group, derived)
     if len(reps) == 1:
         return ()
-    ident = rep_of[identity(group.level)]
+    ident = rep_of[_ident(group.level)]
     orders = []
     for r in reps:
         o = 1
         x = r
-        while rep_of[x] is not ident:
-            x = rep_of[x] * r
+        while rep_of[x.perm] is not ident:
+            x = rep_of[x.perm] * r
             o += 1
         orders.append(o)
     # s_k = log2 #{x : x^(2^k) = id}; the conjugate partition of the
@@ -398,7 +400,8 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def omega_group(level: int) -> LevelGroup:
     """The full automorphism group of the depth-n tree, n <= 4."""
-    return LevelGroup(level, iter_all(level), (sigma(level),) if level else ())
+    return LevelGroup(level, (u.perm for u in iter_all(level)),
+                      (sigma(level),) if level else ())
 
 
 @lru_cache(maxsize=None)
@@ -432,14 +435,11 @@ def section_pair_count(group_n: LevelGroup, x: Portrait) -> int:
     """
     if x.level != group_n.level - 1:
         raise ValueError("x must live one level below the group")
-    if x not in {w.restrict(group_n.level - 1) for w in group_n.elements}:
+    members = [_from_perm(group_n.level, p) for p in group_n.elements]
+    if x not in {w.restrict(x.level) for w in members}:
         raise ValueError("x is not a truncation of any group element")
-    count = 0
-    for w in group_n.elements:
-        left, _, root = w.sections()
-        if root == 0 and left == x:
-            count += 1
-    return count
+    return sum(1 for left, _, root in map(Portrait.sections, members)
+               if root == 0 and left == x)
 
 
 # -- consistency checks against the defining relations ---------------------
@@ -486,10 +486,11 @@ def verify_triple_theorem(level: int) -> dict:
     b1*b2*b3 = id, find beta and g_i in G with
     b_i = beta * g_i * a_i * g_i^-1 * beta^-1.  Also confirms that the
     wreath-style description of such triples (via conditions on sections)
-    carves out the same set.  Exhaustive, hence capped at level 3.
+    carves out the same set.  Exhaustive, hence capped at `TRIPLE_LEVEL_CAP`.
     """
-    if not 1 <= level <= 3:
-        raise ValueError("exhaustive triple search is capped at level 3")
+    if not 1 <= level <= TRIPLE_LEVEL_CAP:
+        raise ValueError(
+            f"exhaustive triple search is capped at level {TRIPLE_LEVEL_CAP}")
     from .treeauto import are_conjugate
 
     sysf = builtin_system_f()
@@ -562,7 +563,7 @@ def save_level_group(directory: str, system: str, name: str,
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{system}_{name}_L{group.level}.grp")
     lines = [f"{name} {group.level} {len(group)}"]
-    lines.extend(sorted(u.encode() for u in group.elements))
+    lines.extend(u.encode() for u in group)  # code order is wire order
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -596,6 +597,6 @@ def load_level_group(directory: str, system: str, name: str,
     if any(u.level != level for u in els) or len(set(els)) != order:
         return None
     try:
-        return LevelGroup(level, els)
+        return LevelGroup(level, (u.perm for u in els))
     except ValueError:
         return None

@@ -171,21 +171,7 @@ class Portrait:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of leaf-orbit sizes, sorted descending."""
-        perm = self.perm
-        seen = [False] * len(perm)
-        parts = []
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            parts.append(length)
-        parts.sort(reverse=True)
-        return tuple(parts)
+        return _cycle_type_of(self.perm)
 
     def order(self) -> int:
         return lcm(*self.cycle_type())
@@ -328,6 +314,23 @@ def _code_of(perm: bytes, level: int) -> int:
         return 0
     return int(b"".join([perm[:: 2 << below].translate(_bit_digits(below))
                          for below in range(level - 1, -1, -1)]), 2)
+
+
+def _cycle_type_of(perm: bytes) -> tuple[int, ...]:
+    """Leaf-orbit sizes of a leaf permutation, sorted descending."""
+    seen = [False] * len(perm)
+    parts = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        parts.append(length)
+    return tuple(sorted(parts, reverse=True))
 
 
 def _word_index(word: str) -> int:

@@ -46,7 +46,9 @@ class VerifyCaps:
                 raise ValueError(f"verification cap {key} = {value} is below {low}")
         for key, cap in (("group_level", selfsim.GROUP_LEVEL_CAP),
                          ("model_level", selfsim.GROUP_LEVEL_CAP),
-                         ("disc_n", polyarith.DISC_LEVEL_CAP)):
+                         ("disc_n", polyarith.DISC_LEVEL_CAP),
+                         ("precision", constantfield.PRECISION_CAP),
+                         ("radical_points", constantfield.RADICAL_POINTS_CAP)):
             value = getattr(self, key)
             if value > cap:
                 raise ResourceLimitError(
@@ -233,7 +235,7 @@ def _claim_presentation(caps: VerifyCaps) -> str:
 
 def _claim_triple_theorem(caps: VerifyCaps) -> str:
     out = []
-    for level in range(1, min(caps.group_level, 3) + 1):
+    for level in range(1, min(caps.group_level, selfsim.TRIPLE_LEVEL_CAP) + 1):
         res = selfsim.verify_triple_theorem(level)
         _check(res["all_witnessed"], res)
         _check(res["wreath_description_agrees"], res)
@@ -272,7 +274,7 @@ def _claim_commutator_antidiagonal(caps: VerifyCaps) -> str:
         h3 = selfsim.subgroup_H(3, n)
         meet = h1.elements & h3.elements
         _check(comm.elements == meet, n)
-        anti = {treeauto.pair(x, x.inverse(), 0)
+        anti = {treeauto.pair(x, x.inverse(), 0).perm
                 for x in selfsim.subgroup_U(n - 1)}
         _check(comm.elements == anti, n)
     return f"[G,G] = H1 meet H3 = antidiagonal twists, index 8, n=3..{top}"
@@ -339,7 +341,7 @@ def _claim_model_contains_geometric(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 2, "needs model level >= 2")
     for n in range(2, caps.model_level + 1):
         m = arithmodel.build_model(n)
-        _check(all(g in m.group for g in m.geometric), n)
+        _check(m.geometric.elements <= m.group.elements, n)
         _check(treeauto.sigma(n) in m.group, n)
     return "geometric group and root swap inside every model"
 

@@ -141,7 +141,8 @@ def perm_parity(perm) -> int:
 # -- the arithmetic model, one candidate at a time ---------------------------
 
 def lift_filter_model(level: int) -> frozenset:
-    """Elements of the level model, testing every lift candidate on its own.
+    """Leaf permutations of the level model, testing every lift candidate
+    on its own.
 
     A candidate (x, rho*x)tau, with x in the previous model, rho in the
     previous twist subgroup and tau a root swap, is kept iff conjugating
@@ -149,13 +150,13 @@ def lift_filter_model(level: int) -> frozenset:
     """
     G, U = geometric_group(level), subgroup_U(level)
     kept = set()
-    for x in build_model(level - 1).group.elements:
-        for rho in subgroup_U(level - 1).elements:
+    for x in build_model(level - 1).group:
+        for rho in subgroup_U(level - 1):
             for t in (0, 1):
                 m = pair(x, rho * x, t)
                 mi = m.inverse()
                 if all(mi * g * m in H for H in (G, U) for g in H.generators):
-                    kept.add(m)
+                    kept.add(m.perm)
     return frozenset(kept)
 
 

@@ -77,7 +77,7 @@ class TestConstruction:
             assert sigma(n) in model.group
 
     def test_inverse_closed(self, m4):
-        assert all(x.inverse() in m4.group for x in m4.group.elements)
+        assert all(x.inverse() in m4.group for x in m4.group)
 
     def test_broken_orbit_count_is_construction_error(self, monkeypatch):
         # a twist generating set that misses the twist leaves the lifts
@@ -206,14 +206,14 @@ class TestFrattini:
         model = build_model(level)
         phi = frattini_subgroup(model)
         reps, rep_of = coset_decomposition(model.group, phi)
-        vec = {rep_of[identity(level)]: 0}
+        vec = {rep_of[identity(level).perm]: 0}
         rank = 0
         for r in reps:
             if r not in vec:
                 for r0, v0 in list(vec.items()):
-                    vec[rep_of[r0 * r]] = v0 | (1 << rank)
+                    vec[rep_of[(r0 * r).perm]] = v0 | (1 << rank)
                 rank += 1
-        want = [frozenset(x for x in model.group
+        want = [frozenset(x for x in model.group.elements
                           if (vec[rep_of[x]] & mask).bit_count() % 2 == 0)
                 for mask in range(1, 1 << rank)]
         assert rank == 4

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, exit codes, and output stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from imgroups import cli, constantfield
 from imgroups.cli import main
+from imgroups.verify import VerifyCaps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -284,10 +287,41 @@ class TestVerificationCaps:
         assert code == 3 and out == ""
         assert "resource limit" in err and "group_level = 8 exceeds 7" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("radical", "--samples", "1000000000"),
+         "radical_points = 1000000000 exceeds 1000"),
+        (("radical", "--samples", "1001"), "radical_points = 1001 exceeds 1000"),
+        (("radical", "--precision", "1000000000"),
+         "precision = 1000000000 exceeds 4096"),
+        (("radical", "--precision", "4097"), "precision = 4097 exceeds 4096"),
+        (("verify", "--precision", "1000000000"),
+         "precision = 1000000000 exceeds 4096"),
+    ])
+    def test_flag_over_cap_is_resource_limit(self, capsys, monkeypatch, argv,
+                                            message):
+        # refused before any base value is computed or any claim runs
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        monkeypatch.setattr(constantfield, "preimage_tree", never)
+        monkeypatch.setattr(cli, "run_claims", never)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "resource limit" in err and message in err
+
+    def test_caps_accept_their_limits(self):
+        caps = VerifyCaps(precision=4096, radical_points=1000)
+        assert (caps.precision, caps.radical_points) == (
+            constantfield.PRECISION_CAP, constantfield.RADICAL_POINTS_CAP)
+        # verify's own samples are cut inside the claims, so no cap applies
+        assert VerifyCaps(samples=10**9).samples == 10**9
+
     @pytest.mark.parametrize("line, message", [
         ("group_level = 99", "group_level = 99 exceeds 7"),
         ("model_level = 8", "model_level = 8 exceeds 7"),
         ("disc_n = 9", "disc_n = 9 exceeds 5"),
+        ("precision = 65536", "precision = 65536 exceeds 4096"),
+        ("radical_points = 1001", "radical_points = 1001 exceeds 1000"),
     ])
     def test_config_over_cap_is_resource_limit(self, capsys, tmp_path,
                                                line, message):
@@ -338,6 +372,31 @@ class TestJsonOutput:
         assert data["verdict"] == "maximal"
         vias = {e["via"] for e in data["eliminations"]}
         assert vias == {"frobenius", "square_class"}
+
+
+class TestGoldenOutput:
+    # sha256 of the JSON stdout, the same under PYTHONHASHSEED 1 and 2;
+    # byte-stable JSON is the output contract, so a new digest here must
+    # come with a stated change of behaviour
+    GOLDEN = {
+        ("verify",):
+            "984104e62bea240bd39641b5793b4f47afed4527cd6a307456b23cf3f8e5e5ee",
+        ("arith", "--level", "7"):
+            "932d1c818cf316a80e80f2afbd0da8be9063180815c649eabbc4770e08f006e2",
+        ("group", "--level", "6"):
+            "ee7934f51537a30c3569d5d50cdba30b28f1714bf0dd43cc914312fbf385d739",
+        ("maximality", "--a", "5"):
+            "9b53cd08bbf5f95ef9461b92bd7b19c68c0f4d1fc59118ce48b017a377b1f96c",
+        ("disc", "--n", "5"):
+            "2aa950deec6c49a702eeefe676bcb6dbf419cd61a38cda0f3227258ee7832142",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN))
+    def test_json_digest(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("IMG_CACHE_DIR", raising=False)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv]
 
 
 class TestArgparse:

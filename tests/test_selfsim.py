@@ -97,6 +97,36 @@ class TestGroupOrders:
         assert geometric_group(3).elements <= omega_group(3).elements
 
 
+class TestLevelGroupContract:
+    def test_elements_are_leaf_permutations(self):
+        g = geometric_group(4)
+        assert type(g.elements) is frozenset
+        assert all(type(p) is bytes and len(p) == 16 for p in g.elements)
+        assert {u.perm for u in g} == g.elements
+        assert all(isinstance(u, Portrait) for u in g.generators)
+
+    @pytest.mark.parametrize("perms", [
+        lambda: set(geometric_group(3)),                  # portraits
+        lambda: {identity(3).perm, identity(2).perm},     # a wrong length
+        lambda: {identity(3).perm, bytes(7)},             # a wrong length
+        lambda: {sigma(3).perm},                          # no identity
+        lambda: set(),                                    # no identity
+        lambda: {u.perm for u in geometric_group(3).sorted_elements()[:3]},
+    ], ids=["portraits", "other-level", "short", "no-identity", "empty",
+            "order-3"])
+    def test_rejects_other_element_sets(self, perms):
+        with pytest.raises(ValueError):
+            LevelGroup(3, perms())
+
+    def test_membership_takes_portraits_of_its_level(self):
+        g = geometric_group(3)
+        assert sigma(3) in g and identity(3) in g
+        assert sigma(2) not in g and sigma(4) not in g
+        assert identity(2) not in g
+        for other in (sigma(3).perm, None, 3, "3:7F"):
+            assert other not in g
+
+
 class TestSubgroupLedger:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_indices(self, n):
@@ -127,7 +157,7 @@ class TestSubgroupLedger:
     def test_twist_subgroup_abelian(self):
         for n in (3, 4, 5):
             u = subgroup_U(n)
-            elems = list(u.elements)
+            elems = list(u)
             assert all(x * y == y * x for x in elems for y in elems)
 
     def test_coset_decomposition(self):
@@ -136,7 +166,7 @@ class TestSubgroupLedger:
         reps, rep_of = coset_decomposition(g, u)
         assert len(reps) == 4
         # U is normal, so one-sided cosets are two-sided
-        cosets = {r: frozenset(r * x for x in u.elements) for r in reps}
+        cosets = {r: frozenset((r * x).perm for x in u) for r in reps}
         covered = set().union(*cosets.values())
         assert covered == g.elements
         assert sum(len(c) for c in cosets.values()) == len(g)
@@ -146,10 +176,10 @@ class TestSubgroupLedger:
     def test_section_pair_counts(self):
         g4 = geometric_group(4)
         g3 = geometric_group(3)
-        x3 = next(iter(g3.elements))
+        x3 = next(iter(g3))
         assert section_pair_count(g4, x3) == 1
         g2 = geometric_group(2)
-        x2 = next(iter(g2.elements))
+        x2 = next(iter(g2))
         assert section_pair_count(g3, x2) == 2
 
 
@@ -172,8 +202,8 @@ class TestClosureToolkit:
         # size 2 passes the structural checks, but {1, x} with x of order 4
         # is not a subgroup, which generating_set must notice
         g = geometric_group(3)
-        x = next(e for e in g.elements if e.order() == 4)
-        broken = LevelGroup(3, {identity(3), x})
+        x = next(e for e in g if e.order() == 4)
+        broken = LevelGroup(3, {identity(3).perm, x.perm})
         with pytest.raises(ValueError):
             generating_set(broken)
 
@@ -183,9 +213,9 @@ class TestClosureToolkit:
         g = geometric_group(3)
         x = next(e for e in g.sorted_elements() if e.order() == 4)
         cyclic = closure([x]).elements
-        rest = [e for e in reversed(g.sorted_elements()) if e not in cyclic]
-        broken = LevelGroup(3, cyclic | set(rest[:4]))
-        assert len(closure(list(broken.elements))) > len(broken)
+        rest = [e for e in reversed(g.sorted_elements()) if e.perm not in cyclic]
+        broken = LevelGroup(3, cyclic | {e.perm for e in rest[:4]})
+        assert len(closure(list(broken))) > len(broken)
         first = closure([broken.sorted_elements()[1]])
         assert len(first) > 1 and first.elements <= broken.elements
         with pytest.raises(ValueError):
@@ -226,7 +256,7 @@ class TestDiminoClosure:
             gens = list(group.generators)
             want = _oracle_perms(gens, n)
             assert _mulclose(gens, CLOSURE_MAX_SIZE) == want
-            assert {u.perm for u in closure(gens).elements} == want
+            assert closure(gens).elements == want
 
     @pytest.mark.parametrize("level, sizes", [(3, (1, 2, 2, 3, 4)),
                                               (4, (1, 1, 2, 2))])
@@ -237,7 +267,7 @@ class TestDiminoClosure:
             gens = rng.sample(pool, k)
             want = _oracle_perms(gens, level)
             assert _mulclose(gens, CLOSURE_MAX_SIZE) == want
-            assert {u.perm for u in closure(gens).elements} == want
+            assert closure(gens).elements == want
 
     @pytest.mark.parametrize("level, order", [(5, 64), (6, 256)])
     def test_squares_of_model(self, level, order):
@@ -245,7 +275,7 @@ class TestDiminoClosure:
         squares = sorted({x * x for x in grp})
         got = _mulclose(squares, len(grp))
         assert len(got) == order
-        assert {u.perm for u in closure(squares, len(grp)).elements} == got
+        assert closure(squares, len(grp)).elements == got
         # the oracle closes a subset of the squares, which keeps it affordable:
         # a group inside the one the squares generate that holds every
         # square is all of it
@@ -295,7 +325,7 @@ class TestSortedElements:
         # fixes greedy generator choice and the Mmax-NN names
         for group in (geometric_group(n), build_model(n).group):
             fresh = LevelGroup(n, group.elements)
-            assert fresh.sorted_elements() == tuple(sorted(group.elements))
+            assert fresh.sorted_elements() == tuple(sorted(set(group)))
             assert group.sorted_elements() == fresh.sorted_elements()
 
 
