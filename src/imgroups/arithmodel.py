@@ -31,12 +31,14 @@ from .selfsim import (
 from .treeauto import (
     ENUMERATION_LEVEL_CAP,
     Portrait,
+    _all_perms,
     _cycle_type_of,
     _from_perm,
     _ident,
+    _inverse,
+    _sections,
     _table,
     identity,
-    iter_all,
     pair,
     sigma,
 )
@@ -60,14 +62,14 @@ def _normalizer_conditions(*groups: LevelGroup):
                  for H in groups)
 
 
-def _normalizes(m: Portrait, conditions) -> bool:
+def _normalizes(m: bytes, conditions) -> bool:
     """True iff m^-1 g m lies in the target for every (gens, target) pair.
 
-    The conjugates are composed as leaf permutations; no portrait is built
-    for them.
+    m is a leaf permutation, and the conjugates are composed as leaf
+    permutations; no portrait is built for them.
     """
-    mt = _table(m.perm)
-    mi = m.inverse().perm
+    mt = _table(m)
+    mi = _inverse(m)
     for gens, target in conditions:
         for g in gens:
             if mi.translate(g).translate(mt) not in target:
@@ -115,7 +117,7 @@ def _model(level: int) -> ArithLevelModel:
         for c in lifts:
             tc = t * c
             s = next((s for s in (tc * u.inverse() for u in transversal)
-                      if _normalizes(s, conditions)), None)
+                      if _normalizes(s.perm, conditions)), None)
             if s is None:
                 transversal.append(tc)
             elif stab is not None and s.perm not in stab:
@@ -150,15 +152,16 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
         return (True, 2, model.order)
     prev = build_model(level - 1)
     conditions = _normalizer_conditions(model.geometric, model.twist)
+    group, twist = prev.group.elements, prev.twist.elements
     brute: set[bytes] = set()
-    for m in iter_all(level):
-        left, right, _ = m.sections()
-        if left not in prev.group:
+    for m in _all_perms(level):
+        left, right = _sections(m, level)
+        if left not in group:
             continue
-        if right * left.inverse() not in prev.twist:
+        if right.translate(_table(_inverse(left))) not in twist:
             continue
         if _normalizes(m, conditions):
-            brute.add(m.perm)
+            brute.add(m)
     return (brute == model.group.elements, len(brute), model.order)
 
 

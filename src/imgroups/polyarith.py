@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 from operator import mul
 from typing import Optional
@@ -833,12 +833,15 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
 @lru_cache(maxsize=1)
 def _small_primes() -> list[int]:
     limit = TRIAL_DIVISION_LIMIT
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(limit) + 1):
+    # an odd-only sieve: sieve[i] stands for 2 i + 1, and p's odd multiples
+    # from p * p on lie p entries apart
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2, *compress(range(1, limit + 1, 2), sieve)]
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -18,17 +18,18 @@ has order 2**(n+2) at level n >= 3.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .errors import ResourceLimitError
 from .treeauto import (
     Portrait,
+    _all_perms,
+    _code_of,
     _from_perm,
     _ident,
     _table,
     identity,
-    iter_all,
     pair,
     sigma,
 )
@@ -255,14 +256,16 @@ def generating_set(group: LevelGroup) -> list[Portrait]:
     """
     if group.generators:
         return list(group.generators)
+    level = group.level
     gens: list[Portrait] = []
     steps = []
-    have = {_ident(group.level)}
-    for g in group.sorted_elements():
-        if g.perm not in have:
-            gens.append(g)
-            steps.append(_table(g.perm))
-            have = _extend(have, steps, g.perm, len(group))
+    have = {_ident(level)}
+    # sorted by code like `sorted_elements`, but only the picks are wrapped
+    for p in sorted(group.elements, key=partial(_code_of, level=level)):
+        if p not in have:
+            gens.append(_from_perm(level, p))
+            steps.append(_table(p))
+            have = _extend(have, steps, p, len(group))
             if have is None:  # the closure outgrew the set
                 raise ValueError("element set is not closed")
     return gens
@@ -400,7 +403,7 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def omega_group(level: int) -> LevelGroup:
     """The full automorphism group of the depth-n tree, n <= 4."""
-    return LevelGroup(level, (u.perm for u in iter_all(level)),
+    return LevelGroup(level, _all_perms(level),
                       (sigma(level),) if level else ())
 
 

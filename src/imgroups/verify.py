@@ -101,10 +101,32 @@ def _check(cond, detail=None) -> None:
     raise AssertionError(detail)
 
 
+# randrange(2) takes the top two bits of one 32-bit Mersenne word and draws
+# again while the top bit is set; these name the top bytes drawn again
+_TOP_BIT_SET = bytes(range(128, 256))
+
+
+def _rand_bits(rng: random.Random, count: int) -> int:
+    """``count`` draws of ``rng.randrange(2)`` as the binary digits of one
+    int, first draw most significant, consuming exactly the words those
+    draws consume: getrandbits(32 k) is k words, first word lowest, and
+    each round asks for only the bits still missing, so no word is drawn
+    past the last one kept."""
+    digits = b"0"
+    while count:
+        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        # bit 30 of a word is bit 6 of its top byte
+        kept = words[3::4].translate(treeauto._bit_digits(6), _TOP_BIT_SET)
+        digits += kept
+        count -= len(kept)
+    return int(digits, 2)
+
+
 def _rand_portrait(rng: random.Random, level: int) -> treeauto.Portrait:
-    return treeauto.Portrait(
-        level, tuple(rng.randrange(2) for _ in range((1 << level) - 1))
-    )
+    """The portrait with swap bits ``rng.randrange(2)`` in breadth-first
+    order."""
+    bits = _rand_bits(rng, (1 << level) - 1)
+    return treeauto._from_perm(level, treeauto._perm_of_code(level, bits))
 
 
 def _perm_parity(perm) -> int:

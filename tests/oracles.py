@@ -66,6 +66,21 @@ def leaf_permutation(swaps, level: int) -> list[int]:
     return perm
 
 
+def perm_from_swaps_reference(level: int, swaps) -> bytes:
+    """Leaf permutation from breadth-first swap bits by walking them depth
+    by depth: each vertex's image has two children, swapped when the
+    vertex's bit is set."""
+    img = [0]
+    for depth in range(level):
+        width = 1 << depth
+        nxt = []
+        for k, bit in zip(img, swaps[width - 1 : 2 * width - 1]):
+            k <<= 1
+            nxt += (k + 1, k) if bit else (k, k + 1)
+        img = nxt
+    return bytes(img)
+
+
 def compose_swaps(u, v, level: int) -> tuple[int, ...]:
     """Portrait bits of "u then v", recovered from the composite action."""
     tu, tv = swap_dict(u, level), swap_dict(v, level)

@@ -25,7 +25,9 @@ from imgroups.errors import ModelConstructionError, ResourceLimitError
 from imgroups.selfsim import (
     GROUP_LEVEL_CAP,
     LevelGroup,
+    closure,
     coset_decomposition,
+    generating_set,
     geometric_group,
     subgroup_index,
     subgroup_U,
@@ -198,6 +200,24 @@ class TestFrattini:
         assert len(calls) == 1
         assert frattini_subgroup(m4) is phi and maximal_subgroups(m4) is subs
         assert len(calls) == 1
+
+    def test_closure_checks_leave_the_kernels_unsorted(self, m4):
+        # generating_set sorts the leaf permutations itself and wraps only
+        # the generators it picks; the picks are the greedy ones over the
+        # sorted portraits, in the same order
+        arithmodel._frattini.cache_clear()
+        maximal_subgroups.cache_clear()
+        subs = maximal_subgroups(m4)
+        assert len(subs) == 15
+        assert all(s.group._sorted is None for s in subs)
+        for s in subs:
+            want, have = [], LevelGroup(4, [identity(4).perm])
+            for g in s.group.sorted_elements():
+                if g not in have:
+                    want.append(g)
+                    have = closure(want)
+            assert generating_set(s.group) == want
+            assert have == s.group
 
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_kernels_match_parity_filter(self, level):

@@ -509,6 +509,13 @@ class TestIntegerHelpers:
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert len(primes_up_to(10**4)) == 1229
 
+    def test_prime_table_matches_plain_sieve(self):
+        # the table is an odd-only sieve read out by itertools.compress
+        table = primes_up_to(polyarith.TRIAL_DIVISION_LIMIT)
+        assert polyarith.TRIAL_DIVISION_LIMIT == 10**6
+        assert len(table) == 78_498
+        assert table == oracles.primes_between(2, 10**6 + 1)
+
     def test_squarefree_part(self):
         rng = random.Random(9)
         for _ in range(200):

@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import sys
 
 import pytest
 
@@ -216,6 +217,66 @@ class TestKernelAgainstOracles:
             e = u * u.inverse()
             assert e == identity(lvl) == Portrait(lvl, e.swaps)
             assert hash(e) == hash(Portrait(lvl, [0] * ((1 << lvl) - 1)))
+
+
+class TestCodeKernel:
+    """Leaf permutations from swap bits, one translate per chunk of bits,
+    against the depth-by-depth walk of the oracles."""
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_constructor_and_decode_match_the_walk(self, lvl):
+        rng = random.Random(1009 + lvl)
+        for _ in range(40):
+            bits = [rng.getrandbits(1) for _ in range((1 << lvl) - 1)]
+            want = oracles.perm_from_swaps_reference(lvl, bits)
+            u = Portrait(lvl, bits)
+            assert u.perm == want
+            assert Portrait.decode(u.encode()).perm == want
+        for bits in ([0] * ((1 << lvl) - 1), [1] * ((1 << lvl) - 1)):
+            assert Portrait(lvl, bits).perm == oracles.perm_from_swaps_reference(
+                lvl, bits)
+
+    @pytest.mark.parametrize("lvl", range(5))
+    def test_iter_all_matches_the_walk_in_order(self, lvl):
+        nbits = (1 << lvl) - 1
+        count = 0
+        for code, u in enumerate(iter_all(lvl)):
+            bits = [(code >> (nbits - 1 - i)) & 1 for i in range(nbits)]
+            assert u.level == lvl
+            assert u.perm == oracles.perm_from_swaps_reference(lvl, bits)
+            count += 1
+        assert count == 1 << nbits
+
+    def test_tables_are_lazy_and_small(self):
+        treeauto._code_steps.cache_clear()
+        treeauto._layer_tables.cache_clear()
+        Portrait(3, [1, 0, 1, 1, 0, 0, 1])
+        # one table set per depth at level 3: 1, 2 and 4 vertices
+        assert treeauto._layer_tables.cache_info().currsize == 3
+        tables = {id(t): t for lvl in LEVELS
+                  for _, _, t in treeauto._code_steps(lvl)}
+        size = sum(sys.getsizeof(t) + sum(map(sys.getsizeof, t))
+                   for t in tables.values())
+        assert size < 1 << 19  # 0.5 MiB through level 8
+
+    @pytest.mark.parametrize("bits, message", [
+        ((2,), "swap bits must be 0 or 1, got 2"),
+        ((1.5,), "swap bits must be 0 or 1, got 1.5"),
+        (("a",), "swap bits must be 0 or 1, got 'a'"),
+        ((0, "a", 2), "swap bits must be 0 or 1, got 'a'"),
+        ((0, 1), "level 1 needs 1 swap bits, got 2"),
+        ((), "level 1 needs 1 swap bits, got 0"),
+    ])
+    def test_invalid_bits_keep_their_messages(self, bits, message):
+        level = 2 if len(bits) == 3 else 1
+        with pytest.raises(ValueError) as err:
+            Portrait(level, bits)
+        assert str(err.value) == message
+
+    def test_bool_and_float_bits_are_accepted(self):
+        assert Portrait(2, [True, 1.0, 0]) == Portrait(2, [1, 1, 0])
+        assert Portrait(2, (False, 0.0, True)).code == 0b001
+        assert Portrait(1, iter([1])) == sigma(1)
 
 
 class TestConjugacy:
