@@ -15,7 +15,7 @@ evaluating at integer nodes and interpolating.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -742,8 +742,8 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     """Degrees of the irreducible factors mod an odd prime, or None.
 
     None means the reduction is not squarefree (a "bad" prime for
-    Frobenius sampling).  Distinct-degree splitting is all that is needed:
-    the factors themselves are never computed.
+    Frobenius sampling).  Counting the factors of each degree is all that
+    is needed: the factors themselves are never computed.
 
     Squarefree test: for p not dividing lc(f), p divides the integer
     resultant Res(f, f') exactly when f mod p is not squarefree.  Reducing
@@ -758,10 +758,23 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     x^(ip) mod f, i < n, form the Frobenius (Berlekamp Q) matrix (von zur
     Gathen-Gerhard, Modern Computer Algebra, ch. 14).  Matrix-vector
     products give h_d = x^(p^d) mod f until h_L = x: f is squarefree, so L
-    is the lcm of the factor degrees, every factor degree divides L, and
-    only the divisors d < L of L need the gcd of h_d - x with the unsplit
-    part; what is left then has only factors of degree L.  When L exceeds
-    n, every d is tried in turn.
+    is the lcm of the factor degrees and every factor degree divides L.
+
+    No factor is split off or divided out; the factors are counted.  For
+    each divisor d < L of L in increasing order (every d <= n when L
+    exceeds n), c_d = sum of e * n_e over e | d is the number of roots of
+    f in F_(p^d), where n_e is the number of factors of degree e, so
+    n_d = (c_d - sum of e * n_e over e | d, e < d) / d.  c_d is the degree
+    of gcd(h_d - x, f), with f itself, except c_1 when p > n: F_p[x]/(f)
+    is a product of fields F_(p^e), one per factor, and on each the p-power
+    map permutes a normal basis cyclically, so its trace is 1 if e = 1 and
+    0 otherwise (Lidl-Niederreiter, Finite Fields, Thm 2.35).  The trace of
+    the Frobenius matrix, the sum of the coefficients of x^i in x^(ip) mod
+    f, is therefore c_1 mod p, and c_1 itself as c_1 <= n < p.  For p <= n
+    it may not be (x^5 - x at p = 3 has 3 roots and trace 0), so there the
+    d = 1 gcd stays.  Once 2d exceeds the degree left uncounted, that
+    rest is one irreducible factor; after the last divisor of L, it is
+    made of factors of degree L.
 
     Elements of F_p[x]/(f) are Kronecker-packed into one int each
     (`_GFPackedRing`), and every value that gets reduced has slots below
@@ -775,7 +788,7 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     subtract over all slots at once plus one masked conditional
     subtraction; a product of degree < 2n is reduced mod f by polynomial
     Barrett reduction, two more packed products against mu = x^(2n) div f.
-    The splitting gcds and quotients run on the same packed ints.
+    The counting gcds run on the same packed ints.
     """
     if prime < 3 or not _is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
@@ -803,7 +816,8 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     rows = [1, xp]
     while len(rows) < n:
         rows.append(ring.mul(rows[-1], xp))
-    x = 1 << ring.width
+    w = ring.width
+    x = 1 << w
     frob = [None, xp]  # frob[d] = x^(p^d) mod f
     while frob[-1] != x and len(frob) <= n:
         frob.append(ring.reduce(sum(map(mul, ring.unpack(frob[-1]), rows))))
@@ -811,19 +825,24 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     steps = (range(1, n + 1) if order is None
              else [d for d in range(1, order) if order % d == 0])
     degrees: list[int] = []
-    work = ring.f
+    left = n  # the degree not yet counted
     for d in steps:
-        if 2 * d > ring.degree(work):
-            last = ring.degree(work)  # what is left is irreducible
+        if 2 * d > left:
+            last = left  # what is left is irreducible
             break
-        g = ring.gcd(ring.reduce(frob[d] + (prime - 1 << ring.width)), work)
-        if ring.degree(g) > 0:
-            degrees.extend([d] * (ring.degree(g) // d))
-            work = ring.divmod(work, g)[0]
-    else:  # only reached with L found, as 2n > deg(work) ends the d <= n run
+        if d == 1 and prime > n:
+            mask = (1 << w) - 1
+            roots = sum(r >> i * w & mask for i, r in enumerate(rows)) % prime
+        else:
+            roots = ring.degree(ring.gcd(ring.reduce(frob[d] + (prime - 1 << w)),
+                                         ring.f))
+        count = (roots - sum(e for e in degrees if d % e == 0)) // d
+        degrees.extend([d] * count)
+        left -= d * count
+    else:  # only reached with L found, as 2n > left ends the d <= n run
         last = order
-    if ring.degree(work) > 0:
-        degrees.extend([last] * (ring.degree(work) // last))
+    if left:
+        degrees.extend([last] * (left // last))
     return tuple(sorted(degrees, reverse=True))
 
 
@@ -858,11 +877,17 @@ _MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_probable_prime(n: int) -> bool:
-    if n < 2:
+    """Primality of n: exact up to TRIAL_DIVISION_LIMIT by a binary search
+    of the sieved prime table, beyond it Miller-Rabin at the first twelve
+    prime bases, deterministic below _MR_DETERMINISTIC_BELOW (about 3.3e24).
+    The table is built once per process; the prime stream of the Frobenius
+    sampling already reads it through `primes_up_to`."""
+    if n <= TRIAL_DIVISION_LIMIT:
+        table = _small_primes()
+        i = bisect_left(table, n)
+        return i < len(table) and table[i] == n
+    if any(n % a == 0 for a in _MR_BASES):
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -50,6 +50,7 @@ with zero bits to a whole number of hex digits.  Level 0 encodes as
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import product
 from math import lcm
 
 from .errors import ResourceLimitError
@@ -140,11 +141,9 @@ class Portrait:
 
     def apply(self, word: str) -> str:
         """Image of a vertex, given and returned as a word over '1','2'."""
-        _check_word(word, self.level)
-        depth = len(word)
-        below = self.level - depth
-        image = self.perm[_word_index(word) << below] >> below
-        return "".join("12"[(image >> (depth - 1 - i)) & 1] for i in range(depth))
+        index = _word_index(word, self.level)
+        below = self.level - len(word)
+        return _WORDS[len(word)][self.perm[index << below] >> below]
 
     def leaf_permutation(self) -> list[int]:
         """perm[j] = image of leaf j under this automorphism."""
@@ -154,9 +153,8 @@ class Portrait:
 
     def section(self, word: str) -> "Portrait":
         """The automorphism of the subtree hanging below an input vertex."""
-        _check_word(word, self.level)
         below = self.level - len(word)
-        first = _word_index(word) << below
+        first = _word_index(word, self.level) << below
         block = self.perm[first : first + (1 << below)]
         return _from_perm(below, block.translate(_low_bits(below)))
 
@@ -384,20 +382,23 @@ def _cycle_type_of(perm: bytes) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _word_index(word: str) -> int:
-    """Index of a vertex within its depth: symbol 1 -> bit 0, first bit high."""
-    index = 0
-    for ch in word:
-        index = (index << 1) | (ch == "2")
-    return index
+# every vertex word through depth LEVEL_MAX, listed by depth in index order:
+# symbol 1 -> bit 0, the first symbol the high bit
+_WORDS = [tuple(map("".join, product("12", repeat=depth)))
+          for depth in range(LEVEL_MAX + 1)]
+_WORD_INDEX = {word: i for words in _WORDS for i, word in enumerate(words)}
 
 
-def _check_word(word: str, level: int) -> None:
+def _word_index(word: str, level: int) -> int:
+    """Index of a vertex of the depth-`level` tree within its depth.  Raises
+    ValueError unless the word is a vertex of that tree."""
     if len(word) > level:
         raise ValueError(f"word {word!r} longer than level {level}")
-    for ch in word:
-        if ch not in "12":
-            raise ValueError(f"word {word!r} has symbol {ch!r}, want '1'/'2'")
+    index = _WORD_INDEX.get(word)
+    if index is None:
+        bad = word.lstrip("12")[0]
+        raise ValueError(f"word {word!r} has symbol {bad!r}, want '1'/'2'")
+    return index
 
 
 # -- basic elements and constructions ------------------------------------

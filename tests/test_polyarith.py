@@ -10,6 +10,7 @@ square-and-multiply distinct-degree splitting.
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from imgroups.polyarith import (
     _big_prime,
     _GFPackedRing,
     _gf_resultant,
+    _is_probable_prime,
     discriminant_shape,
     factor_degrees_mod_p,
     iterate_metadata,
@@ -498,10 +500,68 @@ class TestFactorDegrees:
                                             # (x^2 + 1)(x^3 - x + 1)(x^3 - x - 1):
                                             # L = 6, and at d = 3 the gcd is
                                             # all that is left
+        ((0, -1, 0, 1), 3, (1, 1, 1)),      # x^3 - x at p = 3: x^p = x, so
+                                            # L = 1 and nothing is counted
+        ((0, -1, 0, 0, 0, 1), 5, (1, 1, 1, 1, 1)),  # x^5 - x at p = 5, too
+        ((0, -1, 0, 0, 0, 1), 3, (2, 1, 1, 1)),  # x^5 - x at p = 3: L = 2 and
+                                            # 3 roots, but the trace is 0 mod
+                                            # 3, so p <= n takes the gcd
+        ((-2, 0, -2, 1, 0, 1), 7, (3, 2)),  # (x^2 + 1)(x^3 - 2) at p = 7 > n:
+                                            # L = 6 exceeds n = 5
+        # level-4 and level-5 numerators at the primes either side of their
+        # degrees 16 and 32: below it the roots come from a gcd, above it
+        # from the trace
+        (specialize_numerator(4, Fraction(7, 3)).coeffs, 13, (4, 4, 4, 2, 1, 1)),
+        (specialize_numerator(4, Fraction(7, 3)).coeffs, 17, (4, 4, 4, 2, 1, 1)),
+        (specialize_numerator(4, Fraction(-5)).coeffs, 13,
+         (2, 2, 2, 2, 2, 2, 1, 1, 1, 1)),
+        (specialize_numerator(4, Fraction(5)).coeffs, 17, (2,) * 8),
+        (specialize_numerator(5, Fraction(5)).coeffs, 31, (4,) * 8),
+        (specialize_numerator(5, Fraction(5)).coeffs, 37,
+         (4, 4, 4, 4, 4, 4, 4, 2, 1, 1)),
+        (specialize_numerator(5, Fraction(7, 3)).coeffs, 31, (8, 8, 8, 8)),
     ])
     def test_edge_cases_match_reference(self, coeffs, p, expected):
         assert factor_degrees_mod_p(IntPoly(coeffs), p) == expected
         assert oracles.ddf_degrees_reference(coeffs, p) == expected
+
+
+class TestIsProbablePrime:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 20_000):
+            want = n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+            assert _is_probable_prime(n) == want, n
+
+    @pytest.mark.parametrize("n, want", [
+        (999_983, True),        # the largest prime in the table
+        (10**6, False),         # TRIAL_DIVISION_LIMIT itself
+        (1_000_003, True),      # the first prime past it, by Miller-Rabin
+        (1_000_001, False),     # 101 * 9901, past it too
+    ])
+    def test_table_boundary(self, n, want):
+        assert polyarith.TRIAL_DIVISION_LIMIT == 10**6
+        assert _is_probable_prime(n) is want
+
+    @pytest.mark.parametrize("n", [561, 1105, 2047, 3277, 4033, 1_373_653,
+                                   3_215_031_751])
+    def test_pseudoprimes_rejected(self, n):
+        # Carmichael numbers and strong pseudoprimes to base 2 (1,373,653
+        # to bases 2 and 3, 3,215,031,751 to bases 2, 3, 5 and 7)
+        assert not _is_probable_prime(n)
+
+    def test_factor_degrees_rejects_a_carmichael_modulus(self):
+        with pytest.raises(ValueError, match="561 is not an odd prime"):
+            factor_degrees_mod_p(IntPoly([1, 0, 1]), 561)
+
+    def test_big_primes_unchanged(self):
+        # the first 44 primes above 2^62, all that resultant_modular uses
+        # for discriminant_shape(5)'s spot checks
+        offsets = [135, 169, 177, 187, 189, 193, 253, 277, 303, 343, 369,
+                   375, 385, 387, 415, 427, 445, 457, 483, 525, 543, 559,
+                   573, 609, 615, 697, 705, 795, 817, 883, 889, 949, 1015,
+                   1059, 1159, 1285, 1297, 1303, 1339, 1365, 1377, 1395,
+                   1419, 1495]
+        assert [_big_prime(i) - (1 << 62) for i in range(44)] == offsets
 
 
 class TestIntegerHelpers:

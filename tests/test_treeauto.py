@@ -1,6 +1,7 @@
 """Portrait arithmetic against the independent node-string oracle."""
 
 import copy
+import itertools
 import math
 import random
 import sys
@@ -103,6 +104,36 @@ class TestAction:
             assert u * e == u == e * u
             assert u * u.inverse() == e == u.inverse() * u
             assert tuple(u.inverse().swaps) == oracles.invert_swaps(u.swaps, lvl)
+
+    @pytest.mark.parametrize("lvl", range(6))
+    def test_apply_matches_leaf_permutation(self, lvl):
+        # a vertex's image holds the images of all the leaves below it
+        rng = random.Random(40 + lvl)
+        for _ in range(10):
+            u = rand_portrait(rng, lvl)
+            perm = u.leaf_permutation()
+            for depth in range(lvl + 1):
+                below = lvl - depth
+                for letters in itertools.product("12", repeat=depth):
+                    word = "".join(letters)
+                    image = u.apply(word)
+                    assert len(image) == depth and not image.strip("12")
+                    first = int("0" + word.replace("1", "0").replace("2", "1"), 2)
+                    want = int("0" + image.replace("1", "0").replace("2", "1"), 2)
+                    for leaf in range(first << below, first + 1 << below):
+                        assert perm[leaf] >> below == want, (u, word)
+
+    @pytest.mark.parametrize("word, message", [
+        ("1212", "longer than level 3"),
+        ("1x2", "has symbol 'x'"),
+        ("0", "has symbol '0'"),
+        ("21 ", "has symbol ' '"),
+    ])
+    def test_bad_words_keep_their_messages(self, word, message):
+        u = adding_machine(3)
+        for call in (u.apply, u.section):
+            with pytest.raises(ValueError, match=message):
+                call(word)
 
     def test_functional_aliases(self):
         assert sigma(2) * sigma(2) == identity(2)
