@@ -23,9 +23,9 @@ from .selfsim import (
     LevelGroup,
     _extend,
     closure,
-    coset_decomposition,
     generating_set,
     geometric_group,
+    quotient,
     subgroup_U,
 )
 from .treeauto import (
@@ -210,28 +210,28 @@ def _frattini(model: ArithLevelModel):
 def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]:
     """The kernels of the nontrivial characters of M / Phi, each the union
     of its Phi cosets and made of the model's own leaf permutations."""
-    reps, rep_of = coset_decomposition(model.group, phi)
-    vecs: dict[Portrait, int] = {rep_of[_ident(model.level)]: 0}
-    basis: list[Portrait] = []
-    for r in reps:
-        if r in vecs:
+    reps, index_of, table = quotient(model.group, phi)
+    vecs = {0: 0}  # coset index -> character vector over the sorted basis
+    rank = 0
+    for i in range(len(reps)):
+        if i in vecs:
             continue
-        basis.append(r)
-        bit = 1 << (len(basis) - 1)
-        for r0, v0 in list(vecs.items()):
-            vecs[rep_of[(r0 * r).perm]] = v0 | bit
+        bit = 1 << rank
+        rank += 1
+        for i0, v0 in list(vecs.items()):
+            vecs[table[i0][i]] = v0 | bit
     if len(vecs) != len(reps):  # pragma: no cover - quotient is elementary
         raise ModelConstructionError("quotient by Frattini is not elementary")
-    cosets: dict[bytes, list[bytes]] = {r.perm: [] for r in reps}
+    cosets: list[list[bytes]] = [[] for _ in reps]
     for x in model.group.elements:
-        cosets[rep_of[x].perm].append(x)
+        cosets[index_of[x]].append(x)
     # each kernel is the union of the cosets whose character vector has
     # even parity under the mask
     out = []
-    for mask in range(1, 1 << len(basis)):
+    for mask in range(1, 1 << rank):
         out.append(LevelGroup(model.level, (
-            x for r in reps if (vecs[r] & mask).bit_count() % 2 == 0
-            for x in cosets[r.perm])))
+            x for i, coset in enumerate(cosets)
+            if (vecs[i] & mask).bit_count() % 2 == 0 for x in coset)))
     return out
 
 
@@ -284,3 +284,26 @@ def order_growth_report(max_level: int = GROUP_LEVEL_CAP) -> GrowthReport:
         growth_factors=factors,
         odometer_counts=tuple(len(odometer_elements(m)) for m in models),
     )
+
+
+def constant_field_quotient() -> dict:
+    """Q_5 = M_5 / G_5, the Galois group of the level-5 constant field.
+
+    Read off the coset table: its order, a pair of coset reps that do not
+    commute modulo G_5 (None if there is none), and its involutions.  Order
+    8, non-abelian and five involutions make it dihedral; the quaternion
+    group of order 8 has a single involution.
+    """
+    model = build_model(5)
+    reps, _, table = quotient(model.group, model.geometric)
+    witness = next(((reps[i], reps[j]) for i, row in enumerate(table)
+                    for j in range(i) if row[j] != table[j][i]), None)
+    involutions = sum(1 for i in range(1, len(table)) if table[i][i] == 0)
+    return {
+        "group": "M5/G5",
+        "order": len(reps),
+        "nonabelian": witness is not None,
+        "noncommuting_pair": witness,
+        "involutions": involutions,
+        "dihedral": len(reps) == 8 and witness is not None and involutions == 5,
+    }

@@ -255,7 +255,7 @@ def _cmd_radical(args, caps) -> tuple[dict, list[str], int]:
         ok = ok and rep.ok
         for name, res in rep.residuals.items():
             worst[name] = max(worst[name], res)
-    dihedral = constantfield.dihedral_constant_field_check()
+    dihedral = arithmodel.constant_field_quotient()
     report = {
         "precision": precision,
         "samples": samples,
@@ -264,17 +264,17 @@ def _cmd_radical(args, caps) -> tuple[dict, list[str], int]:
                        for name, val in worst.items()},
         "ok": ok,
         "dihedral": {k: v for k, v in dihedral.items()
-                     if k in ("aut_order", "aut_nonabelian", "aut_involutions",
-                              "dihedral")},
+                     if k != "noncommuting_pair"},
     }
     lines = [f"radical identities at {precision} bits, {samples} base values "
              f"(seed {seed})"]
     for name, val in worst.items():
         lines.append(f"  {name:<28} worst residual {mpmath.nstr(val, 3)}")
     lines.append(f"  all within tolerance: {'yes' if ok else 'NO'}")
-    lines.append(f"dihedral check: Aut(Z/2 x Z/4) order "
-                 f"{dihedral['aut_order']}, non-abelian, "
-                 f"{dihedral['aut_involutions']} involutions")
+    lines.append(f"dihedral check: {dihedral['group']} order "
+                 f"{dihedral['order']}, "
+                 f"{'non-abelian' if dihedral['nonabelian'] else 'abelian'}, "
+                 f"{dihedral['involutions']} involutions")
     return report, lines, 0 if ok and dihedral["dihedral"] else 1
 
 

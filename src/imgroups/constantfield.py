@@ -1,17 +1,17 @@
-"""Numeric checks of the nested-radical structure of the preimage tree,
-plus the small group theory behind the constant-field statements.
+"""Numeric checks of the nested-radical structure of the preimage tree.
 
 The preimages of a complex number alpha under x -> 2/(x-1)^2 are
 1 + sqrt(2/alpha) and 1 - sqrt(2/alpha) (principal branch).  Iterating
 from a base value fills a binary tree whose entries satisfy exact
 algebraic identities once squared; here they are verified at high
-precision, with residuals reported rather than hidden.
+precision, with residuals reported rather than hidden.  The group side
+of the constant field, Q_5 = M_5 / G_5, is read off the arithmetic model
+by `arithmodel.constant_field_quotient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import mpmath
 
@@ -191,56 +191,3 @@ def sample_points(samples: int = DEFAULT_SAMPLES, seed: int = 2024):
             continue
         out.append(complex(re, im))
     return out
-
-
-# -- the dihedral automorphism content ----------------------------------------
-
-
-def _klein24_table():
-    # Z/2 x Z/4 as index-addressed addition table
-    els = [(i, j) for i in range(2) for j in range(4)]
-    idx = {e: k for k, e in enumerate(els)}
-    add = [[idx[((a[0] + b[0]) % 2, (a[1] + b[1]) % 4)] for b in els]
-           for a in els]
-    return els, add
-
-
-def dihedral_constant_field_check() -> dict:
-    """Brute-force the automorphism group of Z/2 x Z/4.
-
-    The geometric abelianization at every computed level is (2, 4); its
-    automorphism group, enumerated over all bijections fixing the
-    identity, has order 8, is non-abelian, and contains five involutions,
-    which pins it down as dihedral (the quaternion group has one).
-    """
-    from .selfsim import abelian_invariants, geometric_group
-
-    invariants = {n: abelian_invariants(geometric_group(n)) for n in (3, 4, 5)}
-
-    els, add = _klein24_table()
-    n = len(els)
-    autos = []
-    for perm in permutations(range(1, n)):
-        p = (0,) + perm
-        if all(p[add[a][b]] == add[p[a]][p[b]] for a in range(n) for b in range(n)):
-            autos.append(p)
-    order = len(autos)
-    compose = lambda p, q: tuple(q[p[i]] for i in range(n))
-    witness = None
-    for p in autos:
-        for q in autos:
-            if compose(p, q) != compose(q, p):
-                witness = (p, q)
-                break
-        if witness:
-            break
-    ident = tuple(range(n))
-    involutions = sum(1 for p in autos if p != ident and compose(p, p) == ident)
-    return {
-        "abelian_invariants": invariants,
-        "aut_order": order,
-        "aut_nonabelian": witness is not None,
-        "noncommuting_pair": witness,
-        "aut_involutions": involutions,
-        "dihedral": order == 8 and witness is not None and involutions == 5,
-    }

@@ -28,6 +28,7 @@ from .treeauto import (
     _code_of,
     _from_perm,
     _ident,
+    _inverse,
     _table,
     identity,
     pair,
@@ -310,11 +311,10 @@ def commutator_subgroup(group: LevelGroup) -> LevelGroup:
         return LevelGroup(group.level, {_ident(group.level)},
                           (identity(group.level),))
     derived = normal_closure(group, seeds)
-    reps, rep_of = coset_decomposition(group, derived)
-    for a in reps:
-        for b in reps:
-            if rep_of[(a * b).perm] is not rep_of[(b * a).perm]:  # pragma: no cover
-                raise AssertionError("quotient by commutators is not abelian")
+    table = quotient(group, derived)[2]
+    if any(row[j] != table[j][i] for i, row in enumerate(table)
+           for j in range(i)):  # pragma: no cover
+        raise AssertionError("quotient by commutators is not abelian")
     return derived
 
 
@@ -341,19 +341,37 @@ def subgroup_index(group: LevelGroup, sub: LevelGroup) -> int:
     return len(group) // len(sub)
 
 
-def coset_decomposition(group: LevelGroup, sub: LevelGroup):
-    """Left cosets of a subgroup: sorted reps plus a map from each element's
-    leaf permutation to its rep."""
-    if not sub.elements <= group.elements:
+def quotient(group: LevelGroup, normal: LevelGroup):
+    """The quotient group by a normal subgroup, as a table of cosets.
+
+    Returns (reps, index_of, table): the left-coset reps in sorted order,
+    so reps[0] is the identity and coset 0 the subgroup itself; each
+    member's coset index keyed by its leaf permutation; and the Cayley
+    table, table[i][j] the index of the coset of reps[i] * reps[j].
+    ValueError unless `normal` is a subgroup of `group` that the
+    generators of `group` conjugate into it, checked on the generators of
+    both, which is enough for a closed element set.
+    """
+    if group.level != normal.level or not normal.elements <= group.elements:
         raise ValueError("not a subgroup")
+    seeds = [_table(n.perm) for n in generating_set(normal)]
+    for g in generating_set(group):
+        gi, gt = _inverse(g.perm), _table(g.perm)
+        if any(gi.translate(n).translate(gt) not in normal.elements
+               for n in seeds):
+            raise ValueError(f"subgroup is not normal: {g!r} conjugates "
+                             f"a generator out of it")
     reps: list[Portrait] = []
-    rep_of: dict[bytes, Portrait] = {}
-    members = [_table(s) for s in sub.elements]
+    index_of: dict[bytes, int] = {}
+    members = [_table(s) for s in normal.elements]
     for g in group.sorted_elements():
-        if g.perm not in rep_of:
+        if g.perm not in index_of:
+            index_of.update((g.perm.translate(s), len(reps)) for s in members)
             reps.append(g)
-            rep_of.update((g.perm.translate(s), g) for s in members)
-    return reps, rep_of
+    right = [_table(b.perm) for b in reps]
+    table = tuple(tuple(index_of[a.perm.translate(t)] for t in right)
+                  for a in reps)
+    return reps, index_of, table
 
 
 def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
@@ -362,17 +380,14 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
     The quotient is an abelian 2-group, so counting solutions of
     x**(2**k) = id for each k determines the factor multiset.
     """
-    derived = commutator_subgroup(group)
-    reps, rep_of = coset_decomposition(group, derived)
-    if len(reps) == 1:
+    table = quotient(group, commutator_subgroup(group))[2]
+    if len(table) == 1:
         return ()
-    ident = rep_of[_ident(group.level)]
     orders = []
-    for r in reps:
-        o = 1
-        x = r
-        while rep_of[x.perm] is not ident:
-            x = rep_of[x.perm] * r
+    for i in range(len(table)):
+        o, x = 1, i
+        while x:
+            x = table[x][i]
             o += 1
         orders.append(o)
     # s_k = log2 #{x : x^(2^k) = id}; the conjugate partition of the
@@ -382,7 +397,7 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
     while True:
         count = sum(1 for o in orders if o <= (1 << k))
         s.append(count.bit_length() - 1)
-        if count == len(reps):
+        if count == len(table):
             break
         k += 1
     r_k = [s[i] - s[i - 1] for i in range(1, len(s))]

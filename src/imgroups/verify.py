@@ -101,31 +101,9 @@ def _check(cond, detail=None) -> None:
     raise AssertionError(detail)
 
 
-# randrange(2) takes the top two bits of one 32-bit Mersenne word and draws
-# again while the top bit is set; these name the top bytes drawn again
-_TOP_BIT_SET = bytes(range(128, 256))
-
-
-def _rand_bits(rng: random.Random, count: int) -> int:
-    """``count`` draws of ``rng.randrange(2)`` as the binary digits of one
-    int, first draw most significant, consuming exactly the words those
-    draws consume: getrandbits(32 k) is k words, first word lowest, and
-    each round asks for only the bits still missing, so no word is drawn
-    past the last one kept."""
-    digits = b"0"
-    while count:
-        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-        # bit 30 of a word is bit 6 of its top byte
-        kept = words[3::4].translate(treeauto._bit_digits(6), _TOP_BIT_SET)
-        digits += kept
-        count -= len(kept)
-    return int(digits, 2)
-
-
 def _rand_portrait(rng: random.Random, level: int) -> treeauto.Portrait:
-    """The portrait with swap bits ``rng.randrange(2)`` in breadth-first
-    order."""
-    bits = _rand_bits(rng, (1 << level) - 1)
+    """A uniform random portrait: its code is one draw of getrandbits."""
+    bits = rng.getrandbits((1 << level) - 1)
     return treeauto._from_perm(level, treeauto._perm_of_code(level, bits))
 
 
@@ -587,10 +565,10 @@ def _claim_branch_flips(caps: VerifyCaps) -> str:
 
 
 def _claim_dihedral(caps: VerifyCaps) -> str:
-    rep = constantfield.dihedral_constant_field_check()
+    _need(caps.model_level >= 5, "needs model level >= 5")
+    rep = arithmodel.constant_field_quotient()
     _check(rep["dihedral"], rep)
-    _check(all(v == (2, 4) for v in rep["abelian_invariants"].values()))
-    return ("Aut(Z/2 x Z/4): order 8, non-abelian, 5 involutions "
+    return ("M5/G5: order 8, non-abelian, 5 involutions "
             "(dihedral, not quaternion)")
 
 

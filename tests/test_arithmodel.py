@@ -15,6 +15,7 @@ from imgroups import arithmodel
 from imgroups.arithmodel import (
     build_model,
     brute_model_cross_check,
+    constant_field_quotient,
     cycle_type_table,
     frattini_subgroup,
     maximal_subgroups,
@@ -26,9 +27,9 @@ from imgroups.selfsim import (
     GROUP_LEVEL_CAP,
     LevelGroup,
     closure,
-    coset_decomposition,
     generating_set,
     geometric_group,
+    quotient,
     subgroup_index,
     subgroup_U,
 )
@@ -222,19 +223,20 @@ class TestFrattini:
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_kernels_match_parity_filter(self, level):
         # the kernels in mask order, as one parity test per element of the
-        # group: characters over the sorted coset basis of the quotient
+        # group: characters over the sorted coset basis of the quotient,
+        # from products of the reps rather than the quotient's table
         model = build_model(level)
         phi = frattini_subgroup(model)
-        reps, rep_of = coset_decomposition(model.group, phi)
-        vec = {rep_of[identity(level).perm]: 0}
+        reps, index_of, _ = quotient(model.group, phi)
+        vec = {index_of[identity(level).perm]: 0}
         rank = 0
-        for r in reps:
-            if r not in vec:
-                for r0, v0 in list(vec.items()):
-                    vec[rep_of[(r0 * r).perm]] = v0 | (1 << rank)
+        for i, r in enumerate(reps):
+            if i not in vec:
+                for i0, v0 in list(vec.items()):
+                    vec[index_of[(reps[i0] * r).perm]] = v0 | (1 << rank)
                 rank += 1
         want = [frozenset(x for x in model.group.elements
-                          if (vec[rep_of[x]] & mask).bit_count() % 2 == 0)
+                          if (vec[index_of[x]] & mask).bit_count() % 2 == 0)
                 for mask in range(1, 1 << rank)]
         assert rank == 4
         got = arithmodel._index2_kernels(model, phi)
@@ -278,3 +280,27 @@ class TestMaximalSubgroups:
         maximal_subgroups.cache_clear()
         second = {s.name: frozenset(s.group.elements) for s in maximal_subgroups(m4)}
         assert first == second
+
+
+class TestConstantFieldQuotient:
+    def test_dihedral_of_order_8(self):
+        q = constant_field_quotient()
+        assert (q["group"], q["order"], q["nonabelian"], q["involutions"],
+                q["dihedral"]) == ("M5/G5", 8, True, 5, True)
+        # element orders by powers in M5 until they land in G5: 1/5/2 of
+        # orders 1/2/4, where the quaternion group has 1/1/6
+        m5, g5 = build_model(5), geometric_group(5)
+        orders = []
+        for r in quotient(m5.group, g5)[0]:
+            k, x = 1, r
+            while x not in g5:
+                k, x = k + 1, x * r
+            orders.append(k)
+        assert sorted(orders) == [1, 2, 2, 2, 2, 2, 4, 4]
+
+    def test_witness_fails_to_commute_modulo_g5(self):
+        a, b = constant_field_quotient()["noncommuting_pair"]
+        m5 = build_model(5)
+        assert a in m5.group and b in m5.group
+        # ab and ba lie in different cosets of G5
+        assert (a * b).inverse() * (b * a) not in geometric_group(5)

@@ -380,7 +380,7 @@ class TestGoldenOutput:
     # come with a stated change of behaviour
     GOLDEN = {
         ("verify",):
-            "984104e62bea240bd39641b5793b4f47afed4527cd6a307456b23cf3f8e5e5ee",
+            "641ad2bb2defe400c504944c6d07464cf1e6ee7e549834adccb2c140b8445b07",
         ("arith", "--level", "7"):
             "932d1c818cf316a80e80f2afbd0da8be9063180815c649eabbc4770e08f006e2",
         ("group", "--level", "6"):

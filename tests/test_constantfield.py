@@ -7,7 +7,6 @@ import oracles
 from imgroups.constantfield import (
     IDENTITY_NAMES,
     branch_flip_invariance,
-    dihedral_constant_field_check,
     preimage_tree,
     sample_points,
     verify_radical_identities,
@@ -101,21 +100,3 @@ class TestSamplePoints:
             assert abs(z) > 0.2
             assert abs(z - 2) > 0.2
             assert abs(z.real) <= 6 and abs(z.imag) <= 6
-
-
-class TestDihedralCheck:
-    def test_frozen_profile(self):
-        d = dihedral_constant_field_check()
-        assert d["aut_order"] == 8
-        assert d["aut_nonabelian"] is True
-        assert d["aut_involutions"] == 5
-        assert d["dihedral"] is True
-        assert d["abelian_invariants"] == {3: (2, 4), 4: (2, 4), 5: (2, 4)}
-
-    def test_witness_pair_really_fails_to_commute(self):
-        d = dihedral_constant_field_check()
-        f, g = d["noncommuting_pair"]
-        # automorphisms stored as permutations of the 7 nonzero elements
-        fg = tuple(g[f[i]] for i in range(len(f)))
-        gf = tuple(f[g[i]] for i in range(len(g)))
-        assert fg != gf

@@ -36,3 +36,10 @@ def test_iterates_demo_factor_degrees():
         "  factor degrees mod 17: (2, 2)",
         "  factor degrees mod 19: (4,)",
     ]
+
+
+def test_radical_demo_reads_the_constant_field_quotient():
+    proc = run_demo("06_radical_identities.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "M5/G5: order 8, non-abelian: True, 5 involutions -> dihedral: True")

@@ -22,12 +22,12 @@ from imgroups.selfsim import (
     centralizer,
     closure,
     commutator_subgroup,
-    coset_decomposition,
     generating_set,
     geometric_group,
     load_level_group,
     normal_closure,
     omega_group,
+    quotient,
     save_level_group,
     section_pair_count,
     subgroup_H,
@@ -37,6 +37,13 @@ from imgroups.selfsim import (
     verify_triple_theorem,
 )
 from imgroups.treeauto import Portrait, _table, identity, iter_all, pair, sigma
+
+
+# quotients whose tables are checked against products of their reps
+QUOTIENTS = {
+    "G4/U4": lambda: (geometric_group(4), subgroup_U(4)),
+    "M5/G5": lambda: (build_model(5).group, geometric_group(5)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -160,18 +167,36 @@ class TestSubgroupLedger:
             elems = list(u)
             assert all(x * y == y * x for x in elems for y in elems)
 
-    def test_coset_decomposition(self):
-        g = geometric_group(4)
-        u = subgroup_U(4)
-        reps, rep_of = coset_decomposition(g, u)
-        assert len(reps) == 4
-        # U is normal, so one-sided cosets are two-sided
-        cosets = {r: frozenset((r * x).perm for x in u) for r in reps}
-        covered = set().union(*cosets.values())
-        assert covered == g.elements
-        assert sum(len(c) for c in cosets.values()) == len(g)
-        # every element maps to the representative of its own coset
-        assert all(x in cosets[rep_of[x]] for x in g.elements)
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_quotient_table_is_the_products_of_reps(self, name):
+        g, n = QUOTIENTS[name]()
+        reps, index_of, table = quotient(g, n)
+        ident = identity(g.level)
+        assert len(reps) == len(g) // len(n)
+        assert reps[0] == ident and index_of[ident.perm] == 0
+        # coset i is reps[i] times the subgroup; the cosets partition g
+        cosets = [frozenset((r * x).perm for x in n) for r in reps]
+        assert set().union(*cosets) == g.elements
+        assert sum(map(len, cosets)) == len(g)
+        assert all(index_of[p] == i for i, c in enumerate(cosets) for p in c)
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                assert (a * b).perm in cosets[table[i][j]], (i, j)
+
+    def test_quotient_rejects_a_non_subgroup(self):
+        with pytest.raises(ValueError, match="not a subgroup"):
+            quotient(geometric_group(3), omega_group(3))
+        with pytest.raises(ValueError, match="not a subgroup"):
+            quotient(geometric_group(4), geometric_group(3))
+
+    def test_quotient_rejects_a_subgroup_that_is_not_normal(self, sysf):
+        g3 = geometric_group(3)
+        a1 = sysf.unfold("a1", 3)
+        # a1 has |G3| / |C(a1)| = 32 / 8 = 4 conjugates, so <a1> of order 2
+        # is not normal
+        assert len(centralizer(g3, a1)) == 8
+        with pytest.raises(ValueError, match="not normal"):
+            quotient(g3, closure([a1]))
 
     def test_section_pair_counts(self):
         g4 = geometric_group(4)

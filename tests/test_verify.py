@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from imgroups import verify
-from imgroups.treeauto import Portrait
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,23 +60,10 @@ def test_model_claims_reach_the_level_cap():
         "growth (4, 8, 4, 4, 4, 4)")
 
 
-def test_random_bits_are_the_randrange_stream():
-    # the swap bits of a random portrait come from getrandbits in C, yet
-    # they must be exactly the randrange(2) draws, and leave the generator
-    # where those draws leave it, so every claim's detail is unchanged
-    for seed in range(50):
-        fast, slow = random.Random(seed), random.Random(seed)
-        for count in range(301):
-            bits = [slow.randrange(2) for _ in range(count)]
-            assert verify._rand_bits(fast, count) == int(
-                "".join(map(str, bits)) or "0", 2), (seed, count)
-            assert fast.getstate() == slow.getstate(), (seed, count)
-
-
-def test_random_portrait_has_the_randrange_swap_bits():
-    fast, slow = random.Random(5), random.Random(5)
-    for level in (*range(9), 5, 1, 0, 6):
-        u = verify._rand_portrait(fast, level)
-        bits = [slow.randrange(2) for _ in range((1 << level) - 1)]
-        assert u == Portrait(level, bits) and list(u.swaps) == bits
-    assert fast.getstate() == slow.getstate()
+def test_random_portrait_code_is_one_getrandbits_draw():
+    for level in range(9):
+        rng, twin = random.Random(level), random.Random(level)
+        u = verify._rand_portrait(rng, level)
+        assert u._code is None  # so `code` below is read back from `perm`
+        assert u.code == twin.getrandbits((1 << level) - 1)
+        assert rng.getstate() == twin.getstate()
