@@ -45,6 +45,7 @@ from .errors import (
     ExcludedBasePointError,
     InsufficientDataError,
     ModelInconsistencyError,
+    ResourceLimitError,
 )
 from .polyarith import (
     factor_degrees_mod_p,
@@ -55,6 +56,11 @@ from .polyarith import (
 
 DEFAULT_PRIME_BOUND = 10**4
 MIN_USABLE_PRIMES = 5
+# Largest bit length of a base point's numerator and denominator.  At this
+# height the factoring refuses a random point in 0.1-0.2 s, where trial
+# division takes 2.6 s on 7 * 10**20000, and every square-class part
+# stays below Python's 4300-digit limit for printing an int.
+BASE_POINT_BITS_CAP = 4096
 
 SQUARE_CLASS_LABELS = ("-1", "2", "a", "2-a")
 
@@ -70,9 +76,24 @@ class BasePoint:
             raise ExcludedBasePointError(
                 f"base point {self.a} is postcritical (0 and 2 are excluded)"
             )
+        bits = max(self.a.numerator.bit_length(), self.a.denominator.bit_length())
+        if bits > BASE_POINT_BITS_CAP:
+            raise ResourceLimitError(f"base point height of {bits} bits exceeds "
+                                     f"cap {BASE_POINT_BITS_CAP}")
 
     @classmethod
     def parse(cls, text: str) -> "BasePoint":
+        # Fraction builds 10**exp before any check, so refuse an exponent
+        # that leaves more than the cap's bits once its digits are counted
+        _, e, exp = text.lower().rpartition("e")
+        try:
+            huge = bool(e) and abs(int(exp)) > BASE_POINT_BITS_CAP + len(text)
+        except ValueError:
+            huge = False  # Fraction names the malformed text
+        if huge:
+            raise ResourceLimitError(
+                f"base point height exceeds cap {BASE_POINT_BITS_CAP}: "
+                f"exponent too large")
         try:
             value = Fraction(text.strip())
         except ZeroDivisionError:
@@ -179,16 +200,22 @@ class FrobeniusObservation:
     cycle_type: tuple[int, ...]
 
 
-def _frobenius_stream(point: BasePoint, prime_bound: int
-                      ) -> Iterator[FrobeniusObservation]:
-    """One observation per good odd prime up to the bound, in increasing
-    order; primes dividing the leading coefficient or giving a
-    non-squarefree reduction are skipped."""
+def _primes_to(prime_bound: int) -> list[int]:
+    """The primes up to the bound, which is checked before any work on a
+    point."""
     if prime_bound < 3:
         raise ValueError(f"prime bound {prime_bound} < 3")
+    return primes_up_to(prime_bound)
+
+
+def _frobenius_stream(point: BasePoint, primes: list[int]
+                      ) -> Iterator[FrobeniusObservation]:
+    """One observation per good odd prime of the increasing list; primes
+    dividing the leading coefficient or giving a non-squarefree reduction
+    are skipped."""
     poly = specialize_numerator(4, point.a)
     degree = poly.degree()
-    for p in primes_up_to(prime_bound):
+    for p in primes:
         if p == 2 or poly.lc % p == 0:
             continue
         degs = factor_degrees_mod_p(poly, p)
@@ -210,7 +237,7 @@ def sample_frobenius(point: BasePoint, prime_bound: int, *,
                      min_usable: int = MIN_USABLE_PRIMES
                      ) -> tuple[FrobeniusObservation, ...]:
     """Factorization degree patterns mod the good odd primes up to bound."""
-    out = tuple(_frobenius_stream(point, prime_bound))
+    out = tuple(_frobenius_stream(point, _primes_to(prime_bound)))
     _require_usable(len(out), prime_bound, min_usable)
     return out
 
@@ -337,6 +364,7 @@ def maximality_verdict(point: BasePoint,
     usable-prime floor), so raising the bound can only extend the scan:
     verdicts are monotone in the bound.
     """
+    primes = _primes_to(prime_bound)
     sq = square_class_test(point)
     if not sq.passed:
         return MaximalityVerdict(
@@ -354,7 +382,7 @@ def maximality_verdict(point: BasePoint,
     pending = set(tables) - set(blind)
     eliminated: dict[str, FrobeniusObservation] = {}
     usable = 0
-    for obs in _frobenius_stream(point, prime_bound):
+    for obs in _frobenius_stream(point, primes):
         usable += 1
         _eliminate(obs, pending, eliminated)
         if not pending and usable >= MIN_USABLE_PRIMES:

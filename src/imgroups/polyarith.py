@@ -967,7 +967,8 @@ def _factorize(n: int) -> dict[int, int]:
             continue
         if m > GENERAL_FACTOR_LIMIT:
             raise ResourceLimitError(
-                f"refusing to factor {m} (> {GENERAL_FACTOR_LIMIT})"
+                f"refusing to factor a {m.bit_length()}-bit cofactor "
+                f"(> {GENERAL_FACTOR_LIMIT})"
             )
         d = None
         for _ in range(8):
@@ -975,7 +976,8 @@ def _factorize(n: int) -> dict[int, int]:
             if d:
                 break
         if not d:
-            raise ResourceLimitError(f"factoring budget exhausted on {m}")
+            raise ResourceLimitError(
+                f"factoring budget exhausted on a {m.bit_length()}-bit cofactor")
         stack.extend((d, m // d))
     return out
 

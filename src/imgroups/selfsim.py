@@ -30,6 +30,8 @@ from .treeauto import (
     _ident,
     _inverse,
     _table,
+    are_conjugate,
+    conjugacy_class,
     identity,
     pair,
     sigma,
@@ -304,18 +306,23 @@ def commutator_subgroup(group: LevelGroup) -> LevelGroup:
     then certified by checking that the quotient's multiplication table is
     abelian.
     """
+    return _abelianization(group)[0]
+
+
+def _abelianization(group: LevelGroup):
+    """The commutator subgroup and the Cayley table of the quotient by it,
+    certified abelian."""
+    level = group.level
     gens = generating_set(group)
     seeds = {commutator(a, b) for a in gens for b in gens}
-    seeds.discard(identity(group.level))
-    if not seeds:
-        return LevelGroup(group.level, {_ident(group.level)},
-                          (identity(group.level),))
-    derived = normal_closure(group, seeds)
+    seeds.discard(identity(level))
+    derived = (normal_closure(group, seeds) if seeds
+               else LevelGroup(level, {_ident(level)}, (identity(level),)))
     table = quotient(group, derived)[2]
     if any(row[j] != table[j][i] for i, row in enumerate(table)
            for j in range(i)):  # pragma: no cover
         raise AssertionError("quotient by commutators is not abelian")
-    return derived
+    return derived, table
 
 
 def centralizer(group: LevelGroup, x: Portrait) -> LevelGroup:
@@ -380,7 +387,7 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
     The quotient is an abelian 2-group, so counting solutions of
     x**(2**k) = id for each k determines the factor multiset.
     """
-    table = quotient(group, commutator_subgroup(group))[2]
+    table = _abelianization(group)[1]
     if len(table) == 1:
         return ()
     orders = []
@@ -417,9 +424,17 @@ def abelian_invariants(group: LevelGroup) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def omega_group(level: int) -> LevelGroup:
-    """The full automorphism group of the depth-n tree, n <= 4."""
-    return LevelGroup(level, _all_perms(level),
-                      (sigma(level),) if level else ())
+    """The full automorphism group of the depth-n tree, n <= 4.
+
+    Its generators are the swaps at the vertices 1^d, d < n.  By induction
+    on n, those below the root generate Aut(T_(n-1)) acting below vertex
+    1; the root swap conjugates it to the action below vertex 2, and the
+    two actions with the root swap make up the wreath product Aut(T_n).
+    """
+    nbits = (1 << level) - 1
+    swaps = [Portrait(level, [int(i == (1 << d) - 1) for i in range(nbits)])
+             for d in range(level)]
+    return LevelGroup(level, _all_perms(level), swaps)
 
 
 @lru_cache(maxsize=None)
@@ -465,8 +480,6 @@ def section_pair_count(group_n: LevelGroup, x: Portrait) -> int:
 
 def verify_geometric_presentation(level: int) -> dict[str, bool]:
     """Finite-level checks of the defining data of a1, a2, a3."""
-    from .treeauto import are_conjugate
-
     sysf = builtin_system_f()
     a1 = sysf.unfold("a1", level)
     a2 = sysf.unfold("a2", level)
@@ -509,8 +522,6 @@ def verify_triple_theorem(level: int) -> dict:
     if not 1 <= level <= TRIPLE_LEVEL_CAP:
         raise ValueError(
             f"exhaustive triple search is capped at level {TRIPLE_LEVEL_CAP}")
-    from .treeauto import are_conjugate
-
     sysf = builtin_system_f()
     a = [sysf.unfold(f"a{i}", level) for i in (1, 2, 3)]
     omega = omega_group(level).sorted_elements()
@@ -554,14 +565,16 @@ def verify_triple_theorem(level: int) -> dict:
                 if b2 == sigma(1) and b3 == identity(1):
                     wreath_set.add((b1, b2, b3))
     else:
+        key = {w: conjugacy_class(w) for w in omega}
         for b1 in sorted(classes[0]):
-            model2 = pair(b1.restrict(level - 1), identity(level - 1), 1)
+            model2 = conjugacy_class(
+                pair(b1.restrict(level - 1), identity(level - 1), 1))
             for b2 in omega:
-                if not are_conjugate(b2, model2):
+                if key[b2] != model2:
                     continue
                 b3 = (b1 * b2).inverse()
                 model3 = pair(b2.restrict(level - 1), b3.restrict(level - 1), 0)
-                if are_conjugate(b3, model3):
+                if key[b3] == conjugacy_class(model3):
                     wreath_set.add((b1, b2, b3))
     return {
         "level": level,

@@ -61,10 +61,6 @@ LEVEL_MAX = 8
 # Full enumeration of a level stops here: 2**15 = 32768 automorphisms.
 ENUMERATION_LEVEL_CAP = 4
 
-# Conjugacy recursion memoizes pairs of portraits for the length of one
-# call; above this level the table can blow up, so calls refuse to run.
-CONJUGACY_LEVEL_CAP = 6
-
 
 class Portrait:
     """An automorphism of the depth-``level`` rooted binary tree.
@@ -238,7 +234,13 @@ class Portrait:
         value = int(hexpart, 16) if hexpart else 0
         if value >> nbits:
             raise ValueError(f"malformed portrait {text!r}: padding bits set")
-        return _from_perm(level, _perm_of_code(level, value))
+        u = _from_perm(level, _perm_of_code(level, value))
+        u._code = value
+        # int() also takes signs, spaces, leading zeros, lower case and
+        # non-ASCII digits; the wire form is what `encode` prints
+        if u.encode() != text:
+            raise ValueError(f"malformed portrait {text!r}: not in canonical form")
+        return u
 
 
 def _from_perm(level: int, perm: bytes) -> Portrait:
@@ -474,38 +476,34 @@ def _all_perms(level: int):
 # -- conjugacy ------------------------------------------------------------
 
 
-def are_conjugate(u: Portrait, v: Portrait) -> bool:
-    """Conjugacy in the full automorphism group of the depth-n tree.
+def conjugacy_class(u: Portrait) -> tuple:
+    """The conjugacy class of u in the full automorphism group of its
+    level, as a canonical key: its orbit tree, in which a 1-tuple is one
+    orbit through both children and a pair one orbit per child.
 
-    Recursive criterion: root symbols must match; below a trivial root the
-    section pairs must be conjugate in one of the two orders, and below a
-    swapping root the products of the sections must be conjugate.
+    The key is () at level 0, the 1-tuple (class of u1*u2,) below a root
+    swap, and the sorted pair of the classes of the sections u1 and u2
+    otherwise.  Equal keys mean conjugate elements: (g1, g2) conjugates
+    each section and the root swap exchanges them, and (u1, u2)s is
+    conjugate by (1, u2) to (u1*u2, 1)s, which (g, g) conjugates to
+    (g^-1*u1*u2*g, 1)s.  A key costs at most 2**n - 1 section splits.
     """
+    return _class_key(u.perm, u.level)
+
+
+def _class_key(perm: bytes, level: int) -> tuple:
+    if not level:
+        return ()
+    left, right = _sections(perm, level)
+    if perm[0] >> (level - 1):  # root swap
+        return (_class_key(left.translate(_table(right)), level - 1),)
+    a, b = _class_key(left, level - 1), _class_key(right, level - 1)
+    return (a, b) if a <= b else (b, a)
+
+
+def are_conjugate(u: Portrait, v: Portrait) -> bool:
+    """Conjugacy in the full automorphism group of the depth-n tree: the
+    two `conjugacy_class` keys are equal."""
     if u.level != v.level:
         raise ValueError(f"level mismatch: {u.level} vs {v.level}")
-    if u.level > CONJUGACY_LEVEL_CAP:
-        raise ResourceLimitError(
-            f"conjugacy at level {u.level} exceeds cap {CONJUGACY_LEVEL_CAP}"
-        )
-    return _conj(u, v, {})
-
-
-def _conj(u: Portrait, v: Portrait, memo: dict) -> bool:
-    if u.level == 0 or u.perm == v.perm:
-        return True
-    top = u.level - 1
-    if u.perm[0] >> top != v.perm[0] >> top:  # root swap bits differ
-        return False
-    key = (u.perm, v.perm) if u.perm < v.perm else (v.perm, u.perm)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    u1, u2, root = u.sections()
-    v1, v2, _ = v.sections()
-    if root == 0:
-        res = ((_conj(u1, v1, memo) and _conj(u2, v2, memo))
-               or (_conj(u1, v2, memo) and _conj(u2, v1, memo)))
-    else:
-        res = _conj(u1 * u2, v1 * v2, memo)
-    memo[key] = res
-    return res
+    return conjugacy_class(u) == conjugacy_class(v)

@@ -153,6 +153,35 @@ def perm_parity(perm) -> int:
     return -1 if flips & 1 else 1
 
 
+def conjugate_by_recursion(u, v) -> bool:
+    """Conjugacy of two portraits in the full automorphism group of their
+    level, by the pairwise wreath recursion: the root swaps must match;
+    below a trivial root the section pairs must be conjugate in one of the
+    two orders, and below a swapping root the products of the sections
+    must be conjugate.  Pairs are memoized for the length of one call."""
+    if u.level != v.level:
+        raise ValueError(f"level mismatch: {u.level} vs {v.level}")
+    memo = {}
+
+    def conj(u, v) -> bool:
+        if u.level == 0 or u == v:
+            return True
+        u1, u2, root = u.sections()
+        v1, v2, v_root = v.sections()
+        if root != v_root:
+            return False
+        key = (u.perm, v.perm) if u.perm < v.perm else (v.perm, u.perm)
+        if key not in memo:
+            if root == 0:
+                memo[key] = ((conj(u1, v1) and conj(u2, v2))
+                             or (conj(u1, v2) and conj(u2, v1)))
+            else:
+                memo[key] = conj(u1 * u2, v1 * v2)
+        return memo[key]
+
+    return conj(u, v)
+
+
 # -- the arithmetic model, one candidate at a time ---------------------------
 
 def lift_filter_model(level: int) -> frozenset:

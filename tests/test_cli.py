@@ -170,6 +170,21 @@ class TestMaximality:
         assert code == 3
         assert "resource limit" in err and "prime table capped" in err
 
+    def test_prime_bound_over_table_cap_on_a_square_class_verdict(self, capsys):
+        # a = 1 is decided by its square classes, before any prime is read
+        code, _, err = run(capsys, "maximality", "--a", "1",
+                           "--prime-bound", "2000000")
+        assert code == 3
+        assert "prime table capped at 1000000, asked for 2000000" in err
+
+    @pytest.mark.parametrize("a", ["7e200000", "1e20000", "2e1300"])
+    def test_base_point_over_height_cap(self, capsys, a):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "maximality", "--a", a)
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert "resource limit: base point height" in err
+
 
 class TestRadical:
     def test_small_run(self, capsys):
@@ -208,6 +223,14 @@ class TestVerify:
         cfg = tmp_path / "img.cfg"
         cfg.write_text("prime_bound = 2000000\n")
         code, _, err = run(capsys, "maximality", "--a", "5",
+                           "--config", str(cfg))
+        assert code == 3
+        assert "prime table capped at 1000000, asked for 2000000" in err
+
+    def test_config_prime_bound_over_table_cap_at_a_1(self, capsys, tmp_path):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("prime_bound = 2000000\n")
+        code, _, err = run(capsys, "maximality", "--a", "1",
                            "--config", str(cfg))
         assert code == 3
         assert "prime table capped at 1000000, asked for 2000000" in err

@@ -20,8 +20,10 @@ from imgroups.errors import (
     ExcludedBasePointError,
     InsufficientDataError,
     ModelInconsistencyError,
+    ResourceLimitError,
 )
 from imgroups.maximality import (
+    BASE_POINT_BITS_CAP,
     BasePoint,
     FrobeniusObservation,
     cycle_blind_subgroups,
@@ -52,6 +54,26 @@ class TestBasePoint:
             BasePoint.parse("1/0")
         with pytest.raises(ValueError, match="malformed"):
             BasePoint.parse("five")
+
+    def test_height_cap(self):
+        cap = BASE_POINT_BITS_CAP
+        top = (1 << cap) - 1
+        assert BasePoint(Fraction(-1, top)).a == Fraction(-1, top)
+        for big in (Fraction(1 << cap), Fraction(3, 1 << cap)):
+            with pytest.raises(ResourceLimitError,
+                               match=f"height of {cap + 1} bits exceeds cap {cap}"):
+                BasePoint(big)
+
+    def test_huge_exponent_refused_before_it_is_expanded(self):
+        # Fraction("1e20000000") alone takes tens of seconds
+        start = time.perf_counter()
+        for text in ("1e20000000", "0e-20000000", "7.5E+99999999999"):
+            with pytest.raises(ResourceLimitError, match="exponent too large"):
+                BasePoint.parse(text)
+        assert time.perf_counter() - start < 1
+        assert BasePoint.parse("25e-1").a == Fraction(5, 2)
+        with pytest.raises(ResourceLimitError, match="height of 4320 bits"):
+            BasePoint.parse("2e1300")
 
 
 class TestSquareClasses:
@@ -236,6 +258,15 @@ class TestVerdict:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             maximality_verdict(BasePoint(Fraction(5)), 6)
+
+    @pytest.mark.parametrize("a", [1, 5])
+    def test_prime_bound_checked_before_the_square_classes(self, a):
+        # the square classes decide a = 1, the Frobenius stream a = 5
+        point = BasePoint(Fraction(a))
+        with pytest.raises(ValueError, match="prime bound 2 < 3"):
+            maximality_verdict(point, 2)
+        with pytest.raises(ResourceLimitError, match="prime table capped"):
+            maximality_verdict(point, 2 * 10**6)
 
     def test_json_serializable(self):
         v = maximality_verdict(BasePoint(Fraction(5)))

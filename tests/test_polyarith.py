@@ -597,3 +597,11 @@ class TestIntegerHelpers:
         n = (10**10 + 19) * (10**10 + 33)
         with pytest.raises(ResourceLimitError):
             squarefree_part(n)
+
+    def test_refusal_names_the_bit_length_not_the_value(self):
+        # a value can be too long to print (4300 digits at most by default)
+        n = (10**10 + 19) * (10**10 + 33)
+        with pytest.raises(ResourceLimitError,
+                           match="refusing to factor a 67-bit cofactor") as err:
+            squarefree_part(n)
+        assert str(n) not in str(err.value)

@@ -104,6 +104,34 @@ class TestGroupOrders:
         assert geometric_group(3).elements <= omega_group(3).elements
 
 
+class TestOmegaGroup:
+    def test_vertex_swaps_generate_it(self):
+        for n in range(5):
+            omega = omega_group(n)
+            assert len(omega.generators) == n
+            if n:
+                assert closure(omega.generators).elements == omega.elements
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_driven_routines_match_brute_force(self, n):
+        els = omega_group(n).sorted_elements()
+        commutators = {a.inverse() * b.inverse() * a * b
+                       for a in els for b in els}
+        derived, frontier = set(commutators), set(commutators)
+        while frontier:
+            frontier = {x * c for x in frontier for c in commutators} - derived
+            derived |= frontier
+        centre = {z for z in els if all(z * g == g * z for g in els)}
+        assert len(derived) == (1, 2, 16)[n - 1] and len(centre) == 2
+        assert commutator_subgroup(omega_group(n)).elements == {
+            u.perm for u in derived}
+        assert center(omega_group(n)).elements == {u.perm for u in centre}
+        # 2^n cosets of the derived subgroup, each of order 2: (Z/2)^n
+        assert len(els) == len(derived) << n
+        assert all(g * g in derived for g in els)
+        assert abelian_invariants(omega_group(n)) == (2,) * n
+
+
 class TestLevelGroupContract:
     def test_elements_are_leaf_permutations(self):
         g = geometric_group(4)

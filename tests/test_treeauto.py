@@ -15,6 +15,7 @@ from imgroups.treeauto import (
     Portrait,
     adding_machine,
     are_conjugate,
+    conjugacy_class,
     identity,
     iter_all,
     pair,
@@ -54,6 +55,18 @@ class TestWireFormat:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             Portrait.decode(bad)
+
+    @pytest.mark.parametrize("text", [
+        " 3:40",     # leading space
+        "+3:40",     # sign
+        "03:40",     # leading zero
+        "3:4a",      # lower-case hex
+        "2:\uff17",  # full-width digit 7
+    ])
+    def test_only_the_canonical_form_decodes(self, text):
+        assert Portrait.decode("3:40").encode() == "3:40"
+        with pytest.raises(ValueError, match="not in canonical form"):
+            Portrait.decode(text)
 
     @pytest.mark.parametrize("level, bits", [
         (1, [2]), (1, [-1]), (1, ["1"]), (1, [0.5]), (1, [None]),
@@ -343,13 +356,44 @@ class TestConjugacy:
         g = Portrait(4, [1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1])
         assert are_conjugate(a, g.inverse() * a * g)
 
-    def test_level_cap(self):
-        top = treeauto.CONJUGACY_LEVEL_CAP
-        assert are_conjugate(identity(top), identity(top))
-        with pytest.raises(ResourceLimitError, match=f"exceeds cap {top}"):
-            are_conjugate(identity(top + 1), identity(top + 1))
+    def test_answers_at_level_8(self):
+        # the swaps at vertices 1 and 2, and the root swap, lifted to level
+        # 8: both fixed-point-free involutions, conjugate only in Sym(256)
+        below = [0, 1, 1] + [0] * 252
+        root = [1] + [0] * 254
+        s, t = Portrait(8, below), Portrait(8, root)
+        rng = random.Random(88)
+        g, h = rand_portrait(rng, 8), rand_portrait(rng, 8)
+        u, v, w = g.inverse() * s * g, h.inverse() * s * h, h.inverse() * t * h
+        assert u != v
+        assert are_conjugate(u, v)
+        assert u.cycle_type() == w.cycle_type() == (2,) * 128
+        assert not are_conjugate(u, w)
         with pytest.raises(TypeError):
-            are_conjugate(identity(top + 1), identity(top + 1), cap=top + 1)
+            are_conjugate(u, v, cap=8)
+
+    @pytest.mark.parametrize("lvl", [4, 5, 6])
+    def test_keys_agree_with_the_pairwise_recursion(self, lvl):
+        rng = random.Random(400 + lvl)
+        for _ in range(300):
+            u, g = rand_portrait(rng, lvl), rand_portrait(rng, lvl)
+            v = rand_portrait(rng, lvl)
+            assert are_conjugate(u, v) == oracles.conjugate_by_recursion(u, v)
+            w = g.inverse() * u * g
+            assert are_conjugate(u, w) and oracles.conjugate_by_recursion(u, w)
+
+    def test_class_counts(self):
+        # 1, 2, 5, 20, 230: k(n) = k(n-1) (k(n-1) + 1) / 2 + k(n-1)
+        counts = [len({conjugacy_class(u) for u in iter_all(lvl)})
+                  for lvl in range(5)]
+        assert counts == [1, 2, 5, 20, 230]
+        for lvl in range(4):
+            omega = list(iter_all(lvl))
+            orbits = {frozenset(g.inverse() * u * g for g in omega)
+                      for u in omega}
+            assert len(orbits) == counts[lvl]
+            for orbit in orbits:
+                assert len({conjugacy_class(u) for u in orbit}) == 1
 
 
 class TestEnumeration:
