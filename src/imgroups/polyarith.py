@@ -364,7 +364,7 @@ class _GFPacking:
     bound = 2np^2.  Slotwise Barrett reduction with m = floor(2^k / p),
     2^k > bound, multiplies each slot by m, so width = k + bits(2np) keeps
     those products below 2^width: no slot ever carries into the next.
-    Callers keep to the bound; `factor_degrees_mod_p` says why they do.
+    Callers keep to the bound; `_factor_degrees_monic` says why they do.
     """
 
     __slots__ = ("p", "width", "nbits", "low", "ones", "m", "k", "qmask",
@@ -752,6 +752,37 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     p, where f mod p is a p-th power.  The resultant is computed once per
     polynomial and reused for every prime.
 
+    Only f mod p up to a unit matters, so the factors are counted on the
+    monic reduction by `_factor_degrees_monic`.  For the level-4 numerator
+    of a = u/v, f = (v g_4 - u h_4) / c with c its content, and c is a
+    power of 2: an odd prime q dividing every coefficient would give
+    v g_4 = u h_4 mod q, so g_4 and h_4, of degree 16 with leading
+    coefficients 2 and 1, would share a factor mod q, while
+    Res(g_4, h_4) = +-2^k.  So for an odd p dividing neither lc(f) nor v,
+    f = (v/c)(g_4 - t h_4) mod p with t = u/v mod p: the factor degrees
+    depend only on the fibre (p, t), which `maximality` memoizes.
+    """
+    if prime < 3 or not _is_probable_prime(prime):
+        raise ValueError(f"{prime} is not an odd prime")
+    if poly.is_zero:
+        raise ValueError("zero polynomial")
+    if poly.lc % prime == 0:
+        raise BadPrimeError(f"{prime} divides the leading coefficient")
+    if poly.degree() == 0:
+        return ()
+    if _squarefree_resultant(poly) % prime == 0:
+        return None
+    if poly.degree() == 1:
+        return (1,)
+    inv = pow(poly.lc, -1, prime)
+    return _factor_degrees_monic([c * inv % prime for c in poly.coeffs], prime)
+
+
+def _factor_degrees_monic(f: list[int], prime: int) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of a monic squarefree f over F_p,
+    given as coefficients reduced mod the odd prime p, constant term
+    first, of degree n >= 2.
+
     The p-power map is F_p-linear on F_p[x]/(f), n = deg f, so x^p mod f is
     computed once by square-and-multiply, starting from the monomial x^k
     for the longest leading bit string k of p with k < n, and the rows
@@ -790,21 +821,7 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     Barrett reduction, two more packed products against mu = x^(2n) div f.
     The counting gcds run on the same packed ints.
     """
-    if prime < 3 or not _is_probable_prime(prime):
-        raise ValueError(f"{prime} is not an odd prime")
-    if poly.is_zero:
-        raise ValueError("zero polynomial")
-    if poly.lc % prime == 0:
-        raise BadPrimeError(f"{prime} divides the leading coefficient")
-    if poly.degree() == 0:
-        return ()
-    if _squarefree_resultant(poly) % prime == 0:
-        return None
-    n = poly.degree()
-    if n == 1:
-        return (1,)
-    inv = pow(poly.lc, -1, prime)
-    f = [c * inv % prime for c in poly.coeffs]
+    n = _deg(f)
     ring = _GFPackedRing(f, prime)
     bits = bin(prime)[2:]
     k, i = 1, 1

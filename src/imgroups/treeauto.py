@@ -231,7 +231,10 @@ class Portrait:
             raise ValueError(
                 f"malformed portrait {text!r}: expected {ndigits} hex digits"
             )
-        value = int(hexpart, 16) if hexpart else 0
+        try:
+            value = int(hexpart, 16) if hexpart else 0
+        except ValueError:
+            raise ValueError(f"malformed portrait {text!r}: bad hex digit") from None
         if value >> nbits:
             raise ValueError(f"malformed portrait {text!r}: padding bits set")
         u = _from_perm(level, _perm_of_code(level, value))

@@ -8,14 +8,16 @@ alone, are recomputed here from the cycle tables rather than trusted.
 
 import dataclasses
 import json
+import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 import oracles
 from imgroups.arithmodel import build_model, cycle_type_table, maximal_subgroups
-from imgroups import polyarith
+from imgroups import maximality, polyarith
 from imgroups.errors import (
     ExcludedBasePointError,
     InsufficientDataError,
@@ -162,6 +164,80 @@ class TestFrobeniusSampling:
     def test_min_usable_override(self):
         obs = sample_frobenius(BasePoint(Fraction(5)), 8, min_usable=0)
         assert len(obs) <= 2
+
+
+def _reference_stream(a, bound):
+    """(prime, cycle type) at every good odd prime up to the bound, each
+    counted afresh on the integer numerator by the public route."""
+    poly = polyarith.specialize_numerator(4, a)
+    out = []
+    for p in polyarith.primes_up_to(bound):
+        if p == 2 or poly.lc % p == 0:
+            continue
+        degs = polyarith.factor_degrees_mod_p(poly, p)
+        if degs is not None:
+            out.append((p, degs))
+    return out
+
+
+# points that differ by a multiple of every odd prime below 60 lie in the
+# same fibre at every prime of a stream bounded by 60
+ODD_PRIMORIAL_60 = prod(polyarith.primes_up_to(60)[1:])
+
+
+class TestFibreMemo:
+    @pytest.mark.parametrize("a", [
+        Fraction(7, 3),                  # p | v at 3
+        Fraction(-22, 15),               # negative; p | v at 3 and 5
+        Fraction(5 * 7 * 11),            # a = 0 mod 5, 7, 11
+        Fraction(2 + 13 * 17 * 19),      # a = 2 mod 13, 17, 19
+        Fraction(random.Random(19).getrandbits(4095) | 1 << 4095, 3**9 * 7),
+    ], ids=["7/3", "-22/15", "385", "4201", "4096-bit"])
+    def test_stream_matches_the_public_route(self, a):
+        bound = 2000
+        obs = sample_frobenius(BasePoint(a), bound, min_usable=0)
+        assert [(o.prime, o.cycle_type) for o in obs] == \
+            _reference_stream(a, bound)
+
+    @pytest.mark.parametrize("a", [Fraction(5), Fraction(-22, 15)], ids=str)
+    def test_congruent_points_share_entries(self, a):
+        memo = maximality._fibre_cycle_type
+        first = sample_frobenius(BasePoint(a), 60, min_usable=0)
+        before = memo.cache_info()
+        second = sample_frobenius(BasePoint(a + ODD_PRIMORIAL_60), 60,
+                                  min_usable=0)
+        after = memo.cache_info()
+        assert second == first and len(first) > 5
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(second)
+
+    def test_fibre_over_infinity_is_refused(self, monkeypatch):
+        # p | v makes the fibre the square h_4; with the squarefree skip
+        # disabled, the stream refuses it instead of keying it wrongly
+        monkeypatch.setattr(maximality, "_squarefree_resultant", lambda poly: 1)
+        with pytest.raises(ModelInconsistencyError, match="7/3 at prime 3"):
+            sample_frobenius(BasePoint(Fraction(7, 3)), 60, min_usable=0)
+
+    def test_recheck_leaves_the_memo_alone(self):
+        v = maximality_verdict(BasePoint(Fraction(7, 3)))
+        assert v.frobenius_eliminations
+        before = maximality._fibre_cycle_type.cache_info()
+        assert recheck_certificate(v)
+        assert maximality._fibre_cycle_type.cache_info() == before
+
+    @pytest.mark.parametrize("p", [7, 101, 9973])
+    def test_fibres_match_the_ddf_oracle(self, p):
+        fr = polyarith.iterate_pair(4)
+        checked = 0
+        for t in range(min(p, 50)):
+            if t == 2:
+                continue
+            coeffs = [g - t * h for g, h in zip(fr.g.coeffs, fr.h.coeffs)]
+            want = oracles.ddf_degrees_reference(coeffs, p)
+            if want is not None:
+                assert maximality._fibre_cycle_type(p, t) == want, (p, t)
+                checked += 1
+        assert checked >= min(p, 50) // 2
 
 
 class TestBlindSubgroups:

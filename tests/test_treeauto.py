@@ -42,19 +42,24 @@ class TestWireFormat:
             u = rand_portrait(rng, rng.randint(0, 5))
             assert Portrait.decode(u.encode()) == u
 
-    @pytest.mark.parametrize("bad", [
-        "1:",        # missing digits
-        "2:X",       # not hex
-        "3:FF",      # value needs 8 bits, level 3 has 7
-        "-1:0",      # negative level
-        "2:41",      # too many bits for level 2
-        "2",         # no colon
-        ":4",        # no level
-        "2:4:1",     # extra field
-    ])
+    REFUSALS = {
+        "1:": "expected 1 hex digits",       # missing digits
+        "2:X": "bad hex digit",              # not hex
+        "3:_1": "bad hex digit",             # underscore, not a digit
+        "3:FF": "padding bits set",          # 8 bits, level 3 has 7
+        "-1:0": "level outside 0..8",        # negative level
+        "2:41": "expected 1 hex digits",     # too many digits for level 2
+        "2": "missing ':'",                  # no colon
+        ":4": "bad level",                   # no level
+        "2:4:1": "expected 1 hex digits",    # extra field
+    }
+
+    @pytest.mark.parametrize("bad", list(REFUSALS))
     def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             Portrait.decode(bad)
+        assert str(info.value) == \
+            f"malformed portrait {bad!r}: {self.REFUSALS[bad]}"
 
     @pytest.mark.parametrize("text", [
         " 3:40",     # leading space
