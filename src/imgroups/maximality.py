@@ -12,11 +12,15 @@ feed the certificate:
   subgroup's table rules that subgroup out (cycle types are conjugation
   invariants, so conjugacy ambiguity is harmless).  For a = u/v the
   specialized numerator is (v g_4 - u h_4) / c, and its content c is a
-  power of 2 because Res(g_4, h_4) = +-2^k.  So at an odd prime p that
-  divides neither v nor the leading coefficient (2v - u) / c, it is
-  g_4 - t h_4 mod p up to a unit, with t = u/v mod p: the cycle type is
-  a function of the fibre (p, t) alone, and base points congruent mod p
-  share one memoized count.
+  power of 2 because Res(g_4, h_4) = +-2^k.  Its leading coefficient is
+  (2v - u) / c, and homogenizing the shape
+  disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 of `discriminant_shape(4)`,
+  pinned by `tests/test_polyarith.py`, gives its discriminant as
+  2^272 u^12 v^8 (2v - u)^10 / c^30.  So an odd prime p is good, the
+  reduction of full degree and squarefree, exactly when p does not divide
+  u v (u - 2v); there the numerator is g_4 - t h_4 mod p up to a unit,
+  with t = u/v mod p, so the cycle type is a function of the fibre (p, t)
+  alone, and base points congruent mod p share one memoized count.
 
 * Square-class route: the level-4 splitting field contains
   Q(i, sqrt(2), sqrt(a), sqrt(2-a)), and the intersection of the
@@ -55,7 +59,6 @@ from .errors import (
 )
 from .polyarith import (
     _factor_degrees_monic,
-    _squarefree_resultant,
     factor_degrees_mod_p,
     iterate_pair,
     primes_up_to,
@@ -217,55 +220,59 @@ def _primes_to(prime_bound: int) -> list[int]:
     return primes_up_to(prime_bound)
 
 
+@lru_cache(maxsize=None)
+def _shared(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
+    """The first equal tuple seen, so that the fibre memo holds one object
+    per cycle type; the level-4 model realizes 7."""
+    return cycle_type
+
+
 @lru_cache(maxsize=1 << 15)
 def _fibre_cycle_type(p: int, t: int) -> tuple[int, ...]:
-    """Factor degrees of g_4 - t h_4 mod the odd prime p, for t != 2 mod p
-    and a squarefree reduction: the Frobenius cycle type over the fibre t.
+    """Factor degrees of g_4 - t h_4 mod the odd prime p, for t != 0, 2
+    mod p: the Frobenius cycle type over the fibre t.  At such a p the
+    reduction has full degree 16 and is squarefree, because
+    disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 (see the module
+    docstring).
 
-    An entry takes about 240 B with its cycle-type tuple (tracemalloc), so
-    the 2^15 entries hold at most about 7.5 MiB; a 192-verdict survey
-    batch fills about 5,300 of them."""
+    An entry takes about 160 B with its cycle type shared (tracemalloc), so
+    the 2^15 entries hold at most about 5 MiB; a 192-verdict survey batch
+    fills about 5,300 of them."""
     fr = iterate_pair(4)
     f = [(g - t * h) % p for g, h in zip(fr.g.coeffs, fr.h.coeffs)]
     inv = pow(f[-1], -1, p)  # the leading coefficient 2 - t
-    return _factor_degrees_monic([c * inv % p for c in f], p)
+    return _shared(_factor_degrees_monic([c * inv % p for c in f], p))
 
 
 def _frobenius_stream(point: BasePoint, primes: list[int]
                       ) -> Iterator[FrobeniusObservation]:
-    """One observation per good odd prime of the increasing list; primes
-    dividing the leading coefficient or giving a non-squarefree reduction
-    are skipped.  The rest are counted once per fibre (p, a mod p)."""
-    poly = specialize_numerator(4, point.a)
+    """One observation per good prime of the increasing list, counted once
+    per fibre (p, a mod p).  For a = u/v the good primes are those not
+    dividing 2 u v (u - 2v): 2, the primes of the leading coefficient, the
+    fibre over infinity (p | v) and the ramified fibres t = 0 and t = 2
+    are skipped."""
     u, v = point.a.numerator, point.a.denominator
+    bad = 2 * u * v * (u - 2 * v)
     for p in primes:
-        if p == 2 or poly.lc % p == 0:
+        if bad % p == 0:
             continue
-        if _squarefree_resultant(poly) % p == 0:
-            continue
-        # p | v leaves the square h_4 and t = 2 the leading coefficient
-        # 2v - u, so the skips above have already taken both
-        if v % p == 0 or (u - 2 * v) % p == 0:
-            raise ModelInconsistencyError(
-                f"base point {point.text()} at prime {p}: the fibre over "
-                f"infinity or over 2 survived the skip rules")
         degs = _fibre_cycle_type(p, u * pow(v, -1, p) % p)
         yield FrobeniusObservation(prime=p, cycle_type=degs)
 
 
-def _require_usable(usable: int, prime_bound: int, need: int) -> None:
-    if usable < need:
+def _require_usable(usable: int, prime_bound: int) -> None:
+    if usable < MIN_USABLE_PRIMES:
         raise InsufficientDataError(
-            f"only {usable} usable primes below {prime_bound} (need {need})"
+            f"only {usable} usable primes below {prime_bound} "
+            f"(need {MIN_USABLE_PRIMES})"
         )
 
 
-def sample_frobenius(point: BasePoint, prime_bound: int, *,
-                     min_usable: int = MIN_USABLE_PRIMES
+def sample_frobenius(point: BasePoint, prime_bound: int
                      ) -> tuple[FrobeniusObservation, ...]:
     """Factorization degree patterns mod the good odd primes up to bound."""
     out = tuple(_frobenius_stream(point, _primes_to(prime_bound)))
-    _require_usable(len(out), prime_bound, min_usable)
+    _require_usable(len(out), prime_bound)
     return out
 
 
@@ -414,7 +421,7 @@ def maximality_verdict(point: BasePoint,
         _eliminate(obs, pending, eliminated)
         if not pending and usable >= MIN_USABLE_PRIMES:
             break
-    _require_usable(usable, prime_bound, MIN_USABLE_PRIMES)
+    _require_usable(usable, prime_bound)
     surviving = tuple(sorted(pending))
     return MaximalityVerdict(
         status="inconclusive" if surviving else "maximal",

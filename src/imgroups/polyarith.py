@@ -155,13 +155,6 @@ class IntPoly:
         """Space-separated decimal coefficients, constant term first."""
         return " ".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
-    @classmethod
-    def from_text(cls, text: str) -> "IntPoly":
-        try:
-            return cls([int(tok) for tok in text.split()])
-        except ValueError:
-            raise ValueError(f"malformed polynomial text {text!r}") from None
-
 
 X = IntPoly([0, 1])
 
@@ -753,14 +746,7 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     polynomial and reused for every prime.
 
     Only f mod p up to a unit matters, so the factors are counted on the
-    monic reduction by `_factor_degrees_monic`.  For the level-4 numerator
-    of a = u/v, f = (v g_4 - u h_4) / c with c its content, and c is a
-    power of 2: an odd prime q dividing every coefficient would give
-    v g_4 = u h_4 mod q, so g_4 and h_4, of degree 16 with leading
-    coefficients 2 and 1, would share a factor mod q, while
-    Res(g_4, h_4) = +-2^k.  So for an odd p dividing neither lc(f) nor v,
-    f = (v/c)(g_4 - t h_4) mod p with t = u/v mod p: the factor degrees
-    depend only on the fibre (p, t), which `maximality` memoizes.
+    monic reduction by `_factor_degrees_monic`.
     """
     if prime < 3 or not _is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")

@@ -11,7 +11,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import exp, log, prod
 
 import pytest
 
@@ -161,9 +161,11 @@ class TestFrobeniusSampling:
         with pytest.raises(InsufficientDataError):
             sample_frobenius(BasePoint(Fraction(5)), 6)
 
-    def test_min_usable_override(self):
-        obs = sample_frobenius(BasePoint(Fraction(5)), 8, min_usable=0)
-        assert len(obs) <= 2
+
+def _stream(a, bound):
+    """The stream's observations up to the bound, with no usable-prime floor."""
+    return list(maximality._frobenius_stream(BasePoint(a),
+                                             polyarith.primes_up_to(bound)))
 
 
 def _reference_stream(a, bound):
@@ -180,6 +182,20 @@ def _reference_stream(a, bound):
     return out
 
 
+def _pool_draw(rng):
+    """a = +-u/v with u and v log-uniform in [1, 10^6], as the benchmark's
+    pool is drawn."""
+    span = log(10**6)
+    while True:
+        u, v = (min(10**6, int(exp(rng.random() * span)))
+                for _ in range(2))
+        a = Fraction(rng.choice((1, -1)) * u, v)
+        if a not in (0, 2):
+            return a
+
+
+HUGE_POINT = Fraction(random.Random(19).getrandbits(4095) | 1 << 4095, 3**9 * 7)
+
 # points that differ by a multiple of every odd prime below 60 lie in the
 # same fibre at every prime of a stream bounded by 60
 ODD_PRIMORIAL_60 = prod(polyarith.primes_up_to(60)[1:])
@@ -191,32 +207,53 @@ class TestFibreMemo:
         Fraction(-22, 15),               # negative; p | v at 3 and 5
         Fraction(5 * 7 * 11),            # a = 0 mod 5, 7, 11
         Fraction(2 + 13 * 17 * 19),      # a = 2 mod 13, 17, 19
-        Fraction(random.Random(19).getrandbits(4095) | 1 << 4095, 3**9 * 7),
+        HUGE_POINT,
     ], ids=["7/3", "-22/15", "385", "4201", "4096-bit"])
     def test_stream_matches_the_public_route(self, a):
         bound = 2000
-        obs = sample_frobenius(BasePoint(a), bound, min_usable=0)
-        assert [(o.prime, o.cycle_type) for o in obs] == \
+        assert [(o.prime, o.cycle_type) for o in _stream(a, bound)] == \
             _reference_stream(a, bound)
 
     @pytest.mark.parametrize("a", [Fraction(5), Fraction(-22, 15)], ids=str)
     def test_congruent_points_share_entries(self, a):
         memo = maximality._fibre_cycle_type
-        first = sample_frobenius(BasePoint(a), 60, min_usable=0)
+        first = _stream(a, 60)
         before = memo.cache_info()
-        second = sample_frobenius(BasePoint(a + ODD_PRIMORIAL_60), 60,
-                                  min_usable=0)
+        second = _stream(a + ODD_PRIMORIAL_60, 60)
         after = memo.cache_info()
         assert second == first and len(first) > 5
         assert after.misses == before.misses
         assert after.hits == before.hits + len(second)
 
-    def test_fibre_over_infinity_is_refused(self, monkeypatch):
-        # p | v makes the fibre the square h_4; with the squarefree skip
-        # disabled, the stream refuses it instead of keying it wrongly
-        monkeypatch.setattr(maximality, "_squarefree_resultant", lambda poly: 1)
-        with pytest.raises(ModelInconsistencyError, match="7/3 at prime 3"):
-            sample_frobenius(BasePoint(Fraction(7, 3)), 60, min_usable=0)
+    def test_skips_are_the_resultant_routes_bad_primes(self, monkeypatch):
+        # the stream skips p | 2uv(u - 2v); the integer route skips 2 and
+        # p | lc(f) or p | Res(f, f').  Only the skip sets are compared, so
+        # no fibre is counted.
+        monkeypatch.setattr(maximality, "_fibre_cycle_type", lambda p, t: ())
+        primes = polyarith.primes_up_to(10**4)
+        rng = random.Random(20)
+        for _ in range(64):
+            a = _pool_draw(rng)
+            kept = {o.prime for o in
+                    maximality._frobenius_stream(BasePoint(a), primes)}
+            poly = polyarith.specialize_numerator(4, a)
+            res = polyarith.resultant(poly, poly.derivative())
+            bad = {p for p in primes
+                   if p == 2 or poly.lc % p == 0 or res % p == 0}
+            assert set(primes) - kept == bad, a
+
+    def test_one_object_per_cycle_type(self):
+        types = [maximality._fibre_cycle_type(p, t)
+                 for p in (101, 103) for t in range(3, 40)]
+        assert len(set(types)) < len(types)
+        assert len({id(t) for t in types}) == len(set(types))
+
+    def test_stream_builds_no_integer_numerator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the integer numerator was built")
+        monkeypatch.setattr(maximality, "specialize_numerator", refuse)
+        assert maximality_verdict(BasePoint(Fraction(7, 3))).status == "maximal"
+        assert sample_frobenius(BasePoint(HUGE_POINT), 200)
 
     def test_recheck_leaves_the_memo_alone(self):
         v = maximality_verdict(BasePoint(Fraction(7, 3)))
@@ -361,16 +398,18 @@ class TestCertificateRecheck:
             assert recheck_certificate(v), (point, bound, v.status)
 
     def test_one_squarefree_resultant_per_verdict(self):
-        # every prime of the stream and of the recheck reuses one
-        # Res(f, f') of the level-4 numerator
+        # the stream decides good primes from the fibre alone; only the
+        # recheck computes Res(f, f') of the level-4 numerator, once for
+        # all its witnesses
         memo = polyarith._squarefree_resultant
         memo.cache_clear()
         v = maximality_verdict(BasePoint(Fraction(7, 3)))
         assert v.frobenius_eliminations
-        assert memo.cache_info().misses == 1
+        sample_frobenius(BasePoint(HUGE_POINT), 2000)
+        assert memo.cache_info().misses == 0
         assert recheck_certificate(v)
         assert memo.cache_info().misses == 1
-        assert memo.cache_info().hits >= v.primes_tried
+        assert memo.cache_info().hits == len(v.frobenius_eliminations) - 1
 
     def test_tampered_observation_fails(self):
         v = maximality_verdict(BasePoint(Fraction(5)))

@@ -66,11 +66,10 @@ class TestIntPoly:
         assert f.content() == 3
         assert f.primitive().coeffs == (2, -3, 4)
 
-    def test_text_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            f = IntPoly([rng.randint(-99, 99) for _ in range(rng.randint(0, 8))])
-            assert IntPoly.from_text(f.to_text()).coeffs == f.coeffs
+    def test_to_text(self):
+        assert IntPoly((3, 0, -12)).to_text() == "3 0 -12"
+        assert IntPoly((5, 0, 0)).to_text() == "5"
+        assert IntPoly(()).to_text() == "0"
 
 
 class TestIterates:
