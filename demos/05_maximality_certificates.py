@@ -4,19 +4,20 @@ Arboreal maximality certificates at level 4
 
 For a rational base point a (not 0 or 2), the level-4 Galois image sits
 inside the 256-element arithmetic model.  To certify it is everything,
-each of the 15 maximal subgroups must be ruled out:
+each of the 15 maximal subgroups must be ruled out, by two routes:
 
-  * ten of them miss some cycle type that the full model has, so a
-    Frobenius observation (splitting degrees of the specialized iterate
-    mod p) can eliminate them;
-  * the other five realize every cycle type and are invisible to that
-    statistic; they fall to the independence of the square classes of
-    -1, 2, a, 2 - a, which pins the quotient modulo the Frattini
-    subgroup directly.
+  * a Frobenius observation (splitting degrees of the specialized
+    iterate mod p) is a cycle type in the coset of the geometric group
+    that p mod 8 names, because the level-4 constant field is
+    Q(zeta_8); a subgroup missing that cycle type in that coset is
+    eliminated.  Five subgroups realize every cycle type of the model,
+    so only the coset rules them out;
+  * the independence of the square classes of -1, 2, a, 2 - a pins the
+    quotient modulo the Frattini subgroup directly, ruling out all 15.
 
 Every verdict is a certificate.  Its recheck recomputes the square
 classes and, at each witness prime, the Frobenius cycle type, then
-checks the witnesses against the cycle-type tables.
+checks the witnesses against the per-coset cycle-type tables.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from imgroups import (
     cycle_blind_subgroups,
     maximality_verdict,
     recheck_certificate,
+    residue_cosets,
     sample_frobenius,
     square_class_test,
 )
@@ -44,8 +46,12 @@ print("\nfirst observations for a = 5:")
 for o in obs[:6]:
     print(f"  p = {o.prime:>3}: {'+'.join(map(str, o.cycle_type))}")
 
-# the five subgroups no cycle type can touch
-print("\ncycle-type-blind subgroups:", ", ".join(cycle_blind_subgroups()))
+# five subgroups the plain cycle-type table cannot touch; the coset of
+# G_4 that p mod 8 names gives each of them a witness all the same
+print("\nblind to the plain cycle-type table:", ", ".join(cycle_blind_subgroups()))
+labels = residue_cosets()
+print("coset of G_4 by p mod 8:", ", ".join(
+    f"{r} -> {labels.cosets[r]}" for r in (1, 3, 5, 7)))
 
 # full verdicts
 v = maximality_verdict(BasePoint(Fraction(5)))

@@ -235,7 +235,7 @@ def _cmd_maximality(args, caps) -> tuple[dict, list[str], int]:
     for name in verdict.square_class_eliminations:
         lines.append(f"  {name}: eliminated by square-class independence")
     if verdict.surviving:
-        lines.append(f"  surviving: {', '.join(verdict.surviving)}")
+        lines.append(f"  no Frobenius witness: {', '.join(verdict.surviving)}")
     return report, lines, 0
 
 

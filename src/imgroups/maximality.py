@@ -2,18 +2,16 @@
 
 For a rational base point a outside the postcritical set {0, 2}, the
 Galois group of the fourth iterated preimage tower embeds (up to
-conjugacy) in the level-4 arithmetic model, and it equals the model as
-soon as it is contained in no maximal subgroup.  Two elimination routes
-feed the certificate:
+conjugacy) in the level-4 arithmetic model M_4, and it equals the model
+as soon as it is contained in no maximal subgroup.  A `maximal` verdict
+rules out each of the fifteen maximal subgroups by two independent
+routes:
 
 * Frobenius route: the factorization degrees of the specialized level-4
   numerator mod a good prime form the cycle type of an actual group
-  element; a cycle type realized by the model but absent from a maximal
-  subgroup's table rules that subgroup out (cycle types are conjugation
-  invariants, so conjugacy ambiguity is harmless).  For a = u/v the
-  specialized numerator is (v g_4 - u h_4) / c, and its content c is a
-  power of 2 because Res(g_4, h_4) = +-2^k.  Its leading coefficient is
-  (2v - u) / c, and homogenizing the shape
+  element.  For a = u/v the specialized numerator is (v g_4 - u h_4) / c,
+  and its content c is a power of 2 because Res(g_4, h_4) = +-2^k.  Its
+  leading coefficient is (2v - u) / c, and homogenizing the shape
   disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 of `discriminant_shape(4)`,
   pinned by `tests/test_polyarith.py`, gives its discriminant as
   2^272 u^12 v^8 (2v - u)^10 / c^30.  So an odd prime p is good, the
@@ -21,6 +19,18 @@ feed the certificate:
   u v (u - 2v); there the numerator is g_4 - t h_4 mod p up to a unit,
   with t = u/v mod p, so the cycle type is a function of the fibre (p, t)
   alone, and base points congruent mod p share one memoized count.
+
+  The observation also says which coset of the geometric group G_4 the
+  Frobenius lies in.  The level-4 constant field K_4 contains Q(i,
+  sqrt(2)) = Q(zeta_8) and has degree |M_4 / G_4| = 4, so K_4 = Q(zeta_8)
+  (this rests on the model being the arithmetic monodromy group, with
+  G_4 the geometric one).  Frob_p therefore lies in the coset of G_4 that
+  p mod 8 names: G_4 itself for p = 1 mod 8, and for the residues 3, 5
+  and 7 the cosets that `residue_cosets` pins from observed cycle types.
+  The quotient M_4 / G_4 is abelian and every maximal subgroup H is
+  normal, so the coset and H meet in a union of conjugacy classes and
+  conjugacy ambiguity is harmless: a cycle type missing from H in that
+  coset rules H out.
 
 * Square-class route: the level-4 splitting field contains
   Q(i, sqrt(2), sqrt(a), sqrt(2-a)), and the intersection of the
@@ -30,9 +40,8 @@ feed the certificate:
   (each an index-2 character kernel) can contain it.
 
 Five of the fifteen maximal subgroups realize every cycle type the full
-model does, so the Frobenius route is structurally blind to them; those
-five are decided by the square-class route alone.  The other ten must
-earn a concrete prime witness.
+model does, so the plain cycle-type table cannot rule them out; the
+residue coset can, and every maximal subgroup gets a prime witness.
 """
 
 from __future__ import annotations
@@ -45,12 +54,7 @@ from math import isqrt, prod
 from operator import xor
 from typing import Iterator, Optional
 
-from .arithmodel import (
-    ArithLevelModel,
-    build_model,
-    cycle_type_table,
-    maximal_subgroups,
-)
+from .arithmodel import ArithLevelModel, build_model, maximal_subgroups
 from .errors import (
     ExcludedBasePointError,
     InsufficientDataError,
@@ -65,6 +69,8 @@ from .polyarith import (
     specialize_numerator,
     square_class_primes,
 )
+from .selfsim import quotient
+from .treeauto import _cycle_type_of
 
 DEFAULT_PRIME_BOUND = 10**4
 MIN_USABLE_PRIMES = 5
@@ -278,18 +284,91 @@ def sample_frobenius(point: BasePoint, prime_bound: int
 
 @lru_cache(maxsize=1)
 def _level4_data():
+    """(coset types, tables) over the cosets of G_4 in M_4, numbered as
+    `selfsim.quotient(M4, G4)` numbers them, so that coset 0 is G_4: the
+    cycle types realized in each coset c, and for each maximal subgroup H
+    those realized in H and c."""
     model = build_model(4)
+    reps, index_of, _ = quotient(model.group, model.geometric)
     maxes = maximal_subgroups(model)
-    model_types = frozenset(cycle_type_table(model.group))
-    tables = {ms.name: frozenset(cycle_type_table(ms.group)) for ms in maxes}
-    blind = tuple(sorted(n for n, tb in tables.items() if tb == model_types))
-    return model_types, tables, blind
+    coset_types = [set() for _ in reps]
+    tables = {ms.name: [set() for _ in reps] for ms in maxes}
+    for x in model.group.elements:
+        c, t = index_of[x], _cycle_type_of(x)
+        coset_types[c].add(t)
+        for ms in maxes:
+            if x in ms.group.elements:
+                tables[ms.name][c].add(t)
+    return (tuple(map(frozenset, coset_types)),
+            {name: tuple(map(frozenset, sets)) for name, sets in tables.items()})
 
 
 def cycle_blind_subgroups() -> tuple[str, ...]:
-    """Maximal subgroups realizing every model cycle type (undetectable
-    by Frobenius data; handled by the square-class route)."""
-    return _level4_data()[2]
+    """Maximal subgroups realizing every cycle type of the model.
+
+    They are blind only to the plain cycle-type table: within the coset of
+    G_4 that p mod 8 names, each of them misses some cycle type, so the
+    residue coset still gives each a Frobenius witness."""
+    coset_types, tables = _level4_data()
+    model_types = frozenset().union(*coset_types)
+    return tuple(name for name, sets in sorted(tables.items())
+                 if frozenset().union(*sets) == model_types)
+
+
+@dataclass(frozen=True)
+class ResidueLabelling:
+    """The coset of G_4 in M_4 that holds Frob_p, as a function of p mod 8.
+
+    `cosets[r]` is the coset index for an odd residue r and None for an
+    even one; `witnesses` are the observations over base point 5 that
+    pinned the residues 5 and 7."""
+    cosets: tuple[Optional[int], ...]
+    witnesses: tuple[FrobeniusObservation, ...]
+
+    def coset(self, prime: int) -> int:
+        c = self.cosets[prime % 8]
+        if c is None:
+            raise ValueError(f"{prime} is not an odd prime: no residue coset")
+        return c
+
+
+@lru_cache(maxsize=1)
+def residue_cosets() -> ResidueLabelling:
+    """Label the cosets of G_4 by residues mod 8, assuming K_4 = Q(zeta_8)
+    (see the module docstring).
+
+    A prime p = 1 mod 8 splits completely in Q(zeta_8), so its Frobenius
+    lies in G_4, coset 0.  Residues and cosets correspond one to one, as
+    Gal(Q(zeta_8)/Q) and M_4 / G_4 do, so each of the residues 5 and 7
+    lies in one of the other three cosets; it is pinned by intersecting the
+    cosets that realize the cycle types observed at primes of that residue
+    over the one fibre of base point 5.  Residue 3 takes the remaining
+    coset.  The first call counts about 25 fibres."""
+    coset_types, _ = _level4_data()
+    others = set(range(1, len(coset_types)))
+    fits = {5: others, 7: others}
+    witnesses = []
+    for obs in _frobenius_stream(BasePoint(Fraction(5)),
+                                 primes_up_to(DEFAULT_PRIME_BOUND)):
+        fit = fits.get(obs.prime % 8)
+        if fit is None or len(fit) == 1:
+            continue
+        narrowed = {c for c in fit if obs.cycle_type in coset_types[c]}
+        if narrowed != fit:
+            fits[obs.prime % 8] = narrowed
+            witnesses.append(obs)
+        if all(len(f) == 1 for f in fits.values()):
+            break
+    rest = others - fits[5] - fits[7]
+    if not len(fits[5]) == len(fits[7]) == len(rest) == 1:
+        raise ModelInconsistencyError(
+            f"residues mod 8 do not label the {len(coset_types)} cosets of "
+            f"G_4 one to one (residue 5 fits {sorted(fits[5])}, residue 7 "
+            f"fits {sorted(fits[7])}); K_4 = Q(zeta_8) is violated")
+    cosets: list[Optional[int]] = [None] * 8
+    cosets[1] = 0
+    (cosets[3],), (cosets[5],), (cosets[7],) = rest, fits[5], fits[7]
+    return ResidueLabelling(tuple(cosets), tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -301,29 +380,32 @@ class EliminationReport:
 
 def _eliminate(obs: FrobeniusObservation, pending: set,
                eliminated: dict) -> None:
-    """Move every pending subgroup whose cycle-type table misses the
-    observation from pending to eliminated."""
-    model_types, tables, _ = _level4_data()
-    if obs.cycle_type not in model_types:
+    """Move every pending subgroup that misses the observed cycle type in
+    the coset of G_4 that p mod 8 names from pending to eliminated."""
+    coset_types, tables = _level4_data()
+    c = residue_cosets().coset(obs.prime)
+    if obs.cycle_type not in coset_types[c]:
         raise ModelInconsistencyError(
             f"cycle type {obs.cycle_type} at prime {obs.prime} is not "
-            f"realized by the level-4 model; the containment assumption "
-            f"is violated"
+            f"realized by coset {c} of G_4, which p = {obs.prime % 8} mod 8 "
+            f"names; the containment assumption or K_4 = Q(zeta_8) is "
+            f"violated"
         )
     for name in sorted(pending):
-        if obs.cycle_type not in tables[name]:
+        if obs.cycle_type not in tables[name][c]:
             eliminated[name] = obs
             pending.discard(name)
 
 
 def eliminate_maximal_subgroups(observations, model: ArithLevelModel
                                 ) -> EliminationReport:
-    """Cycle-type elimination alone (observed in the model's table but
-    missing from a maximal subgroup's table); surfaces any observation
-    the model cannot realize instead of discarding it."""
+    """Frobenius elimination alone (a cycle type realized in the coset of
+    G_4 that p mod 8 names but missing from a maximal subgroup's part of
+    it); surfaces any observation that coset cannot realize instead of
+    discarding it."""
     if model.level != 4:
         raise ValueError(f"elimination is defined at level 4, got {model.level}")
-    _, tables, _ = _level4_data()
+    _, tables = _level4_data()
     pending = set(tables)
     eliminated: dict[str, FrobeniusObservation] = {}
     ordered = sorted(observations, key=lambda o: o.prime)
@@ -394,9 +476,11 @@ def maximality_verdict(point: BasePoint,
     """Streamed verdict: square-class gate, then Frobenius elimination.
 
     Primes are consumed in increasing order and sampling stops as soon as
-    every non-blind subgroup has a witness (never before the minimum
+    every maximal subgroup has a witness (never before the minimum
     usable-prime floor), so raising the bound can only extend the scan:
-    verdicts are monotone in the bound.
+    verdicts are monotone in the bound.  A `maximal` verdict needs both
+    routes: square classes of rank 4, which rule out every maximal
+    subgroup at once, and a Frobenius witness for each of them.
     """
     primes = _primes_to(prime_bound)
     sq = square_class_test(point)
@@ -412,8 +496,8 @@ def maximality_verdict(point: BasePoint,
             primes_tried=0,
             reason="; ".join(sq.derivation),
         )
-    _, tables, blind = _level4_data()
-    pending = set(tables) - set(blind)
+    _, tables = _level4_data()
+    pending = set(tables)
     eliminated: dict[str, FrobeniusObservation] = {}
     usable = 0
     for obs in _frobenius_stream(point, primes):
@@ -428,10 +512,10 @@ def maximality_verdict(point: BasePoint,
         point=point,
         square_class=sq,
         frobenius_eliminations=tuple(sorted(eliminated.items())),
-        square_class_eliminations=blind,
+        square_class_eliminations=tuple(sorted(tables)),
         surviving=surviving,
-        surviving_tables=({name: tables[name] for name in surviving}
-                          if surviving else None),
+        surviving_tables=({name: frozenset().union(*tables[name])
+                           for name in surviving} if surviving else None),
         primes_tried=usable,
         reason=None,
     )
@@ -442,12 +526,12 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
 
     The square classes are recomputed, and so is every Frobenius witness:
     its prime must be an odd prime not dividing the leading coefficient,
-    and the factor degrees of the specialized numerator at that prime,
-    counted afresh by `factor_degrees_mod_p` and not read from the fibre
-    memo, must reproduce the stored cycle type.  A bad witness gives False,
-    never an exception.  The witnesses are then checked against the
-    level-4 cycle-type tables."""
-    model_types, tables, blind = _level4_data()
+    its cycle type must lie in the coset of G_4 that the prime's residue
+    mod 8 names and be missing from the subgroup's part of that coset, and
+    the factor degrees of the specialized numerator at that prime, counted
+    afresh by `factor_degrees_mod_p` and not read from the fibre memo, must
+    reproduce it.  A bad witness gives False, never an exception."""
+    coset_types, tables = _level4_data()
     sq = square_class_test(verdict.point)
     if sq.passed != verdict.square_class.passed or sq.parts != verdict.square_class.parts:
         return False
@@ -458,29 +542,27 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
         value = prod(part for lab, part in zip(sq.labels, sq.parts)
                      if lab in subset)
         return value > 0 and isqrt(value) ** 2 == value
+    if verdict.status not in ("maximal", "inconclusive"):
+        return False
+    if sq.rank != 4 or set(verdict.square_class_eliminations) != set(tables):
+        return False
+    labelling = residue_cosets()
     poly = specialize_numerator(4, verdict.point.a)
     for name, obs in verdict.frobenius_eliminations:
-        if name not in tables or name in blind:
-            return False
-        if obs.cycle_type not in model_types:
-            return False
-        if obs.cycle_type in tables[name]:
+        if name not in tables:
             return False
         try:
+            c = labelling.coset(obs.prime)
+            if (obs.cycle_type not in coset_types[c]
+                    or obs.cycle_type in tables[name][c]):
+                return False
             degs = factor_degrees_mod_p(poly, obs.prime)
         except ValueError:  # not an odd prime, or it divides the lc
             return False
         if degs != obs.cycle_type:
             return False
+    claimed = {n for n, _ in verdict.frobenius_eliminations}
     if verdict.status == "maximal":
-        if not sq.passed or sq.rank != 4:
-            return False
-        if set(verdict.square_class_eliminations) != set(blind):
-            return False
-        covered = {n for n, _ in verdict.frobenius_eliminations} | set(blind)
-        return covered == set(tables) and not verdict.surviving
-    if verdict.status == "inconclusive":
-        claimed = {n for n, _ in verdict.frobenius_eliminations}
-        return (set(verdict.surviving) == set(tables) - claimed - set(blind)
-                and bool(verdict.surviving))
-    return False
+        return claimed == set(tables) and not verdict.surviving
+    return (set(verdict.surviving) == set(tables) - claimed
+            and bool(verdict.surviving))

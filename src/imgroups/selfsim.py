@@ -460,21 +460,6 @@ def subgroup_U(n: int) -> LevelGroup:
     return normal_closure(geometric_group(n), [sysf.unfold("gamma1", n)])
 
 
-def section_pair_count(group_n: LevelGroup, x: Portrait) -> int:
-    """Number of y with (x, y) in the group (no root swap).
-
-    Requires x to occur as the truncation of some element; from level 4 on
-    the count is 1 for the geometric group, at level 3 it is 2.
-    """
-    if x.level != group_n.level - 1:
-        raise ValueError("x must live one level below the group")
-    members = [_from_perm(group_n.level, p) for p in group_n.elements]
-    if x not in {w.restrict(x.level) for w in members}:
-        raise ValueError("x is not a truncation of any group element")
-    return sum(1 for left, _, root in map(Portrait.sections, members)
-               if root == 0 and left == x)
-
-
 # -- consistency checks against the defining relations ---------------------
 
 

@@ -22,6 +22,7 @@ from .errors import (
     BadPrimeError,
     DegenerateTreeError,
     ExcludedBasePointError,
+    ModelInconsistencyError,
     ResourceLimitError,
 )
 
@@ -491,7 +492,45 @@ def _claim_blind_subgroups(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     blind = maximality.cycle_blind_subgroups()
     _check(blind == ("Mmax-01", "Mmax-05", "Mmax-09", "Mmax-13", "Mmax-14"), blind)
-    return f"5 cycle-type-blind subgroups: {', '.join(blind)}"
+    coset_types, tables = maximality._level4_data()
+    for name in blind:  # each misses a cycle type of some coset of G_4
+        _check(any(s < full for s, full in zip(tables[name], coset_types)), name)
+    return (f"5 subgroups blind to the plain cycle-type table: "
+            f"{', '.join(blind)}; each misses a type within a coset of G4")
+
+
+def _claim_residue_cosets(caps: VerifyCaps) -> str:
+    _need(caps.model_level >= 4, "needs model level >= 4")
+    coset_types, tables = maximality._level4_data()
+    _check([len(types) for types in coset_types] == [5, 5, 5, 3], coset_types)
+    # only G_4 realizes 1^16, the Frobenius of a prime that splits in K_4
+    _check([(1,) * 16 in types for types in coset_types]
+           == [True, False, False, False])
+    lab = maximality.residue_cosets()
+    _check(lab.cosets == (None, 0, None, 3, None, 1, None, 2), lab.cosets)
+    # the labelling must hold over another fibre too
+    point = maximality.BasePoint(Fraction(7, 3))
+    for obs in maximality.sample_frobenius(point, 100):
+        _check(obs.cycle_type in coset_types[lab.coset(obs.prime)], obs)
+    # a subgroup containing G_4 is the union of two cosets; the residues
+    # of those cosets are the primes where d is a square, for d of its
+    # fixed quadratic field Q(sqrt(d))
+    geometric = arithmodel.build_model(4).geometric.elements
+    fixed = {}
+    for ms in arithmodel.maximal_subgroups(arithmodel.build_model(4)):
+        if not geometric <= ms.group.elements:
+            _check(all(tables[ms.name]), ms.name)
+            continue
+        residues = {r for r in (1, 3, 5, 7) if tables[ms.name][lab.cosets[r]]}
+        fixed[ms.name] = next((d for d in (-1, 2, -2) if all(
+            (pow(d, (p - 1) // 2, p) == 1) == (p % 8 in residues)
+            for p in polyarith.primes_up_to(200)[1:])), None)
+    _check(fixed == {"Mmax-03": -2, "Mmax-05": 2, "Mmax-06": -1}, fixed)
+    pins = ", ".join(str(obs.prime) for obs in lab.witnesses)
+    return ("assuming K4 = Q(zeta8), p mod 8 = 1, 3, 5, 7 names cosets "
+            f"0, 3, 1, 2 of G4 (5 and 7 pinned at t=5 by p = {pins}); "
+            "5/5/5/3 types per coset; Mmax-03, -05, -06 contain G4 and fix "
+            "Q(sqrt-2), Q(sqrt2), Q(i)")
 
 
 def _claim_verdict_a5(caps: VerifyCaps) -> str:
@@ -499,9 +538,10 @@ def _claim_verdict_a5(caps: VerifyCaps) -> str:
     bound = min(caps.prime_bound, 10**4)
     v = maximality.maximality_verdict(maximality.BasePoint(Fraction(5)), bound)
     _check(v.status == "maximal", v.status)
-    _check(len(v.frobenius_eliminations) == 10)
-    _check(len(v.square_class_eliminations) == 5)
-    return f"a=5 maximal with {v.primes_tried} usable primes"
+    _check(len(v.frobenius_eliminations) == 15)
+    _check(len(v.square_class_eliminations) == 15)
+    return (f"a=5 maximal with {v.primes_tried} usable primes; every "
+            f"maximal subgroup has a prime witness")
 
 
 def _claim_verdict_recheck(caps: VerifyCaps) -> str:
@@ -519,11 +559,21 @@ def _claim_elimination_edges(caps: VerifyCaps) -> str:
     model = arithmodel.build_model(4)
     rep = maximality.eliminate_maximal_subgroups((), model)
     _check(len(rep.surviving) == 15 and not rep.eliminated)
-    full = [maximality.FrobeniusObservation(prime=3, cycle_type=t)
-            for t in arithmodel.cycle_type_table(model.group)]
+    coset_types, _ = maximality._level4_data()
+    lab = maximality.residue_cosets()
+    full = [maximality.FrobeniusObservation(prime=p, cycle_type=t)
+            for p in (17, 3, 5, 7) for t in coset_types[lab.coset(p)]]
     rep2 = maximality.eliminate_maximal_subgroups(full, model)
-    _check(set(rep2.surviving) == set(maximality.cycle_blind_subgroups()))
-    return "empty data eliminates nothing; full table eliminates all but the blind 5"
+    _check(not rep2.surviving and len(rep2.eliminated) == 15, rep2.surviving)
+    try:
+        maximality.eliminate_maximal_subgroups(
+            [maximality.FrobeniusObservation(prime=3, cycle_type=(1,) * 16)],
+            model)
+        raise AssertionError("1^16 accepted at p = 3 mod 8")
+    except ModelInconsistencyError:
+        pass
+    return ("empty data eliminates nothing; every coset's types at primes "
+            "17, 3, 5, 7 eliminate all 15; 1^16 at p=3 is refused")
 
 
 def _claim_preimage_tree(caps: VerifyCaps) -> str:
@@ -623,6 +673,7 @@ CLAIMS = (
     ("factor-degrees-mod-p", _claim_factor_degrees),
     ("square-class-examples", _claim_square_classes),
     ("cycle-blind-subgroups", _claim_blind_subgroups),
+    ("frobenius-residue-cosets", _claim_residue_cosets),
     ("maximality-a5", _claim_verdict_a5),
     ("certificate-recheck", _claim_verdict_recheck),
     ("elimination-edge-cases", _claim_elimination_edges),

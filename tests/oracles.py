@@ -39,7 +39,8 @@ def bfs_nodes(level: int) -> list[str]:
 
 def swap_dict(swaps, level: int) -> dict[str, int]:
     nodes = bfs_nodes(level)
-    assert len(nodes) == len(swaps)
+    if len(nodes) != len(swaps):
+        raise ValueError(f"{len(swaps)} swap bits for {len(nodes)} nodes")
     return dict(zip(nodes, swaps))
 
 
@@ -314,7 +315,8 @@ def _lagrange_int(xs: list[int], ys: list[int]) -> list[int]:
         weight = yi * (common // den)
         for k, c in enumerate(reversed(basis)):
             acc[k] += weight * c
-    assert all(c % common == 0 for c in acc), "non-integer interpolant"
+    if any(c % common for c in acc):
+        raise ArithmeticError("non-integer interpolant")
     out = [c // common for c in acc]
     while out and out[-1] == 0:
         out.pop()
@@ -329,7 +331,8 @@ def _divide_exact(num: list[int], den: list[int]) -> list[int]:
         quo[k] = rem[k + len(den) - 1] / den[-1]
         for i, c in enumerate(den):
             rem[k + i] -= quo[k] * c
-    assert not any(rem) and all(q.denominator == 1 for q in quo), "inexact"
+    if any(rem) or any(q.denominator != 1 for q in quo):
+        raise ArithmeticError("inexact")
     return [int(q) for q in quo]
 
 

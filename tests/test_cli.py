@@ -403,13 +403,13 @@ class TestGoldenOutput:
     # come with a stated change of behaviour
     GOLDEN = {
         ("verify",):
-            "641ad2bb2defe400c504944c6d07464cf1e6ee7e549834adccb2c140b8445b07",
+            "ff6f6f08a2c7486c338d732a8655c2bb87b61c9a76fe51afe542a213e0ad8df3",
         ("arith", "--level", "7"):
             "932d1c818cf316a80e80f2afbd0da8be9063180815c649eabbc4770e08f006e2",
         ("group", "--level", "6"):
             "ee7934f51537a30c3569d5d50cdba30b28f1714bf0dd43cc914312fbf385d739",
         ("maximality", "--a", "5"):
-            "9b53cd08bbf5f95ef9461b92bd7b19c68c0f4d1fc59118ce48b017a377b1f96c",
+            "7aa23036c2ad1ecf24de021347695962f0d84de4731ee8d867125e0ebb19aea1",
         ("disc", "--n", "5"):
             "2aa950deec6c49a702eeefe676bcb6dbf419cd61a38cda0f3227258ee7832142",
     }

@@ -1,9 +1,10 @@
 """Square classes, Frobenius sampling, elimination, and the full verdict.
 
-The frozen witnesses (p = 13, 19, 191 for base point 5) were found by
-the streaming search itself and then pinned; the structural facts that
-matter, such as which subgroups can never be eliminated by cycle types
-alone, are recomputed here from the cycle tables rather than trusted.
+The frozen witnesses (p = 13, 7, 67 for base point 5) were found by the
+streaming search itself and then pinned; the structural facts that
+matter, such as the cycle types of each coset of G_4 and which subgroups
+the plain cycle-type table cannot eliminate, are recomputed here by brute
+force rather than trusted.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from math import exp, log, prod
 
 import pytest
@@ -32,11 +34,15 @@ from imgroups.maximality import (
     eliminate_maximal_subgroups,
     maximality_verdict,
     recheck_certificate,
+    residue_cosets,
     sample_frobenius,
     square_class_test,
 )
 
 BLIND = ("Mmax-01", "Mmax-05", "Mmax-09", "Mmax-13", "Mmax-14")
+ALL_MAXIMAL = tuple(f"Mmax-{i:02d}" for i in range(1, 16))
+# one odd prime per residue 1, 3, 5, 7 mod 8
+PRIME_OF_RESIDUE = {1: 17, 3: 3, 5: 5, 7: 7}
 
 
 class TestBasePoint:
@@ -290,6 +296,105 @@ class TestBlindSubgroups:
             covers = set(cycle_type_table(sub.group)) == full
             assert covers == (sub.name in BLIND), sub.name
 
+    def test_each_blind_subgroup_misses_a_type_within_a_coset(self):
+        coset_types, tables = maximality._level4_data()
+        for name in BLIND:
+            assert any(part < full for part, full
+                       in zip(tables[name], coset_types)), name
+
+
+@pytest.fixture(scope="module")
+def brute_tables():
+    """(coset types, tables) by a pass over M_4's elements on swap bits:
+    cosets of G_4 numbered by their first element in sorted order, cycle
+    types from the node-string action, membership by swap-bit tuples."""
+    m4 = build_model(4)
+    g4 = {g.swaps for g in m4.geometric.sorted_elements()}
+    subgroups = {ms.name: {h.swaps for h in ms.group.sorted_elements()}
+                 for ms in maximal_subgroups(m4)}
+    reps = []
+    coset_types = []
+    tables = {name: [] for name in subgroups}
+    for g in m4.group.sorted_elements():
+        u = g.swaps
+        c = next((i for i, r in enumerate(reps) if oracles.compose_swaps(
+            oracles.invert_swaps(r, 4), u, 4) in g4), None)
+        if c is None:
+            c = len(reps)
+            reps.append(u)
+            coset_types.append(set())
+            for sets in tables.values():
+                sets.append(set())
+        t = oracles.cycle_type_of_perm(oracles.leaf_permutation(u, 4))
+        coset_types[c].add(t)
+        for name, members in subgroups.items():
+            if u in members:
+                tables[name][c].add(t)
+    return coset_types, tables
+
+
+class TestResidueCosets:
+    def test_coset_tables_match_a_brute_force_pass(self, brute_tables):
+        coset_types, tables = maximality._level4_data()
+        assert [set(t) for t in coset_types] == brute_tables[0]
+        assert {n: [set(t) for t in sets] for n, sets in tables.items()} \
+            == brute_tables[1]
+        assert [len(t) for t in coset_types] == [5, 5, 5, 3]
+        assert [(1,) * 16 in t for t in coset_types] == [True, False, False, False]
+
+    def test_labelling_pinned(self):
+        lab = residue_cosets()
+        assert lab.cosets == (None, 0, None, 3, None, 1, None, 2)
+        assert [(o.prime, o.cycle_type) for o in lab.witnesses] == [
+            (13, (4, 4, 4, 2, 1, 1)), (23, (8, 8)), (103, (2,) * 8)]
+        assert residue_cosets() is lab  # computed once
+
+    def test_even_primes_have_no_coset(self):
+        for p in (2, 4, 100):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                residue_cosets().coset(p)
+
+    def test_subgroups_containing_g4_fix_the_quadratic_subfields(self):
+        # H >= G_4 is two cosets; the residues of those cosets are the
+        # primes at which d is a square, for Q(sqrt(d)) the field H fixes
+        m4 = build_model(4)
+        _, tables = maximality._level4_data()
+        lab = residue_cosets()
+        fixed = {}
+        for ms in maximal_subgroups(m4):
+            empty = [c for c, part in enumerate(tables[ms.name]) if not part]
+            assert bool(empty) == (m4.geometric.elements <= ms.group.elements)
+            if empty:
+                assert len(empty) == 2
+                for d in (-1, 2, -2):
+                    if all((oracles.legendre(d, p) == 1)
+                           == (lab.coset(p) not in empty)
+                           for p in polyarith.primes_up_to(500)[1:]):
+                        fixed[ms.name] = d
+        assert fixed == {"Mmax-03": -2, "Mmax-05": 2, "Mmax-06": -1}
+
+    @pytest.mark.parametrize("a", [Fraction(7, 3), Fraction(-22, 15),
+                                   Fraction(385), HUGE_POINT],
+                             ids=["7/3", "-22/15", "385", "4096-bit"])
+    def test_observations_lie_in_their_residues_coset(self, a):
+        coset_types, _ = maximality._level4_data()
+        for obs in sample_frobenius(BasePoint(a), 2000):
+            assert obs.cycle_type in coset_types[residue_cosets().coset(obs.prime)]
+
+    @pytest.mark.parametrize("prime, cycle_type", [
+        (3, (1,) * 16),                  # only G_4, the coset of 1 mod 8
+        (13, (8, 8)),                    # not in the coset of 5 mod 8
+        (7, (4, 4, 4, 2, 1, 1)),         # not in the coset of 7 mod 8
+        (11, (2, 2, 2, 2, 2, 2, 2, 2)),  # not in the coset of 3 mod 8
+    ])
+    def test_observation_outside_its_coset_is_inconsistent(self, prime,
+                                                           cycle_type):
+        m4 = build_model(4)
+        assert cycle_type in cycle_type_table(m4.group)
+        with pytest.raises(ModelInconsistencyError, match=f"{prime % 8} mod 8"):
+            eliminate_maximal_subgroups(
+                (FrobeniusObservation(prime, cycle_type),), m4)
+
 
 class TestElimination:
     def test_empty_observations(self):
@@ -297,15 +402,30 @@ class TestElimination:
         assert rep.eliminated == ()
         assert len(rep.surviving) == 15
 
-    def test_full_table_leaves_only_blind(self):
+    def test_full_coset_tables_eliminate_all(self):
         m4 = build_model(4)
+        coset_types, _ = maximality._level4_data()
         obs = tuple(
-            FrobeniusObservation(prime=100 + i, cycle_type=ct)
-            for i, ct in enumerate(sorted(cycle_type_table(m4.group)))
+            FrobeniusObservation(prime=p, cycle_type=ct)
+            for p in PRIME_OF_RESIDUE.values()
+            for ct in sorted(coset_types[residue_cosets().coset(p)])
         )
         rep = eliminate_maximal_subgroups(obs, m4)
-        assert rep.surviving == BLIND
-        assert len(rep.eliminated) == 10
+        assert rep.surviving == ()
+        assert tuple(n for n, _ in rep.eliminated) == ALL_MAXIMAL
+
+    @pytest.mark.parametrize("residue", [1, 3, 5, 7])
+    def test_one_cosets_types_leave_the_subgroups_that_cover_it(
+            self, residue, brute_tables):
+        m4 = build_model(4)
+        coset_types, tables = brute_tables
+        c = residue_cosets().cosets[residue]
+        obs = tuple(FrobeniusObservation(PRIME_OF_RESIDUE[residue], ct)
+                    for ct in sorted(coset_types[c]))
+        rep = eliminate_maximal_subgroups(obs, m4)
+        assert set(rep.surviving) == {
+            n for n, sets in tables.items() if sets[c] == coset_types[c]}
+        assert set(rep.surviving) < set(ALL_MAXIMAL)
 
     def test_foreign_type_is_inconsistent(self):
         with pytest.raises(ModelInconsistencyError):
@@ -322,7 +442,7 @@ class TestElimination:
     def test_public_routes_match_the_streamed_verdict(self, a):
         # the early-stopping verdict and the exhaustive public route share
         # one prime stream and one elimination step, so they agree; every
-        # witness prime lies below 1000 (191, 29 and 293 at most), so the
+        # witness prime lies below 1000 (67, 107 and 29 at most), so the
         # verdict at that bound eliminates as the one at the default bound
         point = BasePoint(a)
         rep = eliminate_maximal_subgroups(sample_frobenius(point, 1000),
@@ -337,15 +457,15 @@ class TestVerdict:
     def test_point_5_maximal(self):
         v = maximality_verdict(BasePoint(Fraction(5)))
         assert v.status == "maximal"
-        assert v.primes_tried == 40
-        assert sorted(n for n, _ in v.frobenius_eliminations) == [
-            f"Mmax-{i:02d}" for i in (2, 3, 4, 6, 7, 8, 10, 11, 12, 15)
-        ]
-        assert v.square_class_eliminations == BLIND
+        assert v.primes_tried == 16
+        assert tuple(n for n, _ in v.frobenius_eliminations) == ALL_MAXIMAL
+        assert v.square_class_eliminations == ALL_MAXIMAL
         witnesses = {n: o.prime for n, o in v.frobenius_eliminations}
         assert witnesses["Mmax-02"] == 13
-        assert witnesses["Mmax-06"] == 19
-        assert witnesses["Mmax-03"] == 191
+        assert witnesses["Mmax-06"] == 7
+        assert witnesses["Mmax-03"] == 7
+        assert witnesses["Mmax-14"] == 67  # blind: its coset of 3 mod 8 misses 8+8
+        assert max(witnesses.values()) == 67
         assert v.surviving == ()
 
     def test_point_1_not_maximal(self):
@@ -385,9 +505,9 @@ class TestVerdict:
         v = maximality_verdict(BasePoint(Fraction(5)))
         blob = json.dumps(v.to_json_dict(), sort_keys=True)
         data = json.loads(blob)
-        vias = {e["subgroup"]: e["via"] for e in data["eliminations"]}
-        assert all(vias[n] == "square_class" for n in BLIND)
-        assert sum(1 for x in vias.values() if x == "frobenius") == 10
+        vias = [(e["subgroup"], e["via"]) for e in data["eliminations"]]
+        assert vias == [(n, via) for n in ALL_MAXIMAL
+                        for via in ("frobenius", "square_class")]
 
 
 class TestCertificateRecheck:
@@ -440,6 +560,21 @@ class TestCertificateRecheck:
         ))
         assert not recheck_certificate(forged)
 
+    def test_witness_moved_to_another_residue_fails(self):
+        # at a = 5 the primes 7 and 11 both give 4+4+4+4, but 11 = 3 mod 8
+        # names a coset that Mmax-03 contains, so the recount alone would
+        # accept the moved witness and only its residue rejects it
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        witnesses = dict(v.frobenius_eliminations)
+        assert witnesses["Mmax-03"] == FrobeniusObservation(7, (4, 4, 4, 4))
+        poly = polyarith.specialize_numerator(4, Fraction(5))
+        assert polyarith.factor_degrees_mod_p(poly, 11) == (4, 4, 4, 4)
+        moved = dataclasses.replace(v, frobenius_eliminations=tuple(
+            (n, FrobeniusObservation(11, o.cycle_type) if n == "Mmax-03" else o)
+            for n, o in v.frobenius_eliminations))
+        assert recheck_certificate(v)
+        assert not recheck_certificate(moved)
+
     def test_square_product_beyond_factoring_cap_rechecks(self):
         # a = 2/(1 + t^2) with t = 10000044, so a(2 - a) is a square whose
         # root exceeds the factoring cap
@@ -447,3 +582,20 @@ class TestCertificateRecheck:
         assert v.status == "not_maximal"
         assert v.square_class.dependent_subset == ("a", "2-a")
         assert recheck_certificate(v)
+
+
+class TestPool:
+    def test_every_pool_point_keeps_its_status(self):
+        # the benchmark pool stores the primes each verdict consumed before
+        # the residue cosets refined the elimination, 0 for the not_maximal
+        # ones; every status stays, and the verdicts need far fewer primes
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+        points = json.loads(path.read_text())["points"]
+        before = after = 0
+        for text, consumed in points:
+            v = maximality_verdict(BasePoint(Fraction(text)))
+            assert v.status == ("not_maximal" if consumed == 0 else "maximal"), text
+            before += consumed
+            after += v.primes_tried
+        assert len(points) == 2048
+        assert 3 * after < before

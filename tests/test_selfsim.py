@@ -29,7 +29,6 @@ from imgroups.selfsim import (
     omega_group,
     quotient,
     save_level_group,
-    section_pair_count,
     subgroup_H,
     subgroup_U,
     subgroup_index,
@@ -225,15 +224,6 @@ class TestSubgroupLedger:
         assert len(centralizer(g3, a1)) == 8
         with pytest.raises(ValueError, match="not normal"):
             quotient(g3, closure([a1]))
-
-    def test_section_pair_counts(self):
-        g4 = geometric_group(4)
-        g3 = geometric_group(3)
-        x3 = next(iter(g3))
-        assert section_pair_count(g4, x3) == 1
-        g2 = geometric_group(2)
-        x2 = next(iter(g2))
-        assert section_pair_count(g3, x2) == 2
 
 
 class TestClosureToolkit:

@@ -53,7 +53,7 @@ def test_model_claims_reach_the_level_cap():
     # model level up to the cap has them
     results = verify.run_claims(verify.VerifyCaps(model_level=7))
     assert [r for r in results if r.status != "PASS"] == []
-    assert len(results) == 41
+    assert len(results) == 42
     details = {r.claim: r.detail for r in results}
     assert details["model-orders"].endswith("|M6|=4096 |M7|=16384")
     assert details["model-growth-profile"].startswith(
