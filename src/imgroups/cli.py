@@ -236,6 +236,12 @@ def _cmd_maximality(args, caps) -> tuple[dict, list[str], int]:
         lines.append(f"  {name}: eliminated by square-class independence")
     if verdict.surviving:
         lines.append(f"  no Frobenius witness: {', '.join(verdict.surviving)}")
+    for name, by_residue in (verdict.surviving_tables or {}).items():
+        lines.append(f"  {name} realizes, by p mod 8 (any other type of "
+                     f"the coset rules it out):")
+        for r, types in by_residue.items():
+            lines.append(f"    {r}: " + ", ".join(
+                "+".join(map(str, t)) for t in sorted(types)))
     return report, lines, 0
 
 

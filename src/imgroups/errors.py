@@ -7,7 +7,8 @@ gets its own class below.
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured cap was exceeded (closure size, level, factoring budget)."""
+    """A configured cap was exceeded (closure size, level, an unfactored
+    cofactor)."""
 
 
 class ModelConstructionError(RuntimeError):

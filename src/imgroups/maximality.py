@@ -48,10 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt, prod
-from operator import xor
 from typing import Iterator, Optional
 
 from .arithmodel import ArithLevelModel, build_model, maximal_subgroups
@@ -67,7 +66,7 @@ from .polyarith import (
     iterate_pair,
     primes_up_to,
     specialize_numerator,
-    square_class_primes,
+    square_class,
 )
 from .selfsim import quotient
 from .treeauto import _cycle_type_of
@@ -75,9 +74,9 @@ from .treeauto import _cycle_type_of
 DEFAULT_PRIME_BOUND = 10**4
 MIN_USABLE_PRIMES = 5
 # Largest bit length of a base point's numerator and denominator.  At this
-# height the factoring refuses a random point in 0.1-0.2 s, where trial
-# division takes 2.6 s on 7 * 10**20000, and every square-class part
-# stays below Python's 4300-digit limit for printing an int.
+# height the square classes of a random point take about 0.4 s, all of it
+# trial division over the prime table, and every square-class part stays
+# below Python's 4300-digit limit for printing an int.
 BASE_POINT_BITS_CAP = 4096
 
 SQUARE_CLASS_LABELS = ("-1", "2", "a", "2-a")
@@ -130,7 +129,7 @@ class BasePoint:
 class SquareClassReport:
     point: BasePoint
     labels: tuple[str, ...]
-    parts: tuple[int, ...]       # squarefree parts of -1, 2, a, 2-a
+    parts: tuple[int, ...]       # class representatives of -1, 2, a, 2-a
     rank: int
     passed: bool
     dependent_subset: Optional[tuple[str, ...]]
@@ -148,57 +147,41 @@ class SquareClassReport:
         }
 
 
-def _f2_rows(classes) -> list[int]:
-    # encode each square class as an F2 vector over {sign} + primes
-    primes = sorted({p for _, support in classes for p in support})
-    index = {p: i + 1 for i, p in enumerate(primes)}
-    return [int(sign < 0) | sum(1 << index[p] for p in support)
-            for sign, support in classes]
-
-
-def _f2_rank(rows) -> int:
-    rows = list(rows)
-    rank = 0
-    for row in rows:
-        cur = row
-        for pivot in rows[:rank]:
-            cur = min(cur, cur ^ pivot)
-        if cur:
-            rows[rank] = cur
-            rank += 1
-    return rank
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def square_class_test(point: BasePoint) -> SquareClassReport:
-    """Pass iff -1, 2, a, 2-a are independent modulo rational squares."""
+    """Pass iff -1, 2, a, 2-a are independent modulo rational squares.
+
+    A subset is dependent iff the product of its class representatives is
+    a square, whether or not `square_class` certified them squarefree, so
+    no input is refused.  The dependent subsets with the empty one form
+    the kernel of F_2^4 -> Q^x / Q^x2, of order 2^(4 - rank)."""
     a = point.a
-    values = (Fraction(-1), Fraction(2), a, 2 - a)
-    classes = [square_class_primes(v) for v in values]
-    parts = tuple(sign * prod(support) for sign, support in classes)
-    rows = _f2_rows(classes)
-    rank = _f2_rank(rows)
+    classes = [square_class(v) for v in (Fraction(-1), Fraction(2), a, 2 - a)]
+    parts = tuple(rep for rep, _ in classes)
+    # smallest subset first, so the witness is stable
+    dependent = [tuple(SQUARE_CLASS_LABELS[i] for i in combo)
+                 for size in range(1, 5)
+                 for combo in combinations(range(4), size)
+                 if _is_square(prod(parts[i] for i in combo))]
+    rank = 5 - (1 + len(dependent)).bit_length()
     passed = rank == 4
-    dependent: Optional[tuple[str, ...]] = None
-    if not passed:
-        # smallest subset first, so the witness is stable; a subset's
-        # product is a square iff its rows cancel
-        dependent = next(
-            tuple(SQUARE_CLASS_LABELS[i] for i in combo)
-            for size in range(1, 5)
-            for combo in combinations(range(4), size)
-            if not reduce(xor, (rows[i] for i in combo))
-        )
+    heading = ("squarefree parts" if all(c == 1 for _, c in classes) else
+               "square-class representatives (a cofactor above 10^18 is "
+               "not factored)")
     derivation = (
         "the level-4 splitting field of the iterated preimages of a "
         "contains Q(i, sqrt(2), sqrt(a), sqrt(2-a))",
         "the four corresponding index-2 kernels of the level-4 model "
         "intersect in its Frattini subgroup, so maximality forces the "
         "composite field to have degree 16",
-        f"squarefree parts: " + ", ".join(
+        f"{heading}: " + ", ".join(
             f"{lab} ~ {part}" for lab, part in zip(SQUARE_CLASS_LABELS, parts)
         ),
         (f"classes independent (rank 4): degree 16 attained" if passed else
-         f"product over {{{', '.join(dependent)}}} is a square: "
+         f"product over {{{', '.join(dependent[0])}}} is a square: "
          f"the composite collapses below degree 16"),
     )
     return SquareClassReport(
@@ -207,7 +190,7 @@ def square_class_test(point: BasePoint) -> SquareClassReport:
         parts=parts,
         rank=rank,
         passed=passed,
-        dependent_subset=dependent,
+        dependent_subset=dependent[0] if dependent else None,
         derivation=derivation,
     )
 
@@ -426,7 +409,7 @@ class MaximalityVerdict:
     frobenius_eliminations: tuple[tuple[str, FrobeniusObservation], ...]
     square_class_eliminations: tuple[str, ...]
     surviving: tuple[str, ...]
-    surviving_tables: Optional[dict]
+    surviving_tables: Optional[dict]  # name -> {residue mod 8: types}
     primes_tried: int
     reason: Optional[str]
 
@@ -464,8 +447,9 @@ class MaximalityVerdict:
             out["reason"] = self.reason
         if self.surviving_tables is not None:
             out["surviving_tables"] = {
-                name: [list(t) for t in sorted(types)]
-                for name, types in self.surviving_tables.items()
+                name: {str(r): [list(t) for t in sorted(types)]
+                       for r, types in by_residue.items()}
+                for name, by_residue in self.surviving_tables.items()
             }
         return out
 
@@ -514,7 +498,10 @@ def maximality_verdict(point: BasePoint,
         frobenius_eliminations=tuple(sorted(eliminated.items())),
         square_class_eliminations=tuple(sorted(tables)),
         surviving=surviving,
-        surviving_tables=({name: frozenset().union(*tables[name])
+        # a prime of residue r whose type is missing from the survivor's
+        # table at r would rule it out
+        surviving_tables=({name: {r: tables[name][residue_cosets().coset(r)]
+                                  for r in (1, 3, 5, 7)}
                            for name in surviving} if surviving else None),
         primes_tried=usable,
         reason=None,
@@ -530,7 +517,8 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
     mod 8 names and be missing from the subgroup's part of that coset, and
     the factor degrees of the specialized numerator at that prime, counted
     afresh by `factor_degrees_mod_p` and not read from the fibre memo, must
-    reproduce it.  A bad witness gives False, never an exception."""
+    reproduce it.  Each distinct prime is counted once, as witnesses share
+    primes.  A bad witness gives False, never an exception."""
     coset_types, tables = _level4_data()
     sq = square_class_test(verdict.point)
     if sq.passed != verdict.square_class.passed or sq.parts != verdict.square_class.parts:
@@ -539,15 +527,15 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
         subset = verdict.square_class.dependent_subset
         if sq.passed or not subset or not set(subset) <= set(sq.labels):
             return False
-        value = prod(part for lab, part in zip(sq.labels, sq.parts)
-                     if lab in subset)
-        return value > 0 and isqrt(value) ** 2 == value
+        return _is_square(prod(part for lab, part in zip(sq.labels, sq.parts)
+                               if lab in subset))
     if verdict.status not in ("maximal", "inconclusive"):
         return False
     if sq.rank != 4 or set(verdict.square_class_eliminations) != set(tables):
         return False
     labelling = residue_cosets()
     poly = specialize_numerator(4, verdict.point.a)
+    recounts: dict[int, Optional[tuple[int, ...]]] = {}
     for name, obs in verdict.frobenius_eliminations:
         if name not in tables:
             return False
@@ -556,10 +544,11 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
             if (obs.cycle_type not in coset_types[c]
                     or obs.cycle_type in tables[name][c]):
                 return False
-            degs = factor_degrees_mod_p(poly, obs.prime)
+            if obs.prime not in recounts:
+                recounts[obs.prime] = factor_degrees_mod_p(poly, obs.prime)
         except ValueError:  # not an odd prime, or it divides the lc
             return False
-        if degs != obs.cycle_type:
+        if recounts[obs.prime] != obs.cycle_type:
             return False
     claimed = {n for n, _ in verdict.frobenius_eliminations}
     if verdict.status == "maximal":

@@ -14,13 +14,12 @@ evaluating at integer nodes and interpolating.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import mul
 from typing import Optional
 
@@ -31,9 +30,9 @@ from .errors import (
     ShapeViolationError,
 )
 
-# squarefree_part: trial division limit, then certified general methods
+# the sieved prime table: the Frobenius stream's primes and square_class's
+# trial divisors
 TRIAL_DIVISION_LIMIT = 10**6
-GENERAL_FACTOR_LIMIT = 10**18
 # discriminant_shape, `img disc` and `img verify` go no deeper than this
 DISC_LEVEL_CAP = 5
 # iterate_pair builds the exact (g_n, h_n), of degree 2**n, up to this level
@@ -849,7 +848,7 @@ def _factor_degrees_monic(f: list[int], prime: int) -> tuple[int, ...]:
     return tuple(sorted(degrees, reverse=True))
 
 
-# -- integer factorization for square classes ----------------------------------
+# -- primes and square classes -------------------------------------------------
 
 
 @lru_cache(maxsize=1)
@@ -909,94 +908,51 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, rng: random.Random, budget: int) -> Optional[int]:
-    if n % 2 == 0:
-        return 2
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    m = 128
-    g, r, q = 1, 1, 1
-    spent = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += m
-            spent += m
-            if spent > budget:
-                return None
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-            spent += 1
-            if spent > budget:
-                return None
-    return g if g != n else None
+def square_class(a) -> tuple[int, int]:
+    """A representative r of a nonzero rational's square class, so that
+    a / r is a rational square, and the cofactor that r leaves unfactored:
+    1 when r is certified squarefree.
 
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n > 0; certified, or a resource-limit error."""
-    out: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    if n < TRIAL_DIVISION_LIMIT**2 or (
-        n < _MR_DETERMINISTIC_BELOW and _is_probable_prime(n)
-    ):
-        # below the square of the trial bound a survivor is prime
-        out[n] = out.get(n, 0) + 1
-        return out
-    stack = [n]
-    rng = random.Random(0xC0FFEE)
-    while stack:
-        m = stack.pop()
-        if m < _MR_DETERMINISTIC_BELOW and _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        if m > GENERAL_FACTOR_LIMIT:
-            raise ResourceLimitError(
-                f"refusing to factor a {m.bit_length()}-bit cofactor "
-                f"(> {GENERAL_FACTOR_LIMIT})"
-            )
-        d = None
-        for _ in range(8):
-            d = _pollard_brent(m, rng, budget=1 << 22)
-            if d:
-                break
-        if not d:
-            raise ResourceLimitError(
-                f"factoring budget exhausted on a {m.bit_length()}-bit cofactor")
-        stack.extend((d, m // d))
-    return out
-
-
-def square_class_primes(a) -> tuple[int, tuple[int, ...]]:
-    """Sign and odd-exponent primes of a nonzero rational, from one
-    factorization; together they name its square class."""
+    For n = |numerator * denominator|, trial division by the sieved table
+    keeps the primes that occur to an odd power and stops at the first
+    prime p with p^3 above the cofactor C.  Every prime factor of C is then
+    at least p, so above C^(1/3), and C < p^3 < TRIAL_DIVISION_LIMIT**3;
+    when the table runs out first, every one is above TRIAL_DIVISION_LIMIT.
+    Either way a C below TRIAL_DIVISION_LIMIT**3 has at most two prime
+    factors: it is 1, q, q r or q^2, and its squarefree part is 1 when
+    `isqrt` finds it a square and C itself otherwise.  Above that bound C
+    is certified when it is a square or a prime by the deterministic
+    Miller-Rabin test; any other C stays whole in r and is returned as the
+    cofactor."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("0 has no square class")
     n = a.numerator * a.denominator
-    primes = tuple(sorted(p for p, e in _factorize(abs(n)).items() if e & 1))
-    return (-1 if n < 0 else 1), primes
+    rep, c = (-1 if n < 0 else 1), abs(n)
+    for p in _small_primes():
+        if p * p * p > c:
+            break
+        if c % p == 0:
+            e = 0
+            while c % p == 0:
+                c //= p
+                e += 1
+            if e & 1:
+                rep *= p
+    if isqrt(c) ** 2 == c:
+        return rep, 1
+    certified = c < TRIAL_DIVISION_LIMIT**3 or (
+        c < _MR_DETERMINISTIC_BELOW and _is_probable_prime(c))
+    return rep * c, 1 if certified else c
 
 
 def squarefree_part(a) -> int:
-    """The squarefree integer representing a rational's square class."""
-    sign, primes = square_class_primes(a)
-    return sign * prod(primes)
+    """The squarefree integer representing a rational's square class, or a
+    ResourceLimitError where `square_class` leaves a cofactor unfactored."""
+    rep, cofactor = square_class(a)
+    if cofactor != 1:
+        raise ResourceLimitError(
+            f"refusing to factor a {cofactor.bit_length()}-bit cofactor "
+            f"(> {TRIAL_DIVISION_LIMIT**3})"
+        )
+    return rep

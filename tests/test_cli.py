@@ -147,6 +147,22 @@ class TestMaximality:
         assert time.perf_counter() - start < 5
         assert code == 0
 
+    def test_point_past_the_factoring_bound(self, capsys):
+        # a and 2 - a leave 90-bit cofactors that are neither squares nor
+        # primes; their square classes need no factoring
+        code, out, _ = run(capsys, "maximality", "--a",
+                           "123456789012345678901/98765432109876543211")
+        assert code == 0
+        assert "verdict: maximal" in out
+
+    def test_inconclusive_lists_survivor_tables(self, capsys):
+        code, out, _ = run(capsys, "maximality", "--a", "5",
+                           "--prime-bound", "60")
+        assert code == 0
+        assert "  no Frobenius witness: Mmax-14\n" in out
+        assert "  Mmax-14 realizes, by p mod 8" in out
+        assert "\n    3: 4+4+4+4, 8+8\n" in out
+
     def test_square_product_beyond_factoring_cap(self, capsys):
         # a = 2/(1 + t^2) with t = 10000044: a(2 - a) is a square
         start = time.perf_counter()

@@ -116,7 +116,8 @@ class TestSquareClasses:
         import math
 
         for a in (Fraction(3), Fraction(5), Fraction(1), Fraction(8),
-                  Fraction(-1), Fraction(7, 2), Fraction(-2), Fraction(18)):
+                  Fraction(-1), Fraction(7, 2), Fraction(-2), Fraction(18),
+                  *LARGE_POINTS):
             rep = square_class_test(BasePoint(a))
             values = [Fraction(-1), Fraction(2), a, 2 - a]
             dependent = False
@@ -138,13 +139,27 @@ class TestSquareClasses:
             assert part == oracles.squarefree_part_slow(part)
 
     def test_large_prime_part_in_bounded_time(self):
-        # each part is factored once, by the certified route; plain trial
-        # division over a prime part near 10^15 would take seconds
+        # trial division stops at the cube root of the cofactor, about 10^5
+        # here, and a cofactor below 10^18 left by it has at most two prime
+        # factors; dividing up to its square root would take seconds
         start = time.perf_counter()
         rep = square_class_test(BasePoint(Fraction(10**15 + 37)))
         assert time.perf_counter() - start < 5
         assert rep.parts[2] == 10**15 + 37
         assert rep.passed
+
+    def test_unfactored_cofactor_is_kept_whole(self):
+        # the part of a is a class representative, not certified
+        # squarefree: squarefree_part refuses the same value
+        n = (10**10 + 19) * (10**10 + 33)
+        rep = square_class_test(BasePoint(Fraction(n)))
+        assert rep.parts[2] == n
+        assert rep.derivation[2].startswith(
+            "square-class representatives (a cofactor above 10^18 is not "
+            "factored): ")
+        with pytest.raises(ResourceLimitError,
+                           match="refusing to factor a 67-bit cofactor"):
+            polyarith.squarefree_part(n)
 
 
 class TestFrobeniusSampling:
@@ -201,6 +216,18 @@ def _pool_draw(rng):
 
 
 HUGE_POINT = Fraction(random.Random(19).getrandbits(4095) | 1 << 4095, 3**9 * 7)
+
+# points whose square classes no certified factoring reaches: a cofactor
+# above 10^18 that is neither a square nor a Miller-Rabin prime, in a or in
+# 2 - a; the last three have square subsets {2, a}, {2-a} and {a, 2-a}
+LARGE_POINTS = (
+    Fraction(123456789012345678901, 98765432109876543211),
+    Fraction((10**10 + 19) * (10**10 + 33)),
+    HUGE_POINT,
+    Fraction(2 * (10**10 + 19)**2 * (10**10 + 33)**2),
+    Fraction(2 - (10**10 + 19)**2 * (10**10 + 33)**2),
+    Fraction(2, 1 + (10**10 + 19)**2 * (10**10 + 33)**2),
+)
 
 # points that differ by a multiple of every odd prime below 60 lie in the
 # same fibre at every prime of a stream bounded by 60
@@ -464,7 +491,8 @@ class TestVerdict:
         assert witnesses["Mmax-02"] == 13
         assert witnesses["Mmax-06"] == 7
         assert witnesses["Mmax-03"] == 7
-        assert witnesses["Mmax-14"] == 67  # blind: its coset of 3 mod 8 misses 8+8
+        # blind: its part of the coset of 3 mod 8 misses 2+2+2+2+2+2+1+1+1+1
+        assert witnesses["Mmax-14"] == 67
         assert max(witnesses.values()) == 67
         assert v.surviving == ()
 
@@ -487,6 +515,39 @@ class TestVerdict:
         assert v.surviving_tables is not None
         for name in v.surviving:
             assert name in v.surviving_tables
+
+    def test_survivor_tables_are_keyed_by_residue(self):
+        # each survivor's types within the coset of every odd residue mod 8:
+        # the observations below 60 all fall inside them, and the witness
+        # the default bound finds at 67 = 3 mod 8 falls outside
+        v = maximality_verdict(BasePoint(Fraction(5)), 60)
+        assert v.surviving == ("Mmax-14",)
+        table = v.surviving_tables["Mmax-14"]
+        assert sorted(table) == [1, 3, 5, 7]
+        coset_types, _ = maximality._level4_data()
+        for r, types in table.items():
+            assert types <= coset_types[residue_cosets().coset(r)]
+        for obs in sample_frobenius(BasePoint(Fraction(5)), 60):
+            assert obs.cycle_type in table[obs.prime % 8], obs
+        witness = dict(maximality_verdict(BasePoint(Fraction(5))).
+                       frobenius_eliminations)["Mmax-14"]
+        assert witness.cycle_type not in table[witness.prime % 8]
+        data = json.loads(json.dumps(v.to_json_dict()))
+        assert data["surviving_tables"]["Mmax-14"]["3"] == \
+            [[4, 4, 4, 4], [8, 8]]
+
+    @pytest.mark.parametrize("a", [
+        Fraction(random.Random(64).getrandbits(64),
+                 random.Random(65).getrandbits(64)),
+        Fraction(random.Random(1024).getrandbits(1024),
+                 random.Random(1025).getrandbits(1024)),
+        HUGE_POINT,
+    ], ids=["64-bit", "1024-bit", "4096-bit"])
+    def test_points_past_the_factoring_route_get_verdicts(self, a):
+        v = maximality_verdict(BasePoint(a))
+        assert v.status in ("maximal", "not_maximal")
+        if a != HUGE_POINT:  # its Res(f, f') alone takes seconds
+            assert recheck_certificate(v)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
@@ -529,7 +590,29 @@ class TestCertificateRecheck:
         assert memo.cache_info().misses == 0
         assert recheck_certificate(v)
         assert memo.cache_info().misses == 1
-        assert memo.cache_info().hits == len(v.frobenius_eliminations) - 1
+        primes = {obs.prime for _, obs in v.frobenius_eliminations}
+        assert memo.cache_info().hits == len(primes) - 1
+
+    def test_one_recount_per_distinct_witness_prime(self, monkeypatch):
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        calls = []
+
+        def counting(poly, prime):
+            calls.append(prime)
+            return polyarith.factor_degrees_mod_p(poly, prime)
+        monkeypatch.setattr(maximality, "factor_degrees_mod_p", counting)
+        assert recheck_certificate(v)
+        primes = [obs.prime for _, obs in v.frobenius_eliminations]
+        assert sorted(calls) == sorted(set(primes)) == [7, 11, 13, 19, 23, 67]
+        # Mmax-06 shares p = 7 with Mmax-03: the stored 8+8 lies in that
+        # coset and misses Mmax-06's part, so only the shared recount of
+        # 4+4+4+4 can reject it
+        witnesses = dict(v.frobenius_eliminations)
+        assert witnesses["Mmax-03"].prime == witnesses["Mmax-06"].prime == 7
+        tampered = dataclasses.replace(v, frobenius_eliminations=tuple(
+            (n, dataclasses.replace(o, cycle_type=(8, 8)) if n == "Mmax-06"
+             else o) for n, o in v.frobenius_eliminations))
+        assert not recheck_certificate(tampered)
 
     def test_tampered_observation_fails(self):
         v = maximality_verdict(BasePoint(Fraction(5)))

@@ -597,6 +597,12 @@ class TestIntegerHelpers:
         with pytest.raises(ResourceLimitError):
             squarefree_part(n)
 
+    def test_square_cofactor_above_the_factoring_bound(self):
+        # (10^10 + 19)^2 exceeds 10^18 and is left whole by trial
+        # division, but a perfect square needs no factoring
+        assert squarefree_part(3 * (10**10 + 19)**2) == 3
+        assert squarefree_part(Fraction(-(10**10 + 33)**2, 5)) == -5
+
     def test_refusal_names_the_bit_length_not_the_value(self):
         # a value can be too long to print (4300 digits at most by default)
         n = (10**10 + 19) * (10**10 + 33)
