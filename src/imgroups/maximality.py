@@ -7,18 +7,26 @@ as soon as it is contained in no maximal subgroup.  A `maximal` verdict
 rules out each of the fifteen maximal subgroups by two independent
 routes:
 
-* Frobenius route: the factorization degrees of the specialized level-4
-  numerator mod a good prime form the cycle type of an actual group
-  element.  For a = u/v the specialized numerator is (v g_4 - u h_4) / c,
-  and its content c is a power of 2 because Res(g_4, h_4) = +-2^k.  Its
-  leading coefficient is (2v - u) / c, and homogenizing the shape
-  disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 of `discriminant_shape(4)`,
-  pinned by `tests/test_polyarith.py`, gives its discriminant as
-  2^272 u^12 v^8 (2v - u)^10 / c^30.  So an odd prime p is good, the
-  reduction of full degree and squarefree, exactly when p does not divide
-  u v (u - 2v); there the numerator is g_4 - t h_4 mod p up to a unit,
-  with t = u/v mod p, so the cycle type is a function of the fibre (p, t)
-  alone, and base points congruent mod p share one memoized count.
+* Frobenius route: at a good prime p the cycle type of Frob_p on the
+  sixteen level-4 preimages of a is that of an actual group element.  For
+  a = u/v the good primes are the odd p not dividing u v (u - 2v): there
+  t = a mod p is not 0, 2 or infinity, so the critical orbit
+  1 -> inf -> 0 -> 2 -> 2 of 2/(x-1)^2 misses the level-4 preimage tree
+  of t over F_p, which has sixteen distinct leaves.  The cycle type is a
+  function of the fibre (p, t) alone, and base points congruent mod p
+  share one memoized count.  `_fibre_cycle_type` walks the tree one
+  Frobenius orbit at a time, with square tests and square roots in towers
+  of quadratic extensions of F_p, and builds no polynomial.
+
+  The leaves are the roots of the specialized level-4 numerator
+  (v g_4 - u h_4) / c, whose content c is a power of 2 because
+  Res(g_4, h_4) = +-2^k.  Its leading coefficient is (2v - u) / c, and
+  homogenizing the shape disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 of
+  `discriminant_shape(4)`, pinned by `tests/test_polyarith.py`, gives its
+  discriminant as 2^272 u^12 v^8 (2v - u)^10 / c^30.  So the same primes
+  are exactly those where its reduction has full degree and is
+  squarefree, and `recheck_certificate` recounts each witness by a second
+  algorithm: the factor degrees of that numerator mod p.
 
   The observation also says which coset of the geometric group G_4 the
   Frobenius lies in.  The level-4 constant field K_4 contains Q(i,
@@ -61,9 +69,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .polyarith import (
-    _factor_degrees_monic,
+    _is_probable_prime,
     factor_degrees_mod_p,
-    iterate_pair,
     primes_up_to,
     specialize_numerator,
     square_class,
@@ -216,21 +223,182 @@ def _shared(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
     return cycle_type
 
 
+# -- towers of quadratic extensions of F_p -------------------------------------
+#
+# An element of F_p(s_1, ..., s_j), where s_i^2 = beta_i and each beta_i is
+# a non-square one step down, is an int mod p when j = 0 and otherwise a
+# pair (a, b) standing for a + b s_j, with a and b one step down.  `tower`
+# is (beta_1, ..., beta_j); the functions take the depth j of their
+# arguments.
+
+
+@lru_cache(maxsize=1 << 15)
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue mod the odd prime p."""
+    return next(z for z in range(2, p) if pow(z, p >> 1, p) == p - 1)
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a mod the odd prime p: one
+    power when p = 3 mod 4, otherwise Tonelli-Shanks with p - 1 = q 2^e,
+    q odd."""
+    if p & 3 == 3:
+        return pow(a, (p + 1) >> 2, p)
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    z = pow(_non_residue(p), q, p)   # of order 2^e
+    x, b = pow(a, (q + 1) >> 1, p), pow(a, q, p)  # x^2 = a b, b of order 2^m
+    while b != 1:
+        m, c = 0, b
+        while c != 1:
+            c, m = c * c % p, m + 1
+        w = pow(z, 1 << (e - m - 1), p)
+        z, e = w * w % p, m
+        x, b = x * w % p, b * z % p
+    return x
+
+
+def _t_add(x, y, j: int, p: int):
+    if not j:
+        return (x + y) % p
+    return _t_add(x[0], y[0], j - 1, p), _t_add(x[1], y[1], j - 1, p)
+
+
+def _t_scale(x, c: int, j: int, p: int):
+    if not j:
+        return x * c % p
+    return _t_scale(x[0], c, j - 1, p), _t_scale(x[1], c, j - 1, p)
+
+
+def _t_embed(c: int, j: int):
+    """The element c of F_p at depth j."""
+    return c if not j else (_t_embed(c, j - 1), _t_embed(0, j - 1))
+
+
+def _t_mul(x, y, tower: tuple, j: int, p: int):
+    if not j:
+        return x * y % p
+    (a, b), (c, d) = x, y
+    if j == 1:  # most products, in plain ints
+        return (a * c + tower[0] * b * d) % p, (a * d + b * c) % p
+    j -= 1
+    bd = _t_mul(tower[j], _t_mul(b, d, tower, j, p), tower, j, p)
+    return (_t_add(_t_mul(a, c, tower, j, p), bd, j, p),
+            _t_add(_t_mul(a, d, tower, j, p), _t_mul(b, c, tower, j, p), j, p))
+
+
+def _t_rel_norm(x, tower: tuple, j: int, p: int):
+    """a^2 - beta_j b^2, the norm of x = a + b s_j one step down."""
+    a, b = x
+    if j == 1:
+        return (a * a - tower[0] * b * b) % p
+    j -= 1
+    b2 = _t_mul(tower[j], _t_mul(b, b, tower, j, p), tower, j, p)
+    return _t_add(_t_mul(a, a, tower, j, p), _t_scale(b2, p - 1, j, p), j, p)
+
+
+def _t_norm(x, tower: tuple, j: int, p: int) -> int:
+    """The norm of x to F_p."""
+    while j:
+        x, j = _t_rel_norm(x, tower, j, p), j - 1
+    return x
+
+
+def _t_is_square(x, tower: tuple, j: int, p: int) -> bool:
+    """Whether the nonzero x is a square: exactly when its norm to F_p is,
+    as N(x)^((p-1)/2) = x^((p^(2^j)-1)/2)."""
+    return pow(_t_norm(x, tower, j, p), p >> 1, p) == 1
+
+
+def _t_inv(x, tower: tuple, j: int, p: int):
+    if not j:
+        return pow(x, -1, p)
+    a, b = x
+    n = _t_inv(_t_rel_norm(x, tower, j, p), tower, j - 1, p)
+    return (_t_mul(a, n, tower, j - 1, p),
+            _t_scale(_t_mul(b, n, tower, j - 1, p), p - 1, j - 1, p))
+
+
+def _t_sqrt(x, tower: tuple, j: int, p: int):
+    """A square root of the nonzero square x.  For x = a + b s over K =
+    F_p(s_1, ..., s_(j-1)): with b = 0 it is sqrt(a) in K, or
+    sqrt(a / beta) s when a is not a square in K; otherwise it is c + d s
+    with c^2 = (a +- r) / 2, r = sqrt(a^2 - beta b^2), taking the sign
+    that gives a square in K (their product beta b^2 / 4 is not one), and
+    d = b / 2c."""
+    if not j:
+        return _sqrt_mod(x, p)
+    a, b = x
+    j -= 1
+    if b == _t_embed(0, j):
+        if _t_is_square(a, tower, j, p):
+            return _t_sqrt(a, tower, j, p), b
+        beta_inv = _t_inv(tower[j], tower, j, p)
+        return b, _t_sqrt(_t_mul(a, beta_inv, tower, j, p), tower, j, p)
+    r = _t_sqrt(_t_rel_norm(x, tower, j + 1, p), tower, j, p)
+    half = (p + 1) >> 1
+    c2 = _t_scale(_t_add(a, r, j, p), half, j, p)
+    if not _t_is_square(c2, tower, j, p):
+        c2 = _t_add(c2, _t_scale(r, p - 1, j, p), j, p)
+    c = _t_sqrt(c2, tower, j, p)
+    return c, _t_mul(b, _t_inv(_t_scale(c, 2, j, p), tower, j, p), tower, j, p)
+
+
+def _preimage_cycle_type(p: int, t: int, n: int) -> tuple[int, ...]:
+    """Frobenius orbit sizes on the level-n preimages of t under
+    2/(x-1)^2 over F_p, sorted descending, by a walk down the preimage
+    tree that keeps one representative y per orbit.
+
+    An orbit of size 2^j is (y, tower) with y generating F_p(s_1, ...,
+    s_j) = F_(p^(2^j)).  The children of y are 1 +- s with s^2 = 2/y.  If
+    2/y is a square there, they lie in the same field and in two orbits of
+    the same size; otherwise they lie in one orbit of twice the size,
+    represented by 1 + s_(j+1) with beta_(j+1) = 2/y.  2/y is a square
+    exactly when its norm 2^(2^j)/N(y) to F_p is, which is the quadratic
+    character of 2 N(y) at j = 0 and of N(y) beyond.  At the last level
+    only the sizes are recorded.
+
+    The critical orbit of 2/(x-1)^2 is 1 -> inf -> 0 -> 2 -> 2, so for t
+    not 0, 2 or inf mod the odd prime p no vertex of the tree is 0, 1 or
+    inf: every y and beta is nonzero, and the two children 1 +- s differ,
+    as s != 0 and p is odd."""
+    orbits, sizes = [(t % p, ())], []
+    for level in range(n):
+        children = []
+        for y, tower in orbits:
+            j = len(tower)
+            norm = _t_norm(y, tower, j, p)
+            split = pow(norm if j else 2 * norm, p >> 1, p) == 1
+            if level == n - 1:
+                sizes += (1 << j, 1 << j) if split else (2 << j,)
+                continue
+            beta = _t_scale(_t_inv(y, tower, j, p), 2, j, p)
+            one = _t_embed(1, j)
+            if split:
+                s = _t_sqrt(beta, tower, j, p)
+                children.append((_t_add(one, s, j, p), tower))
+                children.append(
+                    (_t_add(one, _t_scale(s, p - 1, j, p), j, p), tower))
+            else:
+                children.append(((one, one), tower + (beta,)))
+        orbits = children
+    return tuple(sorted(sizes, reverse=True))
+
+
 @lru_cache(maxsize=1 << 15)
 def _fibre_cycle_type(p: int, t: int) -> tuple[int, ...]:
-    """Factor degrees of g_4 - t h_4 mod the odd prime p, for t != 0, 2
-    mod p: the Frobenius cycle type over the fibre t.  At such a p the
-    reduction has full degree 16 and is squarefree, because
-    disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 (see the module
-    docstring).
+    """The Frobenius cycle type over the fibre t mod the odd prime p, for
+    t != 0, 2 mod p: the orbit sizes on the level-4 preimages of t, which
+    are the roots of g_4 - t h_4 mod p, counted by
+    `_preimage_cycle_type` without building or factoring a polynomial.
 
     An entry takes about 160 B with its cycle type shared (tracemalloc), so
     the 2^15 entries hold at most about 5 MiB; a 192-verdict survey batch
-    fills about 5,300 of them."""
-    fr = iterate_pair(4)
-    f = [(g - t * h) % p for g, h in zip(fr.g.coeffs, fr.h.coeffs)]
-    inv = pow(f[-1], -1, p)  # the leading coefficient 2 - t
-    return _shared(_factor_degrees_monic([c * inv % p for c in f], p))
+    fills about 930 of them."""
+    if p < 3 or not _is_probable_prime(p) or t % p in (0, 2):
+        raise ValueError(f"fibre t = {t} mod {p} is not a good fibre: the "
+                         f"prime must be odd and t not 0 or 2 mod it")
+    return _shared(_preimage_cycle_type(p, t, 4))
 
 
 def _frobenius_stream(point: BasePoint, primes: list[int]
@@ -515,10 +683,13 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
     its prime must be an odd prime not dividing the leading coefficient,
     its cycle type must lie in the coset of G_4 that the prime's residue
     mod 8 names and be missing from the subgroup's part of that coset, and
-    the factor degrees of the specialized numerator at that prime, counted
-    afresh by `factor_degrees_mod_p` and not read from the fibre memo, must
-    reproduce it.  Each distinct prime is counted once, as witnesses share
-    primes.  A bad witness gives False, never an exception."""
+    the factor degrees of the specialized numerator at that prime must
+    reproduce it.  They are counted afresh by `factor_degrees_mod_p`, not
+    read from the fibre memo, and by a second algorithm: the verdict read
+    the cycle type off the preimage tree of a mod p, the recount factors
+    the integer numerator's reduction after its own squarefree test.  Each
+    distinct prime is counted once, as witnesses share primes.  A bad
+    witness gives False, never an exception."""
     coset_types, tables = _level4_data()
     sq = square_class_test(verdict.point)
     if sq.passed != verdict.square_class.passed or sq.parts != verdict.square_class.parts:

@@ -310,6 +310,74 @@ class TestFibreMemo:
         assert checked >= min(p, 50) // 2
 
 
+def _kernel_fibre(p, t):
+    """Factor degrees of g_4 - t h_4 mod p by the packed counting kernel."""
+    fr = polyarith.iterate_pair(4)
+    f = [(g - t * h) % p for g, h in zip(fr.g.coeffs, fr.h.coeffs)]
+    inv = pow(f[-1], -1, p)
+    return polyarith._factor_degrees_monic([c * inv % p for c in f], p)
+
+
+class TestPreimageWalk:
+    @pytest.mark.parametrize("p, t", [(7, 0), (7, 2), (7, 9), (9, 1), (2, 1)])
+    def test_bad_fibres_are_refused(self, p, t):
+        with pytest.raises(ValueError, match="not a good fibre"):
+            maximality._fibre_cycle_type(p, t)
+
+    def test_levels_1_to_5_match_the_integer_numerator(self):
+        rng = random.Random(23)
+        primes = polyarith.primes_up_to(2000)[1:]
+        checked = 0
+        for n in range(1, 6):
+            for _ in range(12):
+                a = _pool_draw(rng)
+                u, v = a.numerator, a.denominator
+                poly = polyarith.specialize_numerator(n, a)
+                for p in rng.sample(primes, 4):
+                    if 2 * u * v * (u - 2 * v) % p == 0:
+                        continue
+                    t = u * pow(v, -1, p) % p
+                    assert maximality._preimage_cycle_type(p, t, n) == \
+                        polyarith.factor_degrees_mod_p(poly, p), (n, a, p)
+                    checked += 1
+        assert checked > 200
+
+    def test_every_good_fibre_below_60(self):
+        for p in polyarith.primes_up_to(60)[1:]:
+            for t in range(p):
+                if t not in (0, 2):
+                    assert maximality._fibre_cycle_type(p, t) == \
+                        _kernel_fibre(p, t), (p, t)
+
+    @pytest.mark.parametrize("p", [257, 7681, 65537])
+    def test_primes_with_a_large_power_of_2_in_p_minus_1(self, p):
+        # p - 1 = q 2^e with e = 8, 9, 16, so Tonelli-Shanks runs its loop
+        rng = random.Random(p)
+        for _ in range(50):
+            x = rng.randrange(1, p)
+            r = maximality._sqrt_mod(x * x % p, p)
+            assert r in (x, p - x)
+        types = set()
+        for t in rng.sample(range(3, p), 40):
+            got = maximality._preimage_cycle_type(p, t, 4)
+            assert got == _kernel_fibre(p, t), (p, t)
+            types.add(got)
+        assert len(types) > 1
+
+    def test_verdicts_and_rechecks_use_different_algorithms(self, monkeypatch):
+        class KernelReached(Exception):
+            pass
+
+        def refuse(f, prime):
+            raise KernelReached(prime)
+        monkeypatch.setattr(polyarith, "_factor_degrees_monic", refuse)
+        maximality._fibre_cycle_type.cache_clear()
+        v = maximality_verdict(BasePoint(Fraction(7, 3)))
+        assert v.status == "maximal"
+        with pytest.raises(KernelReached):
+            recheck_certificate(v)
+
+
 class TestBlindSubgroups:
     def test_frozen_names(self):
         assert cycle_blind_subgroups() == BLIND
