@@ -32,10 +32,12 @@ from .treeauto import (
     ENUMERATION_LEVEL_CAP,
     Portrait,
     _all_perms,
-    _cycle_type_of,
+    _cycle_types,
     _from_perm,
     _ident,
+    _in_code_order,
     _inverse,
+    _odometer,
     _sections,
     _table,
     identity,
@@ -166,14 +168,18 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
 
 
 def odometer_elements(model: ArithLevelModel) -> tuple[Portrait, ...]:
-    """All model elements acting as a single full cycle on the leaves."""
-    members = (_from_perm(model.level, p) for p in model.group.elements)
-    return tuple(sorted(x for x in members if x.is_level_odometer()))
+    """All model elements acting as a single full cycle on the leaves, by
+    their cycle types and, as a second route, their sign characters."""
+    els = model.group.elements
+    types = _cycle_types(els)
+    return tuple(x for x in _in_code_order(els, model.level)
+                 if _odometer(x, types[x.perm]))
 
 
 def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:
     """How many elements realize each leaf cycle type."""
-    table = Counter(map(_cycle_type_of, group.elements))
+    types = _cycle_types(group.elements)
+    table = Counter(map(types.__getitem__, group.elements))
     return dict(sorted(table.items()))
 
 

@@ -76,7 +76,7 @@ from .polyarith import (
     square_class,
 )
 from .selfsim import quotient
-from .treeauto import _cycle_type_of
+from .treeauto import _cycle_types
 
 DEFAULT_PRIME_BOUND = 10**4
 MIN_USABLE_PRIMES = 5
@@ -444,8 +444,9 @@ def _level4_data():
     maxes = maximal_subgroups(model)
     coset_types = [set() for _ in reps]
     tables = {ms.name: [set() for _ in reps] for ms in maxes}
+    types = _cycle_types(model.group.elements)
     for x in model.group.elements:
-        c, t = index_of[x], _cycle_type_of(x)
+        c, t = index_of[x], types[x]
         coset_types[c].add(t)
         for ms in maxes:
             if x in ms.group.elements:

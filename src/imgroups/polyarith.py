@@ -303,13 +303,39 @@ def _resultant_bound(a: list[int], b: list[int]) -> int:
     return isqrt(na ** _deg(b) * nb ** _deg(a)) + 1
 
 
+# The candidates for `_big_prime` come in windows of this many odd numbers,
+# sieved by the odd primes below _BIG_SIEVE_LIMIT.
+_BIG_WINDOW = 256
+_BIG_SIEVE_LIMIT = 1024
+
+
+@lru_cache(maxsize=None)
+def _big_candidates(k: int) -> tuple[int, ...]:
+    """The odd numbers 2^62 + 1 + 2 j, k W <= j < (k + 1) W for W =
+    _BIG_WINDOW, that no odd prime below _BIG_SIEVE_LIMIT divides.  Those
+    primes come from their own small sieve: the full table would cost a
+    process that needs no other prime below 10^6 about 20 ms."""
+    start = (1 << 62) + 1 + 2 * _BIG_WINDOW * k
+    sieve = bytearray([1]) * _BIG_WINDOW
+    for p in _sieve_primes(_BIG_SIEVE_LIMIT)[1:]:
+        # start + 2 j = 0 (mod p) at j = -start / 2, and (p + 1) / 2 is 1/2
+        j = -start % p * ((p + 1) >> 1) % p
+        sieve[j::p] = bytes(len(range(j, _BIG_WINDOW, p)))
+    return tuple(compress(range(start, start + 2 * _BIG_WINDOW, 2), sieve))
+
+
 @lru_cache(maxsize=None)
 def _big_prime(i: int) -> int:
-    """The i-th prime above 2^62, counting from 0."""
+    """The i-th prime above 2^62, counting from 0: the first sieved
+    candidate after the (i-1)-th that `_is_probable_prime` proves prime."""
     n = _big_prime(i - 1) + 2 if i else (1 << 62) + 1
-    while not _is_probable_prime(n):
-        n += 2
-    return n
+    while True:
+        k = (n - (1 << 62) - 1) // (2 * _BIG_WINDOW)
+        window = _big_candidates(k)
+        for c in window[bisect_left(window, n):]:
+            if _is_probable_prime(c):
+                return c
+        n = (1 << 62) + 1 + 2 * _BIG_WINDOW * (k + 1)
 
 
 def resultant_modular(p: IntPoly, q: IntPoly) -> int:
@@ -853,7 +879,11 @@ def _factor_degrees_monic(f: list[int], prime: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _small_primes() -> list[int]:
-    limit = TRIAL_DIVISION_LIMIT
+    return _sieve_primes(TRIAL_DIVISION_LIMIT)
+
+
+def _sieve_primes(limit: int) -> list[int]:
+    """The primes up to limit, ascending."""
     # an odd-only sieve: sieve[i] stands for 2 i + 1, and p's odd multiples
     # from p * p on lie p entries apart
     sieve = bytearray([1]) * ((limit + 1) // 2)

@@ -18,16 +18,14 @@ has order 2**(n+2) at level n >= 3.
 from __future__ import annotations
 
 import os
-from functools import lru_cache, partial
-from operator import attrgetter
+from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .treeauto import (
     Portrait,
     _all_perms,
-    _code_of,
-    _from_perm,
     _ident,
+    _in_code_order,
     _inverse,
     _table,
     are_conjugate,
@@ -137,9 +135,11 @@ class LevelGroup:
 
     def __init__(self, level: int, perms, generators=()):
         elements = frozenset(perms)
-        for p in elements:
-            if type(p) is not bytes or len(p) != 1 << level:
-                raise ValueError(f"not a level-{level} leaf permutation: {p!r:.40}")
+        size = 1 << level
+        if not (set(map(type, elements)) <= {bytes}
+                and set(map(len, elements)) <= {size}):
+            bad = next(p for p in elements if type(p) is not bytes or len(p) != size)
+            raise ValueError(f"not a level-{level} leaf permutation: {bad!r:.40}")
         if _ident(level) not in elements:
             raise ValueError("identity missing from element set")
         if len(elements) & (len(elements) - 1):
@@ -173,8 +173,7 @@ class LevelGroup:
         """The elements in `Portrait` order, which within one level is the
         order of their codes."""
         if self._sorted is None:
-            members = (_from_perm(self.level, p) for p in self.elements)
-            self._sorted = tuple(sorted(members, key=attrgetter("code")))
+            self._sorted = tuple(_in_code_order(self.elements, self.level))
         return self._sorted
 
 
@@ -263,10 +262,10 @@ def generating_set(group: LevelGroup) -> list[Portrait]:
     gens: list[Portrait] = []
     steps = []
     have = {_ident(level)}
-    # sorted by code like `sorted_elements`, but only the picks are wrapped
-    for p in sorted(group.elements, key=partial(_code_of, level=level)):
+    for u in _in_code_order(group.elements, level):
+        p = u.perm
         if p not in have:
-            gens.append(_from_perm(level, p))
+            gens.append(u)
             steps.append(_table(p))
             have = _extend(have, steps, p, len(group))
             if have is None:  # the closure outgrew the set

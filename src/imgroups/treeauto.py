@@ -42,6 +42,16 @@ portrait takes 9 translates, and `iter_all` composes the deepest depth's
 permutations with one table per setting of the bits above it, one
 translate per element.
 
+Whole element sets are coded and typed by two passes instead of one call
+per portrait.  `_codes` joins up to 512 permutations into one bytes object
+and fills one row of ASCII digits per permutation with one strided copy
+per vertex, then parses each row with ``int(row, 2)``; `_in_code_order`
+sorts by those codes, which is how a group's elements are listed.
+`_cycle_types` reads each cycle type off the type of the element's square
+and its number of fixed points, so a group is typed with one translate,
+one fixed-point count and a few dict lookups per element.  `_code_of` and
+`_cycle_type_of` remain the routes for a single portrait.
+
 Wire format: ``"<level>:<HEX>"`` where HEX is ``code`` in hex, left-padded
 with zero bits to a whole number of hex digits.  Level 0 encodes as
 ``"0:"``.
@@ -50,7 +60,7 @@ with zero bits to a whole number of hex digits.  Level 0 encodes as
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 
 from .errors import ResourceLimitError
@@ -188,8 +198,10 @@ class Portrait:
         """
         if not 1 <= m <= self.level:
             raise ValueError(f"sign level {m} out of range 1..{self.level}")
-        below = self.level - m
-        ones = sum((p >> below) & 1 for p in self.perm[:: 2 << below])
+        # the 2**(m-1) bits of depth m-1 are the code's bits from
+        # 2**n - 2**m up
+        depth = self.code >> ((1 << self.level) - (1 << m))
+        ones = (depth & ((1 << (1 << (m - 1))) - 1)).bit_count()
         return -1 if ones & 1 else 1
 
     def is_level_odometer(self) -> bool:
@@ -200,11 +212,7 @@ class Portrait:
         """
         if self.level < 1:
             raise ValueError("odometer test needs level >= 1")
-        by_cycle = self.cycle_type() == (1 << self.level,)
-        by_sign = all(self.sign(m) == -1 for m in range(1, self.level + 1))
-        if by_cycle != by_sign:  # pragma: no cover - would be an internal bug
-            raise AssertionError(f"odometer criteria disagree on {self!r}")
-        return by_cycle
+        return _odometer(self, self.cycle_type())
 
     # -- wire format ----------------------------------------------------------
 
@@ -244,6 +252,16 @@ class Portrait:
         if u.encode() != text:
             raise ValueError(f"malformed portrait {text!r}: not in canonical form")
         return u
+
+
+def _odometer(u: Portrait, cycle_type: tuple[int, ...]) -> bool:
+    """`Portrait.is_level_odometer` given u's cycle type: the cycle route
+    and the sign route, which must agree."""
+    by_cycle = cycle_type == (1 << u.level,)
+    by_sign = all(u.sign(m) == -1 for m in range(1, u.level + 1))
+    if by_cycle != by_sign:  # pragma: no cover - would be an internal bug
+        raise AssertionError(f"odometer criteria disagree on {u!r}")
+    return by_cycle
 
 
 def _from_perm(level: int, perm: bytes) -> Portrait:
@@ -368,6 +386,97 @@ def _code_of(perm: bytes, level: int) -> int:
         return 0
     return int(b"".join([perm[:: 2 << below].translate(_bit_digits(below))
                          for below in range(level - 1, -1, -1)]), 2)
+
+
+# `_codes` joins this many permutations per bytes buffer, which bounds its
+# memory on the large groups.
+_BULK = 512
+
+
+def _codes(perms: list[bytes], level: int) -> list[int]:
+    """`_code_of` of each level-`level` leaf permutation, in order.
+
+    Per chunk of `_BULK` perms, joined into one bytes object, each perm
+    gets a row of 2**level bytes: its swap bits as ASCII digits in
+    breadth-first order, then a space.  Column i of the rows is filled by
+    one strided copy, the image of the first leaf below child 1 of vertex i
+    in every perm at once, translated to the digit of its swap bit."""
+    if not level:
+        return [0] * len(perms)
+    size = 1 << level
+    columns = [((1 << depth) - 1 + j, j << (level - depth),
+                _bit_digits(level - depth - 1))
+               for depth in range(level) for j in range(1 << depth)]
+    out = []
+    for start in range(0, len(perms), _BULK):
+        allp = b"".join(perms[start : start + _BULK])
+        buf = bytearray(b" ") * len(allp)
+        for pos, first, digits in columns:
+            buf[pos::size] = allp[first::size].translate(digits)
+        out.extend(map(int, buf.split(), repeat(2)))
+    return out
+
+
+def _in_code_order(perms, level: int) -> list[Portrait]:
+    """Portraits of the given level-`level` leaf permutations in code
+    order, the order of `Portrait`s within one level, each with its code
+    set."""
+    perms = list(perms)
+    by_code = dict(zip(_codes(perms, level), perms))
+    out = []
+    for code in sorted(by_code):
+        u = _from_perm(level, by_code[code])
+        u._code = code
+        out.append(u)
+    return out
+
+
+def _cycle_types(perms) -> dict[bytes, tuple[int, ...]]:
+    """`_cycle_type_of` for a collection of leaf permutations of one level:
+    a dict from each of them, and each square met on the way, to its type.
+
+    A cycle of length L of x is one L-cycle of x**2 when L = 1 and two
+    L/2-cycles when L is even, and every cycle of a tree automorphism has
+    a power-of-2 length.  So the fixed points of x and the type of x**2
+    give the type of x: fix(x) fixed points, (fix(x**2) - fix(x)) / 2
+    2-cycles, and one 2L-cycle per pair of equal L-cycles of x**2, L >= 2.
+    The squares are typed first, down to x**(2**level) = 1; in a group they
+    are members, so most are typed already.  fix(x) is the count of zero
+    bytes in x XOR the identity.  ValueError on a permutation whose chain
+    of squares outruns the level, which no tree automorphism has."""
+    first = next(iter(perms), None)
+    if first is None:
+        return {}
+    size = len(first)
+    level = size.bit_length() - 1
+    ident = int.from_bytes(_ident(level), "big")
+    types = {_ident(level): (1,) * size}
+    # (fix(x), type of x**2) -> type of x, so each type is one tuple
+    combined: dict[tuple, tuple[int, ...]] = {}
+    for x in perms:
+        chain = []
+        while x not in types:
+            if len(chain) == level:
+                raise ValueError(f"not a level-{level} tree automorphism: "
+                                 f"{chain[0]!r:.40}")
+            chain.append(x)
+            x = x.translate(_table(x))
+        t = types[x]  # the type of the square of chain[-1]
+        for y in reversed(chain):
+            fix = (int.from_bytes(y, "big") ^ ident).to_bytes(size, "big").count(0)
+            key = (fix, t)
+            t = combined.get(key)
+            if t is None:
+                t = combined[key] = _type_from_square(*key)
+            types[y] = t
+    return types
+
+
+def _type_from_square(fix: int, square: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle type of x from fix(x) and the cycle type of x**2."""
+    moved = len(square) - square.count(1)  # the parts >= 2 come first
+    return (tuple(2 * length for length in square[:moved:2])
+            + (2,) * ((len(square) - moved - fix) // 2) + (1,) * fix)
 
 
 def _cycle_type_of(perm: bytes) -> tuple[int, ...]:

@@ -5,11 +5,13 @@ over raw bit tuples, so the 2^(n+2) profile is not self-certifying.
 """
 
 import random
+from operator import attrgetter
 
 import pytest
 
 import oracles
-from imgroups.arithmodel import build_model
+from imgroups import treeauto
+from imgroups.arithmodel import build_model, frattini_subgroup, maximal_subgroups
 from imgroups.errors import ResourceLimitError
 from imgroups.selfsim import (
     CLOSURE_MAX_SIZE,
@@ -151,6 +153,21 @@ class TestLevelGroupContract:
     def test_rejects_other_element_sets(self, perms):
         with pytest.raises(ValueError):
             LevelGroup(3, perms())
+
+    @pytest.mark.parametrize("bad", [
+        bytes(7),                           # a wrong length
+        identity(2).perm,                   # another level
+        "\0" * 8,                           # the right length, not bytes
+    ], ids=["short", "other-level", "str"])
+    def test_names_the_bad_member(self, bad):
+        perms = [u.perm for u in geometric_group(3)]
+        with pytest.raises(ValueError) as info:
+            LevelGroup(3, perms + [bad])
+        assert str(info.value) == f"not a level-3 leaf permutation: {bad!r:.40}"
+
+    def test_bytearray_member_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'bytearray'"):
+            LevelGroup(3, [identity(3).perm, bytearray(identity(3).perm)])
 
     def test_membership_takes_portraits_of_its_level(self):
         g = geometric_group(3)
@@ -370,6 +387,50 @@ class TestSortedElements:
             fresh = LevelGroup(n, group.elements)
             assert fresh.sorted_elements() == tuple(sorted(set(group)))
             assert group.sorted_elements() == fresh.sorted_elements()
+
+
+class TestWholeGroupPasses:
+    """The bulk code and cycle-type passes on every group the tower builds,
+    against the single-portrait routes."""
+
+    @pytest.fixture(scope="class")
+    def tower(self):
+        groups = {}
+        for n in range(1, 8):
+            groups[f"G{n}"] = geometric_group(n)
+            groups[f"U{n}"] = subgroup_U(n)
+        for n in range(1, 7):
+            groups[f"M{n}"] = build_model(n).group
+        for n in (4, 5, 6):
+            groups[f"Phi{n}"] = frattini_subgroup(build_model(n))
+        for ms in maximal_subgroups(build_model(4)):
+            groups[ms.name] = ms.group
+        groups["G7'"] = commutator_subgroup(geometric_group(7))
+        return groups
+
+    def test_codes(self, tower):
+        for name, group in tower.items():
+            perms = list(group.elements)
+            assert treeauto._codes(perms, group.level) == [
+                treeauto._code_of(p, group.level) for p in perms], name
+
+    def test_sorted_elements_is_the_order_of_fresh_codes(self, tower):
+        for name, group in tower.items():
+            fresh = LevelGroup(group.level, group.elements)
+            by_code = sorted((treeauto._from_perm(group.level, p)
+                              for p in group.elements), key=attrgetter("code"))
+            assert fresh.sorted_elements() == tuple(by_code), name
+            assert [u.code for u in fresh.sorted_elements()] == [
+                u.code for u in by_code], name
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4", "M5", "M6", "G7"])
+    def test_cycle_types(self, tower, name):
+        group = tower[name]
+        types = treeauto._cycle_types(group.elements)
+        # a group holds its squares, so the map is the group exactly
+        assert set(types) == group.elements
+        for p in group.elements:
+            assert types[p] == treeauto._cycle_type_of(p)
 
 
 class TestPersistence:

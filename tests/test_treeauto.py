@@ -170,10 +170,11 @@ class TestInvariants:
             assert u.order() == math.lcm(*ct)
 
     def test_sign_is_permutation_parity(self):
-        # two routes: the recursive character and brute parity at each depth
+        # two routes: the parity of one depth's bits of the code and brute
+        # parity at each depth
         rng = random.Random(17)
         for _ in range(150):
-            lvl = rng.randint(1, 4)
+            lvl = rng.randint(1, 8)
             u = rand_portrait(rng, lvl)
             for m in range(1, lvl + 1):
                 parity = oracles.perm_parity(u.restrict(m).leaf_permutation())
@@ -450,3 +451,46 @@ class TestEnumeration:
         assert sum(1 for _ in iter_all(4)) == 1 << 15
         with pytest.raises(TypeError):
             iter_all(5, cap=5)
+
+
+class TestWholeSetPasses:
+    """The bulk code and cycle-type passes against the single-portrait
+    routes `_code_of` and `_cycle_type_of`."""
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_codes_match_code_of(self, lvl):
+        # more perms than one chunk, repeats allowed, order kept
+        rng = random.Random(4099 + lvl)
+        perms = [rand_portrait(rng, lvl).perm
+                 for _ in range(treeauto._BULK + 37)]
+        assert treeauto._codes(perms, lvl) == [
+            treeauto._code_of(p, lvl) for p in perms]
+        assert treeauto._codes([], lvl) == []
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_code_order_matches_portrait_order(self, lvl):
+        rng = random.Random(8209 + lvl)
+        perms = {rand_portrait(rng, lvl).perm for _ in range(600)}
+        ordered = treeauto._in_code_order(perms, lvl)
+        assert ordered == sorted(treeauto._from_perm(lvl, p) for p in perms)
+        # the codes set on the way are the codes the portraits would compute
+        assert [u._code for u in ordered] == [
+            treeauto._code_of(u.perm, lvl) for u in ordered]
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_cycle_types_match_the_leaf_walk(self, lvl):
+        # a random set is not closed under squaring: the chains of squares
+        # leave it, and every square met is typed too
+        rng = random.Random(12301 + lvl)
+        perms = [rand_portrait(rng, lvl).perm for _ in range(300)]
+        types = treeauto._cycle_types(perms)
+        assert set(perms) <= set(types)
+        for p, t in types.items():
+            assert t == treeauto._cycle_type_of(p)
+            assert t == oracles.cycle_type_of_perm(list(p))
+        assert treeauto._cycle_types([]) == {}
+
+    def test_cycle_types_refuse_a_permutation_outside_the_tree_group(self):
+        # a 3-cycle: its squares never reach the identity
+        with pytest.raises(ValueError, match="not a level-2 tree automorphism"):
+            treeauto._cycle_types([bytes([1, 2, 0, 3])])
