@@ -131,28 +131,26 @@ def verify_radical_identities(t0, precision: int = DEFAULT_PRECISION, *,
     so the residuals measure roundoff only; a violation beyond tolerance
     is reported in the result, not raised.
     """
-    tree = preimage_tree(t0, 3, precision, flipped=flipped)
-    v = tree.values
+    v = preimage_tree(t0, 3, precision, flipped=flipped).values
     with mpmath.workprec(precision):
         inner = [w for w in v if len(w) <= 2]
+        m1 = {w: v[w + "1"] - 1 for w in inner}
 
         r1 = mpmath.mpf(0)
         for w in inner:
             a = v[w]
             r1 = max(r1, _rel_residual(v[w + "1"] * v[w + "2"], (a - 2) / a))
 
+        # both sides are symmetric in w and w2, so each unordered pair once
         r2 = mpmath.mpf(0)
-        for w in inner:
-            for w2 in inner:
-                if w2 == w:
-                    continue
-                lhs = ((v[w + "1"] - 1) * (v[w2 + "1"] - 1)) ** 2
+        for i, w in enumerate(inner):
+            for w2 in inner[i + 1:]:
+                lhs = (m1[w] * m1[w2]) ** 2
                 r2 = max(r2, _rel_residual(lhs, 4 / (v[w] * v[w2])))
 
-        x = (v["111"] - 1) * (v["121"] - 1) / 2 * (v["11"] - 1) / (v["21"] - 1)
-        r3 = _rel_residual(x ** 2, mpmath.mpc(-1))
+        r3 = _depth3_residual(m1)
 
-        y = 1 / (v["1"] - 1) * 2 / (v["11"] - 1) * 2 / (v["21"] - 1)
+        y = 1 / m1[""] * 2 / m1["1"] * 2 / m1["2"]
         r4 = _rel_residual(y ** 2, 2 * (v[""] - 2))
 
         tol = _tolerance(precision)
@@ -167,14 +165,22 @@ def verify_radical_identities(t0, precision: int = DEFAULT_PRECISION, *,
     )
 
 
+def _depth3_residual(m1) -> mpmath.mpf:
+    """Residual of identity (3), with m1[w] = a_(w1) - 1, at the working
+    precision."""
+    x = m1["11"] * m1["12"] / 2 * m1["1"] / m1["2"]
+    return _rel_residual(x ** 2, mpmath.mpc(-1))
+
+
 def branch_flip_invariance(t0, precision: int = DEFAULT_PRECISION) -> bool:
     """Identity (3) after flipping the branch at each single inner vertex."""
     tol = _tolerance(precision)
     for word in ("", "1", "2", "11", "12", "21", "22"):
-        rep = verify_radical_identities(t0, precision,
-                                        flipped=frozenset((word,)))
-        if rep.residuals["depth3-square-is-minus-one"] > tol:
-            return False
+        v = preimage_tree(t0, 3, precision, flipped=frozenset((word,))).values
+        with mpmath.workprec(precision):
+            m1 = {w: v[w + "1"] - 1 for w in ("1", "2", "11", "12")}
+            if _depth3_residual(m1) > tol:
+                return False
     return True
 
 

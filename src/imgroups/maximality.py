@@ -87,6 +87,13 @@ MIN_USABLE_PRIMES = 5
 BASE_POINT_BITS_CAP = 4096
 
 SQUARE_CLASS_LABELS = ("-1", "2", "a", "2-a")
+# `square_class` of -1 and of 2, and the 15 nonempty subsets of the four
+# classes as (bit mask, labels), smallest first so that the witness is stable
+_CONSTANT_CLASSES = ((-1, 1), (2, 1))
+_SUBSETS = tuple((sum(1 << i for i in combo),
+                  tuple(SQUARE_CLASS_LABELS[i] for i in combo))
+                 for size in range(1, 5)
+                 for combo in combinations(range(4), size))
 
 
 @dataclass(frozen=True)
@@ -166,13 +173,13 @@ def square_class_test(point: BasePoint) -> SquareClassReport:
     no input is refused.  The dependent subsets with the empty one form
     the kernel of F_2^4 -> Q^x / Q^x2, of order 2^(4 - rank)."""
     a = point.a
-    classes = [square_class(v) for v in (Fraction(-1), Fraction(2), a, 2 - a)]
+    classes = (*_CONSTANT_CLASSES, square_class(a), square_class(2 - a))
     parts = tuple(rep for rep, _ in classes)
-    # smallest subset first, so the witness is stable
-    dependent = [tuple(SQUARE_CLASS_LABELS[i] for i in combo)
-                 for size in range(1, 5)
-                 for combo in combinations(range(4), size)
-                 if _is_square(prod(parts[i] for i in combo))]
+    products = [1]  # products[mask]: the product of the parts in the mask
+    for part in parts:
+        products += [x * part for x in products]
+    dependent = [labels for mask, labels in _SUBSETS
+                 if _is_square(products[mask])]
     rank = 5 - (1 + len(dependent)).bit_length()
     passed = rank == 4
     heading = ("squarefree parts" if all(c == 1 for _, c in classes) else
@@ -229,7 +236,25 @@ def _shared(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
 # a non-square one step down, is an int mod p when j = 0 and otherwise a
 # pair (a, b) standing for a + b s_j, with a and b one step down.  `tower`
 # is (beta_1, ..., beta_j); the functions take the depth j of their
-# arguments.
+# arguments and work on plain pairs of ints at depth 1.  Square tests and
+# square roots in F_p come from `_roots(p)`.
+
+# Primes below this read square roots and Legendre symbols from a table of
+# 2p bytes; every witness prime of the benchmark pool lies below 400.  A
+# table costs about p/2 Python steps to build, more than the few fibres of
+# a larger prime save, so a higher cutoff makes a cold scan to 10^4 slower.
+_ROOT_TABLE_CUTOFF = 1 << 10
+
+
+@lru_cache(maxsize=None)
+def _root_table(p: int) -> memoryview:
+    """Entry x is a square root of x mod the odd prime p when x is a
+    nonzero square, and 0 otherwise: unsigned 16-bit entries over a
+    bytearray, built from the (p - 1) / 2 squares."""
+    roots = memoryview(bytearray(2 * p)).cast("H")
+    for x in range(1, (p >> 1) + 1):
+        roots[x * x % p] = x
+    return roots
 
 
 @lru_cache(maxsize=1 << 15)
@@ -241,7 +266,9 @@ def _non_residue(p: int) -> int:
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of the nonzero square a mod the odd prime p: one
     power when p = 3 mod 4, otherwise Tonelli-Shanks with p - 1 = q 2^e,
-    q odd."""
+    q odd.  The walk takes its roots from here at primes from
+    _ROOT_TABLE_CUTOFF on, which a full scan to 10^4 reaches, and from
+    `_root_table` below."""
     if p & 3 == 3:
         return pow(a, (p + 1) >> 2, p)
     e = ((p - 1) & (1 - p)).bit_length() - 1
@@ -258,21 +285,39 @@ def _sqrt_mod(a: int, p: int) -> int:
     return x
 
 
+def _roots(p: int):
+    """(is_square, sqrt) for the odd prime p: a value that is true exactly
+    when the nonzero x mod p is a square, and a square root of the nonzero
+    square x.  Below _ROOT_TABLE_CUTOFF both read the prime's root table;
+    at or above it, Euler's criterion and `_sqrt_mod`."""
+    if p < _ROOT_TABLE_CUTOFF:
+        lookup = _root_table(p).__getitem__
+        return lookup, lookup
+    half = p >> 1
+    return (lambda x: pow(x, half, p) == 1), (lambda x: _sqrt_mod(x, p))
+
+
 def _t_add(x, y, j: int, p: int):
     if not j:
         return (x + y) % p
+    if j == 1:
+        return (x[0] + y[0]) % p, (x[1] + y[1]) % p
     return _t_add(x[0], y[0], j - 1, p), _t_add(x[1], y[1], j - 1, p)
 
 
 def _t_scale(x, c: int, j: int, p: int):
     if not j:
         return x * c % p
+    if j == 1:
+        return x[0] * c % p, x[1] * c % p
     return _t_scale(x[0], c, j - 1, p), _t_scale(x[1], c, j - 1, p)
 
 
 def _t_embed(c: int, j: int):
     """The element c of F_p at depth j."""
-    return c if not j else (_t_embed(c, j - 1), _t_embed(0, j - 1))
+    if j < 2:
+        return (c, 0) if j else c
+    return _t_embed(c, j - 1), _t_embed(0, j - 1)
 
 
 def _t_mul(x, y, tower: tuple, j: int, p: int):
@@ -299,48 +344,63 @@ def _t_rel_norm(x, tower: tuple, j: int, p: int):
 
 def _t_norm(x, tower: tuple, j: int, p: int) -> int:
     """The norm of x to F_p."""
+    if j == 1:
+        a, b = x
+        return (a * a - tower[0] * b * b) % p
     while j:
         x, j = _t_rel_norm(x, tower, j, p), j - 1
     return x
 
 
-def _t_is_square(x, tower: tuple, j: int, p: int) -> bool:
+def _t_is_square(x, tower: tuple, j: int, p: int, is_square) -> bool:
     """Whether the nonzero x is a square: exactly when its norm to F_p is,
     as N(x)^((p-1)/2) = x^((p^(2^j)-1)/2)."""
-    return pow(_t_norm(x, tower, j, p), p >> 1, p) == 1
+    return bool(is_square(_t_norm(x, tower, j, p)))
 
 
 def _t_inv(x, tower: tuple, j: int, p: int):
     if not j:
         return pow(x, -1, p)
     a, b = x
+    if j == 1:
+        n = pow((a * a - tower[0] * b * b) % p, -1, p)
+        return a * n % p, -b * n % p
     n = _t_inv(_t_rel_norm(x, tower, j, p), tower, j - 1, p)
     return (_t_mul(a, n, tower, j - 1, p),
             _t_scale(_t_mul(b, n, tower, j - 1, p), p - 1, j - 1, p))
 
 
-def _t_sqrt(x, tower: tuple, j: int, p: int):
-    """A square root of the nonzero square x.  For x = a + b s over K =
-    F_p(s_1, ..., s_(j-1)): with b = 0 it is sqrt(a) in K, or
-    sqrt(a / beta) s when a is not a square in K; otherwise it is c + d s
-    with c^2 = (a +- r) / 2, r = sqrt(a^2 - beta b^2), taking the sign
-    that gives a square in K (their product beta b^2 / 4 is not one), and
-    d = b / 2c."""
+def _t_sqrt(x, tower: tuple, j: int, p: int, roots):
+    """A square root of the nonzero square x, with `roots` = `_roots(p)`.
+    For x = a + b s over K = F_p(s_1, ..., s_(j-1)): with b = 0 it is
+    sqrt(a) in K, or sqrt(a / beta) s when a is not a square in K;
+    otherwise it is c + d s with c^2 = (a +- r) / 2, r = sqrt(a^2 - beta
+    b^2), taking the sign that gives a square in K (their product
+    beta b^2 / 4 is not one), and d = b / 2c."""
+    is_square, sqrt = roots
     if not j:
-        return _sqrt_mod(x, p)
+        return sqrt(x)
     a, b = x
+    if j == 1 and b:  # most roots, in plain ints
+        r = sqrt((a * a - tower[0] * b * b) % p)
+        half = (p + 1) >> 1
+        c2 = (a + r) * half % p
+        if not is_square(c2):
+            c2 = (a - r) * half % p
+        c = sqrt(c2)
+        return c, b * pow(2 * c, -1, p) % p
     j -= 1
     if b == _t_embed(0, j):
-        if _t_is_square(a, tower, j, p):
-            return _t_sqrt(a, tower, j, p), b
+        if _t_is_square(a, tower, j, p, is_square):
+            return _t_sqrt(a, tower, j, p, roots), b
         beta_inv = _t_inv(tower[j], tower, j, p)
-        return b, _t_sqrt(_t_mul(a, beta_inv, tower, j, p), tower, j, p)
-    r = _t_sqrt(_t_rel_norm(x, tower, j + 1, p), tower, j, p)
+        return b, _t_sqrt(_t_mul(a, beta_inv, tower, j, p), tower, j, p, roots)
+    r = _t_sqrt(_t_rel_norm(x, tower, j + 1, p), tower, j, p, roots)
     half = (p + 1) >> 1
     c2 = _t_scale(_t_add(a, r, j, p), half, j, p)
-    if not _t_is_square(c2, tower, j, p):
+    if not _t_is_square(c2, tower, j, p, is_square):
         c2 = _t_add(c2, _t_scale(r, p - 1, j, p), j, p)
-    c = _t_sqrt(c2, tower, j, p)
+    c = _t_sqrt(c2, tower, j, p, roots)
     return c, _t_mul(b, _t_inv(_t_scale(c, 2, j, p), tower, j, p), tower, j, p)
 
 
@@ -361,21 +421,35 @@ def _preimage_cycle_type(p: int, t: int, n: int) -> tuple[int, ...]:
     The critical orbit of 2/(x-1)^2 is 1 -> inf -> 0 -> 2 -> 2, so for t
     not 0, 2 or inf mod the odd prime p no vertex of the tree is 0, 1 or
     inf: every y and beta is nonzero, and the two children 1 +- s differ,
-    as s != 0 and p is odd."""
+    as s != 0 and p is odd.  Orbits of size 1, most of the tree, are
+    stepped in plain ints; larger ones through the tower functions."""
+    roots = _roots(p)
+    is_square, sqrt = roots
     orbits, sizes = [(t % p, ())], []
     for level in range(n):
+        last = level == n - 1
         children = []
         for y, tower in orbits:
             j = len(tower)
-            norm = _t_norm(y, tower, j, p)
-            split = pow(norm if j else 2 * norm, p >> 1, p) == 1
-            if level == n - 1:
+            if not j:  # 2/y is a square exactly when 2y is
+                if last:
+                    sizes += (1, 1) if is_square(2 * y % p) else (2,)
+                    continue
+                beta = 2 * pow(y, -1, p) % p
+                if is_square(beta):
+                    s = sqrt(beta)
+                    children += ((1 + s) % p, tower), ((1 - s) % p, tower)
+                else:
+                    children.append(((1, 1), (beta,)))
+                continue
+            split = is_square(_t_norm(y, tower, j, p))
+            if last:
                 sizes += (1 << j, 1 << j) if split else (2 << j,)
                 continue
             beta = _t_scale(_t_inv(y, tower, j, p), 2, j, p)
             one = _t_embed(1, j)
             if split:
-                s = _t_sqrt(beta, tower, j, p)
+                s = _t_sqrt(beta, tower, j, p, roots)
                 children.append((_t_add(one, s, j, p), tower))
                 children.append(
                     (_t_add(one, _t_scale(s, p - 1, j, p), j, p), tower))
@@ -394,7 +468,9 @@ def _fibre_cycle_type(p: int, t: int) -> tuple[int, ...]:
 
     An entry takes about 160 B with its cycle type shared (tracemalloc), so
     the 2^15 entries hold at most about 5 MiB; a 192-verdict survey batch
-    fills about 930 of them."""
+    fills about 930 of them.  The walk's root tables, one per prime below
+    _ROOT_TABLE_CUTOFF that it meets, take 2p bytes and about 230 KB for
+    all 171 (tracemalloc); such a batch builds about 60, some 40 KB."""
     if p < 3 or not _is_probable_prime(p) or t % p in (0, 2):
         raise ValueError(f"fibre t = {t} mod {p} is not a good fibre: the "
                          f"prime must be odd and t not 0 or 2 mod it")
@@ -402,9 +478,9 @@ def _fibre_cycle_type(p: int, t: int) -> tuple[int, ...]:
 
 
 def _frobenius_stream(point: BasePoint, primes: list[int]
-                      ) -> Iterator[FrobeniusObservation]:
-    """One observation per good prime of the increasing list, counted once
-    per fibre (p, a mod p).  For a = u/v the good primes are those not
+                      ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(p, cycle type) at each good prime of the increasing list, counted
+    once per fibre (p, a mod p).  For a = u/v the good primes are those not
     dividing 2 u v (u - 2v): 2, the primes of the leading coefficient, the
     fibre over infinity (p | v) and the ramified fibres t = 0 and t = 2
     are skipped."""
@@ -413,8 +489,7 @@ def _frobenius_stream(point: BasePoint, primes: list[int]
     for p in primes:
         if bad % p == 0:
             continue
-        degs = _fibre_cycle_type(p, u * pow(v, -1, p) % p)
-        yield FrobeniusObservation(prime=p, cycle_type=degs)
+        yield p, _fibre_cycle_type(p, u * pow(v, -1, p) % p)
 
 
 def _require_usable(usable: int, prime_bound: int) -> None:
@@ -428,7 +503,8 @@ def _require_usable(usable: int, prime_bound: int) -> None:
 def sample_frobenius(point: BasePoint, prime_bound: int
                      ) -> tuple[FrobeniusObservation, ...]:
     """Factorization degree patterns mod the good odd primes up to bound."""
-    out = tuple(_frobenius_stream(point, _primes_to(prime_bound)))
+    out = tuple(FrobeniusObservation(p, t) for p, t in
+                _frobenius_stream(point, _primes_to(prime_bound)))
     _require_usable(len(out), prime_bound)
     return out
 
@@ -500,15 +576,15 @@ def residue_cosets() -> ResidueLabelling:
     others = set(range(1, len(coset_types)))
     fits = {5: others, 7: others}
     witnesses = []
-    for obs in _frobenius_stream(BasePoint(Fraction(5)),
-                                 primes_up_to(DEFAULT_PRIME_BOUND)):
-        fit = fits.get(obs.prime % 8)
+    for p, t in _frobenius_stream(BasePoint(Fraction(5)),
+                                  primes_up_to(DEFAULT_PRIME_BOUND)):
+        fit = fits.get(p % 8)
         if fit is None or len(fit) == 1:
             continue
-        narrowed = {c for c in fit if obs.cycle_type in coset_types[c]}
+        narrowed = {c for c in fit if t in coset_types[c]}
         if narrowed != fit:
-            fits[obs.prime % 8] = narrowed
-            witnesses.append(obs)
+            fits[p % 8] = narrowed
+            witnesses.append(FrobeniusObservation(p, t))
         if all(len(f) == 1 for f in fits.values()):
             break
     rest = others - fits[5] - fits[7]
@@ -530,21 +606,41 @@ class EliminationReport:
     observation_count: int
 
 
-def _eliminate(obs: FrobeniusObservation, pending: set,
+@lru_cache(maxsize=1)
+def _elimination_table() -> dict:
+    """(p mod 8, cycle type) -> the sorted names of the maximal subgroups
+    that miss the type in the coset of G_4 that the residue names, for
+    each odd residue and each type its coset realizes.  Built on the first
+    elimination, not by `_level4_data`: 18 keys of at most 8 names."""
+    coset_types, tables = _level4_data()
+    labelling = residue_cosets()
+    return {(r, t): tuple(sorted(name for name, sets in tables.items()
+                                 if t not in sets[c]))
+            for r in (1, 3, 5, 7)
+            for c in (labelling.cosets[r],)
+            for t in coset_types[c]}
+
+
+def _eliminate(prime: int, cycle_type: tuple[int, ...], pending: set,
                eliminated: dict) -> None:
     """Move every pending subgroup that misses the observed cycle type in
-    the coset of G_4 that p mod 8 names from pending to eliminated."""
-    coset_types, tables = _level4_data()
-    c = residue_cosets().coset(obs.prime)
-    if obs.cycle_type not in coset_types[c]:
+    the coset of G_4 that p mod 8 names from pending to eliminated, by one
+    lookup in `_elimination_table`; an observation is built only when it
+    rules a pending subgroup out."""
+    names = _elimination_table().get((prime % 8, cycle_type))
+    if names is None:
+        c = residue_cosets().coset(prime)
         raise ModelInconsistencyError(
-            f"cycle type {obs.cycle_type} at prime {obs.prime} is not "
-            f"realized by coset {c} of G_4, which p = {obs.prime % 8} mod 8 "
+            f"cycle type {cycle_type} at prime {prime} is not "
+            f"realized by coset {c} of G_4, which p = {prime % 8} mod 8 "
             f"names; the containment assumption or K_4 = Q(zeta_8) is "
             f"violated"
         )
-    for name in sorted(pending):
-        if obs.cycle_type not in tables[name][c]:
+    if pending.isdisjoint(names):
+        return
+    obs = FrobeniusObservation(prime, cycle_type)
+    for name in names:
+        if name in pending:
             eliminated[name] = obs
             pending.discard(name)
 
@@ -562,7 +658,7 @@ def eliminate_maximal_subgroups(observations, model: ArithLevelModel
     eliminated: dict[str, FrobeniusObservation] = {}
     ordered = sorted(observations, key=lambda o: o.prime)
     for obs in ordered:
-        _eliminate(obs, pending, eliminated)
+        _eliminate(obs.prime, obs.cycle_type, pending, eliminated)
     return EliminationReport(
         eliminated=tuple(sorted(eliminated.items())),
         surviving=tuple(sorted(pending)),
@@ -653,9 +749,9 @@ def maximality_verdict(point: BasePoint,
     pending = set(tables)
     eliminated: dict[str, FrobeniusObservation] = {}
     usable = 0
-    for obs in _frobenius_stream(point, primes):
+    for p, t in _frobenius_stream(point, primes):
         usable += 1
-        _eliminate(obs, pending, eliminated)
+        _eliminate(p, t, pending, eliminated)
         if not pending and usable >= MIN_USABLE_PRIMES:
             break
     _require_usable(usable, prime_bound)

@@ -80,6 +80,31 @@ class TestRadicalIdentities:
         for t0 in (3, 5.5, 1 + 2j):
             assert branch_flip_invariance(t0, 192)
 
+    @pytest.mark.parametrize("precision", [16, 128])
+    def test_flip_check_is_identity_3_of_the_full_report(self, precision):
+        tol = mpmath.mpf(2) ** (-(precision // 2))
+        for t0 in sample_points(8, seed=precision):
+            full = all(
+                verify_radical_identities(t0, precision, flipped={w})
+                .residuals["depth3-square-is-minus-one"] <= tol
+                for w in ("", "1", "2", "11", "12", "21", "22"))
+            assert branch_flip_invariance(t0, precision) == full, t0
+
+    @pytest.mark.parametrize("t0", [3, 2.5 + 1.25j, -0.7 - 3j])
+    def test_pair_product_over_ordered_pairs(self, t0):
+        # the report runs each unordered pair once; the ordered pairs give
+        # the same residual to the last bit
+        v = preimage_tree(t0, 3, 128).values
+        with mpmath.workprec(128):
+            inner = [w for w in v if len(w) <= 2]
+            want = max(
+                abs(lhs - rhs) / max(mpmath.mpf(1), abs(rhs))
+                for w in inner for w2 in inner if w2 != w
+                for lhs in [((v[w + "1"] - 1) * (v[w2 + "1"] - 1)) ** 2]
+                for rhs in [4 / (v[w] * v[w2])])
+        got = verify_radical_identities(t0, 128).residuals["pair-product"]
+        assert got._mpf_ == want._mpf_
+
     def test_report_json(self):
         import json
 

@@ -8,6 +8,7 @@ force rather than trusted.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -92,6 +93,11 @@ class TestSquareClasses:
         assert rep.rank == 4
         assert rep.passed
         assert rep.dependent_subset is None
+
+    def test_constant_classes_are_square_class(self):
+        assert maximality._CONSTANT_CLASSES == (
+            polyarith.square_class(Fraction(-1)),
+            polyarith.square_class(Fraction(2)))
 
     def test_point_1(self):
         rep = square_class_test(BasePoint(Fraction(1)))
@@ -184,7 +190,8 @@ class TestFrobeniusSampling:
 
 
 def _stream(a, bound):
-    """The stream's observations up to the bound, with no usable-prime floor."""
+    """The stream's (prime, cycle type) pairs up to the bound, with no
+    usable-prime floor."""
     return list(maximality._frobenius_stream(BasePoint(a),
                                              polyarith.primes_up_to(bound)))
 
@@ -244,8 +251,7 @@ class TestFibreMemo:
     ], ids=["7/3", "-22/15", "385", "4201", "4096-bit"])
     def test_stream_matches_the_public_route(self, a):
         bound = 2000
-        assert [(o.prime, o.cycle_type) for o in _stream(a, bound)] == \
-            _reference_stream(a, bound)
+        assert _stream(a, bound) == _reference_stream(a, bound)
 
     @pytest.mark.parametrize("a", [Fraction(5), Fraction(-22, 15)], ids=str)
     def test_congruent_points_share_entries(self, a):
@@ -267,7 +273,7 @@ class TestFibreMemo:
         rng = random.Random(20)
         for _ in range(64):
             a = _pool_draw(rng)
-            kept = {o.prime for o in
+            kept = {p for p, _ in
                     maximality._frobenius_stream(BasePoint(a), primes)}
             poly = polyarith.specialize_numerator(4, a)
             res = polyarith.resultant(poly, poly.derivative())
@@ -349,9 +355,37 @@ class TestPreimageWalk:
                     assert maximality._fibre_cycle_type(p, t) == \
                         _kernel_fibre(p, t), (p, t)
 
+    @pytest.mark.parametrize("p", [1019, 1021, 1031, 1033])
+    def test_root_routes_agree_at_the_table_cutoff(self, p):
+        # 1019 and 1021 read the root table, 1031 and 1033 Euler's
+        # criterion and `_sqrt_mod`: both give a square root of every
+        # square and call exactly Euler's non-residues non-squares
+        below = p < maximality._ROOT_TABLE_CUTOFF
+        assert below == (p < 1024)
+        is_square, sqrt = maximality._roots(p)
+        if below:
+            assert maximality._root_table(p).nbytes == 2 * p
+        for x in range(1, p):
+            euler = pow(x, p >> 1, p) == 1
+            assert bool(is_square(x)) == euler, (p, x)
+            if euler:
+                r = sqrt(x)
+                assert r * r % p == x, (p, x)
+                assert r in (maximality._sqrt_mod(x, p),
+                             p - maximality._sqrt_mod(x, p)), (p, x)
+            elif below:
+                assert maximality._root_table(p)[x] == 0, (p, x)
+        rng = random.Random(p)
+        for t in rng.sample(range(3, p), 25):
+            assert maximality._preimage_cycle_type(p, t, 4) == \
+                _kernel_fibre(p, t), (p, t)
+
     @pytest.mark.parametrize("p", [257, 7681, 65537])
     def test_primes_with_a_large_power_of_2_in_p_minus_1(self, p):
-        # p - 1 = q 2^e with e = 8, 9, 16, so Tonelli-Shanks runs its loop
+        # p - 1 = q 2^e with e = 8, 9, 16, so Tonelli-Shanks runs its loop;
+        # 7681 and 65537 lie above the root-table cutoff, so the walks
+        # below take their square roots from it as well
+        assert 257 < maximality._ROOT_TABLE_CUTOFF <= 7681
         rng = random.Random(p)
         for _ in range(50):
             x = rng.randrange(1, p)
@@ -521,6 +555,43 @@ class TestElimination:
         assert set(rep.surviving) == {
             n for n, sets in tables.items() if sets[c] == coset_types[c]}
         assert set(rep.surviving) < set(ALL_MAXIMAL)
+
+    def test_table_is_the_per_subgroup_rule(self):
+        # each odd residue and each cycle type of M_4: a key exactly when
+        # the residue's coset realizes the type, naming the subgroups that
+        # miss the type in that coset
+        coset_types, tables = maximality._level4_data()
+        table = maximality._elimination_table()
+        model_types = cycle_type_table(build_model(4).group)
+        keys = 0
+        for r in (1, 3, 5, 7):
+            c = residue_cosets().coset(r)
+            for t in model_types:
+                if t not in coset_types[c]:
+                    assert (r, t) not in table, (r, t)
+                    continue
+                keys += 1
+                assert table[(r, t)] == tuple(sorted(
+                    name for name in tables if t not in tables[name][c])), (r, t)
+        assert keys == len(table) == 18
+
+    def test_table_is_built_by_the_first_elimination(self):
+        maximality._elimination_table.cache_clear()
+        cycle_blind_subgroups()  # the benchmark's set-up
+        assert maximality._elimination_table.cache_info().currsize == 0
+        maximality_verdict(BasePoint(Fraction(5)))
+        assert maximality._elimination_table.cache_info().currsize == 1
+
+    def test_verdict_refuses_a_type_outside_its_coset(self, monkeypatch):
+        # the identity's type lies only in G_4, the coset of 1 mod 8; at
+        # base point 5 the first good prime of residue 3 is 11
+        maximality._elimination_table()
+        fibre = maximality._fibre_cycle_type
+        monkeypatch.setattr(
+            maximality, "_fibre_cycle_type",
+            lambda p, t: (1,) * 16 if p % 8 == 3 else fibre(p, t))
+        with pytest.raises(ModelInconsistencyError, match="at prime 11 .*3 mod 8"):
+            maximality_verdict(BasePoint(Fraction(5)))
 
     def test_foreign_type_is_inconsistent(self):
         with pytest.raises(ModelInconsistencyError):
@@ -750,3 +821,15 @@ class TestPool:
             after += v.primes_tried
         assert len(points) == 2048
         assert 3 * after < before
+
+    def test_verdicts_are_pinned(self):
+        # sha256 of every pool verdict's JSON, one line per point in pool
+        # order, the same under PYTHONHASHSEED 1 and 2
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+        digest = hashlib.sha256()
+        for text, _ in json.loads(path.read_text())["points"]:
+            v = maximality_verdict(BasePoint(Fraction(text)))
+            digest.update((json.dumps(v.to_json_dict(), sort_keys=True)
+                           + "\n").encode())
+        assert digest.hexdigest() == \
+            "22fef112fb992a72cc83959388fd56240ab1a968c7ea0db7124b2661758c68e6"
