@@ -231,18 +231,23 @@ def _cmd_maximality(args, caps) -> tuple[dict, list[str], int]:
            f" (dependent: {{{', '.join(sq.dependent_subset or ())}}})"))
     for name, obs in verdict.frobenius_eliminations:
         lines.append(f"  {name}: eliminated by p={obs.prime}, "
-                     f"type {'+'.join(map(str, obs.cycle_type))}")
+                     f"profile {_profile_text(obs.profile)}")
     for name in verdict.square_class_eliminations:
         lines.append(f"  {name}: eliminated by square-class independence")
     if verdict.surviving:
         lines.append(f"  no Frobenius witness: {', '.join(verdict.surviving)}")
     for name, by_residue in (verdict.surviving_tables or {}).items():
-        lines.append(f"  {name} realizes, by p mod 8 (any other type of "
-                     f"the coset rules it out):")
-        for r, types in by_residue.items():
+        lines.append(f"  {name} realizes, by p mod 8 (any other profile "
+                     f"of the coset rules it out):")
+        for r, profiles in by_residue.items():
             lines.append(f"    {r}: " + ", ".join(
-                "+".join(map(str, t)) for t in sorted(types)))
+                map(_profile_text, sorted(profiles))))
     return report, lines, 0
+
+
+def _profile_text(profile) -> str:
+    """Cycle types on levels 1..4, e.g. 2/2+2/4+4/8+8."""
+    return "/".join("+".join(map(str, level)) for level in profile)
 
 
 def _cmd_radical(args, caps) -> tuple[dict, list[str], int]:

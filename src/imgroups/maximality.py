@@ -7,26 +7,29 @@ as soon as it is contained in no maximal subgroup.  A `maximal` verdict
 rules out each of the fifteen maximal subgroups by two independent
 routes:
 
-* Frobenius route: at a good prime p the cycle type of Frob_p on the
-  sixteen level-4 preimages of a is that of an actual group element.  For
-  a = u/v the good primes are the odd p not dividing u v (u - 2v): there
-  t = a mod p is not 0, 2 or infinity, so the critical orbit
-  1 -> inf -> 0 -> 2 -> 2 of 2/(x-1)^2 misses the level-4 preimage tree
-  of t over F_p, which has sixteen distinct leaves.  The cycle type is a
-  function of the fibre (p, t) alone, and base points congruent mod p
-  share one memoized count.  `_fibre_cycle_type` walks the tree one
-  Frobenius orbit at a time, with square tests and square roots in towers
-  of quadratic extensions of F_p, and builds no polynomial.
+* Frobenius route: at a good prime p the profile of Frob_p, its cycle
+  types on the level-k preimages of a for k = 1, 2, 3, 4, is that of an
+  actual group element.  For a = u/v the good primes are the odd p not
+  dividing u v (u - 2v): there t = a mod p is not 0, 2 or infinity, so the
+  critical orbit 1 -> inf -> 0 -> 2 -> 2 of 2/(x-1)^2 misses the level-4
+  preimage tree of t over F_p, which has sixteen distinct leaves.  The
+  profile is a function of the fibre (p, t) alone, and base points
+  congruent mod p share one memoized count.  `_fibre_profile` walks the
+  tree one Frobenius orbit at a time, with square tests and square roots
+  in towers of quadratic extensions of F_p, and builds no polynomial; the
+  orbits it holds at each level give that level's entry.
 
-  The leaves are the roots of the specialized level-4 numerator
+  The level-4 leaves are the roots of the specialized numerator
   (v g_4 - u h_4) / c, whose content c is a power of 2 because
   Res(g_4, h_4) = +-2^k.  Its leading coefficient is (2v - u) / c, and
   homogenizing the shape disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 of
   `discriminant_shape(4)`, pinned by `tests/test_polyarith.py`, gives its
   discriminant as 2^272 u^12 v^8 (2v - u)^10 / c^30.  So the same primes
   are exactly those where its reduction has full degree and is
-  squarefree, and `recheck_certificate` recounts each witness by a second
-  algorithm: the factor degrees of that numerator mod p.
+  squarefree, and so are the level-k numerators below it, whose roots are
+  the vertices of the same tree at level k.  `recheck_certificate`
+  recounts each witness by a second algorithm: the factor degrees of the
+  level-k numerators mod p, one per entry of the profile.
 
   The observation also says which coset of the geometric group G_4 the
   Frobenius lies in.  The level-4 constant field K_4 contains Q(i,
@@ -34,10 +37,10 @@ routes:
   (this rests on the model being the arithmetic monodromy group, with
   G_4 the geometric one).  Frob_p therefore lies in the coset of G_4 that
   p mod 8 names: G_4 itself for p = 1 mod 8, and for the residues 3, 5
-  and 7 the cosets that `residue_cosets` pins from observed cycle types.
+  and 7 the cosets that `residue_cosets` pins from observed profiles.
   The quotient M_4 / G_4 is abelian and every maximal subgroup H is
   normal, so the coset and H meet in a union of conjugacy classes and
-  conjugacy ambiguity is harmless: a cycle type missing from H in that
+  conjugacy ambiguity is harmless: a profile missing from H in that
   coset rules H out.
 
 * Square-class route: the level-4 splitting field contains
@@ -47,9 +50,17 @@ routes:
   surjects onto the rank-4 Frattini quotient, so no maximal subgroup
   (each an index-2 character kernel) can contain it.
 
-Five of the fifteen maximal subgroups realize every cycle type the full
-model does, so the plain cycle-type table cannot rule them out; the
-residue coset can, and every maximal subgroup gets a prime witness.
+M_4 realizes 18 profiles against 7 level-4 cycle types.  Five of the
+fifteen maximal subgroups realize every level-4 cycle type the full model
+does, so the plain cycle-type table cannot rule them out; the residue
+coset can, and every maximal subgroup gets a prime witness.  A Galois
+image H rules out another maximal subgroup S only if some coset of G_4
+holds an invariant of H missing from S.  Level-4 cycle types fail that
+for five ordered pairs (H, S): (Mmax-04, -08), (-04, -12), (-06, -08),
+(-06, -14) and (-10, -08).  Profiles separate all 210 pairs, and a
+`maximal` verdict by them usually stops at the floor of
+MIN_USABLE_PRIMES good primes, where one by level-4 cycle types scanned
+a median of 13.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt, prod
 from typing import Iterator, Optional
 
@@ -70,13 +81,14 @@ from .errors import (
 )
 from .polyarith import (
     _is_probable_prime,
+    _prime_count,
+    _small_primes,
     factor_degrees_mod_p,
-    primes_up_to,
     specialize_numerator,
     square_class,
 )
 from .selfsim import quotient
-from .treeauto import _cycle_types
+from .treeauto import _cycle_types, _high_bits
 
 DEFAULT_PRIME_BOUND = 10**4
 MIN_USABLE_PRIMES = 5
@@ -209,25 +221,35 @@ def square_class_test(point: BasePoint) -> SquareClassReport:
     )
 
 
+# The cycle types of an element of M_4 on levels 1, 2, 3 and 4, each sorted
+# descending; the last entry is its cycle type on the sixteen leaves
+Profile = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class FrobeniusObservation:
     prime: int
-    cycle_type: tuple[int, ...]
+    profile: Profile
+
+    @property
+    def cycle_type(self) -> tuple[int, ...]:
+        """The cycle type on the level-4 preimages."""
+        return self.profile[-1]
 
 
-def _primes_to(prime_bound: int) -> list[int]:
-    """The primes up to the bound, which is checked before any work on a
-    point."""
+def _primes_to(prime_bound: int) -> Iterator[int]:
+    """The primes up to the bound, read from the cached prime table without
+    copying it; the bound is checked before any work on a point."""
     if prime_bound < 3:
         raise ValueError(f"prime bound {prime_bound} < 3")
-    return primes_up_to(prime_bound)
+    return islice(_small_primes(), _prime_count(prime_bound))
 
 
 @lru_cache(maxsize=None)
-def _shared(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
-    """The first equal tuple seen, so that the fibre memo holds one object
-    per cycle type; the level-4 model realizes 7."""
-    return cycle_type
+def _shared(profile: Profile) -> Profile:
+    """The first equal tuple seen, so that the fibre memo and the level-4
+    tables hold one object per profile; the level-4 model realizes 18."""
+    return profile
 
 
 # -- towers of quadratic extensions of F_p -------------------------------------
@@ -404,10 +426,10 @@ def _t_sqrt(x, tower: tuple, j: int, p: int, roots):
     return c, _t_mul(b, _t_inv(_t_scale(c, 2, j, p), tower, j, p), tower, j, p)
 
 
-def _preimage_cycle_type(p: int, t: int, n: int) -> tuple[int, ...]:
-    """Frobenius orbit sizes on the level-n preimages of t under
-    2/(x-1)^2 over F_p, sorted descending, by a walk down the preimage
-    tree that keeps one representative y per orbit.
+def _preimage_profile(p: int, t: int, n: int) -> Profile:
+    """Frobenius orbit sizes on the level-k preimages of t under 2/(x-1)^2
+    over F_p for k = 1, ..., n, each sorted descending, by a walk down the
+    preimage tree that keeps one representative y per orbit.
 
     An orbit of size 2^j is (y, tower) with y generating F_p(s_1, ...,
     s_j) = F_(p^(2^j)).  The children of y are 1 +- s with s^2 = 2/y.  If
@@ -415,8 +437,9 @@ def _preimage_cycle_type(p: int, t: int, n: int) -> tuple[int, ...]:
     the same size; otherwise they lie in one orbit of twice the size,
     represented by 1 + s_(j+1) with beta_(j+1) = 2/y.  2/y is a square
     exactly when its norm 2^(2^j)/N(y) to F_p is, which is the quadratic
-    character of 2 N(y) at j = 0 and of N(y) beyond.  At the last level
-    only the sizes are recorded.
+    character of 2 N(y) at j = 0 and of N(y) beyond.  That one test gives
+    the sizes of the children's orbits, which make the next level's entry
+    at no extra cost; at the last level only the sizes are recorded.
 
     The critical orbit of 2/(x-1)^2 is 1 -> inf -> 0 -> 2 -> 2, so for t
     not 0, 2 or inf mod the odd prime p no vertex of the tree is 0, 1 or
@@ -425,26 +448,27 @@ def _preimage_cycle_type(p: int, t: int, n: int) -> tuple[int, ...]:
     stepped in plain ints; larger ones through the tower functions."""
     roots = _roots(p)
     is_square, sqrt = roots
-    orbits, sizes = [(t % p, ())], []
+    orbits, profile = [(t % p, ())], []
     for level in range(n):
         last = level == n - 1
-        children = []
+        children, sizes = [], []
         for y, tower in orbits:
             j = len(tower)
             if not j:  # 2/y is a square exactly when 2y is
+                split = is_square(2 * y % p)
+                sizes += (1, 1) if split else (2,)
                 if last:
-                    sizes += (1, 1) if is_square(2 * y % p) else (2,)
                     continue
                 beta = 2 * pow(y, -1, p) % p
-                if is_square(beta):
+                if split:
                     s = sqrt(beta)
                     children += ((1 + s) % p, tower), ((1 - s) % p, tower)
                 else:
                     children.append(((1, 1), (beta,)))
                 continue
             split = is_square(_t_norm(y, tower, j, p))
+            sizes += (1 << j, 1 << j) if split else (2 << j,)
             if last:
-                sizes += (1 << j, 1 << j) if split else (2 << j,)
                 continue
             beta = _t_scale(_t_inv(y, tower, j, p), 2, j, p)
             one = _t_embed(1, j)
@@ -455,31 +479,31 @@ def _preimage_cycle_type(p: int, t: int, n: int) -> tuple[int, ...]:
                     (_t_add(one, _t_scale(s, p - 1, j, p), j, p), tower))
             else:
                 children.append(((one, one), tower + (beta,)))
+        profile.append(tuple(sorted(sizes, reverse=True)))
         orbits = children
-    return tuple(sorted(sizes, reverse=True))
+    return tuple(profile)
 
 
 @lru_cache(maxsize=1 << 15)
-def _fibre_cycle_type(p: int, t: int) -> tuple[int, ...]:
-    """The Frobenius cycle type over the fibre t mod the odd prime p, for
-    t != 0, 2 mod p: the orbit sizes on the level-4 preimages of t, which
-    are the roots of g_4 - t h_4 mod p, counted by
-    `_preimage_cycle_type` without building or factoring a polynomial.
+def _fibre_profile(p: int, t: int) -> Profile:
+    """The Frobenius profile over the fibre t mod the odd prime p, for
+    t != 0, 2 mod p: the orbit sizes on the level-k preimages of t for
+    k = 1..4, which are the roots of g_k - t h_k mod p, counted by
+    `_preimage_profile` without building or factoring a polynomial.
 
-    An entry takes about 160 B with its cycle type shared (tracemalloc), so
+    An entry takes about 160 B with its profile shared (tracemalloc), so
     the 2^15 entries hold at most about 5 MiB; a 192-verdict survey batch
-    fills about 930 of them.  The walk's root tables, one per prime below
+    fills about 160 of them.  The walk's root tables, one per prime below
     _ROOT_TABLE_CUTOFF that it meets, take 2p bytes and about 230 KB for
-    all 171 (tracemalloc); such a batch builds about 60, some 40 KB."""
+    all 171 (tracemalloc); such a batch builds about 26, some 13 KB."""
     if p < 3 or not _is_probable_prime(p) or t % p in (0, 2):
         raise ValueError(f"fibre t = {t} mod {p} is not a good fibre: the "
                          f"prime must be odd and t not 0 or 2 mod it")
-    return _shared(_preimage_cycle_type(p, t, 4))
+    return _shared(_preimage_profile(p, t, 4))
 
 
-def _frobenius_stream(point: BasePoint, primes: list[int]
-                      ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(p, cycle type) at each good prime of the increasing list, counted
+def _frobenius_stream(point: BasePoint, primes) -> Iterator[tuple[int, Profile]]:
+    """(p, profile) at each good prime of the increasing primes, counted
     once per fibre (p, a mod p).  For a = u/v the good primes are those not
     dividing 2 u v (u - 2v): 2, the primes of the leading coefficient, the
     fibre over infinity (p | v) and the ramified fibres t = 0 and t = 2
@@ -489,7 +513,7 @@ def _frobenius_stream(point: BasePoint, primes: list[int]
     for p in primes:
         if bad % p == 0:
             continue
-        yield p, _fibre_cycle_type(p, u * pow(v, -1, p) % p)
+        yield p, _fibre_profile(p, u * pow(v, -1, p) % p)
 
 
 def _require_usable(usable: int, prime_bound: int) -> None:
@@ -502,45 +526,65 @@ def _require_usable(usable: int, prime_bound: int) -> None:
 
 def sample_frobenius(point: BasePoint, prime_bound: int
                      ) -> tuple[FrobeniusObservation, ...]:
-    """Factorization degree patterns mod the good odd primes up to bound."""
-    out = tuple(FrobeniusObservation(p, t) for p, t in
+    """Frobenius profiles at the good odd primes up to bound."""
+    out = tuple(FrobeniusObservation(p, pr) for p, pr in
                 _frobenius_stream(point, _primes_to(prime_bound)))
     _require_usable(len(out), prime_bound)
     return out
 
 
+def _group_profiles(perms) -> dict[bytes, Profile]:
+    """The profile of each level-4 leaf permutation x.  Its restriction to
+    level k maps vertex j to x[j << (4 - k)] >> (4 - k), and each level's
+    restricted set is typed by one `_cycle_types` pass."""
+    perms = list(perms)
+    levels = []
+    for below in (3, 2, 1):
+        drop = _high_bits(below)
+        restricted = [x[::1 << below].translate(drop) for x in perms]
+        levels.append(map(_cycle_types(set(restricted)).__getitem__, restricted))
+    levels.append(map(_cycle_types(perms).__getitem__, perms))
+    return {x: _shared(profile) for x, profile in zip(perms, zip(*levels))}
+
+
 @lru_cache(maxsize=1)
 def _level4_data():
-    """(coset types, tables) over the cosets of G_4 in M_4, numbered as
+    """(coset profiles, tables) over the cosets of G_4 in M_4, numbered as
     `selfsim.quotient(M4, G4)` numbers them, so that coset 0 is G_4: the
-    cycle types realized in each coset c, and for each maximal subgroup H
+    profiles realized in each coset c, and for each maximal subgroup H
     those realized in H and c."""
     model = build_model(4)
     reps, index_of, _ = quotient(model.group, model.geometric)
     maxes = maximal_subgroups(model)
-    coset_types = [set() for _ in reps]
+    coset_profiles = [set() for _ in reps]
     tables = {ms.name: [set() for _ in reps] for ms in maxes}
-    types = _cycle_types(model.group.elements)
-    for x in model.group.elements:
-        c, t = index_of[x], types[x]
-        coset_types[c].add(t)
+    for x, profile in _group_profiles(model.group.elements).items():
+        c = index_of[x]
+        coset_profiles[c].add(profile)
         for ms in maxes:
             if x in ms.group.elements:
-                tables[ms.name][c].add(t)
-    return (tuple(map(frozenset, coset_types)),
+                tables[ms.name][c].add(profile)
+    return (tuple(map(frozenset, coset_profiles)),
             {name: tuple(map(frozenset, sets)) for name, sets in tables.items()})
 
 
 def cycle_blind_subgroups() -> tuple[str, ...]:
-    """Maximal subgroups realizing every cycle type of the model.
+    """Maximal subgroups realizing every level-4 cycle type of the model,
+    read off the profile tables by projecting each profile to its last
+    entry.
 
     They are blind only to the plain cycle-type table: within the coset of
-    G_4 that p mod 8 names, each of them misses some cycle type, so the
+    G_4 that p mod 8 names, each of them misses some profile, so the
     residue coset still gives each a Frobenius witness."""
-    coset_types, tables = _level4_data()
-    model_types = frozenset().union(*coset_types)
+    coset_profiles, tables = _level4_data()
+    model_types = _level4_types(frozenset().union(*coset_profiles))
     return tuple(name for name, sets in sorted(tables.items())
-                 if frozenset().union(*sets) == model_types)
+                 if _level4_types(frozenset().union(*sets)) == model_types)
+
+
+def _level4_types(profiles) -> set[tuple[int, ...]]:
+    """The level-4 cycle types of a set of profiles: their last entries."""
+    return {profile[-1] for profile in profiles}
 
 
 @dataclass(frozen=True)
@@ -569,28 +613,28 @@ def residue_cosets() -> ResidueLabelling:
     lies in G_4, coset 0.  Residues and cosets correspond one to one, as
     Gal(Q(zeta_8)/Q) and M_4 / G_4 do, so each of the residues 5 and 7
     lies in one of the other three cosets; it is pinned by intersecting the
-    cosets that realize the cycle types observed at primes of that residue
+    cosets that realize the profiles observed at primes of that residue
     over the one fibre of base point 5.  Residue 3 takes the remaining
     coset.  The first call counts about 25 fibres."""
-    coset_types, _ = _level4_data()
-    others = set(range(1, len(coset_types)))
+    coset_profiles, _ = _level4_data()
+    others = set(range(1, len(coset_profiles)))
     fits = {5: others, 7: others}
     witnesses = []
-    for p, t in _frobenius_stream(BasePoint(Fraction(5)),
-                                  primes_up_to(DEFAULT_PRIME_BOUND)):
+    for p, profile in _frobenius_stream(BasePoint(Fraction(5)),
+                                        _primes_to(DEFAULT_PRIME_BOUND)):
         fit = fits.get(p % 8)
         if fit is None or len(fit) == 1:
             continue
-        narrowed = {c for c in fit if t in coset_types[c]}
+        narrowed = {c for c in fit if profile in coset_profiles[c]}
         if narrowed != fit:
             fits[p % 8] = narrowed
-            witnesses.append(FrobeniusObservation(p, t))
+            witnesses.append(FrobeniusObservation(p, profile))
         if all(len(f) == 1 for f in fits.values()):
             break
     rest = others - fits[5] - fits[7]
     if not len(fits[5]) == len(fits[7]) == len(rest) == 1:
         raise ModelInconsistencyError(
-            f"residues mod 8 do not label the {len(coset_types)} cosets of "
+            f"residues mod 8 do not label the {len(coset_profiles)} cosets of "
             f"G_4 one to one (residue 5 fits {sorted(fits[5])}, residue 7 "
             f"fits {sorted(fits[7])}); K_4 = Q(zeta_8) is violated")
     cosets: list[Optional[int]] = [None] * 8
@@ -608,37 +652,36 @@ class EliminationReport:
 
 @lru_cache(maxsize=1)
 def _elimination_table() -> dict:
-    """(p mod 8, cycle type) -> the sorted names of the maximal subgroups
-    that miss the type in the coset of G_4 that the residue names, for
-    each odd residue and each type its coset realizes.  Built on the first
-    elimination, not by `_level4_data`: 18 keys of at most 8 names."""
-    coset_types, tables = _level4_data()
+    """(p mod 8, profile) -> the sorted names of the maximal subgroups that
+    miss the profile in the coset of G_4 that the residue names, for each
+    odd residue and each profile its coset realizes.  Built on the first
+    elimination, not by `_level4_data`: 34 keys of at most 8 names."""
+    coset_profiles, tables = _level4_data()
     labelling = residue_cosets()
-    return {(r, t): tuple(sorted(name for name, sets in tables.items()
-                                 if t not in sets[c]))
+    return {(r, profile): tuple(sorted(name for name, sets in tables.items()
+                                       if profile not in sets[c]))
             for r in (1, 3, 5, 7)
             for c in (labelling.cosets[r],)
-            for t in coset_types[c]}
+            for profile in coset_profiles[c]}
 
 
-def _eliminate(prime: int, cycle_type: tuple[int, ...], pending: set,
+def _eliminate(prime: int, profile: Profile, pending: set,
                eliminated: dict) -> None:
-    """Move every pending subgroup that misses the observed cycle type in
-    the coset of G_4 that p mod 8 names from pending to eliminated, by one
+    """Move every pending subgroup that misses the observed profile in the
+    coset of G_4 that p mod 8 names from pending to eliminated, by one
     lookup in `_elimination_table`; an observation is built only when it
     rules a pending subgroup out."""
-    names = _elimination_table().get((prime % 8, cycle_type))
+    names = _elimination_table().get((prime % 8, profile))
     if names is None:
         c = residue_cosets().coset(prime)
         raise ModelInconsistencyError(
-            f"cycle type {cycle_type} at prime {prime} is not "
-            f"realized by coset {c} of G_4, which p = {prime % 8} mod 8 "
-            f"names; the containment assumption or K_4 = Q(zeta_8) is "
-            f"violated"
+            f"profile {profile} at prime {prime} is not realized by coset "
+            f"{c} of G_4, which p = {prime % 8} mod 8 names; the containment "
+            f"assumption or K_4 = Q(zeta_8) is violated"
         )
     if pending.isdisjoint(names):
         return
-    obs = FrobeniusObservation(prime, cycle_type)
+    obs = FrobeniusObservation(prime, profile)
     for name in names:
         if name in pending:
             eliminated[name] = obs
@@ -647,9 +690,9 @@ def _eliminate(prime: int, cycle_type: tuple[int, ...], pending: set,
 
 def eliminate_maximal_subgroups(observations, model: ArithLevelModel
                                 ) -> EliminationReport:
-    """Frobenius elimination alone (a cycle type realized in the coset of
-    G_4 that p mod 8 names but missing from a maximal subgroup's part of
-    it); surfaces any observation that coset cannot realize instead of
+    """Frobenius elimination alone (a profile realized in the coset of G_4
+    that p mod 8 names but missing from a maximal subgroup's part of it);
+    surfaces any observation that coset cannot realize instead of
     discarding it."""
     if model.level != 4:
         raise ValueError(f"elimination is defined at level 4, got {model.level}")
@@ -658,12 +701,16 @@ def eliminate_maximal_subgroups(observations, model: ArithLevelModel
     eliminated: dict[str, FrobeniusObservation] = {}
     ordered = sorted(observations, key=lambda o: o.prime)
     for obs in ordered:
-        _eliminate(obs.prime, obs.cycle_type, pending, eliminated)
+        _eliminate(obs.prime, obs.profile, pending, eliminated)
     return EliminationReport(
         eliminated=tuple(sorted(eliminated.items())),
         surviving=tuple(sorted(pending)),
         observation_count=len(ordered),
     )
+
+
+def _profile_json(profile: Profile) -> list[list[int]]:
+    return [list(level) for level in profile]
 
 
 @dataclass(frozen=True)
@@ -674,7 +721,7 @@ class MaximalityVerdict:
     frobenius_eliminations: tuple[tuple[str, FrobeniusObservation], ...]
     square_class_eliminations: tuple[str, ...]
     surviving: tuple[str, ...]
-    surviving_tables: Optional[dict]  # name -> {residue mod 8: types}
+    surviving_tables: Optional[dict]  # name -> {residue mod 8: profiles}
     primes_tried: int
     reason: Optional[str]
 
@@ -685,6 +732,7 @@ class MaximalityVerdict:
                 "via": "frobenius",
                 "prime": obs.prime,
                 "cycle_type": list(obs.cycle_type),
+                "profile": _profile_json(obs.profile),
             }
             for name, obs in self.frobenius_eliminations
         ] + [
@@ -712,8 +760,8 @@ class MaximalityVerdict:
             out["reason"] = self.reason
         if self.surviving_tables is not None:
             out["surviving_tables"] = {
-                name: {str(r): [list(t) for t in sorted(types)]
-                       for r, types in by_residue.items()}
+                name: {str(r): [_profile_json(pr) for pr in sorted(profiles)]
+                       for r, profiles in by_residue.items()}
                 for name, by_residue in self.surviving_tables.items()
             }
         return out
@@ -749,9 +797,9 @@ def maximality_verdict(point: BasePoint,
     pending = set(tables)
     eliminated: dict[str, FrobeniusObservation] = {}
     usable = 0
-    for p, t in _frobenius_stream(point, primes):
+    for p, profile in _frobenius_stream(point, primes):
         usable += 1
-        _eliminate(p, t, pending, eliminated)
+        _eliminate(p, profile, pending, eliminated)
         if not pending and usable >= MIN_USABLE_PRIMES:
             break
     _require_usable(usable, prime_bound)
@@ -763,8 +811,8 @@ def maximality_verdict(point: BasePoint,
         frobenius_eliminations=tuple(sorted(eliminated.items())),
         square_class_eliminations=tuple(sorted(tables)),
         surviving=surviving,
-        # a prime of residue r whose type is missing from the survivor's
-        # table at r would rule it out
+        # a prime of residue r whose profile is missing from the
+        # survivor's table at r would rule it out
         surviving_tables=({name: {r: tables[name][residue_cosets().coset(r)]
                                   for r in (1, 3, 5, 7)}
                            for name in surviving} if surviving else None),
@@ -777,17 +825,18 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
     """True iff the stored witnesses actually support the stored verdict.
 
     The square classes are recomputed, and so is every Frobenius witness:
-    its prime must be an odd prime not dividing the leading coefficient,
-    its cycle type must lie in the coset of G_4 that the prime's residue
-    mod 8 names and be missing from the subgroup's part of that coset, and
-    the factor degrees of the specialized numerator at that prime must
-    reproduce it.  They are counted afresh by `factor_degrees_mod_p`, not
-    read from the fibre memo, and by a second algorithm: the verdict read
-    the cycle type off the preimage tree of a mod p, the recount factors
-    the integer numerator's reduction after its own squarefree test.  Each
-    distinct prime is counted once, as witnesses share primes.  A bad
-    witness gives False, never an exception."""
-    coset_types, tables = _level4_data()
+    its prime must be an odd prime not dividing the leading coefficients,
+    its profile must lie in the coset of G_4 that the prime's residue mod 8
+    names and be missing from the subgroup's part of that coset, and the
+    factor degrees of the specialized level-k numerators at that prime
+    must reproduce every entry of it, k = 1..4.  They are counted afresh by
+    `factor_degrees_mod_p`, not read from the fibre memo, and by a second
+    algorithm: the verdict read the profile off the preimage tree of a
+    mod p, the recount factors each integer numerator's reduction after
+    its own squarefree test.  Each distinct prime is counted once, as
+    witnesses share primes.  A bad witness gives False, never an
+    exception."""
+    coset_profiles, tables = _level4_data()
     sq = square_class_test(verdict.point)
     if sq.passed != verdict.square_class.passed or sq.parts != verdict.square_class.parts:
         return False
@@ -802,21 +851,22 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
     if sq.rank != 4 or set(verdict.square_class_eliminations) != set(tables):
         return False
     labelling = residue_cosets()
-    poly = specialize_numerator(4, verdict.point.a)
-    recounts: dict[int, Optional[tuple[int, ...]]] = {}
+    polys = [specialize_numerator(k, verdict.point.a) for k in range(1, 5)]
+    recounts: dict[int, tuple] = {}
     for name, obs in verdict.frobenius_eliminations:
         if name not in tables:
             return False
         try:
             c = labelling.coset(obs.prime)
-            if (obs.cycle_type not in coset_types[c]
-                    or obs.cycle_type in tables[name][c]):
+            if (obs.profile not in coset_profiles[c]
+                    or obs.profile in tables[name][c]):
                 return False
             if obs.prime not in recounts:
-                recounts[obs.prime] = factor_degrees_mod_p(poly, obs.prime)
-        except ValueError:  # not an odd prime, or it divides the lc
+                recounts[obs.prime] = tuple(factor_degrees_mod_p(poly, obs.prime)
+                                            for poly in polys)
+        except ValueError:  # not an odd prime, or it divides an lc
             return False
-        if recounts[obs.prime] != obs.cycle_type:
+        if recounts[obs.prime] != obs.profile:
             return False
     claimed = {n for n, _ in verdict.frobenius_eliminations}
     if verdict.status == "maximal":

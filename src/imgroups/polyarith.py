@@ -895,13 +895,17 @@ def _sieve_primes(limit: int) -> list[int]:
     return [2, *compress(range(1, limit + 1, 2), sieve)]
 
 
-def primes_up_to(limit: int) -> list[int]:
+def _prime_count(limit: int) -> int:
+    """How many primes lie up to limit: a prefix of `_small_primes()`."""
     if limit > TRIAL_DIVISION_LIMIT:
         raise ResourceLimitError(
             f"prime table capped at {TRIAL_DIVISION_LIMIT}, asked for {limit}"
         )
-    table = _small_primes()
-    return table[:bisect_right(table, limit)]
+    return bisect_right(_small_primes(), limit)
+
+
+def primes_up_to(limit: int) -> list[int]:
+    return _small_primes()[:_prime_count(limit)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -492,17 +492,21 @@ def _claim_blind_subgroups(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     blind = maximality.cycle_blind_subgroups()
     _check(blind == ("Mmax-01", "Mmax-05", "Mmax-09", "Mmax-13", "Mmax-14"), blind)
-    coset_types, tables = maximality._level4_data()
+    coset_profiles, tables = maximality._level4_data()
+    types = maximality._level4_types
     for name in blind:  # each misses a cycle type of some coset of G_4
-        _check(any(s < full for s, full in zip(tables[name], coset_types)), name)
+        _check(any(types(s) < types(full)
+                   for s, full in zip(tables[name], coset_profiles)), name)
     return (f"5 subgroups blind to the plain cycle-type table: "
             f"{', '.join(blind)}; each misses a type within a coset of G4")
 
 
 def _claim_residue_cosets(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
-    coset_types, tables = maximality._level4_data()
+    coset_profiles, tables = maximality._level4_data()
+    coset_types = list(map(maximality._level4_types, coset_profiles))
     _check([len(types) for types in coset_types] == [5, 5, 5, 3], coset_types)
+    _check([len(profiles) for profiles in coset_profiles] == [10, 9, 8, 7])
     # only G_4 realizes 1^16, the Frobenius of a prime that splits in K_4
     _check([(1,) * 16 in types for types in coset_types]
            == [True, False, False, False])
@@ -511,7 +515,7 @@ def _claim_residue_cosets(caps: VerifyCaps) -> str:
     # the labelling must hold over another fibre too
     point = maximality.BasePoint(Fraction(7, 3))
     for obs in maximality.sample_frobenius(point, 100):
-        _check(obs.cycle_type in coset_types[lab.coset(obs.prime)], obs)
+        _check(obs.profile in coset_profiles[lab.coset(obs.prime)], obs)
     # a subgroup containing G_4 is the union of two cosets; the residues
     # of those cosets are the primes where d is a square, for d of its
     # fixed quadratic field Q(sqrt(d))
@@ -529,7 +533,7 @@ def _claim_residue_cosets(caps: VerifyCaps) -> str:
     pins = ", ".join(str(obs.prime) for obs in lab.witnesses)
     return ("assuming K4 = Q(zeta8), p mod 8 = 1, 3, 5, 7 names cosets "
             f"0, 3, 1, 2 of G4 (5 and 7 pinned at t=5 by p = {pins}); "
-            "5/5/5/3 types per coset; Mmax-03, -05, -06 contain G4 and fix "
+            "5/5/5/3 types and 10/9/8/7 profiles per coset; Mmax-03, -05, -06 contain G4 and fix "
             "Q(sqrt-2), Q(sqrt2), Q(i)")
 
 
@@ -559,21 +563,22 @@ def _claim_elimination_edges(caps: VerifyCaps) -> str:
     model = arithmodel.build_model(4)
     rep = maximality.eliminate_maximal_subgroups((), model)
     _check(len(rep.surviving) == 15 and not rep.eliminated)
-    coset_types, _ = maximality._level4_data()
+    coset_profiles, _ = maximality._level4_data()
     lab = maximality.residue_cosets()
-    full = [maximality.FrobeniusObservation(prime=p, cycle_type=t)
-            for p in (17, 3, 5, 7) for t in coset_types[lab.coset(p)]]
+    full = [maximality.FrobeniusObservation(prime=p, profile=pr)
+            for p in (17, 3, 5, 7) for pr in coset_profiles[lab.coset(p)]]
     rep2 = maximality.eliminate_maximal_subgroups(full, model)
     _check(not rep2.surviving and len(rep2.eliminated) == 15, rep2.surviving)
+    identity = tuple((1,) * (1 << k) for k in range(1, 5))
     try:
         maximality.eliminate_maximal_subgroups(
-            [maximality.FrobeniusObservation(prime=3, cycle_type=(1,) * 16)],
+            [maximality.FrobeniusObservation(prime=3, profile=identity)],
             model)
         raise AssertionError("1^16 accepted at p = 3 mod 8")
     except ModelInconsistencyError:
         pass
-    return ("empty data eliminates nothing; every coset's types at primes "
-            "17, 3, 5, 7 eliminate all 15; 1^16 at p=3 is refused")
+    return ("empty data eliminates nothing; every coset's profiles at "
+            "primes 17, 3, 5, 7 eliminate all 15; 1^16 at p=3 is refused")
 
 
 def _claim_preimage_tree(caps: VerifyCaps) -> str:

@@ -125,7 +125,7 @@ class TestMaximality:
         assert code == 0
         assert "verdict: maximal" in out
         assert "Mmax-01: eliminated by square-class independence" in out
-        assert "Mmax-02: eliminated by p=13" in out
+        assert "Mmax-02: eliminated by p=7, profile 2/2+2/4+4/4+4+4+4" in out
 
     def test_not_maximal_point(self, capsys):
         code, out, _ = run(capsys, "maximality", "--a", "1")
@@ -156,12 +156,14 @@ class TestMaximality:
         assert "verdict: maximal" in out
 
     def test_inconclusive_lists_survivor_tables(self, capsys):
-        code, out, _ = run(capsys, "maximality", "--a", "5",
-                           "--prime-bound", "60")
+        code, out, _ = run(capsys, "maximality", "--a", "21",
+                           "--prime-bound", "30")
         assert code == 0
-        assert "  no Frobenius witness: Mmax-14\n" in out
-        assert "  Mmax-14 realizes, by p mod 8" in out
-        assert "\n    3: 4+4+4+4, 8+8\n" in out
+        assert "  no Frobenius witness: Mmax-04\n" in out
+        assert "  Mmax-04 realizes, by p mod 8" in out
+        assert ("\n    3: 1+1/1+1+1+1/2+2+1+1+1+1/2+2+2+2+2+2+1+1+1+1, "
+                "1+1/2+2/4+4/4+4+4+4, 2/2+2/2+2+2+2/4+4+4+4, "
+                "2/2+2/4+4/4+4+4+4\n") in out
 
     def test_square_product_beyond_factoring_cap(self, capsys):
         # a = 2/(1 + t^2) with t = 10000044: a(2 - a) is a square
@@ -175,8 +177,8 @@ class TestMaximality:
         assert data["square_class"]["dependent_subset"] == ["a", "2-a"]
 
     def test_prime_bound_flag(self, capsys):
-        code, out, _ = run(capsys, "maximality", "--a", "5",
-                           "--prime-bound", "60")
+        code, out, _ = run(capsys, "maximality", "--a", "21",
+                           "--prime-bound", "30")
         assert code == 0
         assert "verdict: inconclusive" in out
 
@@ -229,8 +231,8 @@ class TestVerify:
 
     def test_config_overrides_prime_bound(self, capsys, tmp_path):
         cfg = tmp_path / "img.cfg"
-        cfg.write_text("# comment line\nprime_bound = 60\n")
-        code, out, _ = run(capsys, "maximality", "--a", "5",
+        cfg.write_text("# comment line\nprime_bound = 30\n")
+        code, out, _ = run(capsys, "maximality", "--a", "21",
                            "--config", str(cfg))
         assert code == 0
         assert "verdict: inconclusive" in out
@@ -419,13 +421,13 @@ class TestGoldenOutput:
     # come with a stated change of behaviour
     GOLDEN = {
         ("verify",):
-            "ff6f6f08a2c7486c338d732a8655c2bb87b61c9a76fe51afe542a213e0ad8df3",
+            "f89997bf2c4416e87ce5f312eef3f283b9a31ba7e2cd836be9bb8320445cd1e2",
         ("arith", "--level", "7"):
             "932d1c818cf316a80e80f2afbd0da8be9063180815c649eabbc4770e08f006e2",
         ("group", "--level", "6"):
             "ee7934f51537a30c3569d5d50cdba30b28f1714bf0dd43cc914312fbf385d739",
         ("maximality", "--a", "5"):
-            "7aa23036c2ad1ecf24de021347695962f0d84de4731ee8d867125e0ebb19aea1",
+            "8300dfaedcfa4c7759bf01591085434deba6576df5ecd382a4e23327c76d5d84",
         ("disc", "--n", "5"):
             "2aa950deec6c49a702eeefe676bcb6dbf419cd61a38cda0f3227258ee7832142",
     }

@@ -1,10 +1,10 @@
 """Square classes, Frobenius sampling, elimination, and the full verdict.
 
-The frozen witnesses (p = 13, 7, 67 for base point 5) were found by the
-streaming search itself and then pinned; the structural facts that
-matter, such as the cycle types of each coset of G_4 and which subgroups
-the plain cycle-type table cannot eliminate, are recomputed here by brute
-force rather than trusted.
+The frozen witnesses (p = 7, 11, 13, 17 for base point 5) were found by
+the streaming search itself and then pinned; the structural facts that
+matter, such as the profiles (cycle types on levels 1-4) of each coset of
+G_4 and which subgroups the plain level-4 cycle-type table cannot
+eliminate, are recomputed here by brute force rather than trusted.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ import pytest
 import oracles
 from imgroups.arithmodel import build_model, cycle_type_table, maximal_subgroups
 from imgroups import maximality, polyarith
+from imgroups.treeauto import Portrait
 from imgroups.errors import (
     ExcludedBasePointError,
     InsufficientDataError,
@@ -29,6 +30,7 @@ from imgroups.errors import (
 )
 from imgroups.maximality import (
     BASE_POINT_BITS_CAP,
+    MIN_USABLE_PRIMES,
     BasePoint,
     FrobeniusObservation,
     cycle_blind_subgroups,
@@ -44,6 +46,15 @@ BLIND = ("Mmax-01", "Mmax-05", "Mmax-09", "Mmax-13", "Mmax-14")
 ALL_MAXIMAL = tuple(f"Mmax-{i:02d}" for i in range(1, 16))
 # one odd prime per residue 1, 3, 5, 7 mod 8
 PRIME_OF_RESIDUE = {1: 17, 3: 3, 5: 5, 7: 7}
+# the profile of the identity: every vertex of levels 1-4 fixed
+IDENTITY_PROFILE = tuple((1,) * (1 << k) for k in range(1, 5))
+# ordered pairs (H, S) of maximal subgroups where no coset of G_4 holds a
+# level-4 cycle type of H missing from S
+TYPE_BLIND_PAIRS = {("Mmax-04", "Mmax-08"), ("Mmax-04", "Mmax-12"),
+                    ("Mmax-06", "Mmax-08"), ("Mmax-06", "Mmax-14"),
+                    ("Mmax-10", "Mmax-08")}
+# a = 21 keeps Mmax-04 until its witness at 31
+INCONCLUSIVE = (Fraction(21), 30)
 
 
 class TestBasePoint:
@@ -190,23 +201,24 @@ class TestFrobeniusSampling:
 
 
 def _stream(a, bound):
-    """The stream's (prime, cycle type) pairs up to the bound, with no
+    """The stream's (prime, profile) pairs up to the bound, with no
     usable-prime floor."""
     return list(maximality._frobenius_stream(BasePoint(a),
                                              polyarith.primes_up_to(bound)))
 
 
 def _reference_stream(a, bound):
-    """(prime, cycle type) at every good odd prime up to the bound, each
-    counted afresh on the integer numerator by the public route."""
-    poly = polyarith.specialize_numerator(4, a)
+    """(prime, profile) at every good odd prime up to the bound, each level
+    counted afresh on the integer numerators by the public route; the
+    level-4 numerator decides which primes are good."""
+    polys = [polyarith.specialize_numerator(k, a) for k in range(1, 5)]
     out = []
     for p in polyarith.primes_up_to(bound):
-        if p == 2 or poly.lc % p == 0:
+        if p == 2 or polys[-1].lc % p == 0:
             continue
-        degs = polyarith.factor_degrees_mod_p(poly, p)
-        if degs is not None:
-            out.append((p, degs))
+        if polyarith.factor_degrees_mod_p(polys[-1], p) is not None:
+            out.append((p, tuple(polyarith.factor_degrees_mod_p(f, p)
+                                 for f in polys)))
     return out
 
 
@@ -255,7 +267,7 @@ class TestFibreMemo:
 
     @pytest.mark.parametrize("a", [Fraction(5), Fraction(-22, 15)], ids=str)
     def test_congruent_points_share_entries(self, a):
-        memo = maximality._fibre_cycle_type
+        memo = maximality._fibre_profile
         first = _stream(a, 60)
         before = memo.cache_info()
         second = _stream(a + ODD_PRIMORIAL_60, 60)
@@ -268,7 +280,7 @@ class TestFibreMemo:
         # the stream skips p | 2uv(u - 2v); the integer route skips 2 and
         # p | lc(f) or p | Res(f, f').  Only the skip sets are compared, so
         # no fibre is counted.
-        monkeypatch.setattr(maximality, "_fibre_cycle_type", lambda p, t: ())
+        monkeypatch.setattr(maximality, "_fibre_profile", lambda p, t: ())
         primes = polyarith.primes_up_to(10**4)
         rng = random.Random(20)
         for _ in range(64):
@@ -282,10 +294,14 @@ class TestFibreMemo:
             assert set(primes) - kept == bad, a
 
     def test_one_object_per_cycle_type(self):
-        types = [maximality._fibre_cycle_type(p, t)
-                 for p in (101, 103) for t in range(3, 40)]
-        assert len(set(types)) < len(types)
-        assert len({id(t) for t in types}) == len(set(types))
+        # one object per profile, shared with the level-4 tables
+        profiles = [maximality._fibre_profile(p, t)
+                    for p in (101, 103) for t in range(3, 40)]
+        assert len(set(profiles)) < len(profiles)
+        assert len({id(pr) for pr in profiles}) == len(set(profiles))
+        coset_profiles, _ = maximality._level4_data()
+        tabled = {id(pr) for c in coset_profiles for pr in c}
+        assert {id(pr) for pr in profiles} <= tabled
 
     def test_stream_builds_no_integer_numerator(self, monkeypatch):
         def refuse(*args):
@@ -297,29 +313,29 @@ class TestFibreMemo:
     def test_recheck_leaves_the_memo_alone(self):
         v = maximality_verdict(BasePoint(Fraction(7, 3)))
         assert v.frobenius_eliminations
-        before = maximality._fibre_cycle_type.cache_info()
+        before = maximality._fibre_profile.cache_info()
         assert recheck_certificate(v)
-        assert maximality._fibre_cycle_type.cache_info() == before
+        assert maximality._fibre_profile.cache_info() == before
 
     @pytest.mark.parametrize("p", [7, 101, 9973])
     def test_fibres_match_the_ddf_oracle(self, p):
-        fr = polyarith.iterate_pair(4)
+        pairs = [polyarith.iterate_pair(k) for k in range(1, 5)]
         checked = 0
         for t in range(min(p, 50)):
             if t == 2:
                 continue
-            coeffs = [g - t * h for g, h in zip(fr.g.coeffs, fr.h.coeffs)]
-            want = oracles.ddf_degrees_reference(coeffs, p)
-            if want is not None:
-                assert maximality._fibre_cycle_type(p, t) == want, (p, t)
+            want = tuple(oracles.ddf_degrees_reference(
+                (fr.g - fr.h.scale(t)).coeffs, p) for fr in pairs)
+            if want[-1] is not None:
+                assert maximality._fibre_profile(p, t) == want, (p, t)
                 checked += 1
         assert checked >= min(p, 50) // 2
 
 
-def _kernel_fibre(p, t):
-    """Factor degrees of g_4 - t h_4 mod p by the packed counting kernel."""
-    fr = polyarith.iterate_pair(4)
-    f = [(g - t * h) % p for g, h in zip(fr.g.coeffs, fr.h.coeffs)]
+def _kernel_fibre(p, t, n=4):
+    """Factor degrees of g_n - t h_n mod p by the packed counting kernel."""
+    fr = polyarith.iterate_pair(n)
+    f = [c % p for c in (fr.g - fr.h.scale(t)).coeffs]
     inv = pow(f[-1], -1, p)
     return polyarith._factor_degrees_monic([c * inv % p for c in f], p)
 
@@ -328,9 +344,11 @@ class TestPreimageWalk:
     @pytest.mark.parametrize("p, t", [(7, 0), (7, 2), (7, 9), (9, 1), (2, 1)])
     def test_bad_fibres_are_refused(self, p, t):
         with pytest.raises(ValueError, match="not a good fibre"):
-            maximality._fibre_cycle_type(p, t)
+            maximality._fibre_profile(p, t)
 
     def test_levels_1_to_5_match_the_integer_numerator(self):
+        # each walk's entry at every level k <= n against the factor
+        # degrees of the level-k numerator
         rng = random.Random(23)
         primes = polyarith.primes_up_to(2000)[1:]
         checked = 0
@@ -338,13 +356,17 @@ class TestPreimageWalk:
             for _ in range(12):
                 a = _pool_draw(rng)
                 u, v = a.numerator, a.denominator
-                poly = polyarith.specialize_numerator(n, a)
+                polys = [polyarith.specialize_numerator(k, a)
+                         for k in range(1, n + 1)]
                 for p in rng.sample(primes, 4):
                     if 2 * u * v * (u - 2 * v) % p == 0:
                         continue
                     t = u * pow(v, -1, p) % p
-                    assert maximality._preimage_cycle_type(p, t, n) == \
-                        polyarith.factor_degrees_mod_p(poly, p), (n, a, p)
+                    profile = maximality._preimage_profile(p, t, n)
+                    assert len(profile) == n
+                    for k, poly in enumerate(polys, 1):
+                        assert profile[k - 1] == \
+                            polyarith.factor_degrees_mod_p(poly, p), (k, n, a, p)
                     checked += 1
         assert checked > 200
 
@@ -352,8 +374,8 @@ class TestPreimageWalk:
         for p in polyarith.primes_up_to(60)[1:]:
             for t in range(p):
                 if t not in (0, 2):
-                    assert maximality._fibre_cycle_type(p, t) == \
-                        _kernel_fibre(p, t), (p, t)
+                    assert maximality._fibre_profile(p, t) == tuple(
+                        _kernel_fibre(p, t, k) for k in range(1, 5)), (p, t)
 
     @pytest.mark.parametrize("p", [1019, 1021, 1031, 1033])
     def test_root_routes_agree_at_the_table_cutoff(self, p):
@@ -377,7 +399,7 @@ class TestPreimageWalk:
                 assert maximality._root_table(p)[x] == 0, (p, x)
         rng = random.Random(p)
         for t in rng.sample(range(3, p), 25):
-            assert maximality._preimage_cycle_type(p, t, 4) == \
+            assert maximality._preimage_profile(p, t, 4)[-1] == \
                 _kernel_fibre(p, t), (p, t)
 
     @pytest.mark.parametrize("p", [257, 7681, 65537])
@@ -393,7 +415,7 @@ class TestPreimageWalk:
             assert r in (x, p - x)
         types = set()
         for t in rng.sample(range(3, p), 40):
-            got = maximality._preimage_cycle_type(p, t, 4)
+            got = maximality._preimage_profile(p, t, 4)[-1]
             assert got == _kernel_fibre(p, t), (p, t)
             types.add(got)
         assert len(types) > 1
@@ -405,7 +427,7 @@ class TestPreimageWalk:
         def refuse(f, prime):
             raise KernelReached(prime)
         monkeypatch.setattr(polyarith, "_factor_degrees_monic", refuse)
-        maximality._fibre_cycle_type.cache_clear()
+        maximality._fibre_profile.cache_clear()
         v = maximality_verdict(BasePoint(Fraction(7, 3)))
         assert v.status == "maximal"
         with pytest.raises(KernelReached):
@@ -426,17 +448,56 @@ class TestBlindSubgroups:
             assert covers == (sub.name in BLIND), sub.name
 
     def test_each_blind_subgroup_misses_a_type_within_a_coset(self):
-        coset_types, tables = maximality._level4_data()
+        # read off the profile tables by their level-4 entries
+        coset_profiles, tables = maximality._level4_data()
         for name in BLIND:
-            assert any(part < full for part, full
-                       in zip(tables[name], coset_types)), name
+            assert any(_types(part) < _types(full) for part, full
+                       in zip(tables[name], coset_profiles)), name
+
+
+def _types(profiles):
+    """The level-4 cycle types of a set of profiles."""
+    return {pr[-1] for pr in profiles}
+
+
+class TestProfiles:
+    def test_group_profiles_are_the_restrictions_cycle_types(self):
+        m4 = build_model(4)
+        profiles = maximality._group_profiles(m4.group.elements)
+        assert len(profiles) == 256
+        for u in m4.group.sorted_elements():
+            assert profiles[u.perm] == tuple(
+                u.restrict(k).cycle_type() for k in range(1, 5)), u
+
+    def test_eighteen_profiles_and_thirty_four_keys(self):
+        coset_profiles, _ = maximality._level4_data()
+        assert len(frozenset().union(*coset_profiles)) == 18
+        assert [len(c) for c in coset_profiles] == [10, 9, 8, 7]
+        assert len(_types(frozenset().union(*coset_profiles))) == 7
+        assert len(maximality._elimination_table()) == 34
+
+    def test_profiles_separate_every_ordered_pair(self):
+        # an image H rules S out when some coset holds an invariant of H
+        # missing from S: profiles do it for all 210 ordered pairs, level-4
+        # cycle types for all but five
+        _, tables = maximality._level4_data()
+
+        def separates(h, s, key):
+            return any(key(hc) - key(sc)
+                       for hc, sc in zip(tables[h], tables[s]))
+        pairs = [(h, s) for h in ALL_MAXIMAL for s in ALL_MAXIMAL if h != s]
+        assert len(pairs) == 210
+        assert all(separates(h, s, set) for h, s in pairs)
+        assert {(h, s) for h, s in pairs
+                if not separates(h, s, _types)} == TYPE_BLIND_PAIRS
 
 
 @pytest.fixture(scope="module")
 def brute_tables():
-    """(coset types, tables) by a pass over M_4's elements on swap bits:
+    """(coset profiles, tables) by a pass over M_4's elements on swap bits:
     cosets of G_4 numbered by their first element in sorted order, cycle
-    types from the node-string action, membership by swap-bit tuples."""
+    types at level k from the node-string action of the first 2^k - 1
+    swap bits, membership by swap-bit tuples."""
     m4 = build_model(4)
     g4 = {g.swaps for g in m4.geometric.sorted_elements()}
     subgroups = {ms.name: {h.swaps for h in ms.group.sorted_elements()}
@@ -454,7 +515,8 @@ def brute_tables():
             coset_types.append(set())
             for sets in tables.values():
                 sets.append(set())
-        t = oracles.cycle_type_of_perm(oracles.leaf_permutation(u, 4))
+        t = tuple(oracles.cycle_type_of_perm(
+            oracles.leaf_permutation(u[:(1 << k) - 1], k)) for k in range(1, 5))
         coset_types[c].add(t)
         for name, members in subgroups.items():
             if u in members:
@@ -468,14 +530,17 @@ class TestResidueCosets:
         assert [set(t) for t in coset_types] == brute_tables[0]
         assert {n: [set(t) for t in sets] for n, sets in tables.items()} \
             == brute_tables[1]
-        assert [len(t) for t in coset_types] == [5, 5, 5, 3]
-        assert [(1,) * 16 in t for t in coset_types] == [True, False, False, False]
+        assert [len(_types(t)) for t in coset_types] == [5, 5, 5, 3]
+        assert [(1,) * 16 in _types(t) for t in coset_types] == \
+            [True, False, False, False]
 
     def test_labelling_pinned(self):
         lab = residue_cosets()
         assert lab.cosets == (None, 0, None, 3, None, 1, None, 2)
         assert [(o.prime, o.cycle_type) for o in lab.witnesses] == [
             (13, (4, 4, 4, 2, 1, 1)), (23, (8, 8)), (103, (2,) * 8)]
+        assert [o.profile[:2] for o in lab.witnesses] == [
+            ((1, 1), (2, 1, 1)), ((2,), (4,)), ((2,), (2, 2))]
         assert residue_cosets() is lab  # computed once
 
     def test_even_primes_have_no_coset(self):
@@ -506,9 +571,9 @@ class TestResidueCosets:
                                    Fraction(385), HUGE_POINT],
                              ids=["7/3", "-22/15", "385", "4096-bit"])
     def test_observations_lie_in_their_residues_coset(self, a):
-        coset_types, _ = maximality._level4_data()
+        coset_profiles, _ = maximality._level4_data()
         for obs in sample_frobenius(BasePoint(a), 2000):
-            assert obs.cycle_type in coset_types[residue_cosets().coset(obs.prime)]
+            assert obs.profile in coset_profiles[residue_cosets().coset(obs.prime)]
 
     @pytest.mark.parametrize("prime, cycle_type", [
         (3, (1,) * 16),                  # only G_4, the coset of 1 mod 8
@@ -518,11 +583,17 @@ class TestResidueCosets:
     ])
     def test_observation_outside_its_coset_is_inconsistent(self, prime,
                                                            cycle_type):
+        # every profile of M_4 with that level-4 type lies outside the coset
         m4 = build_model(4)
         assert cycle_type in cycle_type_table(m4.group)
-        with pytest.raises(ModelInconsistencyError, match=f"{prime % 8} mod 8"):
-            eliminate_maximal_subgroups(
-                (FrobeniusObservation(prime, cycle_type),), m4)
+        profiles = {pr for pr in maximality._group_profiles(
+            m4.group.elements).values() if pr[-1] == cycle_type}
+        assert profiles
+        for profile in profiles:
+            with pytest.raises(ModelInconsistencyError,
+                               match=f"{prime % 8} mod 8"):
+                eliminate_maximal_subgroups(
+                    (FrobeniusObservation(prime, profile),), m4)
 
 
 class TestElimination:
@@ -533,11 +604,11 @@ class TestElimination:
 
     def test_full_coset_tables_eliminate_all(self):
         m4 = build_model(4)
-        coset_types, _ = maximality._level4_data()
+        coset_profiles, _ = maximality._level4_data()
         obs = tuple(
-            FrobeniusObservation(prime=p, cycle_type=ct)
+            FrobeniusObservation(prime=p, profile=pr)
             for p in PRIME_OF_RESIDUE.values()
-            for ct in sorted(coset_types[residue_cosets().coset(p)])
+            for pr in sorted(coset_profiles[residue_cosets().coset(p)])
         )
         rep = eliminate_maximal_subgroups(obs, m4)
         assert rep.surviving == ()
@@ -556,24 +627,24 @@ class TestElimination:
             n for n, sets in tables.items() if sets[c] == coset_types[c]}
         assert set(rep.surviving) < set(ALL_MAXIMAL)
 
-    def test_table_is_the_per_subgroup_rule(self):
-        # each odd residue and each cycle type of M_4: a key exactly when
-        # the residue's coset realizes the type, naming the subgroups that
-        # miss the type in that coset
-        coset_types, tables = maximality._level4_data()
+    def test_table_is_the_per_subgroup_rule(self, brute_tables):
+        # each odd residue and each profile of M_4: a key exactly when the
+        # residue's coset realizes the profile, naming the subgroups that
+        # miss the profile in that coset
+        coset_profiles, tables = brute_tables
         table = maximality._elimination_table()
-        model_types = cycle_type_table(build_model(4).group)
+        model_profiles = set().union(*coset_profiles)
         keys = 0
         for r in (1, 3, 5, 7):
             c = residue_cosets().coset(r)
-            for t in model_types:
-                if t not in coset_types[c]:
-                    assert (r, t) not in table, (r, t)
+            for pr in model_profiles:
+                if pr not in coset_profiles[c]:
+                    assert (r, pr) not in table, (r, pr)
                     continue
                 keys += 1
-                assert table[(r, t)] == tuple(sorted(
-                    name for name in tables if t not in tables[name][c])), (r, t)
-        assert keys == len(table) == 18
+                assert table[(r, pr)] == tuple(sorted(
+                    name for name in tables if pr not in tables[name][c])), (r, pr)
+        assert keys == len(table) == 34
 
     def test_table_is_built_by_the_first_elimination(self):
         maximality._elimination_table.cache_clear()
@@ -583,20 +654,35 @@ class TestElimination:
         assert maximality._elimination_table.cache_info().currsize == 1
 
     def test_verdict_refuses_a_type_outside_its_coset(self, monkeypatch):
-        # the identity's type lies only in G_4, the coset of 1 mod 8; at
+        # the identity's profile lies only in G_4, the coset of 1 mod 8; at
         # base point 5 the first good prime of residue 3 is 11
         maximality._elimination_table()
-        fibre = maximality._fibre_cycle_type
+        fibre = maximality._fibre_profile
         monkeypatch.setattr(
-            maximality, "_fibre_cycle_type",
-            lambda p, t: (1,) * 16 if p % 8 == 3 else fibre(p, t))
+            maximality, "_fibre_profile",
+            lambda p, t: IDENTITY_PROFILE if p % 8 == 3 else fibre(p, t))
+        with pytest.raises(ModelInconsistencyError, match="at prime 11 .*3 mod 8"):
+            maximality_verdict(BasePoint(Fraction(5)))
+
+    def test_verdict_refuses_a_profile_outside_its_coset(self, monkeypatch):
+        # a profile of M_4 missing from the coset of 3 mod 8 whose level-4
+        # type that coset realizes: only the profile is inconsistent
+        coset_profiles, _ = maximality._level4_data()
+        coset = coset_profiles[residue_cosets().coset(3)]
+        foreign = min(pr for pr in frozenset().union(*coset_profiles)
+                      if pr not in coset and pr[-1] in _types(coset))
+        fibre = maximality._fibre_profile
+        monkeypatch.setattr(
+            maximality, "_fibre_profile",
+            lambda p, t: foreign if p % 8 == 3 else fibre(p, t))
         with pytest.raises(ModelInconsistencyError, match="at prime 11 .*3 mod 8"):
             maximality_verdict(BasePoint(Fraction(5)))
 
     def test_foreign_type_is_inconsistent(self):
         with pytest.raises(ModelInconsistencyError):
             eliminate_maximal_subgroups(
-                (FrobeniusObservation(13, (16,)),), build_model(4)
+                (FrobeniusObservation(13, ((2,), (4,), (8,), (16,))),),
+                build_model(4)
             )
 
     def test_wrong_level_rejected(self):
@@ -608,7 +694,7 @@ class TestElimination:
     def test_public_routes_match_the_streamed_verdict(self, a):
         # the early-stopping verdict and the exhaustive public route share
         # one prime stream and one elimination step, so they agree; every
-        # witness prime lies below 1000 (67, 107 and 29 at most), so the
+        # witness prime lies below 1000 (17 at most for all three), so the
         # verdict at that bound eliminates as the one at the default bound
         point = BasePoint(a)
         rep = eliminate_maximal_subgroups(sample_frobenius(point, 1000),
@@ -623,16 +709,17 @@ class TestVerdict:
     def test_point_5_maximal(self):
         v = maximality_verdict(BasePoint(Fraction(5)))
         assert v.status == "maximal"
-        assert v.primes_tried == 16
+        assert v.primes_tried == MIN_USABLE_PRIMES == 5
         assert tuple(n for n, _ in v.frobenius_eliminations) == ALL_MAXIMAL
         assert v.square_class_eliminations == ALL_MAXIMAL
         witnesses = {n: o.prime for n, o in v.frobenius_eliminations}
-        assert witnesses["Mmax-02"] == 13
+        assert witnesses["Mmax-02"] == 7
         assert witnesses["Mmax-06"] == 7
         assert witnesses["Mmax-03"] == 7
-        # blind: its part of the coset of 3 mod 8 misses 2+2+2+2+2+2+1+1+1+1
-        assert witnesses["Mmax-14"] == 67
-        assert max(witnesses.values()) == 67
+        # blind to level-4 types; its part of the coset of 1 mod 8 misses
+        # the profile 2/2+2/2+2+2+2/2+2+2+2+2+2+2+2
+        assert witnesses["Mmax-14"] == 17
+        assert max(witnesses.values()) == 17
         assert v.surviving == ()
 
     def test_point_1_not_maximal(self):
@@ -642,13 +729,13 @@ class TestVerdict:
         assert "a" in (v.reason or "")
 
     def test_monotone_in_prime_bound(self):
-        point = BasePoint(Fraction(5))
-        statuses = [maximality_verdict(point, bound).status
-                    for bound in (60, 300, 10**4)]
+        a, bound = INCONCLUSIVE
+        statuses = [maximality_verdict(BasePoint(a), b).status
+                    for b in (bound, 60, 10**4)]
         assert statuses == ["inconclusive", "maximal", "maximal"]
 
     def test_inconclusive_reports_survivors(self):
-        v = maximality_verdict(BasePoint(Fraction(5)), 60)
+        v = maximality_verdict(BasePoint(INCONCLUSIVE[0]), INCONCLUSIVE[1])
         assert v.status == "inconclusive"
         assert v.surviving
         assert v.surviving_tables is not None
@@ -656,24 +743,30 @@ class TestVerdict:
             assert name in v.surviving_tables
 
     def test_survivor_tables_are_keyed_by_residue(self):
-        # each survivor's types within the coset of every odd residue mod 8:
-        # the observations below 60 all fall inside them, and the witness
-        # the default bound finds at 67 = 3 mod 8 falls outside
-        v = maximality_verdict(BasePoint(Fraction(5)), 60)
-        assert v.surviving == ("Mmax-14",)
-        table = v.surviving_tables["Mmax-14"]
+        # each survivor's profiles within the coset of every odd residue
+        # mod 8: the observations below the bound all fall inside them,
+        # and the witness the default bound finds at 31 = 7 mod 8 falls
+        # outside
+        a, bound = INCONCLUSIVE
+        v = maximality_verdict(BasePoint(a), bound)
+        assert v.surviving == ("Mmax-04",)
+        table = v.surviving_tables["Mmax-04"]
         assert sorted(table) == [1, 3, 5, 7]
-        coset_types, _ = maximality._level4_data()
-        for r, types in table.items():
-            assert types <= coset_types[residue_cosets().coset(r)]
-        for obs in sample_frobenius(BasePoint(Fraction(5)), 60):
-            assert obs.cycle_type in table[obs.prime % 8], obs
-        witness = dict(maximality_verdict(BasePoint(Fraction(5))).
-                       frobenius_eliminations)["Mmax-14"]
-        assert witness.cycle_type not in table[witness.prime % 8]
+        coset_profiles, _ = maximality._level4_data()
+        for r, profiles in table.items():
+            assert profiles <= coset_profiles[residue_cosets().coset(r)]
+        for obs in sample_frobenius(BasePoint(a), bound):
+            assert obs.profile in table[obs.prime % 8], obs
+        witness = dict(maximality_verdict(BasePoint(a)).
+                       frobenius_eliminations)["Mmax-04"]
+        assert witness.prime == 31
+        assert witness.profile not in table[witness.prime % 8]
         data = json.loads(json.dumps(v.to_json_dict()))
-        assert data["surviving_tables"]["Mmax-14"]["3"] == \
-            [[4, 4, 4, 4], [8, 8]]
+        assert data["surviving_tables"]["Mmax-04"]["3"] == [
+            [[1, 1], [1, 1, 1, 1], [2, 2, 1, 1, 1, 1], [2, 2, 2, 2, 2, 2, 1, 1, 1, 1]],
+            [[1, 1], [2, 2], [4, 4], [4, 4, 4, 4]],
+            [[2], [2, 2], [2, 2, 2, 2], [4, 4, 4, 4]],
+            [[2], [2, 2], [4, 4], [4, 4, 4, 4]]]
 
     @pytest.mark.parametrize("a", [
         Fraction(random.Random(64).getrandbits(64),
@@ -712,15 +805,15 @@ class TestVerdict:
 
 class TestCertificateRecheck:
     def test_valid_certificates(self):
-        for point, bound in ((Fraction(5), 10**4), (Fraction(5), 60),
+        for point, bound in ((Fraction(5), 10**4), INCONCLUSIVE,
                              (Fraction(1), 10**4), (Fraction(7, 3), 10**4)):
             v = maximality_verdict(BasePoint(point), bound)
             assert recheck_certificate(v), (point, bound, v.status)
 
     def test_one_squarefree_resultant_per_verdict(self):
         # the stream decides good primes from the fibre alone; only the
-        # recheck computes Res(f, f') of the level-4 numerator, once for
-        # all its witnesses
+        # recheck computes Res(f, f') of the level-k numerators, once per
+        # level for all its witnesses
         memo = polyarith._squarefree_resultant
         memo.cache_clear()
         v = maximality_verdict(BasePoint(Fraction(7, 3)))
@@ -728,9 +821,9 @@ class TestCertificateRecheck:
         sample_frobenius(BasePoint(HUGE_POINT), 2000)
         assert memo.cache_info().misses == 0
         assert recheck_certificate(v)
-        assert memo.cache_info().misses == 1
+        assert memo.cache_info().misses == 4
         primes = {obs.prime for _, obs in v.frobenius_eliminations}
-        assert memo.cache_info().hits == len(primes) - 1
+        assert memo.cache_info().hits == 4 * (len(primes) - 1)
 
     def test_one_recount_per_distinct_witness_prime(self, monkeypatch):
         v = maximality_verdict(BasePoint(Fraction(5)))
@@ -742,24 +835,53 @@ class TestCertificateRecheck:
         monkeypatch.setattr(maximality, "factor_degrees_mod_p", counting)
         assert recheck_certificate(v)
         primes = [obs.prime for _, obs in v.frobenius_eliminations]
-        assert sorted(calls) == sorted(set(primes)) == [7, 11, 13, 19, 23, 67]
-        # Mmax-06 shares p = 7 with Mmax-03: the stored 8+8 lies in that
-        # coset and misses Mmax-06's part, so only the shared recount of
-        # 4+4+4+4 can reject it
+        # four levels per prime
+        assert sorted(calls) == sorted([*set(primes)] * 4)
+        assert sorted(set(primes)) == [7, 11, 13, 17]
+        # Mmax-06 shares p = 7 with Mmax-03: the stored 2/4/4+4/8+8 lies in
+        # that coset and misses Mmax-06's part, so only the shared recount
+        # of 2/2+2/4+4/4+4+4+4 can reject it
         witnesses = dict(v.frobenius_eliminations)
         assert witnesses["Mmax-03"].prime == witnesses["Mmax-06"].prime == 7
+        forged = ((2,), (4,), (4, 4), (8, 8))
+        coset_profiles, tables = maximality._level4_data()
+        c = residue_cosets().coset(7)
+        assert forged in coset_profiles[c] and forged not in tables["Mmax-06"][c]
         tampered = dataclasses.replace(v, frobenius_eliminations=tuple(
-            (n, dataclasses.replace(o, cycle_type=(8, 8)) if n == "Mmax-06"
+            (n, dataclasses.replace(o, profile=forged) if n == "Mmax-06"
              else o) for n, o in v.frobenius_eliminations))
         assert not recheck_certificate(tampered)
 
     def test_tampered_observation_fails(self):
         v = maximality_verdict(BasePoint(Fraction(5)))
         name, obs = v.frobenius_eliminations[0]
-        fake = (name, dataclasses.replace(obs, cycle_type=(1,) * 16))
+        fake = (name, dataclasses.replace(obs, profile=IDENTITY_PROFILE))
         tampered = dataclasses.replace(
             v, frobenius_eliminations=(fake,) + v.frobenius_eliminations[1:]
         )
+        assert not recheck_certificate(tampered)
+
+    @pytest.mark.parametrize("name, forged", [
+        # 2/2+2/2+2+2+2/4+4+4+4 at p = 11 with level 3 altered
+        ("Mmax-01", ((2,), (2, 2), (4, 4), (4, 4, 4, 4))),
+        # the same witness with levels 1 and 2 altered
+        ("Mmax-05", ((1, 1), (2, 1, 1), (2, 2, 2, 2), (4, 4, 4, 4))),
+    ], ids=["level-3", "level-2"])
+    def test_tampered_lower_level_fails(self, name, forged):
+        # the forged profile keeps the level-4 type, lies in the coset of
+        # 11 = 3 mod 8 and misses the subgroup's part of it, so only the
+        # recount of the lower levels can reject it
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        witnesses = dict(v.frobenius_eliminations)
+        obs = witnesses[name]
+        assert obs.prime == 11 and obs.profile[-1] == forged[-1] != obs.profile
+        coset_profiles, tables = maximality._level4_data()
+        c = residue_cosets().coset(11)
+        assert forged in coset_profiles[c] and forged not in tables[name][c]
+        tampered = dataclasses.replace(v, frobenius_eliminations=tuple(
+            (n, dataclasses.replace(o, profile=forged) if n == name else o)
+            for n, o in v.frobenius_eliminations))
+        assert recheck_certificate(v)
         assert not recheck_certificate(tampered)
 
     def test_dropped_elimination_fails(self):
@@ -783,16 +905,19 @@ class TestCertificateRecheck:
         assert not recheck_certificate(forged)
 
     def test_witness_moved_to_another_residue_fails(self):
-        # at a = 5 the primes 7 and 11 both give 4+4+4+4, but 11 = 3 mod 8
-        # names a coset that Mmax-03 contains, so the recount alone would
-        # accept the moved witness and only its residue rejects it
+        # at a = 5 the primes 7 and 59 both give 2/2+2/4+4/4+4+4+4, but
+        # 59 = 3 mod 8 names a coset that Mmax-03 contains, so the recount
+        # alone would accept the moved witness and only its residue
+        # rejects it
         v = maximality_verdict(BasePoint(Fraction(5)))
         witnesses = dict(v.frobenius_eliminations)
-        assert witnesses["Mmax-03"] == FrobeniusObservation(7, (4, 4, 4, 4))
-        poly = polyarith.specialize_numerator(4, Fraction(5))
-        assert polyarith.factor_degrees_mod_p(poly, 11) == (4, 4, 4, 4)
+        profile = ((2,), (2, 2), (4, 4), (4, 4, 4, 4))
+        assert witnesses["Mmax-03"] == FrobeniusObservation(7, profile)
+        assert tuple(polyarith.factor_degrees_mod_p(
+            polyarith.specialize_numerator(k, Fraction(5)), 59)
+            for k in range(1, 5)) == profile
         moved = dataclasses.replace(v, frobenius_eliminations=tuple(
-            (n, FrobeniusObservation(11, o.cycle_type) if n == "Mmax-03" else o)
+            (n, FrobeniusObservation(59, o.profile) if n == "Mmax-03" else o)
             for n, o in v.frobenius_eliminations))
         assert recheck_certificate(v)
         assert not recheck_certificate(moved)
@@ -810,17 +935,44 @@ class TestPool:
     def test_every_pool_point_keeps_its_status(self):
         # the benchmark pool stores the primes each verdict consumed before
         # the residue cosets refined the elimination, 0 for the not_maximal
-        # ones; every status stays, and the verdicts need far fewer primes
+        # ones; every status stays, the verdicts need far fewer primes, and
+        # the median maximal verdict stops at the usable-prime floor
         path = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
         points = json.loads(path.read_text())["points"]
         before = after = 0
+        tried = []
         for text, consumed in points:
             v = maximality_verdict(BasePoint(Fraction(text)))
             assert v.status == ("not_maximal" if consumed == 0 else "maximal"), text
             before += consumed
             after += v.primes_tried
+            if v.status == "maximal":
+                tried.append(v.primes_tried)
         assert len(points) == 2048
         assert 3 * after < before
+        assert sorted(tried)[len(tried) // 2] == MIN_USABLE_PRIMES
+
+    def test_profiles_never_need_more_primes_than_level4_types(self):
+        # a profile missing from a subgroup's part of a coset has a level-4
+        # type that may not be, never the other way round, so the stream
+        # of profiles finishes no later than elimination by the types
+        coset_profiles, tables = maximality._level4_data()
+        lab = residue_cosets()
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+        for text, consumed in json.loads(path.read_text())["points"]:
+            if consumed == 0:
+                continue
+            point = BasePoint(Fraction(text))
+            pending, usable = set(tables), 0
+            for p, profile in maximality._frobenius_stream(
+                    point, polyarith.primes_up_to(10**4)):
+                usable += 1
+                c = lab.coset(p)
+                pending -= {name for name in pending
+                            if profile[-1] not in _types(tables[name][c])}
+                if not pending and usable >= MIN_USABLE_PRIMES:
+                    break
+            assert maximality_verdict(point).primes_tried <= usable, text
 
     def test_verdicts_are_pinned(self):
         # sha256 of every pool verdict's JSON, one line per point in pool
@@ -832,4 +984,4 @@ class TestPool:
             digest.update((json.dumps(v.to_json_dict(), sort_keys=True)
                            + "\n").encode())
         assert digest.hexdigest() == \
-            "22fef112fb992a72cc83959388fd56240ab1a968c7ea0db7124b2661758c68e6"
+            "7a3d79bd09ef2ceca42cf3538a2d55988bb93dce239768d0b68db5f9c6a31a6c"
