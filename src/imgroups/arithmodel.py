@@ -183,34 +183,53 @@ def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:
     return dict(sorted(table.items()))
 
 
+@lru_cache(maxsize=None)
 def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
-    """The group of squares; certified against the kernel intersection.
+    """The group of squares, certified to be the Frattini subgroup.
 
     For a finite 2-group the Frattini subgroup is generated by the squares,
-    as a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.  The result is cross-checked
-    against the intersection of all index-2 kernels, which is a second
-    characterization computed by an unrelated route.
+    as a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.  The closure of the squares lies
+    in every maximal subgroup, and `_certify_frattini` shows on the model's
+    generators that the quotient by it is elementary abelian, so it is Phi.
     """
-    return _frattini(model)[0]
-
-
-@lru_cache(maxsize=None)
-def _frattini(model: ArithLevelModel):
-    """(Frattini subgroup, index-2 kernels), computed once per model."""
     grp = model.group
     squares = {x.translate(_table(x)) for x in grp.elements}
     phi = closure([_from_perm(model.level, s) for s in squares],
                   max_size=len(grp))
-    kernels = _index2_kernels(model, phi)
-    meet = grp.elements
-    for k in kernels:
-        meet = meet & k.elements
-    if meet != phi.elements:
-        raise ModelConstructionError(
-            f"level {model.level}: Frattini routes disagree "
-            f"({len(phi)} vs {len(meet)})"
-        )
-    return phi, tuple(kernels)
+    _certify_frattini(grp, phi)
+    return phi
+
+
+def _certify_frattini(group: LevelGroup, phi: LevelGroup) -> None:
+    """Raise ModelConstructionError unless phi is normal in the group with
+    an elementary abelian quotient, checked on generators: each generator
+    of the group conjugates each generator of phi into phi, and the
+    generators' squares and pairwise commutators lie in phi.  A phi that
+    also lies in every maximal subgroup, as the squares do, is then the
+    Frattini subgroup (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005)."""
+    level, inside = group.level, phi.elements
+    gens = [g.perm for g in generating_set(group)]
+    inverses = [_inverse(g) for g in gens]
+    steps = [_table(g) for g in gens]  # x.translate(step) is x * g
+    backs = [_table(g) for g in inverses]  # and x * g^-1
+    for s in (_table(h.perm) for h in generating_set(phi)):
+        for gi, step in zip(inverses, steps):
+            if gi.translate(s).translate(step) not in inside:
+                raise ModelConstructionError(
+                    f"level {level}: the subgroup of order {len(phi)} is "
+                    "not normal")
+    for i, g in enumerate(gens):
+        if g.translate(steps[i]) not in inside:
+            raise ModelConstructionError(
+                f"level {level}: a generator's square lies outside the "
+                f"subgroup of order {len(phi)}")
+        for j in range(i):  # g^-1 h^-1 g h for h = gens[j]
+            if inverses[i].translate(backs[j]).translate(steps[i]).translate(
+                    steps[j]) not in inside:
+                raise ModelConstructionError(
+                    f"level {level}: two generators do not commute modulo "
+                    f"the subgroup of order {len(phi)}")
 
 
 def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]:
@@ -258,10 +277,21 @@ def maximal_subgroups(model: ArithLevelModel) -> tuple[MaximalSubgroup, ...]:
     In a 2-group every maximal subgroup has index 2 and contains the
     Frattini subgroup, so they are exactly the kernels of the nontrivial
     characters of the elementary quotient.  Order (and therefore naming)
-    follows the character masks over the sorted coset basis.
+    follows the character masks over the sorted coset basis.  Their
+    intersection must be the Frattini subgroup again.
     """
+    phi = frattini_subgroup(model)
+    kernels = _index2_kernels(model, phi)
+    meet = model.group.elements
+    for k in kernels:
+        meet = meet & k.elements
+    if meet != phi.elements:  # pragma: no cover - phi is certified
+        raise ModelConstructionError(
+            f"level {model.level}: Frattini routes disagree "
+            f"({len(phi)} vs {len(meet)})"
+        )
     out = []
-    for i, k in enumerate(_frattini(model)[1], start=1):
+    for i, k in enumerate(kernels, start=1):
         if 2 * len(k) != len(model.group):  # pragma: no cover
             raise ModelConstructionError(f"kernel {i} has wrong index")
         generating_set(k)  # raises if the kernel is somehow not closed

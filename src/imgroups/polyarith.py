@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, count, islice
 from math import gcd, isqrt
 from operator import mul
 from typing import Optional
@@ -303,8 +303,27 @@ def _resultant_bound(a: list[int], b: list[int]) -> int:
     return isqrt(na ** _deg(b) * nb ** _deg(a)) + 1
 
 
-# The candidates for `_big_prime` come in windows of this many odd numbers,
-# sieved by the odd primes below _BIG_SIEVE_LIMIT.
+def _mahler_bound(F: IntPoly) -> int:
+    """A bound on |Res(F, F')| for F of degree d >= 1, by Mahler's
+    inequality |disc F| <= d^d M(F)^(2d-2) (Mich. Math. J. 11, 1964) and
+    Res(F, F') = +-lc(F) disc(F).  The Mahler measure comes from the second
+    Graeffe iterate G_2, whose roots are the fourth powers of F's:
+    M(F)^4 = M(G_2) <= ||G_2||_2, so M(F)^(2d-2) <= S^((d-1)/4) for S the
+    sum of the squares of G_2's coefficients, rounded up in integers."""
+    g = F
+    for _ in range(2):  # G(x^2) = +-g(x) g(-x) = +-(e(x^2)^2 - x^2 o(x^2)^2)
+        e, o = IntPoly(g.coeffs[0::2]), IntPoly(g.coeffs[1::2])
+        g = e.square() - IntPoly((0,) + o.square().coeffs)
+    d = F.degree()
+    root = sum(c * c for c in g.coeffs) ** (d - 1)
+    for _ in range(2):  # ceil(S^(1/4)) by two rounded-up square roots
+        r = isqrt(root)
+        root = r + (r * r < root)
+    return abs(F.lc) * d**d * root
+
+
+# The CRT moduli are the odd numbers above 2^62 that no odd prime below
+# _BIG_SIEVE_LIMIT divides, sieved in windows of _BIG_WINDOW of them.
 _BIG_WINDOW = 256
 _BIG_SIEVE_LIMIT = 1024
 
@@ -324,22 +343,15 @@ def _big_candidates(k: int) -> tuple[int, ...]:
     return tuple(compress(range(start, start + 2 * _BIG_WINDOW, 2), sieve))
 
 
-@lru_cache(maxsize=None)
-def _big_prime(i: int) -> int:
-    """The i-th prime above 2^62, counting from 0: the first sieved
-    candidate after the (i-1)-th that `_is_probable_prime` proves prime."""
-    n = _big_prime(i - 1) + 2 if i else (1 << 62) + 1
-    while True:
-        k = (n - (1 << 62) - 1) // (2 * _BIG_WINDOW)
-        window = _big_candidates(k)
-        for c in window[bisect_left(window, n):]:
-            if _is_probable_prime(c):
-                return c
-        n = (1 << 62) + 1 + 2 * _BIG_WINDOW * (k + 1)
+def _big_moduli():
+    """The sieved candidates above 2^62 in increasing order, endlessly.
+    Some are composite; the CRT needs no primality proof (`_crt_resultant`)."""
+    for k in count():
+        yield from _big_candidates(k)
 
 
 def resultant_modular(p: IntPoly, q: IntPoly) -> int:
-    """The same resultant through reductions mod large primes and CRT.
+    """The same resultant through reductions mod large moduli and CRT.
 
     Kept as an independent route: the two algorithms must agree, and the
     discriminant interpolation is spot-checked against this one.
@@ -353,30 +365,41 @@ def resultant_modular(p: IntPoly, q: IntPoly) -> int:
         return b[0] ** _deg(a)
     if _deg(a) == 0:
         return a[0] ** _deg(b)
-    bound = _resultant_bound(a, b)
+    return _crt_resultant(a, b, _resultant_bound(a, b), _big_moduli())
+
+
+def _crt_resultant(a: list[int], b: list[int], bound: int, moduli) -> int:
+    """Res(a, b), given |Res(a, b)| <= bound, from `_gf_resultant` mod each
+    of the odd moduli in turn, combined by CRT until their product exceeds
+    2 bound.  Euclid's rule holds over any Z/m in which every pivot is a
+    unit, so a modulus need not be prime: one that shares a factor with a
+    leading coefficient, with a pivot or with the product so far is
+    skipped."""
     acc, modulus = 0, 1
-    idx = 0
-    while modulus <= 2 * bound:
-        pr = _big_prime(idx)
-        idx += 1
-        if a[-1] % pr == 0 or b[-1] % pr == 0:
+    for m in moduli:
+        if gcd(a[-1] * b[-1], m) != 1 or gcd(modulus, m) != 1:
             continue
-        rp = _gf_resultant([c % pr for c in a], [c % pr for c in b], pr)
-        # combine: acc' = acc (mod modulus), = rp (mod pr)
-        t = (rp - acc) * pow(modulus, -1, pr) % pr
-        acc += modulus * t
-        modulus *= pr
-    return acc - modulus if acc > modulus // 2 else acc
+        rm = _gf_resultant([c % m for c in a], [c % m for c in b], m)
+        if rm is None:
+            continue
+        # combine: acc' = acc (mod modulus), = rm (mod m)
+        acc += modulus * ((rm - acc) * pow(modulus, -1, m) % m)
+        modulus *= m
+        if modulus > 2 * bound:
+            return acc - modulus if acc > modulus // 2 else acc
+    raise ArithmeticError("CRT moduli ran out below the resultant bound")
 
 
 # -- GF(p) polynomials, Kronecker-packed -------------------------------------
 
 
 class _GFPacking:
-    """GF(p) polynomials of degree <= n, p an odd prime, each one
-    Kronecker-packed into one int: coefficient i in bits
-    [i*width, (i+1)*width) (Harvey, J. Symb. Comp. 2009).  Every reduction
-    is a handful of big-int operations over all slots at once.
+    """Polynomials of degree <= n over Z/p, p an odd modulus (prime, or for
+    `_gf_resultant` any odd number whose pivots are units), each one
+    Kronecker-packed into one int: coefficient i in bits [i*width,
+    (i+1)*width) (Harvey, J. Symb. Comp. 2009).  Every reduction is a
+    handful of big-int operations over all slots at once; none needs p to
+    be prime, only each leading coefficient that it inverts to be a unit.
 
     Every value handed to `reduce` has at most n + 1 slots, each below
     bound = 2np^2.  Slotwise Barrett reduction with m = floor(2^k / p),
@@ -473,31 +496,36 @@ class _GFPackedRing(_GFPacking):
         return self.reduce((full & self.low) + (quo * self.negf & self.low))
 
 
-def _gf_resultant(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) mod an odd prime p for coefficient lists reduced mod p
-    with nonzero leading coefficients, by the Euclidean remainder sequence
-    on packed ints: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
-    Res(b, r) for r = a mod b (von zur Gathen-Gerhard, ch. 6).  Each
-    division stays within `divmod`'s slot bound, as no operand exceeds
-    the packing's degree."""
+def _gf_resultant(a: list[int], b: list[int], m: int) -> int | None:
+    """Res(a, b) mod an odd modulus m for coefficient lists reduced mod m
+    with leading coefficients prime to m, by the Euclidean remainder
+    sequence on packed ints: Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r) for r = a mod b (von zur Gathen-Gerhard,
+    ch. 6).  The rule needs only that each pivot lc(b) is a unit mod m, so
+    m need not be prime; None if a pivot shares a factor with m (never for
+    a prime m).  Each division stays within `divmod`'s slot bound, as no
+    operand exceeds the packing's degree."""
     da, db = _deg(a), _deg(b)
-    ring = _GFPacking(p, max(da, db, 1))
+    ring = _GFPacking(m, max(da, db, 1))
     res = 1
     if da < db:
         if da & db & 1:
-            res = p - 1
+            res = m - 1
         a, b, da, db = b, a, db, da
     a, b = ring.pack(a), ring.pack(b)
     while db > 0:
+        lead = b >> db * ring.width
+        if gcd(lead, m) != 1:
+            return None
         r = ring.divmod(a, b)[1]
         if not r:
             return 0
         dr = ring.degree(r)
-        res = res * pow(b >> db * ring.width, da - dr, p) % p
+        res = res * pow(lead, da - dr, m) % m
         if da & db & 1:
-            res = (p - res) % p
+            res = (m - res) % m
         a, b, da, db = b, r, db, dr
-    return res * pow(b, da, p) % p
+    return res * pow(b, da, m) % m
 
 
 # -- discriminants in the parameter t -----------------------------------------
@@ -553,8 +581,12 @@ def _interpolate_int(xs: list[int], ys: list[int]) -> IntPoly:
 
 
 def _disc_direct(F: IntPoly) -> int:
+    """disc_x(F) through the modular route, its CRT sized by the smaller of
+    the Hadamard and the Mahler bound on Res(F, F')."""
     d = F.degree()
-    res = resultant_modular(F, F.derivative())
+    a, b = list(F.coeffs), list(F.derivative().coeffs)
+    bound = min(_resultant_bound(a, b), _mahler_bound(F))
+    res = _crt_resultant(a, b, bound, _big_moduli())
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
     return sign * _divexact_int(res, F.lc)
 

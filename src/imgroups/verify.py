@@ -370,9 +370,13 @@ def _claim_model_brute_sweep(caps: VerifyCaps) -> str:
 def _claim_frattini(caps: VerifyCaps) -> str:
     _need(caps.model_level >= 4, "needs model level >= 4")
     m4 = arithmodel.build_model(4)
-    phi = arithmodel.frattini_subgroup(m4)  # cross-checks two routes inside
+    phi = arithmodel.frattini_subgroup(m4)  # certified on generators inside
     index = selfsim.subgroup_index(m4.group, phi)
     _check(index == 16, index)
+    meet = m4.group.elements
+    for sub in arithmodel.maximal_subgroups(m4):
+        meet &= sub.group.elements
+    _check(meet == phi.elements, len(meet))
     return "Frattini index 16 (rank 4); generator and kernel routes agree"
 
 

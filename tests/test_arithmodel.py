@@ -3,9 +3,9 @@
 The model lift is cross-checked against a full sweep of the ambient
 automorphism group at every level where that sweep is affordable, and
 against the element-by-element lift filter of the oracles up to level 6;
-the Frattini subgroup is recomputed here as the intersection of all
-fifteen maximal subgroups, a third route independent of both internal
-ones.
+the Frattini subgroup, certified on generators, is recomputed here as
+the intersection of all fifteen maximal subgroups and checked against
+the distinct squares.
 """
 
 import pytest
@@ -27,6 +27,7 @@ from imgroups.selfsim import (
     GROUP_LEVEL_CAP,
     LevelGroup,
     closure,
+    commutator_subgroup,
     generating_set,
     geometric_group,
     quotient,
@@ -185,7 +186,8 @@ class TestFrattini:
         assert subgroup_index(m4.group, phi) == 16
 
     def test_kernels_computed_once_per_model(self, m4, monkeypatch):
-        # frattini_subgroup and maximal_subgroups share one computation
+        # frattini_subgroup builds no kernels; maximal_subgroups builds
+        # them once
         calls = []
         real = arithmodel._index2_kernels
 
@@ -194,19 +196,54 @@ class TestFrattini:
             return real(*args)
 
         monkeypatch.setattr(arithmodel, "_index2_kernels", counting)
-        arithmodel._frattini.cache_clear()
+        frattini_subgroup.cache_clear()
         maximal_subgroups.cache_clear()
         phi = frattini_subgroup(m4)
+        assert calls == []
         subs = maximal_subgroups(m4)
         assert len(calls) == 1
         assert frattini_subgroup(m4) is phi and maximal_subgroups(m4) is subs
         assert len(calls) == 1
 
+    def test_cold_level6_builds_no_quotient_kernels_or_sorted_group(
+            self, monkeypatch):
+        # the certificate reads M6's recorded generators only; a fresh copy
+        # of M6 keeps the check cold whatever other tests sorted
+        m6 = build_model(6)
+        fresh = arithmodel.ArithLevelModel(
+            6, LevelGroup(6, m6.group.elements, m6.group.generators),
+            m6.geometric, m6.twist)
+        calls = []
+
+        def refuse(name):
+            def call(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return call
+
+        certified = []
+        real_certify = arithmodel._certify_frattini
+
+        def certify(group, phi):
+            certified.append(len(phi))
+            real_certify(group, phi)
+
+        monkeypatch.setattr(arithmodel, "quotient", refuse("quotient"))
+        monkeypatch.setattr(arithmodel, "_index2_kernels",
+                            refuse("_index2_kernels"))
+        monkeypatch.setattr(arithmodel, "_certify_frattini", certify)
+        frattini_subgroup.cache_clear()
+        phi = frattini_subgroup(fresh)
+        assert calls == [] and certified == [256]
+        assert fresh.group._sorted is None
+        assert subgroup_index(fresh.group, phi) == 16
+        frattini_subgroup.cache_clear()
+
     def test_closure_checks_leave_the_kernels_unsorted(self, m4):
         # generating_set sorts the leaf permutations itself and wraps only
         # the generators it picks; the picks are the greedy ones over the
         # sorted portraits, in the same order
-        arithmodel._frattini.cache_clear()
+        frattini_subgroup.cache_clear()
         maximal_subgroups.cache_clear()
         subs = maximal_subgroups(m4)
         assert len(subs) == 15
@@ -241,7 +278,7 @@ class TestFrattini:
         assert rank == 4
         got = arithmodel._index2_kernels(model, phi)
         assert [k.elements for k in got] == want
-        assert [k.elements for k in arithmodel._frattini(model)[1]] == want
+        assert [s.group.elements for s in maximal_subgroups(model)] == want
 
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_generated_by_the_distinct_squares(self, level):
@@ -249,6 +286,44 @@ class TestFrattini:
         model = build_model(level)
         phi = frattini_subgroup(model)
         assert phi.generators == tuple(sorted({x * x for x in model.group}))
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+    def test_certificate_accepts_phi(self, level):
+        model = build_model(level)
+        arithmodel._certify_frattini(model.group, frattini_subgroup(model))
+
+    def test_certificate_refuses_a_dihedral_quotient(self):
+        # G_5 is normal in M_5, but M_5 / G_5 is dihedral of order 8
+        m5 = build_model(5)
+        with pytest.raises(ModelConstructionError, match="level 5"):
+            arithmodel._certify_frattini(m5.group, geometric_group(5))
+
+    def test_certificate_refuses_a_subgroup_that_is_not_normal(self):
+        # a subgroup of order 2 outside the centre of M_3
+        m3 = build_model(3)
+        x = next(x for x in m3.group if x * x == identity(3)
+                 and any(x * g != g * x for g in m3.group))
+        sub = closure([x])
+        with pytest.raises(ModelConstructionError, match="not normal"):
+            arithmodel._certify_frattini(m3.group, sub)
+
+    def test_certificate_refuses_a_nonabelian_quotient(self):
+        # M_4's recorded generators are involutions, so the trivial group
+        # passes the normality and square checks and fails on a commutator
+        m4 = build_model(4)
+        assert all(g * g == identity(4) for g in generating_set(m4.group))
+        trivial = LevelGroup(4, [identity(4).perm], (identity(4),))
+        with pytest.raises(ModelConstructionError, match="do not commute"):
+            arithmodel._certify_frattini(m4.group, trivial)
+
+    def test_certificate_refuses_an_abelian_quotient_of_exponent_4(self):
+        # [M_6, M_6] is normal with an abelian quotient of order 32, twice
+        # the elementary one, so only a generator's square can refuse it
+        m6 = build_model(6)
+        derived = commutator_subgroup(m6.group)
+        assert len(m6.group) == 32 * len(derived)
+        with pytest.raises(ModelConstructionError, match="square"):
+            arithmodel._certify_frattini(m6.group, derived)
 
     def test_equals_intersection_of_maximals(self, m4):
         # third route: meet of all maximal subgroups
@@ -276,7 +351,7 @@ class TestMaximalSubgroups:
 
     def test_names_stable_across_rebuilds(self, m4):
         first = {s.name: frozenset(s.group.elements) for s in maximal_subgroups(m4)}
-        arithmodel._frattini.cache_clear()
+        frattini_subgroup.cache_clear()
         maximal_subgroups.cache_clear()
         second = {s.name: frozenset(s.group.elements) for s in maximal_subgroups(m4)}
         assert first == second

@@ -27,10 +27,13 @@ from imgroups.polyarith import (
     IntPoly,
     IterateFraction,
     X,
-    _big_prime,
+    _big_moduli,
+    _crt_resultant,
     _GFPackedRing,
     _gf_resultant,
     _is_probable_prime,
+    _mahler_bound,
+    _resultant_bound,
     discriminant_shape,
     factor_degrees_mod_p,
     iterate_metadata,
@@ -163,6 +166,142 @@ class TestResultants:
         exact = resultant(num, d)
         approx = oracles.resultant_via_roots(list(num.coeffs), list(d.coeffs))
         assert abs(complex(exact) - approx) <= 1e-25 * abs(complex(exact))
+
+
+class TestCRTResultant:
+    """`_crt_resultant` and `_gf_resultant` on moduli that need not be prime."""
+
+    Q1, Q2 = 1009, 1013
+
+    @staticmethod
+    def _crt(residues, moduli):
+        acc, modulus = 0, 1
+        for r, m in zip(residues, moduli):
+            acc += modulus * ((r - acc) * pow(modulus, -1, m) % m)
+            modulus *= m
+        return acc
+
+    @staticmethod
+    def _primes(k):
+        return list(itertools.islice(filter(_is_probable_prime, _big_moduli()),
+                                     k))
+
+    def test_moduli_unchanged(self):
+        # the first 44 sieved candidates above 2^62, more than
+        # discriminant_shape(5)'s spot checks take; composites among them
+        # (such as 2^62 + 13) are fine, the CRT proves nothing prime
+        offsets = [13, 15, 25, 69, 85, 93, 97, 103, 127, 133, 135, 153, 159,
+                   163, 169, 177, 187, 189, 193, 229, 235, 253, 265, 277, 303,
+                   307, 319, 343, 349, 363, 369, 375, 385, 387, 393, 415, 417,
+                   427, 433, 435, 439, 445, 453, 457]
+        got = list(itertools.islice(_big_moduli(), 44))
+        assert [m - (1 << 62) for m in got] == offsets
+        assert not _is_probable_prime(got[0])
+        assert all(m % q for m in got for q in primes_up_to(1024)[1:])
+
+    def test_composite_modulus_with_unit_pivots(self):
+        # each result is the CRT of the reference over the two prime factors
+        rng = random.Random(4049)
+        m = self.Q1 * self.Q2
+        answered = 0
+        for _ in range(150):
+            a = [rng.randrange(m) for _ in range(rng.randint(0, 8))]
+            b = [rng.randrange(m) for _ in range(rng.randint(0, 8))]
+            a.append(rng.randrange(1, 50))  # units: both factors exceed 50
+            b.append(rng.randrange(1, 50))
+            got = _gf_resultant(a, b, m)
+            if got is None:
+                continue
+            answered += 1
+            want = [oracles.gf_resultant_reference([c % q for c in a],
+                                                   [c % q for c in b], q)
+                    for q in (self.Q1, self.Q2)]
+            assert got == self._crt(want, (self.Q1, self.Q2)), (a, b)
+        assert answered >= 140
+
+    def test_modulus_sharing_a_factor_with_a_pivot_is_skipped(self):
+        # x^3 + u x mod x^2 + 1 is (u - 1) x, whose leading coefficient Q1
+        # is a zero divisor mod Q1 Q2
+        a, b = [0, self.Q1 + 1, 0, 1], [1, 0, 1]
+        want = resultant(IntPoly(a), IntPoly(b))
+        assert want == self.Q1 ** 2
+        m = self.Q1 * self.Q2
+        assert _gf_resultant([c % m for c in a], b, m) is None
+        bound = _resultant_bound(a, b)
+        with pytest.raises(ArithmeticError, match="ran out"):
+            _crt_resultant(a, b, bound, [m])
+        assert _crt_resultant(a, b, bound, [m, *self._primes(2)]) == want
+
+    def test_modulus_sharing_a_factor_with_a_leading_coefficient_is_skipped(self):
+        a, b = [1, 2, 3 * self.Q1], [5, 7]
+        want = resultant(IntPoly(a), IntPoly(b))
+        bound = _resultant_bound(a, b)
+        m = self.Q1 * self.Q2
+        with pytest.raises(ArithmeticError, match="ran out"):
+            _crt_resultant(a, b, bound, [m, m * 3])
+        assert _crt_resultant(a, b, bound, [m, *self._primes(2)]) == want
+
+    def test_modulus_sharing_a_factor_with_the_product_is_skipped(self):
+        rng = random.Random(4051)
+        f = IntPoly([rng.randint(-99, 99) for _ in range(12)] + [3])
+        g = IntPoly([rng.randint(-99, 99) for _ in range(11)] + [5])
+        a, b = list(f.coeffs), list(g.coeffs)
+        bound = _resultant_bound(a, b)
+        p0, p1, *rest = self._primes(bound.bit_length() // 62 + 2)
+        assert p0 * p1 <= 2 * bound
+        with pytest.raises(ArithmeticError, match="ran out"):
+            _crt_resultant(a, b, bound, [p0, p0 * p1])
+        assert _crt_resultant(a, b, bound, [p0, p0 * p1, p1, *rest]) == \
+            resultant(f, g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mahler_bound_between_resultant_and_hadamard(self, n):
+        # below degree 8 the Mahler bound can exceed the Hadamard bound even
+        # with the exact measure (n = 2, tau = 3: 1.78e10 against 4.79e9),
+        # which is why `_disc_direct` takes the smaller of the two
+        fr = iterate_pair(n)
+        d = 1 << n
+        skipped = []
+        for tau in range(-3, 10):
+            F = fr.g - fr.h.scale(tau)
+            if F.degree() < d:
+                skipped.append(tau)
+                continue
+            a, b = list(F.coeffs), list(F.derivative().coeffs)
+            bound = _mahler_bound(F)
+            assert abs(resultant(F, F.derivative())) <= bound
+            assert n < 3 or bound <= _resultant_bound(a, b)
+        assert skipped == ([0] if n == 1 else [2])
+
+    def test_mahler_bound_by_hand(self):
+        # F = x^2 - 2: G_1 = (y - 2)^2 and G_2 = (z - 4)^2 = z^2 - 8z + 16,
+        # S = 321 and ceil(321^(1/4)) = 5, so the bound is 1 * 2^2 * 5;
+        # |Res(F, F')| = 8
+        F = IntPoly([-2, 0, 1])
+        assert _mahler_bound(F) == 20
+        assert abs(resultant(F, F.derivative())) == 8
+
+    def test_cold_discriminant_shape_proves_no_prime(self, monkeypatch):
+        # the two spot checks at n = 5 take 34 and 35 moduli under the
+        # Mahler bound, where the Hadamard bound asks for 42 and 43
+        proofs, pulled = [], []
+        real_proof, real_moduli = polyarith._is_probable_prime, _big_moduli
+
+        def counting_proof(n):
+            proofs.append(n)
+            return real_proof(n)
+
+        def counting_moduli():
+            pulled.append(0)
+            for m in real_moduli():
+                pulled[-1] += 1
+                yield m
+
+        monkeypatch.setattr(polyarith, "_is_probable_prime", counting_proof)
+        monkeypatch.setattr(polyarith, "_big_moduli", counting_moduli)
+        assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
+        assert proofs == []
+        assert pulled == [34, 35]
 
 
 class TestDiscriminantShapes:
@@ -299,7 +438,8 @@ class TestDiscriminantShapes:
 class TestPackedGFResultant:
     """`_gf_resultant` on packed ints against the dense-list reference."""
 
-    PRIMES = [3, 5, 7, 11, _big_prime(0), _big_prime(1), _big_prime(2)]
+    # the three smallest primes above 2^62
+    PRIMES = [3, 5, 7, 11, (1 << 62) + 135, (1 << 62) + 169, (1 << 62) + 177]
 
     @staticmethod
     def _poly(rng, p, degree):
@@ -551,16 +691,6 @@ class TestIsProbablePrime:
     def test_factor_degrees_rejects_a_carmichael_modulus(self):
         with pytest.raises(ValueError, match="561 is not an odd prime"):
             factor_degrees_mod_p(IntPoly([1, 0, 1]), 561)
-
-    def test_big_primes_unchanged(self):
-        # the first 44 primes above 2^62, all that resultant_modular uses
-        # for discriminant_shape(5)'s spot checks
-        offsets = [135, 169, 177, 187, 189, 193, 253, 277, 303, 343, 369,
-                   375, 385, 387, 415, 427, 445, 457, 483, 525, 543, 559,
-                   573, 609, 615, 697, 705, 795, 817, 883, 889, 949, 1015,
-                   1059, 1159, 1285, 1297, 1303, 1339, 1365, 1377, 1395,
-                   1419, 1495]
-        assert [_big_prime(i) - (1 << 62) for i in range(44)] == offsets
 
 
 class TestIntegerHelpers:
