@@ -267,10 +267,14 @@ class TestCRTResultant:
             if F.degree() < d:
                 skipped.append(tau)
                 continue
-            a, b = list(F.coeffs), list(F.derivative().coeffs)
-            bound = _mahler_bound(F)
-            assert abs(resultant(F, F.derivative())) <= bound
-            assert n < 3 or bound <= _resultant_bound(a, b)
+            polys = [F]
+            if n >= 3:  # the half-degree P of the spot checks, of degree >= 4
+                polys.append(polyarith._halve_about_one(F))
+            for G in polys:
+                a, b = list(G.coeffs), list(G.derivative().coeffs)
+                bound = _mahler_bound(G)
+                assert abs(resultant(G, G.derivative())) <= bound
+                assert n < 3 or bound <= _resultant_bound(a, b)
         assert skipped == ([0] if n == 1 else [2])
 
     def test_mahler_bound_by_hand(self):
@@ -282,8 +286,8 @@ class TestCRTResultant:
         assert abs(resultant(F, F.derivative())) == 8
 
     def test_cold_discriminant_shape_proves_no_prime(self, monkeypatch):
-        # the two spot checks at n = 5 take 34 and 35 moduli under the
-        # Mahler bound, where the Hadamard bound asks for 42 and 43
+        # the two spot checks at n = 5 run on the degree-16 P and take 13
+        # moduli each under the Mahler bound (34 and 35 on the degree-32 F)
         proofs, pulled = [], []
         real_proof, real_moduli = polyarith._is_probable_prime, _big_moduli
 
@@ -301,7 +305,21 @@ class TestCRTResultant:
         monkeypatch.setattr(polyarith, "_big_moduli", counting_moduli)
         assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
         assert proofs == []
-        assert pulled == [34, 35]
+        assert pulled == [13, 13]
+
+    def test_cold_discriminant_shape_resultants_stay_at_half_degree(
+            self, monkeypatch):
+        # no modular resultant of the degree-32 F: the spot checks reduce
+        # only the degree-16 P and its derivative
+        degrees, real = [], _gf_resultant
+
+        def recording(a, b, m):
+            degrees.append(max(len(a), len(b)) - 1)
+            return real(a, b, m)
+
+        monkeypatch.setattr(polyarith, "_gf_resultant", recording)
+        assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
+        assert degrees and max(degrees) == 16
 
 
 class TestDiscriminantShapes:
@@ -418,6 +436,45 @@ class TestDiscriminantShapes:
                 F = fr.g - fr.h.scale(t)
                 assert res_k(t) == oracles.sylvester_resultant(F.coeffs,
                                                                k.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_half_degree_route_matches_full_degree(self, n):
+        # the identity disc(F) = (-4)^m lc(P) P(0) disc(P)^2 for
+        # F(1 + y) = P(y^2), against the modular route on F itself
+        fr = iterate_pair(n)
+        for tau in (-3, 3, 5, 7, 11):
+            F = fr.g - fr.h.scale(tau)
+            P = polyarith._halve_about_one(F)
+            assert P.degree() == 1 << n - 1
+            assert polyarith._disc_half_degree(F) == polyarith._disc_direct(F)
+
+    def test_half_degree_identity_on_random_polynomials(self):
+        rng = random.Random(4057)
+        shift = IntPoly([1, -2, 1])  # (x - 1)^2
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            P = IntPoly([rng.randint(-9, 9) for _ in range(m)]
+                        + [rng.choice([-3, -2, -1, 1, 2, 3])])
+            F = IntPoly([0])
+            for c in reversed(P.coeffs):  # Horner: F = P((x - 1)^2)
+                F = F * shift + IntPoly([c])
+            assert polyarith._halve_about_one(F) == P
+            want = oracles.discriminant_via_sylvester(F.coeffs)
+            assert polyarith._disc_half_degree(F) == want
+
+    def test_polynomial_not_even_about_one_is_shape_violation(self):
+        F = IntPoly([1, -2, 1]) * IntPoly([3, 0, 1]) + X  # an odd term in y
+        with pytest.raises(ShapeViolationError, match="polynomial in"):
+            polyarith._disc_half_degree(F)
+
+    def test_failed_spot_check_is_shape_violation(self, monkeypatch):
+        # the half-degree route off by one at the first check
+        real = polyarith._disc_half_degree
+        monkeypatch.setattr(polyarith, "_disc_half_degree",
+                            lambda F: real(F) + 1)
+        with pytest.raises(ShapeViolationError,
+                           match=r"level 3: modular cross-check failed at t=5"):
+            discriminant_shape(3)
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_broken_lower_iterate_is_shape_violation(self, j, monkeypatch):
