@@ -832,8 +832,9 @@ def recheck_certificate(verdict: MaximalityVerdict) -> bool:
     must reproduce every entry of it, k = 1..4.  They are counted afresh by
     `factor_degrees_mod_p`, not read from the fibre memo, and by a second
     algorithm: the verdict read the profile off the preimage tree of a
-    mod p, the recount factors each integer numerator's reduction after
-    its own squarefree test.  Each distinct prime is counted once, as
+    mod p, the recount reduces each integer numerator mod p and counts
+    the factors of that reduction, after its own squarefree test by
+    gcd(f, f') mod p.  Each distinct prime is counted once, as
     witnesses share primes.  A bad witness gives False, never an
     exception."""
     coset_profiles, tables = _level4_data()

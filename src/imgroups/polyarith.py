@@ -818,12 +818,6 @@ def specialize_numerator(n: int, a) -> IntPoly:
     return poly.primitive()
 
 
-@lru_cache(maxsize=64)
-def _squarefree_resultant(poly: IntPoly) -> int:
-    """Res(f, f') over Z, computed once per polynomial."""
-    return resultant(poly, poly.derivative())
-
-
 def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]:
     """Degrees of the irreducible factors mod an odd prime, or None.
 
@@ -831,15 +825,9 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
     Frobenius sampling).  Counting the factors of each degree is all that
     is needed: the factors themselves are never computed.
 
-    Squarefree test: for p not dividing lc(f), p divides the integer
-    resultant Res(f, f') exactly when f mod p is not squarefree.  Reducing
-    the Sylvester matrix mod p gives +-lc(f)^j * Res(f mod p, f' mod p) even
-    when f' drops degree mod p, and a zero determinant when f' vanishes mod
-    p, where f mod p is a p-th power.  The resultant is computed once per
-    polynomial and reused for every prime.
-
-    Only f mod p up to a unit matters, so the factors are counted on the
-    monic reduction by `_factor_degrees_monic`.
+    A linear f is squarefree at every p not dividing lc(f).  Otherwise
+    only f mod p up to a unit matters, so `_factor_degrees_monic` tests
+    the monic reduction for squarefreeness and counts its factors.
     """
     if prime < 3 or not _is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
@@ -849,42 +837,38 @@ def factor_degrees_mod_p(poly: IntPoly, prime: int) -> Optional[tuple[int, ...]]
         raise BadPrimeError(f"{prime} divides the leading coefficient")
     if poly.degree() == 0:
         return ()
-    if _squarefree_resultant(poly) % prime == 0:
-        return None
     if poly.degree() == 1:
         return (1,)
     inv = pow(poly.lc, -1, prime)
     return _factor_degrees_monic([c * inv % prime for c in poly.coeffs], prime)
 
 
-def _factor_degrees_monic(f: list[int], prime: int) -> tuple[int, ...]:
-    """Degrees of the irreducible factors of a monic squarefree f over F_p,
-    given as coefficients reduced mod the odd prime p, constant term
-    first, of degree n >= 2.
+def _factor_degrees_monic(f: list[int], prime: int) -> Optional[tuple[int, ...]]:
+    """Degrees of the irreducible factors of a monic f over F_p, given as
+    coefficients reduced mod the odd prime p, constant term first, of
+    degree n >= 2, or None if f is not squarefree.
+
+    Over the perfect field F_p, f is squarefree iff f' is nonzero and
+    gcd(f, f') = 1 (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 14).  When f' = 0, f is a p-th power and gcd(f, f') is f itself,
+    so one gcd of positive degree refuses both cases.
 
     The p-power map is F_p-linear on F_p[x]/(f), n = deg f, so x^p mod f is
     computed once by square-and-multiply, starting from the monomial x^k
     for the longest leading bit string k of p with k < n, and the rows
-    x^(ip) mod f, i < n, form the Frobenius (Berlekamp Q) matrix (von zur
-    Gathen-Gerhard, Modern Computer Algebra, ch. 14).  Matrix-vector
-    products give h_d = x^(p^d) mod f until h_L = x: f is squarefree, so L
-    is the lcm of the factor degrees and every factor degree divides L.
+    x^(ip) mod f, i < n, form the Frobenius (Berlekamp Q) matrix (same
+    chapter).  Matrix-vector products give h_d = x^(p^d) mod f until
+    h_L = x: f is squarefree, so L is the lcm of the factor degrees and
+    every factor degree divides L.
 
     No factor is split off or divided out; the factors are counted.  For
     each divisor d < L of L in increasing order (every d <= n when L
     exceeds n), c_d = sum of e * n_e over e | d is the number of roots of
     f in F_(p^d), where n_e is the number of factors of degree e, so
     n_d = (c_d - sum of e * n_e over e | d, e < d) / d.  c_d is the degree
-    of gcd(h_d - x, f), with f itself, except c_1 when p > n: F_p[x]/(f)
-    is a product of fields F_(p^e), one per factor, and on each the p-power
-    map permutes a normal basis cyclically, so its trace is 1 if e = 1 and
-    0 otherwise (Lidl-Niederreiter, Finite Fields, Thm 2.35).  The trace of
-    the Frobenius matrix, the sum of the coefficients of x^i in x^(ip) mod
-    f, is therefore c_1 mod p, and c_1 itself as c_1 <= n < p.  For p <= n
-    it may not be (x^5 - x at p = 3 has 3 roots and trace 0), so there the
-    d = 1 gcd stays.  Once 2d exceeds the degree left uncounted, that
-    rest is one irreducible factor; after the last divisor of L, it is
-    made of factors of degree L.
+    of gcd(h_d - x, f), with f itself.  Once 2d exceeds the degree left
+    uncounted, that rest is one irreducible factor; after the last divisor
+    of L, it is made of factors of degree L.
 
     Elements of F_p[x]/(f) are Kronecker-packed into one int each
     (`_GFPackedRing`), and every value that gets reduced has slots below
@@ -898,10 +882,13 @@ def _factor_degrees_monic(f: list[int], prime: int) -> tuple[int, ...]:
     subtract over all slots at once plus one masked conditional
     subtraction; a product of degree < 2n is reduced mod f by polynomial
     Barrett reduction, two more packed products against mu = x^(2n) div f.
-    The counting gcds run on the same packed ints.
+    The squarefree test and the counting gcds run on the same packed ints.
     """
     n = _deg(f)
     ring = _GFPackedRing(f, prime)
+    fprime = ring.pack([i * f[i] % prime for i in range(1, n + 1)])
+    if ring.degree(ring.gcd(ring.f, fprime)):
+        return None
     bits = bin(prime)[2:]
     k, i = 1, 1
     while i < len(bits) and 2 * k + (bits[i] == "1") < n:
@@ -926,12 +913,8 @@ def _factor_degrees_monic(f: list[int], prime: int) -> tuple[int, ...]:
         if 2 * d > left:
             last = left  # what is left is irreducible
             break
-        if d == 1 and prime > n:
-            mask = (1 << w) - 1
-            roots = sum(r >> i * w & mask for i, r in enumerate(rows)) % prime
-        else:
-            roots = ring.degree(ring.gcd(ring.reduce(frob[d] + (prime - 1 << w)),
-                                         ring.f))
+        roots = ring.degree(ring.gcd(ring.reduce(frob[d] + (prime - 1 << w)),
+                                     ring.f))
         count = (roots - sum(e for e in degrees if d % e == 0)) // d
         degrees.extend([d] * count)
         left -= d * count

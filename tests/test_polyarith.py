@@ -666,7 +666,8 @@ class TestFactorDegrees:
 
     def test_small_polynomials_match_reference(self):
         # every polynomial of degree 1..4 with coefficients in [-2, 2]: the
-        # resultant squarefree test against the reference's gcd(f, f')
+        # packed kernel against the reference's dense gcd(f, f') and
+        # distinct-degree splitting
         checked = 0
         for degree in range(1, 5):
             for lower in itertools.product(range(-2, 3), repeat=degree):
@@ -700,13 +701,13 @@ class TestFactorDegrees:
                                             # L = 1 and nothing is counted
         ((0, -1, 0, 0, 0, 1), 5, (1, 1, 1, 1, 1)),  # x^5 - x at p = 5, too
         ((0, -1, 0, 0, 0, 1), 3, (2, 1, 1, 1)),  # x^5 - x at p = 3: L = 2 and
-                                            # 3 roots, but the trace is 0 mod
-                                            # 3, so p <= n takes the gcd
+                                            # 3 roots, all of F_3, from the
+                                            # gcd with x^3 - x
         ((-2, 0, -2, 1, 0, 1), 7, (3, 2)),  # (x^2 + 1)(x^3 - 2) at p = 7 > n:
                                             # L = 6 exceeds n = 5
         # level-4 and level-5 numerators at the primes either side of their
-        # degrees 16 and 32: below it the roots come from a gcd, above it
-        # from the trace
+        # degrees 16 and 32: x^p mod f starts from x^p itself below the
+        # degree and from a square-and-multiply step above it
         (specialize_numerator(4, Fraction(7, 3)).coeffs, 13, (4, 4, 4, 2, 1, 1)),
         (specialize_numerator(4, Fraction(7, 3)).coeffs, 17, (4, 4, 4, 2, 1, 1)),
         (specialize_numerator(4, Fraction(-5)).coeffs, 13,
@@ -720,6 +721,45 @@ class TestFactorDegrees:
     def test_edge_cases_match_reference(self, coeffs, p, expected):
         assert factor_degrees_mod_p(IntPoly(coeffs), p) == expected
         assert oracles.ddf_degrees_reference(coeffs, p) == expected
+
+    def test_squarefree_decisions_match_the_sylvester_discriminant(self):
+        # the kernel's gcd(f, f') mod p against p | disc(f), an integer
+        # Sylvester determinant; the ddf reference tests squarefreeness by
+        # a gcd too, so it cannot be this test's oracle
+        rng = random.Random(2929)
+        primes = primes_up_to(60)[1:]
+        refused = checked = 0
+        for _ in range(150):
+            degree = rng.randint(2, 10)
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+            coeffs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+            disc = oracles.discriminant_via_sylvester(coeffs)
+            assert disc.denominator == 1
+            for p in primes:
+                if coeffs[-1] % p == 0:
+                    continue
+                bad = factor_degrees_mod_p(IntPoly(coeffs), p) is None
+                assert bad == (disc.numerator % p == 0), (coeffs, p)
+                refused += bad
+                checked += 1
+        assert checked > 2000 and refused > 50
+
+    @pytest.mark.parametrize("coeffs, p, expected", [
+        ((-2, 0, 0, 0, 0, 0, 0, 1), 7, None),
+        ((1, 1, 0, 1), 3, (2, 1)),
+        ((1, 1, 0, 0, 0, 0, 1), 3, (3, 2, 1)),
+        ((1, -1, -1, 1), 3, None),
+    ], ids=["derivative_zero_x7_minus_2_at_7",
+            "derivative_drops_degree_x3_x_1_at_3",
+            "p_divides_degree_squarefree_x6_x_1_at_3",
+            "p_divides_degree_double_root_at_3"])
+    def test_squarefree_edge_cases(self, coeffs, p, expected):
+        # x^7 - 2 = (x - 2)^7 mod 7; x^3 + x + 1 has f' = 1 mod 3;
+        # x^6 + x + 1 has f' = 1 mod 3; (x - 1)^2 (x + 1) has f' = x - 1
+        # mod 3, so gcd(f, f') = x - 1
+        assert factor_degrees_mod_p(IntPoly(coeffs), p) == expected
+        disc = oracles.discriminant_via_sylvester(coeffs)
+        assert (expected is None) == (disc.numerator % p == 0)
 
 
 class TestIsProbablePrime:
