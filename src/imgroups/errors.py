@@ -16,7 +16,10 @@ class ModelConstructionError(RuntimeError):
 
 
 class ShapeViolationError(RuntimeError):
-    """A discriminant did not factor as +/- 2^c * t^a * (2-t)^b."""
+    """A discriminant did not factor as +/- 2^c * t^a * (2-t)^b, or a step
+    of its derivation failed: a Wronskian factor whose roots f^n does not
+    map to their critical value, an odd term in F(1 + y), or a failed
+    modular spot check."""
 
 
 class ExcludedBasePointError(ValueError):

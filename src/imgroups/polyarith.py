@@ -8,8 +8,8 @@ The n-th iterate of the map is g_n/h_n with
 so both have degree 2**n for n >= 2, with leading coefficients 2 and 1.
 Everything here is exact: resultants come from the subresultant remainder
 sequence over the integers, independently cross-checkable against a
-CRT/modular route, and discriminants in the parameter t are recovered by
-evaluating at integer nodes and interpolating.
+CRT/modular route, and discriminants in the parameter t are factored in
+closed form along the critical orbit of the map.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, islice
+from itertools import compress, count
 from math import gcd, isqrt
 from operator import mul
 from typing import Optional
@@ -354,7 +354,7 @@ def resultant_modular(p: IntPoly, q: IntPoly) -> int:
     """The same resultant through reductions mod large moduli and CRT.
 
     Kept as an independent route: the two algorithms must agree, and the
-    discriminant interpolation is spot-checked against this one.
+    discriminant shapes are spot-checked through the same CRT route.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant needs nonzero polynomials")
@@ -555,31 +555,6 @@ class DiscriminantShape:
         return f"{s}2^{self.c} * t^{self.a} * (2-t)^{self.b}"
 
 
-def _interpolate_int(xs: list[int], ys: list[int]) -> IntPoly:
-    """Exact interpolation through integer points; asserts integrality."""
-    m = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * m
-    basis = [Fraction(1)]
-    for i in range(m):
-        for k in range(len(basis)):
-            poly[k] += coef[i] * basis[k]
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for k, c in enumerate(basis):
-            nxt[k] -= xs[i] * c
-            nxt[k + 1] += c
-        basis = nxt
-    out = []
-    for c in poly:
-        if c.denominator != 1:  # pragma: no cover - nodes are distinct ints
-            raise ArithmeticError("interpolation produced a non-integer")
-        out.append(c.numerator)
-    return IntPoly(out)
-
-
 def _disc_direct(F: IntPoly) -> int:
     """disc_x(F) through the modular route, with no subresultant: Res(F, F')
     by `_crt_resultant`, its CRT sized by the smaller of the Hadamard and
@@ -621,19 +596,6 @@ def _disc_half_degree(F: IntPoly) -> int:
     return (-4) ** m * P.lc * P.coeffs[0] * _disc_direct(P) ** 2
 
 
-def _full_degree_nodes(g: IntPoly, h: IntPoly):
-    """(tau, g - tau*h) for tau = 0, 1, 2, ... where g - tau*h keeps the
-    x-degree of the pencil, so a resultant taken there has the generic
-    Sylvester shape."""
-    d = max(g.degree(), h.degree())
-    tau = 0
-    while True:
-        F = g - h.scale(tau)
-        if F.degree() == d:
-            yield tau, F
-        tau += 1
-
-
 def _wronskian_factors(n: int) -> tuple[int, list[tuple[IntPoly, int]]]:
     """w and the pairs (K_j, m_j) with W = w * prod K_j^(m_j) at level n,
     as `discriminant_shape` derives them: K_0 = x - 1, K_j = g_j - h_j,
@@ -645,13 +607,23 @@ def _wronskian_factors(n: int) -> tuple[int, list[tuple[IntPoly, int]]]:
     return -(-4) ** (n - 1), [(k, 3) for k in ks[:-1]] + [(ks[-1], 1)]
 
 
-def _resultant_in_t(g: IntPoly, h: IntPoly, k: IntPoly) -> IntPoly:
-    """Res_x(g - t*h, k) as a polynomial in t.  Only the deg k Sylvester
-    rows of g - t*h hold t, each linearly, so its degree is at most deg k
-    and the first deg k + 1 full-degree nodes determine it."""
-    pts = list(islice(_full_degree_nodes(g, h), k.degree() + 1))
-    return _interpolate_int([tau for tau, _ in pts],
-                            [resultant(F, k) for _, F in pts])
+def _critical_factor_resultant(n: int, k: IntPoly, c: int) -> IntPoly:
+    """Res_x(F, k) for F = g_n - t*h_n as a polynomial in t, where f^n maps
+    every root of k to c: then k divides g_n - c*h_n (checked by exact
+    division), F = (c - t)*h_n at the roots of k, and as deg h_n = deg F,
+
+        Res_x(F, k) = Res(h_n, k) * (c - t)^(deg k)."""
+    fr = iterate_pair(n)
+    try:
+        (fr.g - fr.h.scale(c)).divexact(k)
+    except ValueError:
+        raise ShapeViolationError(
+            f"level {n}: f^{n} does not map the roots of {k!r} to {c}"
+        ) from None
+    out = IntPoly([resultant(fr.h, k)])
+    for _ in range(k.degree()):
+        out = out * IntPoly([c, -1])
+    return out
 
 
 def discriminant_shape(n: int) -> DiscriminantShape:
@@ -693,12 +665,18 @@ def discriminant_shape(n: int) -> DiscriminantShape:
 
         Res_x(F, W) = w^d * prod Res_x(F, K_j)^(m_j),
 
-    m_j the exponent of K_j above.  Each Res_x(F, K_j) has degree at most
-    deg K_j in t; it is recovered by evaluating at its first deg K_j + 1
-    integer nodes (skipping nodes where lc_t vanishes, so the Sylvester
-    shape is the generic one) and interpolating exactly: 19 resultants of
-    x-degree at most 8 at n = 5.  C is one exact division of a full
-    Res_x(F, F') at a node where the factor it multiplies is nonzero.
+    m_j the exponent of K_j above.  Each Res_x(F, K_j) comes in closed form
+    from the critical orbit of f, 1 -> oo -> 0 -> 2 -> 2.  The roots of
+    K_j satisfy f^j = 1, so f^n maps them to f^(n-j)(1), which is c_j = 0
+    for j = n - 2 and c_j = 2 for j < n - 2.  K_j divides g - c_j*h
+    (checked), F = (c_j - t)*h at its roots, and as deg h = d,
+
+        Res_x(F, K_j) = Res(h, K_j) * (c_j - t)^(deg K_j):
+
+    4 factor resultants at n = 5, each against a K_j of degree at most 8.
+    C is one exact division of the full Res_x(F, F') at t = 1, where
+    lc_t = +/-1 and the factor C multiplies is nonzero, since 1 is not a
+    critical value of f^n (those lie in {0, 2, oo}).
 
     Two direct discriminants, at t = 5 and 7, guard the whole pipeline
     through the independent modular-resultant route, at half the degree:
@@ -740,17 +718,15 @@ def discriminant_shape(n: int) -> DiscriminantShape:
     lc_t = IntPoly([gd, -hd])  # leading x-coefficient, as a polynomial in t
 
     res_w = IntPoly([w ** d])  # Res_x(F, W) as a polynomial in t
-    for k, m in factors:
-        res_k = _resultant_in_t(g, h, k)
+    for j, (k, m) in enumerate(factors):
+        res_k = _critical_factor_resultant(n, k, 0 if j == n - 2 else 2)
         for _ in range(m):
             res_w = res_w * res_k
-    for tau, F in islice(_full_degree_nodes(g, h), W.degree() + 1):
-        cofactor = tau ** H.degree() * F.lc ** e * res_w(tau)
-        if cofactor:
-            break
-    else:
+    F = g - h  # t = 1
+    cofactor = F.lc ** e * res_w(1)
+    if F.degree() != d or not cofactor:
         raise ShapeViolationError(
-            f"level {n}: t^{H.degree()} * Res_x(F, W) vanishes at every node"
+            f"level {n}: F drops x-degree or Res_x(F, W) vanishes at t = 1"
         )
     big_c = _divexact_int(resultant(F, F.derivative()), cofactor)
     big_r = IntPoly((0,) * H.degree() + res_w.scale(big_c).coeffs)
@@ -793,8 +769,6 @@ def discriminant_shape(n: int) -> DiscriminantShape:
         raise ShapeViolationError(f"level {n}: reconstruction mismatch")
     # independent spot check through the modular resultant at half degree
     for tau in (5, 7):
-        if lc_t(tau) == 0:
-            continue
         F = g - h.scale(tau)
         if _disc_half_degree(F) != delta(tau):
             raise ShapeViolationError(

@@ -422,20 +422,56 @@ class TestDiscriminantShapes:
         if n >= 2:
             assert W.degree() == (1 << n) - 3
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_factor_resultants_off_node(self, n):
-        # each Res_x(F_t, K_j), interpolated from deg K_j + 1 nodes, is the
-        # Sylvester determinant at t away from every node
+        # each closed-form Res_x(F_t, K_j) = Res(h_n, K_j) * (c_j - t)^(deg K_j)
+        # is the Sylvester determinant at t away from the node t = 1
         fr = iterate_pair(n)
         w, factors = polyarith._wronskian_factors(n)
         assert len(factors) == n - 1
-        for k, _ in factors:
-            res_k = polyarith._resultant_in_t(fr.g, fr.h, k)
-            assert res_k.degree() <= k.degree()
+        for j, (k, _) in enumerate(factors):
+            res_k = polyarith._critical_factor_resultant(
+                n, k, 0 if j == n - 2 else 2)
+            assert res_k.degree() == k.degree()
             for t in (-7, -1, 97):
                 F = fr.g - fr.h.scale(t)
                 assert res_k(t) == oracles.sylvester_resultant(F.coeffs,
                                                                k.coeffs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_wrong_critical_value_is_shape_violation(self, n):
+        # the roots of K_(n-2) go to 0, those of K_j for j < n - 2 to 2,
+        # and no root goes to 1
+        _, factors = polyarith._wronskian_factors(n)
+        last = factors[-1][0]
+        with pytest.raises(ShapeViolationError,
+                           match=rf"level {n}: f\^{n} does not map the roots"):
+            polyarith._critical_factor_resultant(n, last, 2)
+        for k, _ in factors:
+            with pytest.raises(ShapeViolationError, match=f"level {n}"):
+                polyarith._critical_factor_resultant(n, k, 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_factor_off_its_critical_value_is_shape_violation(self, n,
+                                                              monkeypatch):
+        # the factors reversed still multiply to W, so only the closed form
+        # sees that K_0's roots do not go to 0 under f^n
+        real = polyarith._wronskian_factors
+        monkeypatch.setattr(polyarith, "_wronskian_factors",
+                            lambda k: (real(k)[0], real(k)[1][::-1]))
+        with pytest.raises(ShapeViolationError,
+                           match=rf"level {n}: f\^{n} does not map the roots"):
+            discriminant_shape(n)
+
+    def test_level_six_beyond_the_cap(self, monkeypatch):
+        # the pattern a = 3 * 2^(n-2), b = a - 2 holds through n = 6, with
+        # the level-6 shape pinned; `DISC_LEVEL_CAP` itself stays at 5
+        monkeypatch.setattr(polyarith, "DISC_LEVEL_CAP", 6)
+        s = discriminant_shape(6)
+        assert (s.sign, s.c, s.a, s.b) == (1, 4224, 48, 46)
+        for n in range(3, 7):
+            s = discriminant_shape(n)
+            assert s.a == 3 << n - 2 and s.b == s.a - 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_half_degree_route_matches_full_degree(self, n):
