@@ -5,7 +5,14 @@ geometric group and its arithmetic extension, iterate resultants and
 discriminants, level-4 arboreal maximality certificates, and numerical
 verification of the nested-radical identities that pin down the
 constant field extension.
+
+`import imgroups` loads the exact layers only.  The numeric layer
+`constantfield` and the claim suite `verify`, which need mpmath, are
+imported when one of the names re-exported from them is first read here,
+or when they are imported by name.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -21,14 +28,6 @@ from .arithmodel import (
     maximal_subgroups,
     odometer_elements,
     order_growth_report,
-)
-from .constantfield import (
-    PreimageTreeNumeric,
-    RadicalReport,
-    branch_flip_invariance,
-    preimage_tree,
-    sample_points,
-    verify_radical_identities,
 )
 from .errors import (
     BadPrimeError,
@@ -98,7 +97,26 @@ from .treeauto import (
     pair,
     sigma,
 )
-from .verify import CLAIMS, ClaimResult, VerifyCaps, run_claims
+
+# name -> the submodule that defines it, imported when the name is first read
+_DEFERRED = {
+    **dict.fromkeys(("PreimageTreeNumeric", "RadicalReport",
+                     "branch_flip_invariance", "preimage_tree",
+                     "sample_points", "verify_radical_identities"),
+                    "constantfield"),
+    **dict.fromkeys(("CLAIMS", "ClaimResult", "VerifyCaps", "run_claims"),
+                    "verify"),
+}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_DEFERRED[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED})
 
 __all__ = [
     "ArithLevelModel",

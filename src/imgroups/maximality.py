@@ -65,6 +65,7 @@ a median of 13.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,8 +82,7 @@ from .errors import (
 )
 from .polyarith import (
     _is_probable_prime,
-    _prime_count,
-    _small_primes,
+    _primes_covering,
     factor_degrees_mod_p,
     specialize_numerator,
     square_class,
@@ -238,11 +238,13 @@ class FrobeniusObservation:
 
 
 def _primes_to(prime_bound: int) -> Iterator[int]:
-    """The primes up to the bound, read from the cached prime table without
-    copying it; the bound is checked before any work on a point."""
+    """The primes up to the bound, read from the smallest cached prime table
+    that covers it without copying it; the bound is checked against both
+    ends before any sieving or any work on a point."""
     if prime_bound < 3:
         raise ValueError(f"prime bound {prime_bound} < 3")
-    return islice(_small_primes(), _prime_count(prime_bound))
+    table = _primes_covering(prime_bound)
+    return islice(table, bisect_right(table, prime_bound))
 
 
 @lru_cache(maxsize=None)

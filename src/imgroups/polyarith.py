@@ -30,8 +30,8 @@ from .errors import (
     ShapeViolationError,
 )
 
-# the sieved prime table: the Frobenius stream's primes and square_class's
-# trial divisors
+# the end of the largest sieved prime table: the Frobenius stream's primes
+# and square_class's trial divisors
 TRIAL_DIVISION_LIMIT = 10**6
 # discriminant_shape, `img disc` and `img verify` go no deeper than this
 DISC_LEVEL_CAP = 5
@@ -332,8 +332,9 @@ _BIG_SIEVE_LIMIT = 1024
 def _big_candidates(k: int) -> tuple[int, ...]:
     """The odd numbers 2^62 + 1 + 2 j, k W <= j < (k + 1) W for W =
     _BIG_WINDOW, that no odd prime below _BIG_SIEVE_LIMIT divides.  Those
-    primes come from their own small sieve: the full table would cost a
-    process that needs no other prime below 10^6 about 20 ms."""
+    primes come from their own sieve of 0.02 ms: even the smallest shared
+    table, `_prime_table(_TABLE_MIN_BITS)`, sieves 32 times as far, in a
+    process such as a discriminant computation that needs no other prime."""
     start = (1 << 62) + 1 + 2 * _BIG_WINDOW * k
     sieve = bytearray([1]) * _BIG_WINDOW
     for p in _sieve_primes(_BIG_SIEVE_LIMIT)[1:]:
@@ -902,9 +903,22 @@ def _factor_degrees_monic(f: list[int], prime: int) -> Optional[tuple[int, ...]]
 # -- primes and square classes -------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> list[int]:
-    return _sieve_primes(TRIAL_DIVISION_LIMIT)
+# Each table is the primes below min(2^bits, TRIAL_DIVISION_LIMIT) for bits
+# from _TABLE_MIN_BITS to _TABLE_MAX_BITS, whose table is the whole one.
+# The smallest holds the primes up to the default prime bound 10^4 and
+# every trial divisor `square_class` needs for a value below 2^42, which
+# covers every height up to 10^6, so such a level-4 verdict sieves nothing
+# once the prime stream has its table.
+_TABLE_MIN_BITS = 15
+_TABLE_MAX_BITS = TRIAL_DIVISION_LIMIT.bit_length()
+
+
+@lru_cache(maxsize=None)
+def _prime_table(bits: int) -> list[int]:
+    """The primes below min(2^bits, TRIAL_DIVISION_LIMIT), ascending.
+    Callers clamp bits to _TABLE_MIN_BITS.._TABLE_MAX_BITS, so at most six
+    tables are ever built."""
+    return _sieve_primes(min(1 << bits, TRIAL_DIVISION_LIMIT))
 
 
 def _sieve_primes(limit: int) -> list[int]:
@@ -920,17 +934,20 @@ def _sieve_primes(limit: int) -> list[int]:
     return [2, *compress(range(1, limit + 1, 2), sieve)]
 
 
-def _prime_count(limit: int) -> int:
-    """How many primes lie up to limit: a prefix of `_small_primes()`."""
+def _primes_covering(limit: int) -> list[int]:
+    """The smallest table holding every prime up to limit; a limit above
+    TRIAL_DIVISION_LIMIT is refused before anything is sieved."""
     if limit > TRIAL_DIVISION_LIMIT:
         raise ResourceLimitError(
             f"prime table capped at {TRIAL_DIVISION_LIMIT}, asked for {limit}"
         )
-    return bisect_right(_small_primes(), limit)
+    bits = limit.bit_length()
+    return _prime_table(bits if bits > _TABLE_MIN_BITS else _TABLE_MIN_BITS)
 
 
 def primes_up_to(limit: int) -> list[int]:
-    return _small_primes()[:_prime_count(limit)]
+    table = _primes_covering(limit)
+    return table[:bisect_right(table, limit)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -939,12 +956,13 @@ _MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
 
 def _is_probable_prime(n: int) -> bool:
     """Primality of n: exact up to TRIAL_DIVISION_LIMIT by a binary search
-    of the sieved prime table, beyond it Miller-Rabin at the first twelve
-    prime bases, deterministic below _MR_DETERMINISTIC_BELOW (about 3.3e24).
-    The table is built once per process; the prime stream of the Frobenius
-    sampling already reads it through `primes_up_to`."""
+    of the smallest sieved table that covers n, beyond it Miller-Rabin at
+    the first twelve prime bases, deterministic below
+    _MR_DETERMINISTIC_BELOW (about 3.3e24).  Each table is built once per
+    process; the prime stream of the Frobenius sampling up to the default
+    bound reads the same smallest table through `primes_up_to`."""
     if n <= TRIAL_DIVISION_LIMIT:
-        table = _small_primes()
+        table = _primes_covering(n)
         i = bisect_left(table, n)
         return i < len(table) and table[i] == n
     if any(n % a == 0 for a in _MR_BASES):
@@ -972,23 +990,30 @@ def square_class(a) -> tuple[int, int]:
     a / r is a rational square, and the cofactor that r leaves unfactored:
     1 when r is certified squarefree.
 
-    For n = |numerator * denominator|, trial division by the sieved table
+    For n = |numerator * denominator|, trial division by a sieved table
     keeps the primes that occur to an odd power and stops at the first
-    prime p with p^3 above the cofactor C.  Every prime factor of C is then
-    at least p, so above C^(1/3), and C < p^3 < TRIAL_DIVISION_LIMIT**3;
-    when the table runs out first, every one is above TRIAL_DIVISION_LIMIT.
-    Either way a C below TRIAL_DIVISION_LIMIT**3 has at most two prime
-    factors: it is 1, q, q r or q^2, and its squarefree part is 1 when
-    `isqrt` finds it a square and C itself otherwise.  Above that bound C
-    is certified when it is a square or a prime by the deterministic
-    Miller-Rabin test; any other C stays whole in r and is returned as the
-    cofactor."""
+    prime p with p^3 above the cofactor C.  The table is the smallest that
+    holds a prime above n^(1/3), or the whole one, so the division stops
+    where it would with every prime below TRIAL_DIVISION_LIMIT.  Every
+    prime factor of C is then at least p, so above C^(1/3), and C < p^3 <
+    TRIAL_DIVISION_LIMIT**3; when the table runs out first, every one is
+    above TRIAL_DIVISION_LIMIT.  Either way a C below
+    TRIAL_DIVISION_LIMIT**3 has at most two prime factors: it is 1, q, q r
+    or q^2, and its squarefree part is 1 when `isqrt` finds it a square and
+    C itself otherwise.  Above that bound C is certified when it is a
+    square or a prime by the deterministic Miller-Rabin test; any other C
+    stays whole in r and is returned as the cofactor."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("0 has no square class")
     n = a.numerator * a.denominator
     rep, c = (-1 if n < 0 else 1), abs(n)
-    for p in _small_primes():
+    # 2^(bits - 1) > c^(1/3), so by Bertrand's postulate the table below
+    # 2^bits holds a prime p with p^3 > c unless it is the whole table
+    # (conditionals, not min and max: those cost a verdict about 2 us)
+    bits = (c.bit_length() + 2) // 3 + 1
+    for p in _prime_table(_TABLE_MIN_BITS if bits < _TABLE_MIN_BITS else
+                          bits if bits < _TABLE_MAX_BITS else _TABLE_MAX_BITS):
         if p * p * p > c:
             break
         if c % p == 0:

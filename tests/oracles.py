@@ -398,6 +398,37 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi) if sieve[p]]
 
 
+# below this the first twelve prime bases decide Miller-Rabin (Sorenson and
+# Webster, 2017): the only cofactors square_class certifies as prime
+MR_TWELVE_BASES_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def square_class_by_trial_division(a, primes) -> tuple[int, int]:
+    """`square_class` by plain trial division: every prime of primes (all
+    those below 10^6) up to the square root of what is left is divided out
+    in full.  What is left, C, is then 1, a prime, or free of prime factors
+    below 10^6, so below 10^18 it is 1, q, q^2 or q r and its square class
+    is certified; above, it is certified when a square or a prime (mpmath's
+    own strong-pseudoprime test at odd bases 3..47) below
+    MR_TWELVE_BASES_BELOW, and otherwise returned as the cofactor."""
+    a = Fraction(a)
+    n = a.numerator * a.denominator
+    rep, c = (-1 if n < 0 else 1), abs(n)
+    for p in primes:
+        if p * p > c:
+            break
+        e = 0
+        while c % p == 0:
+            c //= p
+            e += 1
+        rep *= p ** (e & 1)
+    if math.isqrt(c) ** 2 == c:
+        return rep, 1
+    certified = c < 10**18 or (c < MR_TWELVE_BASES_BELOW
+                               and mpmath.libmp.isprime(c))
+    return rep * c, 1 if certified else c
+
+
 def sqrt_mod_p(a: int, p: int) -> int:
     """A square root of a nonzero quadratic residue a mod an odd prime p
     (Tonelli-Shanks)."""

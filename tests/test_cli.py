@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from imgroups import cli, constantfield
+from imgroups import cli, constantfield, maximality, polyarith
 from imgroups.cli import main
+from imgroups.errors import ResourceLimitError
 from imgroups.verify import VerifyCaps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -187,6 +189,23 @@ class TestMaximality:
                            "--prime-bound", "2000000")
         assert code == 3
         assert "resource limit" in err and "prime table capped" in err
+
+    def test_refused_prime_bound_sieves_nothing(self, capsys):
+        # the cap is checked before any prime table is built
+        polyarith._prime_table.cache_clear()
+        refusals = (
+            lambda: polyarith.primes_up_to(2 * 10**6),
+            lambda: maximality._primes_to(2 * 10**6),
+            lambda: maximality.maximality_verdict(
+                maximality.BasePoint(Fraction(5)), 2 * 10**6),
+        )
+        for refuse in refusals:
+            with pytest.raises(ResourceLimitError, match="prime table capped"):
+                refuse()
+        code, _, _ = run(capsys, "maximality", "--a", "5",
+                         "--prime-bound", "2000000")
+        assert code == 3
+        assert polyarith._prime_table.cache_info().misses == 0
 
     def test_prime_bound_over_table_cap_on_a_square_class_verdict(self, capsys):
         # a = 1 is decided by its square classes, before any prime is read

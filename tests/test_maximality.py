@@ -110,6 +110,29 @@ class TestSquareClasses:
             polyarith.square_class(Fraction(-1)),
             polyarith.square_class(Fraction(2)))
 
+    def test_square_class_matches_whole_table_trial_division(self):
+        # square_class trial-divides by the smallest table whose primes
+        # reach past the cube root of its cofactor; plain trial division
+        # by every prime below 10^6 must find the same class and cofactor.
+        # The crafted values put two or three prime factors on each side of
+        # each table's end: 2^15 .. 2^19 and 10^6
+        primes = oracles.primes_between(2, 10**6 + 100)
+        below = [p for p in primes if p < 10**6]
+        values = [HUGE_POINT]
+        for end in (*(1 << k for k in range(15, 20)), 10**6):
+            i = next(i for i, p in enumerate(primes) if p > end)
+            q0, q1, q2 = primes[i - 1], primes[i], primes[i + 1]
+            values += [q1 * q1 * q2, q1**3, q1 * q2, q1 * q1, q0 * q1 * q2,
+                       Fraction(-15 * q1 * q1, q2), Fraction(q0 * q0, 6 * q1)]
+        rng = random.Random(31)
+        for _ in range(60):
+            u, v = (rng.getrandbits(rng.randint(1, 80)) | 1 for _ in range(2))
+            values.append(Fraction(rng.choice((-1, 1)) * u, v))
+        got = [polyarith.square_class(a) for a in values]
+        assert got == [oracles.square_class_by_trial_division(a, below)
+                       for a in values]
+        assert sum(cofactor != 1 for _, cofactor in got) > 1
+
     def test_point_1(self):
         rep = square_class_test(BasePoint(Fraction(1)))
         assert not rep.passed
@@ -973,6 +996,20 @@ class TestPool:
                 if not pending and usable >= MIN_USABLE_PRIMES:
                     break
             assert maximality_verdict(point).primes_tried <= usable, text
+
+    def test_verdicts_sieve_nothing_past_the_default_bound(self):
+        # the table up to the default prime bound also holds every trial
+        # divisor a pool height needs, so no verdict builds another
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+        points = json.loads(path.read_text())["points"]
+        polyarith._prime_table.cache_clear()
+        polyarith.primes_up_to(maximality.DEFAULT_PRIME_BOUND)
+        before = polyarith._prime_table.cache_info()
+        for text, _ in random.Random(31).sample(points, 64):
+            maximality_verdict(BasePoint(Fraction(text)))
+        after = polyarith._prime_table.cache_info()
+        assert before.misses == after.misses == 1
+        assert after.hits > before.hits
 
     def test_verdicts_are_pinned(self):
         # sha256 of every pool verdict's JSON, one line per point in pool

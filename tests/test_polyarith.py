@@ -826,6 +826,49 @@ class TestIsProbablePrime:
             factor_degrees_mod_p(IntPoly([1, 0, 1]), 561)
 
 
+class TestPrimeTables:
+    # n = 0..3, 2^k - 1, 2^k and 2^k + 1 for k <= 19, the default prime
+    # bound and the cap: every side of every table's end
+    BOUNDS = sorted({0, 1, 2, 3, 10**4, 10**6,
+                     *(2**k + d for k in range(20) for d in (-1, 0, 1))})
+
+    def test_primes_up_to_is_a_prefix_of_the_whole_table(self):
+        whole = polyarith._sieve_primes(10**6)
+        for n in self.BOUNDS:
+            want = [p for p in whole if p <= n]
+            assert primes_up_to(n) == want, n
+            assert _is_probable_prime(n) is (n in want[-1:]), n
+
+    def test_one_table_per_size_from_2_15_to_the_cap(self):
+        polyarith._prime_table.cache_clear()
+        whole = polyarith._sieve_primes(10**6)
+        for bits in range(15, 21):
+            assert polyarith._prime_table(bits) == [
+                p for p in whole if p < min(1 << bits, 10**6)]
+        # the 2^15 table serves every bound up to its end, the default 10^4
+        # among them, and the 2^20 table is the whole one
+        assert polyarith._primes_covering(0) is polyarith._prime_table(15)
+        assert polyarith._primes_covering(10**4) is polyarith._prime_table(15)
+        assert polyarith._primes_covering(2**15) is polyarith._prime_table(16)
+        assert polyarith._primes_covering(10**6) is polyarith._prime_table(20)
+        assert polyarith._prime_table.cache_info().currsize == 6
+
+    def test_square_class_asks_for_the_table_its_cofactor_needs(self):
+        # bits = (c.bit_length() + 2) // 3 + 1, so that 2^(bits - 1) >
+        # c^(1/3), is the floor 15 up to 42 bits, 16 for 43..45 bits and
+        # the cap 20 from 55 bits on
+        polyarith._prime_table.cache_clear()
+        polyarith.square_class(Fraction(2**45 - 1))
+        polyarith.square_class(Fraction(-5, 2**41))
+        assert polyarith._prime_table.cache_info().misses == 1
+        polyarith.square_class(Fraction(2**42 - 1))
+        polyarith.square_class((1 << 4095) + 1)
+        assert polyarith._prime_table.cache_info().misses == 3
+        for bits in (15, 16, 20):
+            polyarith._prime_table(bits)
+        assert polyarith._prime_table.cache_info().misses == 3
+
+
 class TestIntegerHelpers:
     def test_primes_up_to(self):
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
