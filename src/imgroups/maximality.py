@@ -19,17 +19,24 @@ routes:
   in towers of quadratic extensions of F_p, and builds no polynomial; the
   orbits it holds at each level give that level's entry.
 
-  The level-4 leaves are the roots of the specialized numerator
-  (v g_4 - u h_4) / c, whose content c is a power of 2 because
-  Res(g_4, h_4) = +-2^k.  Its leading coefficient is (2v - u) / c, and
-  homogenizing the shape disc_x(g_4 - t h_4) = +2^272 t^12 (2 - t)^10 of
-  `discriminant_shape(4)`, pinned by `tests/test_polyarith.py`, gives its
-  discriminant as 2^272 u^12 v^8 (2v - u)^10 / c^30.  So the same primes
-  are exactly those where its reduction has full degree and is
-  squarefree, and so are the level-k numerators below it, whose roots are
-  the vertices of the same tree at level k.  `recheck_certificate`
-  recounts each witness by a second algorithm: the factor degrees of the
-  level-k numerators mod p, one per entry of the profile.
+  `_frobenius_stream`'s rule, p not dividing 2 u v (u - 2v), holds at
+  every level n >= 2.  The level-n leaves are the roots of the specialized numerator
+  (v g_n - u h_n) / c, whose content c is a power of 2: an odd prime of c
+  would divide Res(g_n, h_n) = +2^(4^n - 2^n).  That is Res(2 h^2, K^2) =
+  2^(2^n) Res(h, K)^4 for (h, K) = (h_(n-1), g_(n-1) - h_(n-1)), where h
+  is monic and K = g_(n-1) at its roots, so Res(h, K)^4 =
+  Res(g_(n-1), h_(n-1))^4; the tests pin n <= 6.  The leading coefficient
+  is (2v - u) / c, and homogenizing the shape disc_x(g_n - t h_n) =
+  sign 2^C t^A (2 - t)^B, which the recursion of `discriminant_shape`
+  proves at every level with A, B >= 1, gives the discriminant
+  sign 2^C u^A v^(2d - 2 - A - B) (2v - u)^B / c^(2d - 2) for d = 2^n,
+  where 2d - 2 - A - B = 2^(n-1); at n = 4 it is
+  2^272 u^12 v^8 (2v - u)^10 / c^30.  So the good primes are exactly those
+  where the numerator's reduction has full degree and is squarefree, and
+  so are the level-k numerators below it, whose roots are the vertices of
+  the same tree at level k.  `recheck_certificate` recounts each witness
+  by a second algorithm: the factor degrees of the level-k numerators
+  mod p, one per entry of the profile.
 
   The observation also says which coset of the geometric group G_4 the
   Frobenius lies in.  The level-4 constant field K_4 contains Q(i,

@@ -8,8 +8,8 @@ The n-th iterate of the map is g_n/h_n with
 so both have degree 2**n for n >= 2, with leading coefficients 2 and 1.
 Everything here is exact: resultants come from the subresultant remainder
 sequence over the integers, independently cross-checkable against a
-CRT/modular route, and discriminants in the parameter t are factored in
-closed form along the critical orbit of the map.
+CRT/modular route, and discriminants in the parameter t follow level by
+level from the critical orbit of the map.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 from math import gcd, isqrt
 from operator import mul
 from typing import Optional
@@ -33,7 +33,8 @@ from .errors import (
 # the end of the largest sieved prime table: the Frobenius stream's primes
 # and square_class's trial divisors
 TRIAL_DIVISION_LIMIT = 10**6
-# discriminant_shape, `img disc` and `img verify` go no deeper than this
+# discriminant_shape's guard (two CRT discriminants of degree 2**(n-1)), and
+# with it `img disc` and `img verify`, go no deeper; the recursion is uncapped
 DISC_LEVEL_CAP = 5
 # iterate_pair builds the exact (g_n, h_n), of degree 2**n, up to this level
 ITERATE_LEVEL_CAP = 8
@@ -597,184 +598,103 @@ def _disc_half_degree(F: IntPoly) -> int:
     return (-4) ** m * P.lc * P.coeffs[0] * _disc_direct(P) ** 2
 
 
-def _wronskian_factors(n: int) -> tuple[int, list[tuple[IntPoly, int]]]:
-    """w and the pairs (K_j, m_j) with W = w * prod K_j^(m_j) at level n,
-    as `discriminant_shape` derives them: K_0 = x - 1, K_j = g_j - h_j,
-    m_j = 3 for j < n - 2 and 1 at j = n - 2."""
-    if n == 1:
-        return -1, []
-    ks = [X - IntPoly([1])]
-    ks += [iterate_pair(j).g - iterate_pair(j).h for j in range(1, n - 1)]
-    return -(-4) ** (n - 1), [(k, 3) for k in ks[:-1]] + [(ks[-1], 1)]
+def _critical_orbit():
+    """The pairs (g_k(0), h_k(0)) and (G_k, H_k), the x^(2^k) coefficients
+    of (g_k, h_k), for k = 0, 1, 2, ...: both advance by (g, h) <- (2h^2,
+    (g - h)^2) from (g_0, h_0) = (x, 1), the orbits 0 -> 2 -> 2 and
+    oo -> 0 -> 2 of f in projective coordinates."""
+    at_zero, at_inf = (0, 1), (1, 0)
+    while True:
+        yield at_zero, at_inf
+        at_zero, at_inf = [(2 * h * h, (g - h) ** 2) for g, h in (at_zero, at_inf)]
 
 
-def _critical_factor_resultant(n: int, k: IntPoly, c: int) -> IntPoly:
-    """Res_x(F, k) for F = g_n - t*h_n as a polynomial in t, where f^n maps
-    every root of k to c: then k divides g_n - c*h_n (checked by exact
-    division), F = (c - t)*h_n at the roots of k, and as deg h_n = deg F,
-
-        Res_x(F, k) = Res(h_n, k) * (c - t)^(deg k)."""
-    fr = iterate_pair(n)
-    try:
-        (fr.g - fr.h.scale(c)).divexact(k)
-    except ValueError:
+def _orbit_form(n: int, u: int, v: int) -> tuple[int, int, int, int]:
+    """(sign, k, i, j) with u - t*v = sign * 2^k * t^i * (2 - t)^j for one
+    of (i, j) = (0, 0), (1, 0), (0, 1); a ShapeViolationError naming the
+    level n otherwise."""
+    if v == 0:
+        w, i, j = u, 0, 0
+    elif u == 0:
+        w, i, j = -v, 1, 0
+    elif u == 2 * v:
+        w, i, j = v, 0, 1
+    else:
         raise ShapeViolationError(
-            f"level {n}: f^{n} does not map the roots of {k!r} to {c}"
-        ) from None
-    out = IntPoly([resultant(fr.h, k)])
-    for _ in range(k.degree()):
-        out = out * IntPoly([c, -1])
-    return out
+            f"level {n}: orbit form {u} - {v}*t is not +/-2^k times 1, t or 2 - t")
+    mag = abs(w)
+    if not mag or mag & (mag - 1):
+        raise ShapeViolationError(f"level {n}: constant {w} is not +/-2^k")
+    return (1 if w > 0 else -1), mag.bit_length() - 1, i, j
+
+
+def _shape_recursion():
+    """The shapes of levels 1, 2, 3, ... with no cap and no guard, by the
+    recursion that `discriminant_shape` proves."""
+    sign, c, a, b = 1, 0, 0, 0  # disc(F_0) = 1
+    for n, (at_zero, at_inf) in enumerate(_critical_orbit(), 1):
+        m = 1 << n - 1
+        s0, k0, i0, j0 = _orbit_form(n, *at_zero)  # lc(P) = F_(n-1)(0)
+        s1, k1, i1, j1 = _orbit_form(n, *at_inf)   # lc_x(F_(n-1))
+        sign = (-1 if m & 1 else 1) * s0 * s1
+        c = 2 * m + k0 + (m + k1) + 2 * (m * (m - 1) + c)  # (-4)^m lc(P) P(0)
+        a, b = 2 * a + i0 + i1, 2 * b + j0 + j1
+        yield DiscriminantShape(n=n, sign=sign, c=c, a=a, b=b)
 
 
 def discriminant_shape(n: int) -> DiscriminantShape:
-    """Factor disc_x(g_n - t*h_n) as sign * 2^c * t^a * (2-t)^b.
+    """disc_x(g_n - t*h_n) = sign * 2^c * t^a * (2-t)^b, by a recursion on
+    the level along the critical orbit of f = 2/(x-1)^2.
 
-    Let d = 2^n, F = g_n - t*h_n and (H, K) = (h_(n-1), g_(n-1) - h_(n-1)),
-    with (H, K) = (1, x - 1) at n = 1, so that g_n = 2H^2 and h_n = K^2
-    (checked).  Then F' = 4HH' - 2tKK', and tK^2 = 2H^2 - F gives
+    Let F_k = g_k - t*h_k, with (g_0, h_0) = (x, 1) so that F_0 = x - t
+    has disc 1, and m = 2^(n-1).  All below holds over Q(t), where
+    F_(n-1) has x-degree m and F_(n-1)(0) != 0 (the orbit forms check both).
 
-        K*F' = 4H*W + 2K'*F,   W = H'K - HK',
+    The identity.  f(1 + y) = 2/y^2, and for k >= 1
 
-    so K*F' = 4H*W mod F.  By Res(A, B) = lc(A)^(deg B) * prod B(alpha)
-    over the roots alpha of A, and Res(A, BC) = Res(A, B) * Res(A, C)
-    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6),
+        g_k(1 + y) = y^(2^k) g_(k-1)(2/y^2),  h_k(1 + y) = y^(2^k) h_(k-1)(2/y^2):
 
-        Res(F, K) * R(t) = lc_t^e * 4^d * Res(F, H) * Res(F, W)
+    both sides are (2, y^2) at k = 1, and g_(k+1) = 2h_k^2, h_(k+1) =
+    (g_k - h_k)^2 carry both from k to k + 1.  So F_n(1 + y) = P(y^2) for
+    P(z) = z^m F_(n-1)(2/z), with lc(P) = F_(n-1)(0) and P(0) = 2^m
+    lc_x(F_(n-1)), and `_disc_half_degree`'s identity gives
 
-    for R(t) = Res_x(F, F'), lc_t = g_d - t*h_d the leading x-coefficient
-    of F and e = deg K + d - 1 - deg H - deg W.  F = 2H^2 at the roots of
-    K and F = -tK^2 at the roots of H, so Res(F, K) and
-    Res(F, H) / t^(deg H) do not depend on t, and
+        disc(F_n) = (-4)^m * lc(P) * P(0) * disc(P)^2.
 
-        R(t) = C * t^(deg H) * lc_t^e * Res_x(F, W)
+    Reversal and scaling.  P(z) = 2^m R(z/2) for the reversal R(z) =
+    z^m Q(1/z) of Q = F_(n-1).  R has leading coefficient Q(0) and the
+    roots 1/alpha_i of Q, and prod_(i<j) (alpha_i alpha_j)^2 = (Q(0) /
+    lc Q)^(2m-2), so disc(R) = disc(Q).  Doubling the roots multiplies
+    prod (beta_i - beta_j)^2 by 2^(m(m-1)); the leading coefficient of
+    2^m R(z/2) is that of R, so disc(P) = 2^(m(m-1)) disc(F_(n-1)) and
 
-    for a constant C.
+        disc(F_n) = (-4)^m * F_(n-1)(0) * 2^m lc_x(F_(n-1))
+                    * (2^(m(m-1)) disc(F_(n-1)))^2.
 
-    W splits over the lower iterates.  Let K_0 = x - 1, K_j = g_j - h_j
-    and h_0 = 1, so that f^j - 1 = K_j / h_j for f = 2/(x-1)^2 and
-    H/K = 1/(f^(n-1) - 1).  Then W = (H/K)' K^2 = -(f^(n-1))' H^2.  The
-    chain rule with f'(y) = -4/(y-1)^3 gives
-    (f^(n-1))' = prod_(j<n-1) (-4) h_j^3 / K_j^3, and h_(j+1) = K_j^2
-    (so H^2 = K_(n-2)^4 for n >= 2) leaves
+    The four integers.  F_(n-1)(0) = g_(n-1)(0) - t h_(n-1)(0) and
+    lc_x(F_(n-1)) = G - t H for the x^m coefficients G, H of g_(n-1) and
+    h_(n-1).  Evaluation at 0 is a ring map, and as deg g_k, deg h_k <=
+    2^k, the x^(2^(k+1)) coefficients of 2h_k^2 and (g_k - h_k)^2 are
+    2H_k^2 and (G_k - H_k)^2: both pairs advance as (g, h) does
+    (`_critical_orbit`).  Each form must be +/-2^k, +/-2^k t or
+    +/-2^k (2 - t) (`_orbit_form`); anything else is a ShapeViolationError
+    naming the level.
 
-        W = w * K_(n-2) * prod_(j<n-2) K_j^3,   w = -(-4)^(n-1),
-
-    with an empty product at n = 1 (checked exactly).  As deg K_j = 2^j,
-    deg W = d - 3 for n >= 2.  Res(A, cB) = c^(deg A) * Res(A, B) and
-    multiplicativity give, wherever F keeps x-degree d,
-
-        Res_x(F, W) = w^d * prod Res_x(F, K_j)^(m_j),
-
-    m_j the exponent of K_j above.  Each Res_x(F, K_j) comes in closed form
-    from the critical orbit of f, 1 -> oo -> 0 -> 2 -> 2.  The roots of
-    K_j satisfy f^j = 1, so f^n maps them to f^(n-j)(1), which is c_j = 0
-    for j = n - 2 and c_j = 2 for j < n - 2.  K_j divides g - c_j*h
-    (checked), F = (c_j - t)*h at its roots, and as deg h = d,
-
-        Res_x(F, K_j) = Res(h, K_j) * (c_j - t)^(deg K_j):
-
-    4 factor resultants at n = 5, each against a K_j of degree at most 8.
-    C is one exact division of the full Res_x(F, F') at t = 1, where
-    lc_t = +/-1 and the factor C multiplies is nonzero, since 1 is not a
-    critical value of f^n (those lie in {0, 2, oo}).
-
-    Two direct discriminants, at t = 5 and 7, guard the whole pipeline
-    through the independent modular-resultant route, at half the degree:
-    f depends only on (x - 1)^2, so F(1 + y) = P(y^2) with deg P = d/2
-    (checked: F(1 + y) has no odd term), and `_disc_half_degree` gets
-    disc_x(F) from the CRT resultant Res(P, P').  The identity it uses enters on that side only,
-    against the full-degree subresultant behind C, so an error in it fails
-    the check rather than cancelling out.
+    Two direct discriminants, at t = 5 and 7, guard the result:
+    `_disc_half_degree` gets disc_x(F_n) of the iterate pair itself from the
+    CRT resultant Res(P, P'), with no subresultant.  It shares the
+    half-degree identity, which the tests pin against `_disc_direct` and
+    Sylvester; the reversal, the scaling and the orbit it checks afresh.
     """
     if not 1 <= n <= DISC_LEVEL_CAP:
         raise ValueError(f"discriminant level {n} out of range 1..{DISC_LEVEL_CAP}")
+    shape = next(islice(_shape_recursion(), n - 1, None))
     fr = iterate_pair(n)
-    g, h = fr.g, fr.h
-    if n == 1:
-        H, K = IntPoly([1]), X - IntPoly([1])
-    else:
-        prev = iterate_pair(n - 1)
-        H, K = prev.h, prev.g - prev.h
-    if g != H.square().scale(2) or h != K.square():
-        raise ShapeViolationError(
-            f"level {n}: g_n is not 2*h_(n-1)^2 or h_n is not "
-            "(g_(n-1) - h_(n-1))^2"
-        )
-    W = H.derivative() * K - H * K.derivative()
-    w, factors = _wronskian_factors(n)
-    product = IntPoly([w])
-    for k, m in factors:
-        for _ in range(m):
-            product = product * k
-    if product != W:
-        raise ShapeViolationError(
-            f"level {n}: W = H'K - HK' is not {w} * K_(n-2) * "
-            "prod_(j<n-2) K_j^3"
-        )
-    d = 1 << n
-    e = K.degree() + d - 1 - H.degree() - W.degree()
-    gd = g.coeffs[d] if g.degree() >= d else 0
-    hd = h.coeffs[d] if h.degree() >= d else 0
-    lc_t = IntPoly([gd, -hd])  # leading x-coefficient, as a polynomial in t
-
-    res_w = IntPoly([w ** d])  # Res_x(F, W) as a polynomial in t
-    for j, (k, m) in enumerate(factors):
-        res_k = _critical_factor_resultant(n, k, 0 if j == n - 2 else 2)
-        for _ in range(m):
-            res_w = res_w * res_k
-    F = g - h  # t = 1
-    cofactor = F.lc ** e * res_w(1)
-    if F.degree() != d or not cofactor:
-        raise ShapeViolationError(
-            f"level {n}: F drops x-degree or Res_x(F, W) vanishes at t = 1"
-        )
-    big_c = _divexact_int(resultant(F, F.derivative()), cofactor)
-    big_r = IntPoly((0,) * H.degree() + res_w.scale(big_c).coeffs)
-    for _ in range(e):
-        big_r = big_r * lc_t
-    sign = -1 if (d * (d - 1) // 2) & 1 else 1
-    if sign < 0:
-        big_r = -big_r
-    try:
-        delta = big_r.divexact(lc_t)
-    except ValueError:
-        raise ShapeViolationError(
-            f"level {n}: resultant not divisible by the leading coefficient"
-        ) from None
-
-    coeffs = list(delta.coeffs)
-    a = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        a += 1
-    rest = IntPoly(coeffs)
-    b = 0
-    two_minus_t = IntPoly([2, -1])
-    while rest.degree() > 0:
-        try:
-            rest = rest.divexact(two_minus_t)
-        except ValueError:
-            break
-        b += 1
-    if rest.degree() != 0:
-        raise ShapeViolationError(f"level {n}: leftover factor {rest!r}")
-    const = rest.coeffs[0]
-    mag = abs(const)
-    if mag & (mag - 1):
-        raise ShapeViolationError(f"level {n}: constant {const} is not +/-2^c")
-    shape = DiscriminantShape(n=n, sign=1 if const > 0 else -1,
-                              c=mag.bit_length() - 1, a=a, b=b)
-
-    if shape.reconstruct() != delta:  # pragma: no cover - factoring was exact
-        raise ShapeViolationError(f"level {n}: reconstruction mismatch")
-    # independent spot check through the modular resultant at half degree
     for tau in (5, 7):
-        F = g - h.scale(tau)
-        if _disc_half_degree(F) != delta(tau):
+        want = shape.sign * (1 << shape.c) * tau**shape.a * (2 - tau)**shape.b
+        if _disc_half_degree(fr.g - fr.h.scale(tau)) != want:
             raise ShapeViolationError(
-                f"level {n}: modular cross-check failed at t={tau}"
-            )
+                f"level {n}: modular cross-check failed at t={tau}")
     return shape
 
 

@@ -422,7 +422,7 @@ def _claim_resultant_routes(caps: VerifyCaps) -> str:
 
 
 def _claim_resultant_power_of_two(caps: VerifyCaps) -> str:
-    top = min(max(caps.disc_n, 2), 5)
+    top = max(caps.disc_n, 2)  # VerifyCaps holds disc_n to DISC_LEVEL_CAP
     checked = []
     for n in range(2, top + 1):
         hn = polyarith.iterate_pair(n).h

@@ -160,6 +160,13 @@ class TestResultants:
                 v = abs(r)
                 assert v & (v - 1) == 0 and v  # a pure power of 2
 
+    def test_iterate_resultant_exponents(self):
+        # Res(g_n, h_n) = +2^(4^n - 2^n): the orbit behind the
+        # discriminant shapes leaves a power-of-2 content at every level
+        for n in range(1, 7):
+            fr = iterate_pair(n)
+            assert resultant(fr.g, fr.h) == 1 << 4**n - 2**n
+
     def test_roots_route_on_simple_poly(self):
         num = specialize_numerator(2, Fraction(5))
         d = num.derivative()
@@ -321,6 +328,14 @@ class TestCRTResultant:
         assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
         assert degrees and max(degrees) == 16
 
+    def test_discriminant_shape_needs_no_subresultant(self, monkeypatch):
+        # the recursion computes no resultant and the guard only CRT ones
+        def refuse(p, q):
+            raise AssertionError("subresultant called")
+
+        monkeypatch.setattr(polyarith, "resultant", refuse)
+        assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
+
 
 class TestDiscriminantShapes:
     def test_frozen_shapes(self):
@@ -362,28 +377,6 @@ class TestDiscriminantShapes:
         assert discriminant_shape(n).reconstruct().coeffs == \
             oracles.discriminant_by_full_interpolation(n)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_wronskian_factor_identity(self, n):
-        # R(t) = C * t^(deg H) * lc_t^e * Res_x(F_t, W) with one C for every
-        # t, each resultant a Fraction Sylvester determinant
-        fr = iterate_pair(n)
-        if n == 1:
-            H, K = IntPoly([1]), X - IntPoly([1])
-        else:
-            prev = iterate_pair(n - 1)
-            H, K = prev.h, prev.g - prev.h
-        W = H.derivative() * K - H * K.derivative()
-        d = 1 << n
-        e = K.degree() + d - 1 - H.degree() - W.degree()
-        ratios = set()
-        for t in (-7, -1, 1, 97):
-            F = fr.g - fr.h.scale(t)
-            assert F.degree() == d
-            full = oracles.sylvester_resultant(F.coeffs, F.derivative().coeffs)
-            part = oracles.sylvester_resultant(F.coeffs, W.coeffs)
-            ratios.add(full / (t ** H.degree() * F.lc ** e * part))
-        assert len(ratios) == 1 and ratios != {0}
-
     @pytest.mark.parametrize("broken", ["g", "h"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_broken_square_identity_is_shape_violation(self, n, broken,
@@ -400,67 +393,6 @@ class TestDiscriminantShapes:
 
         monkeypatch.setattr(polyarith, "iterate_pair", patched)
         with pytest.raises(ShapeViolationError):
-            discriminant_shape(n)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_wronskian_splits_over_lower_iterates(self, n):
-        # W = H'K - HK' = -(-4)^(n-1) * K_(n-2) * prod_(j<n-2) K_j^3 with
-        # K_0 = x - 1 and K_j = g_j - h_j
-        if n == 1:
-            H, K = IntPoly([1]), X - IntPoly([1])
-        else:
-            prev = iterate_pair(n - 1)
-            H, K = prev.h, prev.g - prev.h
-        W = H.derivative() * K - H * K.derivative()
-        ks = [X - IntPoly([1])] + [iterate_pair(j).g - iterate_pair(j).h
-                                   for j in range(1, n - 1)]
-        product = IntPoly([-(-4) ** (n - 1)])
-        for j in range(n - 1):
-            for _ in range(1 if j == n - 2 else 3):
-                product = product * ks[j]
-        assert product == W
-        if n >= 2:
-            assert W.degree() == (1 << n) - 3
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_factor_resultants_off_node(self, n):
-        # each closed-form Res_x(F_t, K_j) = Res(h_n, K_j) * (c_j - t)^(deg K_j)
-        # is the Sylvester determinant at t away from the node t = 1
-        fr = iterate_pair(n)
-        w, factors = polyarith._wronskian_factors(n)
-        assert len(factors) == n - 1
-        for j, (k, _) in enumerate(factors):
-            res_k = polyarith._critical_factor_resultant(
-                n, k, 0 if j == n - 2 else 2)
-            assert res_k.degree() == k.degree()
-            for t in (-7, -1, 97):
-                F = fr.g - fr.h.scale(t)
-                assert res_k(t) == oracles.sylvester_resultant(F.coeffs,
-                                                               k.coeffs)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_wrong_critical_value_is_shape_violation(self, n):
-        # the roots of K_(n-2) go to 0, those of K_j for j < n - 2 to 2,
-        # and no root goes to 1
-        _, factors = polyarith._wronskian_factors(n)
-        last = factors[-1][0]
-        with pytest.raises(ShapeViolationError,
-                           match=rf"level {n}: f\^{n} does not map the roots"):
-            polyarith._critical_factor_resultant(n, last, 2)
-        for k, _ in factors:
-            with pytest.raises(ShapeViolationError, match=f"level {n}"):
-                polyarith._critical_factor_resultant(n, k, 1)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_factor_off_its_critical_value_is_shape_violation(self, n,
-                                                              monkeypatch):
-        # the factors reversed still multiply to W, so only the closed form
-        # sees that K_0's roots do not go to 0 under f^n
-        real = polyarith._wronskian_factors
-        monkeypatch.setattr(polyarith, "_wronskian_factors",
-                            lambda k: (real(k)[0], real(k)[1][::-1]))
-        with pytest.raises(ShapeViolationError,
-                           match=rf"level {n}: f\^{n} does not map the roots"):
             discriminant_shape(n)
 
     def test_level_six_beyond_the_cap(self, monkeypatch):
@@ -512,19 +444,53 @@ class TestDiscriminantShapes:
                            match=r"level 3: modular cross-check failed at t=5"):
             discriminant_shape(3)
 
-    @pytest.mark.parametrize("j", [1, 2])
-    def test_broken_lower_iterate_is_shape_violation(self, j, monkeypatch):
-        # K_j = g_j - h_j for j < n - 1 enters only through the factored W
-        real = polyarith.iterate_pair
+    def test_closed_forms_through_level_24(self):
+        # sign +, a = 3 * 2^(n-2), b = a - 2 and c = 4^n + (n - 2) 2^(n-1)
+        # for 3 <= n <= 24, from the uncapped recursion with no guard
+        shapes = list(itertools.islice(polyarith._shape_recursion(), 24))
+        assert [s.n for s in shapes] == list(range(1, 25))
+        assert [(s.sign, s.c, s.a, s.b) for s in shapes[:2]] == \
+            [(1, 3, 1, 0), (-1, 16, 3, 1)]
+        for s in shapes[2:]:
+            n, a = s.n, 3 << s.n - 2
+            assert (s.sign, s.c, s.a, s.b) == \
+                (1, 4**n + (n - 2 << n - 1), a, a - 2)
 
-        def patched(k):
-            fr = real(k)
-            if k != j:
-                return fr
-            return SimpleNamespace(g=fr.g + IntPoly([1]), h=fr.h)
+    def test_critical_orbit_matches_the_iterates(self):
+        # (g_k(0), h_k(0)) and the x^(2^k) coefficients of (g_k, h_k)
+        orbit = itertools.islice(polyarith._critical_orbit(), 9)
+        assert next(orbit) == ((0, 1), (1, 0))  # (g_0, h_0) = (x, 1)
+        for k, (at_zero, at_inf) in enumerate(orbit, 1):
+            fr = iterate_pair(k)
+            top = [(p.coeffs + (0,) * (1 << k))[1 << k] for p in (fr.g, fr.h)]
+            assert at_zero == (fr.g(0), fr.h(0))
+            assert at_inf == tuple(top)
 
-        monkeypatch.setattr(polyarith, "iterate_pair", patched)
-        with pytest.raises(ShapeViolationError, match="level 4"):
+    @staticmethod
+    def _orbit_with(monkeypatch, k, pair):
+        # the critical orbit with its level-k value at 0 replaced by pair
+        real = polyarith._critical_orbit
+
+        def patched():
+            for j, (at_zero, at_inf) in enumerate(real()):
+                yield (pair if j == k else at_zero), at_inf
+
+        monkeypatch.setattr(polyarith, "_critical_orbit", patched)
+
+    def test_wrong_orbit_value_is_shape_violation(self, monkeypatch):
+        # F_2(0) read as 3 - t: neither 1, t nor 2 - t up to a power of 2
+        self._orbit_with(monkeypatch, 2, (3, 1))
+        with pytest.raises(ShapeViolationError,
+                           match=r"level 3: orbit form 3 - 1\*t is not"):
+            discriminant_shape(3)
+
+    @pytest.mark.parametrize("pair, shown", [((3, 0), "3"), ((0, -6), "6"),
+                                             ((12, 6), "6"), ((0, 0), "0")])
+    def test_constant_not_a_power_of_two_is_shape_violation(
+            self, monkeypatch, pair, shown):
+        self._orbit_with(monkeypatch, 3, pair)
+        with pytest.raises(ShapeViolationError,
+                           match=rf"level 4: constant {shown} is not \+/-2\^k"):
             discriminant_shape(4)
 
 
