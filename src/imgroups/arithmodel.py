@@ -109,24 +109,35 @@ def _model(level: int) -> ArithLevelModel:
              + [pair(identity(level - 1), r, 0) for r in generating_set(prev.twist)]
              + [sigma(level)])
     candidates = 2 * len(prev.group) * len(prev.twist)
-    # walk the orbit of (G, U) under conjugation with a transversal: t*c
-    # lands on the point of u iff the Schreier generator t*c*u^-1 fixes it
-    transversal = [identity(level)]
+    # walk the orbit of (G, U) under conjugation with a transversal of leaf
+    # permutations: t*c lands on the point of u iff the Schreier generator
+    # t*c*u^-1 fixes it.  The stabilizer built so far is a group of verified
+    # normalizers, so a member fixes the point without a `_normalizes` call
+    # and the first u that matches is the one the full test would pick.
+    ident = _ident(level)
+    lift_steps = [_table(c.perm) for c in lifts]
+    transversal = [ident]
+    backs = [_table(ident)]  # x.translate(backs[i]) is x * transversal[i]^-1
     gens: list[Portrait] = []
     steps = []
-    stab = {_ident(level)}
+    stab = {ident}
     for t in transversal:  # grows while it is walked
-        for c in lifts:
-            tc = t * c
-            s = next((s for s in (tc * u.inverse() for u in transversal)
-                      if _normalizes(s.perm, conditions)), None)
+        for step in lift_steps:
+            tc = t.translate(step)
+            s = next((s for s in map(tc.translate, backs)
+                      if s in stab or _normalizes(s, conditions)), None)
             if s is None:
                 transversal.append(tc)
-            elif stab is not None and s.perm not in stab:
-                gens.append(s)
-                steps.append(_table(s.perm))
-                stab = _extend(stab, steps, s.perm, candidates)  # None if larger
-    if stab is None or len(stab) * len(transversal) != candidates:
+                backs.append(_table(_inverse(tc)))
+            elif s not in stab:
+                gens.append(_from_perm(level, s))
+                steps.append(_table(s))
+                stab = _extend(stab, steps, s, candidates)
+                if stab is None:  # the stabilizer outgrew the candidates
+                    raise ModelConstructionError(
+                        f"level {level}: stabilizer times orbit "
+                        f"{len(transversal)} exceeds {candidates}")
+    if len(stab) * len(transversal) != candidates:
         raise ModelConstructionError(f"level {level}: stabilizer times orbit "
                                      f"{len(transversal)} is not {candidates}")
     missing = G.elements - stab
@@ -251,12 +262,18 @@ def _index2_kernels(model: ArithLevelModel, phi: LevelGroup) -> list[LevelGroup]
     for x in model.group.elements:
         cosets[index_of[x]].append(x)
     # each kernel is the union of the cosets whose character vector has
-    # even parity under the mask
+    # even parity under the mask; Phi is normal, so that union is closed
+    # iff its coset indices are closed under the quotient's table
     out = []
     for mask in range(1, 1 << rank):
+        inside = [i for i in range(len(reps))
+                  if (vecs[i] & mask).bit_count() % 2 == 0]
+        if any(table[i][j] not in inside for i in inside for j in inside):
+            raise ModelConstructionError(
+                f"level {model.level}: the kernel of character mask {mask} "
+                "is not closed")
         out.append(LevelGroup(model.level, (
-            x for i, coset in enumerate(cosets)
-            if (vecs[i] & mask).bit_count() % 2 == 0 for x in coset)))
+            x for i in inside for x in cosets[i])))
     return out
 
 
@@ -277,8 +294,12 @@ def maximal_subgroups(model: ArithLevelModel) -> tuple[MaximalSubgroup, ...]:
     In a 2-group every maximal subgroup has index 2 and contains the
     Frattini subgroup, so they are exactly the kernels of the nontrivial
     characters of the elementary quotient.  Order (and therefore naming)
-    follows the character masks over the sorted coset basis.  Their
-    intersection must be the Frattini subgroup again.
+    follows the character masks over the sorted coset basis.  Each kernel
+    is certified a subgroup on the Cayley table of M / Phi: Phi is normal,
+    so a union of Phi cosets is closed iff its coset indices are closed
+    under the table; ModelConstructionError names the level and the
+    character mask of a kernel that is not.  Their intersection must be
+    the Frattini subgroup again.
     """
     phi = frattini_subgroup(model)
     kernels = _index2_kernels(model, phi)
@@ -294,7 +315,6 @@ def maximal_subgroups(model: ArithLevelModel) -> tuple[MaximalSubgroup, ...]:
     for i, k in enumerate(kernels, start=1):
         if 2 * len(k) != len(model.group):  # pragma: no cover
             raise ModelConstructionError(f"kernel {i} has wrong index")
-        generating_set(k)  # raises if the kernel is somehow not closed
         out.append(MaximalSubgroup(name=f"Mmax-{i:02d}", group=k))
     return tuple(out)
 

@@ -8,6 +8,8 @@ the intersection of all fifteen maximal subgroups and checked against
 the distinct squares.
 """
 
+import hashlib
+
 import pytest
 
 import oracles
@@ -34,9 +36,21 @@ from imgroups.selfsim import (
     subgroup_index,
     subgroup_U,
 )
-from imgroups.treeauto import identity, sigma
+from imgroups.treeauto import Portrait, identity, sigma
 
 EXPECTED_ORDERS = {1: 2, 2: 8, 3: 64, 4: 256, 5: 1024}
+
+# sha256 of "\n".join(g.encode() for g in M_n's generators), in order;
+# frozen so that a change to the orbit walk keeps the same Schreier
+# generators, not merely the same group
+GENERATOR_DIGESTS = {
+    1: "d6b5915c46057bcb005f46f6433df65609dd3a7a57af75ac1a5a4a7c299ebffb",
+    2: "a5c4e80b2a99e56c26c7f664bb611df4152b7c65e0cbc2915282ce7f67a2cab2",
+    3: "8f1a63bce738d99fc2e943e5bbd9b8ad6b016d2049a0ec7d6a50d9bf8d9a15ca",
+    4: "30903c90b27761de2be3448b35a3d8a851862e1e409e6ca2d26d39345dff7cb8",
+    5: "248d0a48c7f3a29b300cf7ef2b4082134dbbdd908a3a278606bb8ddf6868aff8",
+    6: "9692e107dfc35f9bf13b074951b2570ad50ecc0e8aa85b5fc56a4111aff727f6",
+}
 
 # every cycle type on 16 leaves that the level-4 model realizes, with
 # element counts; frozen after the exhaustive enumeration agreed with
@@ -104,9 +118,35 @@ class TestConstruction:
         finally:
             arithmodel._model.cache_clear()
 
+    def test_overflowing_stabilizer_fails_at_once(self, monkeypatch):
+        # a stabilizer that outgrows the candidates ends the walk on the
+        # spot: no normalizer test follows the overflow
+        events = []
+        real = arithmodel._normalizes
+
+        def counting(m, conditions):
+            events.append("normalizes")
+            return real(m, conditions)
+
+        def overflow(*args):
+            events.append("extend")
+            return None
+
+        monkeypatch.setattr(arithmodel, "_normalizes", counting)
+        monkeypatch.setattr(arithmodel, "_extend", overflow)
+        arithmodel._model.cache_clear()
+        try:
+            with pytest.raises(ModelConstructionError,
+                               match="level 2: stabilizer times orbit"):
+                arithmodel._model(2)
+        finally:
+            arithmodel._model.cache_clear()
+        assert events.count("extend") == 1 and events[-1] == "extend"
+
     def test_lift_runs_few_normalizer_tests(self, monkeypatch):
         # the element-by-element filter made 2 |M_5| |U_5| = 65,536 tests
-        # at level 6 alone; the orbit walk needs under 2,000 for all levels
+        # at level 6 alone; the orbit walk needs 1,715 for all levels, as
+        # a Schreier generator already in the stabilizer needs no test
         calls = []
         real = arithmodel._normalizes
 
@@ -120,7 +160,31 @@ class TestConstruction:
             assert arithmodel._model(6).order == 4096
         finally:
             arithmodel._model.cache_clear()
-        assert len(calls) <= 2000
+        assert len(calls) <= 1715
+
+    def test_cold_walk_builds_no_portrait_products(self, monkeypatch):
+        # the walk composes leaf permutations; G_n and U_n are built
+        # first, as their own construction multiplies portraits
+        for n in range(1, 7):
+            geometric_group(n), subgroup_U(n)
+
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(f"Portrait.{name} called")
+            return call
+
+        monkeypatch.setattr(Portrait, "inverse", refuse("inverse"))
+        monkeypatch.setattr(Portrait, "__mul__", refuse("__mul__"))
+        arithmodel._model.cache_clear()
+        try:
+            assert arithmodel._model(6).order == 4096
+        finally:
+            arithmodel._model.cache_clear()
+
+    def test_generators_are_pinned(self):
+        for n, want in GENERATOR_DIGESTS.items():
+            text = "\n".join(g.encode() for g in build_model(n).group.generators)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, n
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lift_filter_oracle_agreement(self, n):
@@ -256,6 +320,27 @@ class TestFrattini:
                     have = closure(want)
             assert generating_set(s.group) == want
             assert have == s.group
+
+    def test_kernel_refused_on_a_broken_table(self, m4, monkeypatch):
+        # redirect x^2 = 1 in the last coset, an entry the character basis
+        # never reads, to coset 1: some kernel holds the last coset but
+        # not coset 1, and its table certificate must fail
+        real = arithmodel.quotient
+
+        def broken(group, normal):
+            reps, index_of, table = real(group, normal)
+            rows = [list(row) for row in table]
+            rows[-1][-1] = 1
+            return reps, index_of, tuple(map(tuple, rows))
+
+        monkeypatch.setattr(arithmodel, "quotient", broken)
+        maximal_subgroups.cache_clear()
+        try:
+            with pytest.raises(ModelConstructionError,
+                               match="level 4: the kernel of character mask"):
+                maximal_subgroups(m4)
+        finally:
+            maximal_subgroups.cache_clear()
 
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_kernels_match_parity_filter(self, level):

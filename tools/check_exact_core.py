@@ -4,20 +4,32 @@
 
 Imports `imgroups`, certifies the level-4 maximality of a = 5, compares
 the level-2 and level-5 discriminant shapes with their pinned texts (the
-level-5 one runs the shape's CRT guard at the level cap) and fails if
-mpmath was imported along the way.  It needs nothing outside the standard
+level-5 one runs the shape's CRT guard at the level cap), compares the
+sorted leaf permutations of M_6 and the names and element sets of the
+fifteen level-4 maximal subgroups with pinned sha256 digests, and fails
+if mpmath was imported along the way.  It needs nothing outside the standard
 library, so it also runs where mpmath is not installed.  Exit 0 when every
 check holds, 1 otherwise, with one line per failed check on stderr.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from fractions import Fraction
 
 import imgroups
 
 DISC_SHAPES = {2: "-2^16 * t^3 * (2-t)^1", 5: "+2^1072 * t^24 * (2-t)^22"}
+# sha256 of M_6's leaf permutations, sorted and concatenated
+M6_DIGEST = "0cef5be19d1c3da79854a4b25eb7ca566ea02953fca2ef1690ddb51ac4855e0e"
+# sha256 over the maximal subgroups of M_4 in order, each fed as its name,
+# a newline and its sorted leaf permutations concatenated
+KERNELS_DIGEST = "4fa02364d09bed2c6ca117bfbfb348f4c16f9ecea6949d976b369cc30ce6239a"
+
+
+def _perms(group) -> bytes:
+    return b"".join(sorted(group.elements))
 
 
 def main() -> int:
@@ -30,12 +42,22 @@ def main() -> int:
         if shape != want:
             failures.append(f"discriminant shape at n = {n} is {shape!r}, "
                             f"not {want!r}")
+    m6 = hashlib.sha256(_perms(imgroups.build_model(6).group)).hexdigest()
+    if m6 != M6_DIGEST:
+        failures.append(f"M_6 digest is {m6}, not {M6_DIGEST}")
+    kernels = hashlib.sha256()
+    for sub in imgroups.maximal_subgroups(imgroups.build_model(4)):
+        kernels.update(sub.name.encode() + b"\n" + _perms(sub.group))
+    if kernels.hexdigest() != KERNELS_DIGEST:
+        failures.append(f"level-4 maximal subgroups digest is "
+                        f"{kernels.hexdigest()}, not {KERNELS_DIGEST}")
     if "mpmath" in sys.modules:
         failures.append("the exact core imported mpmath")
     for failure in failures:
         print(f"check_exact_core: {failure}", file=sys.stderr)
     if not failures:
-        print("exact core: a = 5 maximal, disc shapes n = 2, 5 pinned, no mpmath")
+        print("exact core: a = 5 maximal, disc shapes n = 2, 5, M_6 and the "
+              "level-4 maximal subgroups pinned, no mpmath")
     return 1 if failures else 0
 
 
