@@ -13,7 +13,6 @@ and an element-by-element filter in the test oracles are second opinions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +21,7 @@ from .selfsim import (
     GROUP_LEVEL_CAP,
     LevelGroup,
     _extend,
-    closure,
+    _mulclose,
     generating_set,
     geometric_group,
     quotient,
@@ -32,6 +31,7 @@ from .treeauto import (
     ENUMERATION_LEVEL_CAP,
     Portrait,
     _all_perms,
+    _cycle_type_counts,
     _cycle_types,
     _from_perm,
     _ident,
@@ -111,9 +111,12 @@ def _model(level: int) -> ArithLevelModel:
     candidates = 2 * len(prev.group) * len(prev.twist)
     # walk the orbit of (G, U) under conjugation with a transversal of leaf
     # permutations: t*c lands on the point of u iff the Schreier generator
-    # t*c*u^-1 fixes it.  The stabilizer built so far is a group of verified
-    # normalizers, so a member fixes the point without a `_normalizes` call
-    # and the first u that matches is the one the full test would pick.
+    # t*c*u^-1 fixes it, that is lies in the normalizer N.  The points lie
+    # in distinct cosets N*u, so at most one u matches.  The stabilizer
+    # built so far is a group of verified normalizers, so every u is first
+    # scanned for a member, one translate and one lookup each; a hit is the
+    # u that the in-order `_normalizes` scan would pick, which runs only
+    # when nothing hits.
     ident = _ident(level)
     lift_steps = [_table(c.perm) for c in lifts]
     transversal = [ident]
@@ -124,12 +127,14 @@ def _model(level: int) -> ArithLevelModel:
     for t in transversal:  # grows while it is walked
         for step in lift_steps:
             tc = t.translate(step)
+            if not stab.isdisjoint(map(tc.translate, backs)):
+                continue
             s = next((s for s in map(tc.translate, backs)
-                      if s in stab or _normalizes(s, conditions)), None)
+                      if _normalizes(s, conditions)), None)
             if s is None:
                 transversal.append(tc)
                 backs.append(_table(_inverse(tc)))
-            elif s not in stab:
+            else:
                 gens.append(_from_perm(level, s))
                 steps.append(_table(s))
                 stab = _extend(stab, steps, s, candidates)
@@ -189,9 +194,7 @@ def odometer_elements(model: ArithLevelModel) -> tuple[Portrait, ...]:
 
 def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:
     """How many elements realize each leaf cycle type."""
-    types = _cycle_types(group.elements)
-    table = Counter(map(types.__getitem__, group.elements))
-    return dict(sorted(table.items()))
+    return dict(sorted(_cycle_type_counts(group.elements).items()))
 
 
 @lru_cache(maxsize=None)
@@ -202,11 +205,18 @@ def frattini_subgroup(model: ArithLevelModel) -> LevelGroup:
     as a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.  The closure of the squares lies
     in every maximal subgroup, and `_certify_frattini` shows on the model's
     generators that the quotient by it is elementary abelian, so it is Phi.
+    The distinct squares are put in `Portrait` order by one bulk coding
+    pass, `treeauto._in_code_order`, and recorded as the generators.
     """
     grp = model.group
-    squares = {x.translate(_table(x)) for x in grp.elements}
-    phi = closure([_from_perm(model.level, s) for s in squares],
-                  max_size=len(grp))
+    squares = _in_code_order({x.translate(_table(x)) for x in grp.elements},
+                             model.level)
+    els = _mulclose(squares, len(grp))
+    if els is None:  # pragma: no cover - squares of members are members
+        raise ModelConstructionError(
+            f"level {model.level}: the squares generate more than the "
+            f"{len(grp)} elements of the model")
+    phi = LevelGroup(model.level, els, squares)
     _certify_frattini(grp, phi)
     return phi
 

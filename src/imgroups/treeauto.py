@@ -48,9 +48,15 @@ and fills one row of ASCII digits per permutation with one strided copy
 per vertex, then parses each row with ``int(row, 2)``; `_in_code_order`
 sorts by those codes, which is how a group's elements are listed.
 `_cycle_types` reads each cycle type off the type of the element's square
-and its number of fixed points, so a group is typed with one translate,
-one fixed-point count and a few dict lookups per element.  `_code_of` and
-`_cycle_type_of` remain the routes for a single portrait.
+and its number of fixed points, in passes over the whole batch: every
+element is squared at once, the set of distinct squares is typed first by
+the same routine (a group's squares are few: 144 for M_6's 4,096
+elements), the fixed points are counted by one strided column per leaf
+over up to 512 joined permutations, added as ints with one byte per
+permutation, and the (fixed points, square type) memo is keyed on the
+identity of the one tuple kept per type.  `_cycle_type_counts` counts those
+pairs and types only the distinct ones.  `_code_of` and `_cycle_type_of`
+remain the routes for a single portrait.
 
 Wire format: ``"<level>:<HEX>"`` where HEX is ``code`` in hex, left-padded
 with zero bits to a whole number of hex digits.  Level 0 encodes as
@@ -59,9 +65,11 @@ with zero bits to a whole number of hex digits.  Level 0 encodes as
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import product, repeat
+from itertools import product, repeat, tee
 from math import lcm
+from operator import add
 
 from .errors import ResourceLimitError
 
@@ -434,42 +442,121 @@ def _in_code_order(perms, level: int) -> list[Portrait]:
 def _cycle_types(perms) -> dict[bytes, tuple[int, ...]]:
     """`_cycle_type_of` for a collection of leaf permutations of one level:
     a dict from each of them, and each square met on the way, to its type.
+    ValueError on a permutation whose chain of squares outruns the level,
+    which no tree automorphism has."""
+    perms = list(perms)
+    keys, types, memo = _type_keys(perms)
+    types.update(zip(perms, map(memo.__getitem__, keys)))
+    return types
+
+
+def _cycle_type_counts(perms) -> dict[tuple[int, ...], int]:
+    """How many of the leaf permutations of one level have each cycle type:
+    the (fix(x), type of x**2) keys are counted, and only each distinct key
+    is turned into its type."""
+    keys, _, memo = _type_keys(list(perms))
+    counts = Counter()
+    for key, count in Counter(keys).items():
+        counts[memo[key]] += count
+    return dict(counts)
+
+
+def _type_keys(perms: list[bytes]):
+    """(keys, types, memo) for a list of leaf permutations of one level:
+    an iterator over the key (fix(x), id of the type of x**2) of each
+    permutation x, in order, the type of each square met, and a
+    `_TypeMemo` that maps each key to x's type.
 
     A cycle of length L of x is one L-cycle of x**2 when L = 1 and two
     L/2-cycles when L is even, and every cycle of a tree automorphism has
     a power-of-2 length.  So the fixed points of x and the type of x**2
     give the type of x: fix(x) fixed points, (fix(x**2) - fix(x)) / 2
     2-cycles, and one 2L-cycle per pair of equal L-cycles of x**2, L >= 2.
-    The squares are typed first, down to x**(2**level) = 1; in a group they
-    are members, so most are typed already.  fix(x) is the count of zero
-    bytes in x XOR the identity.  ValueError on a permutation whose chain
-    of squares outruns the level, which no tree automorphism has."""
-    first = next(iter(perms), None)
-    if first is None:
-        return {}
-    size = len(first)
-    level = size.bit_length() - 1
-    ident = int.from_bytes(_ident(level), "big")
-    types = {_ident(level): (1,) * size}
-    # (fix(x), type of x**2) -> type of x, so each type is one tuple
-    combined: dict[tuple, tuple[int, ...]] = {}
-    for x in perms:
-        chain = []
-        while x not in types:
-            if len(chain) == level:
+    The whole batch is squared at once, each square kept as the one object
+    of its value, and the set of distinct squares not yet typed is typed
+    first by the same routine, down to x**(2**level) = 1; in a group the
+    squares are members, and M_6's 4,096 squares are 144 distinct ones.
+    ValueError, naming the level and an input, when the chain of squares
+    of an input outruns the level."""
+    if not perms:
+        return iter(()), {}, {}
+    level = len(perms[0]).bit_length() - 1
+    ident = _ident(level)
+    memo = _TypeMemo(len(ident))
+    types = {ident: memo.ones}
+
+    def keys_of(batch: list[bytes], power: int):
+        # batch holds 2**power-th powers of inputs; x * x is x translated
+        # through itself padded to a table, as `_table` pads it, and
+        # `distinct` hands back one object per square value, so the list
+        # holds references to the few distinct squares
+        distinct: dict[bytes, bytes] = {}
+        squares = list(map(distinct.setdefault, *tee(map(
+            bytes.translate, batch,
+            map(bytes.ljust, batch, repeat(256), repeat(b"\0"))))))
+        new = [x for x in distinct if x not in types]
+        if new:
+            if power + 1 == level:
+                bad = next(x for x in perms if _power_of_two(x, level) != ident)
                 raise ValueError(f"not a level-{level} tree automorphism: "
-                                 f"{chain[0]!r:.40}")
-            chain.append(x)
-            x = x.translate(_table(x))
-        t = types[x]  # the type of the square of chain[-1]
-        for y in reversed(chain):
-            fix = (int.from_bytes(y, "big") ^ ident).to_bytes(size, "big").count(0)
-            key = (fix, t)
-            t = combined.get(key)
-            if t is None:
-                t = combined[key] = _type_from_square(*key)
-            types[y] = t
-    return types
+                                 f"{bad!r:.40}")
+            types.update(zip(new, map(memo.__getitem__,
+                                      keys_of(new, power + 1))))
+        return zip(_fixed_points(batch, level),
+                   map(id, map(types.__getitem__, squares)))
+
+    return keys_of(perms, 0), types, memo
+
+
+class _TypeMemo(dict):
+    """(fix(x), id of the type of x**2) -> the type of x, computed on first
+    use.  It makes one tuple per type and keeps each, so a key can hold the
+    identity of the square's type rather than the tuple, which would be
+    hashed in full."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.ones = (1,) * size  # the identity's type
+        self._by_id = {id(self.ones): self.ones}
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, ...]:
+        fix, square_id = key
+        t = self[key] = _type_from_square(fix, self._by_id[square_id])
+        self._by_id[id(t)] = t
+        return t
+
+
+def _power_of_two(perm: bytes, k: int) -> bytes:
+    """perm ** (2**k), by k squarings."""
+    for _ in range(k):
+        perm = perm.translate(_table(perm))
+    return perm
+
+
+# bytes 255 - i up to 511 - i are a translate table mapping byte i to 1 and
+# every other byte to 0
+_MARKS = bytes(255) + b"\1" + bytes(255)
+
+
+def _fixed_points(perms: list[bytes], level: int) -> list[int]:
+    """fix(x) for each level-`level` leaf permutation x, in order.
+
+    Per chunk of `_BULK` perms, joined into one bytes object, column i (the
+    image of leaf i in every perm) is one strided slice, translated to 1
+    where the image is i and 0 elsewhere, and the columns are added as ints
+    with one byte per perm.  A byte counts to 255, so the 256 leaves of
+    level 8, all fixed by the identity, are added in two runs."""
+    size = 1 << level
+    marks = [_MARKS[255 - i : 511 - i] for i in range(size)]
+    out: list[int] = []
+    for start in range(0, len(perms), _BULK):
+        joined = b"".join(perms[start : start + _BULK])
+        runs = [sum(int.from_bytes(joined[i::size].translate(marks[i]), "big")
+                    for i in range(first, min(first + 255, size))
+                    ).to_bytes(len(joined) >> level, "big")
+                for first in range(0, size, 255)]
+        out.extend(map(add, *runs) if len(runs) > 1 else runs[0])
+    return out
 
 
 def _type_from_square(fix: int, square: tuple[int, ...]) -> tuple[int, ...]:

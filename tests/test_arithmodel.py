@@ -8,12 +8,13 @@ the intersection of all fifteen maximal subgroups and checked against
 the distinct squares.
 """
 
+import collections
 import hashlib
 
 import pytest
 
 import oracles
-from imgroups import arithmodel
+from imgroups import arithmodel, treeauto
 from imgroups.arithmodel import (
     build_model,
     brute_model_cross_check,
@@ -145,8 +146,9 @@ class TestConstruction:
 
     def test_lift_runs_few_normalizer_tests(self, monkeypatch):
         # the element-by-element filter made 2 |M_5| |U_5| = 65,536 tests
-        # at level 6 alone; the orbit walk needs 1,715 for all levels, as
-        # a Schreier generator already in the stabilizer needs no test
+        # at level 6 alone; the orbit walk needs 221 for all levels, as
+        # each step first looks for a Schreier generator already in the
+        # stabilizer, which needs no test
         calls = []
         real = arithmodel._normalizes
 
@@ -160,7 +162,7 @@ class TestConstruction:
             assert arithmodel._model(6).order == 4096
         finally:
             arithmodel._model.cache_clear()
-        assert len(calls) <= 1715
+        assert len(calls) <= 221
 
     def test_cold_walk_builds_no_portrait_products(self, monkeypatch):
         # the walk composes leaf permutations; G_n and U_n are built
@@ -237,6 +239,12 @@ class TestElementStatistics:
 
     def test_no_16_cycle(self, m4):
         assert (16,) not in cycle_type_table(m4.group)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_cycle_table_matches_the_leaf_walk(self, n):
+        group = build_model(n).group
+        assert cycle_type_table(group) == collections.Counter(
+            oracles.cycle_type_of_perm(list(x)) for x in group.elements)
 
     def test_cycle_table_leaves_the_group_unsorted(self, m4):
         fresh = LevelGroup(4, m4.group.elements)
@@ -364,6 +372,21 @@ class TestFrattini:
         got = arithmodel._index2_kernels(model, phi)
         assert [k.elements for k in got] == want
         assert [s.group.elements for s in maximal_subgroups(model)] == want
+
+    def test_cold_level6_codes_its_squares_in_one_pass(self, monkeypatch):
+        # the distinct squares are put in order by one bulk coding pass;
+        # no portrait computes its own code
+        m6 = build_model(6)
+
+        def refuse(*args):
+            raise AssertionError("_code_of called")
+
+        monkeypatch.setattr(treeauto, "_code_of", refuse)
+        frattini_subgroup.cache_clear()
+        try:
+            assert len(frattini_subgroup(m6)) == 256
+        finally:
+            frattini_subgroup.cache_clear()
 
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_generated_by_the_distinct_squares(self, level):

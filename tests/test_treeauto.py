@@ -1,9 +1,11 @@
 """Portrait arithmetic against the independent node-string oracle."""
 
+import collections
 import copy
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -494,3 +496,36 @@ class TestWholeSetPasses:
         # a 3-cycle: its squares never reach the identity
         with pytest.raises(ValueError, match="not a level-2 tree automorphism"):
             treeauto._cycle_types([bytes([1, 2, 0, 3])])
+
+    def test_a_three_cycle_among_the_level_2_group_is_named(self):
+        # the batch pass types the eight automorphisms' squares alongside
+        # the 3-cycle's; the error still names the level and the input
+        bad = bytes([1, 2, 0, 3])
+        perms = list(treeauto._all_perms(2))
+        perms.insert(3, bad)
+        for route in (treeauto._cycle_types, treeauto._cycle_type_counts):
+            with pytest.raises(ValueError, match="not a level-2 tree "
+                               "automorphism: " + re.escape(repr(bad)[:20])):
+                route(perms)
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_fixed_points_match_a_per_permutation_count(self, lvl):
+        # more perms than one chunk, the identity among them (all 256
+        # leaves fixed at level 8); the empty batch counts nothing
+        rng = random.Random(16411 + lvl)
+        perms = [rand_portrait(rng, lvl).perm
+                 for _ in range(treeauto._BULK + 37)]
+        perms[100] = identity(lvl).perm
+        want = [sum(1 for i, image in enumerate(p) if image == i)
+                for p in perms]
+        assert treeauto._fixed_points(perms, lvl) == want
+        assert want[100] == 1 << lvl
+        assert treeauto._fixed_points([], lvl) == []
+
+    @pytest.mark.parametrize("lvl", LEVELS)
+    def test_cycle_type_counts_match_the_leaf_walk(self, lvl):
+        rng = random.Random(20011 + lvl)
+        perms = {rand_portrait(rng, lvl).perm for _ in range(300)}
+        assert treeauto._cycle_type_counts(perms) == collections.Counter(
+            oracles.cycle_type_of_perm(list(p)) for p in perms)
+        assert treeauto._cycle_type_counts([]) == {}

@@ -5,9 +5,10 @@
 Imports `imgroups`, certifies the level-4 maximality of a = 5, compares
 the level-2 and level-5 discriminant shapes with their pinned texts (the
 level-5 one runs the shape's CRT guard at the level cap), compares the
-sorted leaf permutations of M_6 and the names and element sets of the
-fifteen level-4 maximal subgroups with pinned sha256 digests, and fails
-if mpmath was imported along the way.  It needs nothing outside the standard
+sorted leaf permutations of M_6 and of its Frattini subgroup, the cycle
+type table of M_6, and the names and element sets of the fifteen level-4
+maximal subgroups with pinned sha256 digests, and fails if mpmath was
+imported along the way.  It needs nothing outside the standard
 library, so it also runs where mpmath is not installed.  Exit 0 when every
 check holds, 1 otherwise, with one line per failed check on stderr.
 """
@@ -23,6 +24,11 @@ import imgroups
 DISC_SHAPES = {2: "-2^16 * t^3 * (2-t)^1", 5: "+2^1072 * t^24 * (2-t)^22"}
 # sha256 of M_6's leaf permutations, sorted and concatenated
 M6_DIGEST = "0cef5be19d1c3da79854a4b25eb7ca566ea02953fca2ef1690ddb51ac4855e0e"
+# sha256 of Phi(M_6)'s leaf permutations, sorted and concatenated
+PHI6_DIGEST = "948c6e6cd7fdbda7b9b98b34f27372c668044bf8610ce1a7d47ff2538d7def2d"
+# sha256 of repr(cycle_type_table(M_6)), the types in sorted order
+M6_TYPES_DIGEST = ("05e5df8db05eb0703458a5803e64023de3d9eaaab312666b67c658264"
+                   "ba43bf0")
 # sha256 over the maximal subgroups of M_4 in order, each fed as its name,
 # a newline and its sorted leaf permutations concatenated
 KERNELS_DIGEST = "4fa02364d09bed2c6ca117bfbfb348f4c16f9ecea6949d976b369cc30ce6239a"
@@ -42,9 +48,18 @@ def main() -> int:
         if shape != want:
             failures.append(f"discriminant shape at n = {n} is {shape!r}, "
                             f"not {want!r}")
-    m6 = hashlib.sha256(_perms(imgroups.build_model(6).group)).hexdigest()
+    model6 = imgroups.build_model(6)
+    m6 = hashlib.sha256(_perms(model6.group)).hexdigest()
     if m6 != M6_DIGEST:
         failures.append(f"M_6 digest is {m6}, not {M6_DIGEST}")
+    phi6 = hashlib.sha256(_perms(imgroups.frattini_subgroup(model6))).hexdigest()
+    if phi6 != PHI6_DIGEST:
+        failures.append(f"Phi(M_6) digest is {phi6}, not {PHI6_DIGEST}")
+    types = repr(imgroups.cycle_type_table(model6.group)).encode()
+    types6 = hashlib.sha256(types).hexdigest()
+    if types6 != M6_TYPES_DIGEST:
+        failures.append(f"M_6 cycle type table digest is {types6}, not "
+                        f"{M6_TYPES_DIGEST}")
     kernels = hashlib.sha256()
     for sub in imgroups.maximal_subgroups(imgroups.build_model(4)):
         kernels.update(sub.name.encode() + b"\n" + _perms(sub.group))
@@ -56,8 +71,9 @@ def main() -> int:
     for failure in failures:
         print(f"check_exact_core: {failure}", file=sys.stderr)
     if not failures:
-        print("exact core: a = 5 maximal, disc shapes n = 2, 5, M_6 and the "
-              "level-4 maximal subgroups pinned, no mpmath")
+        print("exact core: a = 5 maximal, disc shapes n = 2, 5, M_6, Phi(M_6), "
+              "M_6's cycle types and the level-4 maximal subgroups pinned, "
+              "no mpmath")
     return 1 if failures else 0
 
 
