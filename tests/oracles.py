@@ -4,13 +4,15 @@ Everything in this file recomputes results from first principles with
 deliberately different algorithms and data layouts (binary strings for
 tree nodes, Fraction matrices for resultants, floating point roots for
 discriminants).  Nothing here imports library internals: only public
-constructors and, for the full discriminant interpolation, the public
-subresultant `resultant`, so agreement between the two routes is
+constructors, the public closure and generating sets for the model's
+Schreier orbit walk and, for the full discriminant interpolation, the
+public subresultant `resultant`, so agreement between the two routes is
 meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -18,11 +20,19 @@ from fractions import Fraction
 import mpmath
 
 from imgroups import (
+    LevelGroup,
+    ModelConstructionError,
+    ResourceLimitError,
     build_model,
+    builtin_system_f,
+    closure,
+    generating_set,
     geometric_group,
+    identity,
     iterate_pair,
     pair,
     resultant,
+    sigma,
     subgroup_U,
 )
 
@@ -183,7 +193,14 @@ def conjugate_by_recursion(u, v) -> bool:
     return conj(u, v)
 
 
-# -- the arithmetic model, one candidate at a time ---------------------------
+# -- the arithmetic model: candidate filter, orbit walk, affine maps ---------
+
+def normalizes(m, groups) -> bool:
+    """True iff conjugating the recorded generators of each group by m,
+    as portrait products m^-1 g m, stays in that group."""
+    mi = m.inverse()
+    return all(mi * g * m in H for H in groups for g in H.generators)
+
 
 def lift_filter_model(level: int) -> frozenset:
     """Leaf permutations of the level model, testing every lift candidate
@@ -193,16 +210,111 @@ def lift_filter_model(level: int) -> frozenset:
     previous twist subgroup and tau a root swap, is kept iff conjugating
     the recorded generators of G and U at this level by it stays in G and U.
     """
-    G, U = geometric_group(level), subgroup_U(level)
+    groups = geometric_group(level), subgroup_U(level)
     kept = set()
     for x in build_model(level - 1).group:
         for rho in subgroup_U(level - 1):
             for t in (0, 1):
                 m = pair(x, rho * x, t)
-                mi = m.inverse()
-                if all(mi * g * m in H for H in (G, U) for g in H.generators):
+                if normalizes(m, groups):
                     kept.add(m.perm)
     return frozenset(kept)
+
+
+@functools.lru_cache(maxsize=None)
+def schreier_model(level: int) -> LevelGroup:
+    """The level model found by a search: the stabilizer of (G, U) under
+    conjugation among the lift candidates (x, rho*x)tau, x in this
+    oracle's own model one level down, rho in the twist subgroup U one
+    level down and tau a root swap, with its Schreier generators recorded
+    in the order found.
+
+    The walk runs over the orbit of (G, U) with a transversal: t*c, for a
+    transversal element t and a lift c, lands on the point of u iff the
+    Schreier generator t*c*u^-1 normalizes both groups.  The points lie in
+    distinct cosets N*u of the normalizer N, so at most one u matches.
+    Every u is first scanned for a member of the stabilizer built so far,
+    which needs no normalizer test; a hit is the u that the in-order test
+    would pick.  The orbit times the stabilizer must count the 2 |M| |U|
+    candidates, and the stabilizer must hold G: ModelConstructionError
+    otherwise, and at once when the stabilizer outgrows the candidates.
+    """
+    if level == 1:
+        return LevelGroup(1, [identity(1).perm, sigma(1).perm], (sigma(1),))
+    prev, twist = schreier_model(level - 1), subgroup_U(level - 1)
+    groups = geometric_group(level), subgroup_U(level)
+    lifts = ([pair(x, x, 0) for x in generating_set(prev)]
+             + [pair(identity(level - 1), r, 0) for r in generating_set(twist)]
+             + [sigma(level)])
+    candidates = 2 * len(prev) * len(twist)
+    transversal = [identity(level)]
+    backs = [identity(level)]  # x * backs[i] is x * transversal[i]^-1
+    gens = []
+    stab = LevelGroup(level, [identity(level).perm])
+    for t in transversal:  # grows while it is walked
+        for c in lifts:
+            tc = t * c
+            if any(tc * b in stab for b in backs):
+                continue
+            s = next((s for s in (tc * b for b in backs)
+                      if normalizes(s, groups)), None)
+            if s is None:
+                transversal.append(tc)
+                backs.append(tc.inverse())
+                continue
+            gens.append(s)
+            try:
+                stab = closure(gens, max_size=candidates)
+            except ResourceLimitError:
+                raise ModelConstructionError(
+                    f"level {level}: stabilizer times orbit "
+                    f"{len(transversal)} exceeds {candidates}") from None
+    if len(stab) * len(transversal) != candidates:
+        raise ModelConstructionError(f"level {level}: stabilizer times orbit "
+                                     f"{len(transversal)} is not {candidates}")
+    if not groups[0].elements <= stab.elements:
+        raise ModelConstructionError(
+            f"level {level}: geometric elements dropped")
+    return LevelGroup(level, stab.elements, gens)
+
+
+def affine_model(level: int) -> frozenset:
+    """Leaf permutations of the maps x -> u x + tau and x -> u conj(x) + tau
+    of Z[i]/(1+i)^n, u a unit, in the coordinate that puts the residue of
+    s + ti at the leaf gamma1^s gamma2^t(0).
+
+    The residues are s + ti with 0 <= s < 2^ceil(n/2), 0 <= t < 2^floor(n/2),
+    and the units those with s + t odd; the products are taken in Z[i] and
+    read back through the powers of gamma1 and gamma2, whose orders divide
+    2^n.  Duplicate maps (n <= 2, where conj is trivial) collapse in the set.
+    """
+    sysf = builtin_system_f()
+    g1, g2 = (sysf.unfold(w, level).leaf_permutation()
+              for w in ("gamma1", "gamma2"))
+    size = 1 << level
+    leaf_at = [[0] * size for _ in range(size)]  # leaf_at[s][t]
+    for s in range(size):
+        if s:
+            leaf_at[s][0] = g1[leaf_at[s - 1][0]]
+        for t in range(1, size):
+            leaf_at[s][t] = g2[leaf_at[s][t - 1]]
+    reps = [(s, t) for s in range(1 << (level + 1) // 2)
+            for t in range(1 << level // 2)]
+    coord = {leaf_at[s][t]: (s, t) for s, t in reps}
+    if len(coord) != size:
+        raise RuntimeError(f"level {level}: residues do not cover the leaves")
+    leaves = [coord[x] for x in range(size)]
+    maps = set()
+    for ua, ub in reps:
+        if (ua + ub) % 2 == 0:
+            continue
+        for ta, tb in reps:
+            for sign in (1, -1):
+                maps.add(bytes(
+                    leaf_at[(ua * s - ub * sign * t + ta) % size]
+                           [(ua * sign * t + ub * s + tb) % size]
+                    for s, t in leaves))
+    return frozenset(maps)
 
 
 # -- resultants and discriminants over Q -------------------------------------

@@ -1,8 +1,11 @@
 """Arithmetic model construction, growth, Frattini data, maximal subgroups.
 
-The model lift is cross-checked against a full sweep of the ambient
-automorphism group at every level where that sweep is affordable, and
-against the element-by-element lift filter of the oracles up to level 6;
+The affine construction is cross-checked against a full sweep of the
+ambient automorphism group at every level where that sweep is affordable,
+against the element-by-element lift filter of the oracles up to level 6,
+and against the oracles' Schreier orbit walk and their enumeration of the
+affine maps of Z[i]/(1+i)^n up to level 7; each of its checks is made to
+fail once;
 the Frattini subgroup, certified on generators, is recomputed here as
 the intersection of all fifteen maximal subgroups and checked against
 the distinct squares.
@@ -29,21 +32,24 @@ from imgroups.errors import ModelConstructionError, ResourceLimitError
 from imgroups.selfsim import (
     GROUP_LEVEL_CAP,
     LevelGroup,
+    builtin_system_f,
     closure,
     commutator_subgroup,
     generating_set,
     geometric_group,
+    omega_group,
     quotient,
     subgroup_index,
     subgroup_U,
 )
-from imgroups.treeauto import Portrait, identity, sigma
+from imgroups.treeauto import Portrait, _table, identity, pair, sigma
 
 EXPECTED_ORDERS = {1: 2, 2: 8, 3: 64, 4: 256, 5: 1024}
 
-# sha256 of "\n".join(g.encode() for g in M_n's generators), in order;
-# frozen so that a change to the orbit walk keeps the same Schreier
-# generators, not merely the same group
+# sha256 of "\n".join(g.encode() for g in gens), in order, for the Schreier
+# generators that `oracles.schreier_model(n)` finds; frozen so that a change
+# to the orbit walk keeps the same Schreier generators, not merely the same
+# group
 GENERATOR_DIGESTS = {
     1: "d6b5915c46057bcb005f46f6433df65609dd3a7a57af75ac1a5a4a7c299ebffb",
     2: "a5c4e80b2a99e56c26c7f664bb611df4152b7c65e0cbc2915282ce7f67a2cab2",
@@ -51,6 +57,18 @@ GENERATOR_DIGESTS = {
     4: "30903c90b27761de2be3448b35a3d8a851862e1e409e6ca2d26d39345dff7cb8",
     5: "248d0a48c7f3a29b300cf7ef2b4082134dbbdd908a3a278606bb8ddf6868aff8",
     6: "9692e107dfc35f9bf13b074951b2570ad50ecc0e8aa85b5fc56a4111aff727f6",
+}
+
+# the same digest for the recorded generators of build_model(n): G_n's two,
+# then x -> 3x, x -> (1+2i)x and x -> conj(x) on Z[i]/(1+i)^n
+MODEL_GENERATOR_DIGESTS = {
+    1: "d6b5915c46057bcb005f46f6433df65609dd3a7a57af75ac1a5a4a7c299ebffb",
+    2: "c38432efd93937aa5b17e772c41a9c20721e83db0fab95dab1689f6b072a129f",
+    3: "d7152f7677b89b81e474e02afed189b028dec3cc4ec3ea4da44a41492eb45c80",
+    4: "ff665646490eb32461b2085fce80b4b79c11a37b22cd6d0674626d562eb44cc4",
+    5: "9dc31f332357a43e80e11e5db4a1cc0c2ca62a99642d77cd417c865604773e4b",
+    6: "b1899cddbb7c6646fa38a6e9b4b74860371a52b63da2f341b14e44249c96481b",
+    7: "0d5903df1ba43cf18f026a15b1e10f8489046755a7f8a7b3ad7d9c6e6e15a44c",
 }
 
 # every cycle type on 16 leaves that the level-4 model realizes, with
@@ -99,56 +117,55 @@ class TestConstruction:
         assert all(x.inverse() in m4.group for x in m4.group)
 
     def test_broken_orbit_count_is_construction_error(self, monkeypatch):
-        # a twist generating set that misses the twist leaves the lifts
-        # short of the candidate set; the orbit-stabilizer count must
-        # surface that as a model construction fault (exit 1), not as a
-        # bad argument (exit 2)
-        real = arithmodel.generating_set
+        # a twist generating set that misses the twist leaves the oracle
+        # walk's lifts short of the candidate set; the orbit-stabilizer
+        # count must surface that as a model construction fault (exit 1),
+        # not as a bad argument (exit 2)
+        real = oracles.generating_set
 
         def short_twist(group):
             if group is subgroup_U(1):
                 return [identity(1)]
             return real(group)
 
-        monkeypatch.setattr(arithmodel, "generating_set", short_twist)
-        arithmodel._model.cache_clear()
+        monkeypatch.setattr(oracles, "generating_set", short_twist)
+        oracles.schreier_model.cache_clear()
         try:
             with pytest.raises(ModelConstructionError,
                                match="level 2: stabilizer times orbit"):
-                build_model(2)
+                oracles.schreier_model(2)
         finally:
-            arithmodel._model.cache_clear()
+            oracles.schreier_model.cache_clear()
 
     def test_overflowing_stabilizer_fails_at_once(self, monkeypatch):
-        # a stabilizer that outgrows the candidates ends the walk on the
-        # spot: no normalizer test follows the overflow
+        # a stabilizer that outgrows the candidates ends the oracle walk on
+        # the spot: no normalizer test follows the overflow
         events = []
-        real = arithmodel._normalizes
+        real = oracles.normalizes
 
-        def counting(m, conditions):
+        def counting(m, groups):
             events.append("normalizes")
-            return real(m, conditions)
+            return real(m, groups)
 
-        def overflow(*args):
-            events.append("extend")
-            return None
+        def overflow(*args, **kwargs):
+            events.append("closure")
+            raise ResourceLimitError("closure exceeded cap")
 
-        monkeypatch.setattr(arithmodel, "_normalizes", counting)
-        monkeypatch.setattr(arithmodel, "_extend", overflow)
-        arithmodel._model.cache_clear()
+        monkeypatch.setattr(oracles, "normalizes", counting)
+        monkeypatch.setattr(oracles, "closure", overflow)
+        oracles.schreier_model.cache_clear()
         try:
             with pytest.raises(ModelConstructionError,
                                match="level 2: stabilizer times orbit"):
-                arithmodel._model(2)
+                oracles.schreier_model(2)
         finally:
-            arithmodel._model.cache_clear()
-        assert events.count("extend") == 1 and events[-1] == "extend"
+            oracles.schreier_model.cache_clear()
+        assert events.count("closure") == 1 and events[-1] == "closure"
 
     def test_lift_runs_few_normalizer_tests(self, monkeypatch):
         # the element-by-element filter made 2 |M_5| |U_5| = 65,536 tests
-        # at level 6 alone; the orbit walk needs 221 for all levels, as
-        # each step first looks for a Schreier generator already in the
-        # stabilizer, which needs no test
+        # at level 6 alone and the orbit walk 221 for all levels; the
+        # affine build tests its three automorphisms of T, once per level
         calls = []
         real = arithmodel._normalizes
 
@@ -162,10 +179,10 @@ class TestConstruction:
             assert arithmodel._model(6).order == 4096
         finally:
             arithmodel._model.cache_clear()
-        assert len(calls) <= 221
+        assert len(calls) == 3 * 5
 
     def test_cold_walk_builds_no_portrait_products(self, monkeypatch):
-        # the walk composes leaf permutations; G_n and U_n are built
+        # the build composes leaf permutations; G_n and U_n are built
         # first, as their own construction multiplies portraits
         for n in range(1, 7):
             geometric_group(n), subgroup_U(n)
@@ -185,8 +202,26 @@ class TestConstruction:
 
     def test_generators_are_pinned(self):
         for n, want in GENERATOR_DIGESTS.items():
-            text = "\n".join(g.encode() for g in build_model(n).group.generators)
+            gens = oracles.schreier_model(n).generators
+            text = "\n".join(g.encode() for g in gens)
             assert hashlib.sha256(text.encode()).hexdigest() == want, n
+
+    def test_model_generators_are_pinned(self):
+        for n, want in MODEL_GENERATOR_DIGESTS.items():
+            gens = build_model(n).group.generators
+            text = "\n".join(g.encode() for g in gens)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, n
+
+    @pytest.mark.parametrize("n", range(1, GROUP_LEVEL_CAP + 1))
+    def test_schreier_oracle_agreement(self, n):
+        walk = oracles.schreier_model(n)
+        assert build_model(n).group.elements == walk.elements
+
+    @pytest.mark.parametrize("n", range(1, GROUP_LEVEL_CAP + 1))
+    def test_affine_oracle_agreement(self, n):
+        # the theorem itself: M_n is every affine map of Z[i]/(1+i)^n,
+        # enumerated as (u, tau, conj or not) in Gaussian coordinates
+        assert build_model(n).group.elements == oracles.affine_model(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lift_filter_oracle_agreement(self, n):
@@ -221,6 +256,102 @@ class TestConstruction:
     def test_geometric_index_at_top(self):
         m5 = build_model(5)
         assert subgroup_index(m5.group, geometric_group(5)) == 8
+
+
+def _gammas(n):
+    sysf = builtin_system_f()
+    return tuple(sysf.unfold(w, n).perm for w in ("gamma1", "gamma2"))
+
+
+@pytest.fixture
+def rebuild(monkeypatch):
+    """Build the level model afresh with names in `arithmodel` patched, on
+    the unpatched models below it."""
+    def run(level, **patches):
+        arithmodel._model.cache_clear()
+        arithmodel._model(level - 1)
+        for name, value in patches.items():
+            monkeypatch.setattr(arithmodel, name, value)
+        return arithmodel._model(level)
+
+    yield run
+    arithmodel._model.cache_clear()
+
+
+class TestConstructionChecks:
+    """Each check of the affine construction, made to fail once; every
+    failure is a ModelConstructionError naming the level and the check."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_walk_conflict_at_odd_levels(self, n):
+        # gamma2 -> gamma1 gamma2 is no endomorphism of T at odd n
+        g1, g2 = _gammas(n)
+        with pytest.raises(ModelConstructionError,
+                           match=f"level {n}: the walk sends leaf"):
+            arithmodel._leaf_map(n, (g1, g2), (g1, g1.translate(_table(g2))))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_even_levels_walk_to_no_tree_automorphism(self, n):
+        # the same images pass the walk at even n, but the leaf bijection
+        # breaks the tree
+        g1, g2 = _gammas(n)
+        with pytest.raises(ModelConstructionError,
+                           match=f"level {n}: the walk is not a tree "
+                                 "automorphism"):
+            arithmodel._leaf_map(n, (g1, g2), (g1, g1.translate(_table(g2))))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_walk_that_is_no_bijection(self, n):
+        g1, g2 = _gammas(n)
+        with pytest.raises(ModelConstructionError,
+                           match=f"level {n}: the walk is not a bijection"):
+            arithmodel._leaf_map(n, (g1, g2), (g1, g1))
+
+    def test_automorphism_that_is_no_lift_candidate(self, rebuild):
+        # (x, x) with x outside M_3 has a left section outside the model
+        m3 = build_model(3).group
+        x = next(x for x in omega_group(3) if x not in m3)
+        with pytest.raises(ModelConstructionError,
+                           match="level 4: generator 2 is not a lift "
+                                 "candidate"):
+            rebuild(4, _leaf_map=lambda *args: pair(x, x, 0))
+
+    def test_candidate_that_does_not_normalize(self, rebuild):
+        m4 = build_model(4).group
+        m = next(m for m in (pair(identity(3), r, 0) for r in subgroup_U(3))
+                 if m not in m4)
+        with pytest.raises(ModelConstructionError,
+                           match="level 4: generator 2 does not normalize "
+                                 "G_4 and U_4"):
+            rebuild(4, _leaf_map=lambda *args: m)
+
+    def test_closure_past_the_cap(self, rebuild):
+        with pytest.raises(ModelConstructionError,
+                           match="level 4: the generators do not close to "
+                                 "the 256 affine maps"):
+            rebuild(4, _mulclose=lambda gens, max_size: None)
+
+    def test_closure_of_the_wrong_order(self, rebuild):
+        # with trivial automorphisms the generators close to G_5 only
+        with pytest.raises(ModelConstructionError,
+                           match="level 5: the generators do not close to "
+                                 "the 1024 affine maps"):
+            rebuild(5, _leaf_map=lambda *args: identity(5))
+
+    def test_geometric_generator_that_is_no_power_of_i(self, rebuild):
+        # complex conjugation normalizes <[i]> but lies outside it
+        g3 = geometric_group(3)
+        conj = build_model(3).group.generators[-1]
+        fake = LevelGroup(3, g3.elements, (*g3.generators, conj))
+        with pytest.raises(ModelConstructionError,
+                           match=r"level 3: a2 or a generator of G_3 is not "
+                                 r"a power of \[i\] on T"):
+            rebuild(3, geometric_group=lambda n: fake)
+
+    def test_twist_that_is_not_regular(self, rebuild):
+        with pytest.raises(ModelConstructionError,
+                           match="level 4: T is not abelian of order 16"):
+            rebuild(4, subgroup_U=geometric_group)
 
 
 class TestElementStatistics:
@@ -416,13 +547,14 @@ class TestFrattini:
             arithmodel._certify_frattini(m3.group, sub)
 
     def test_certificate_refuses_a_nonabelian_quotient(self):
-        # M_4's recorded generators are involutions, so the trivial group
-        # passes the normality and square checks and fails on a commutator
-        m4 = build_model(4)
-        assert all(g * g == identity(4) for g in generating_set(m4.group))
+        # M_4's Schreier generators, as the oracle walk finds them, are
+        # involutions, so the trivial group passes the normality and square
+        # checks and fails on a commutator
+        m4 = oracles.schreier_model(4)
+        assert all(g * g == identity(4) for g in generating_set(m4))
         trivial = LevelGroup(4, [identity(4).perm], (identity(4),))
         with pytest.raises(ModelConstructionError, match="do not commute"):
-            arithmodel._certify_frattini(m4.group, trivial)
+            arithmodel._certify_frattini(m4, trivial)
 
     def test_certificate_refuses_an_abelian_quotient_of_exponent_4(self):
         # [M_6, M_6] is normal with an abelian quotient of order 32, twice

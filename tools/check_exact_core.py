@@ -5,10 +5,11 @@
 Imports `imgroups`, certifies the level-4 maximality of a = 5, compares
 the level-2 and level-5 discriminant shapes with their pinned texts (the
 level-5 one runs the shape's CRT guard at the level cap), compares the
-sorted leaf permutations of M_6 and of its Frattini subgroup, the cycle
-type table of M_6, and the names and element sets of the fifteen level-4
-maximal subgroups with pinned sha256 digests, and fails if mpmath was
-imported along the way.  It needs nothing outside the standard
+sorted leaf permutations of M_6, of its Frattini subgroup and of M_7 (of
+order 16384, the last model below the level cap), the cycle type table
+of M_6, and the names and element sets of the fifteen level-4 maximal
+subgroups with pinned sha256 digests, and fails if mpmath was imported
+along the way.  It needs nothing outside the standard
 library, so it also runs where mpmath is not installed.  Exit 0 when every
 check holds, 1 otherwise, with one line per failed check on stderr.
 """
@@ -24,6 +25,10 @@ import imgroups
 DISC_SHAPES = {2: "-2^16 * t^3 * (2-t)^1", 5: "+2^1072 * t^24 * (2-t)^22"}
 # sha256 of M_6's leaf permutations, sorted and concatenated
 M6_DIGEST = "0cef5be19d1c3da79854a4b25eb7ca566ea02953fca2ef1690ddb51ac4855e0e"
+# sha256 of M_7's leaf permutations, sorted and concatenated, from the
+# Schreier orbit walk that built M_7 before the affine construction
+M7_ORDER = 16384
+M7_DIGEST = "ea4fc3d5ad5cd7deeb3d170578537bec9ef47d4e73f0acdffa29114f44124f41"
 # sha256 of Phi(M_6)'s leaf permutations, sorted and concatenated
 PHI6_DIGEST = "948c6e6cd7fdbda7b9b98b34f27372c668044bf8610ce1a7d47ff2538d7def2d"
 # sha256 of repr(cycle_type_table(M_6)), the types in sorted order
@@ -52,6 +57,12 @@ def main() -> int:
     m6 = hashlib.sha256(_perms(model6.group)).hexdigest()
     if m6 != M6_DIGEST:
         failures.append(f"M_6 digest is {m6}, not {M6_DIGEST}")
+    model7 = imgroups.build_model(7)
+    if model7.order != M7_ORDER:
+        failures.append(f"|M_7| is {model7.order}, not {M7_ORDER}")
+    m7 = hashlib.sha256(_perms(model7.group)).hexdigest()
+    if m7 != M7_DIGEST:
+        failures.append(f"M_7 digest is {m7}, not {M7_DIGEST}")
     phi6 = hashlib.sha256(_perms(imgroups.frattini_subgroup(model6))).hexdigest()
     if phi6 != PHI6_DIGEST:
         failures.append(f"Phi(M_6) digest is {phi6}, not {PHI6_DIGEST}")
@@ -71,9 +82,9 @@ def main() -> int:
     for failure in failures:
         print(f"check_exact_core: {failure}", file=sys.stderr)
     if not failures:
-        print("exact core: a = 5 maximal, disc shapes n = 2, 5, M_6, Phi(M_6), "
-              "M_6's cycle types and the level-4 maximal subgroups pinned, "
-              "no mpmath")
+        print("exact core: a = 5 maximal, disc shapes n = 2, 5, M_6, M_7, "
+              "Phi(M_6), M_6's cycle types and the level-4 maximal subgroups "
+              "pinned, no mpmath")
     return 1 if failures else 0
 
 
