@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 
 from .errors import ModelConstructionError, ResourceLimitError
 from .selfsim import (
@@ -72,12 +73,14 @@ from .selfsim import (
 from .treeauto import (
     ENUMERATION_LEVEL_CAP,
     Portrait,
+    _BULK,
     _all_perms,
     _cycle_type_counts,
     _cycle_types,
     _from_perm,
     _in_code_order,
     _inverse,
+    _low_bits,
     _odometer,
     _sections,
     _table,
@@ -232,14 +235,28 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
         return (True, 2, model.order)
     prev = build_model(level - 1)
     conditions = _normalizer_conditions(model.geometric, model.twist)
-    brute = {m for m in _all_perms(level)
-             if _is_lift(m, level, prev) and _normalizes(m, conditions)}
+    # `_is_lift` as one set: m is a lift candidate iff its sections, left
+    # then right, are x and rho x for some x in M_(n-1) and rho in U_(n-1)
+    lifts = {x + rho.translate(_table(x)) for x in prev.group.elements
+             for rho in prev.twist.elements}
+    size, low = 1 << level, _low_bits(level - 1)
+    brute = set()
+    perms = _all_perms(level)
+    while batch := list(islice(perms, _BULK)):
+        # the sections of every perm in the batch by one translate
+        sections = b"".join(batch).translate(low)
+        brute.update(m for i, m in enumerate(batch)
+                     if sections[i * size:(i + 1) * size] in lifts
+                     and _normalizes(m, conditions))
     return (brute == model.group.elements, len(brute), model.order)
 
 
+@lru_cache(maxsize=None)
 def odometer_elements(model: ArithLevelModel) -> tuple[Portrait, ...]:
     """All model elements acting as a single full cycle on the leaves, by
-    their cycle types and, as a second route, their sign characters."""
+    their cycle types and, as a second route, their sign characters;
+    cached, as `order_growth_report` and `img verify` ask for the same
+    models."""
     els = model.group.elements
     types = _cycle_types(els)
     return tuple(x for x in _in_code_order(els, model.level)

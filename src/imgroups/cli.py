@@ -203,9 +203,11 @@ def _cmd_arith(args, caps) -> tuple[dict, list[str], int]:
 
 def _cmd_disc(args, caps) -> tuple[dict, list[str], int]:
     top = args.n
-    if not 1 <= top <= polyarith.DISC_LEVEL_CAP:
-        raise ValueError(
-            f"disc level {top} out of range 1..{polyarith.DISC_LEVEL_CAP}")
+    if top < 1:
+        raise ValueError(f"disc level {top} is below 1")
+    if top > polyarith.DISC_LEVEL_CAP:
+        raise ResourceLimitError(f"disc level {top} exceeds DISC_LEVEL_CAP = "
+                                 f"{polyarith.DISC_LEVEL_CAP}")
     rows = []
     lines = [f"discriminant shapes, levels 1..{top}"]
     for n in range(1, top + 1):

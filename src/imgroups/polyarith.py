@@ -92,15 +92,25 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product by Kronecker substitution (Harvey, J. Symb. Comp.
+        2009): each operand becomes one int, its coefficients in signed
+        slots of `size` bytes, and one big-int product is unpacked by one
+        `to_bytes`.  No product coefficient exceeds max|a| * max|b| *
+        min(len) in absolute value, so a slot holds every one of them."""
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        size = bound.bit_length() // 8 + 1  # 2^(8 size - 1) > bound
+        slots = len(a) + len(b) - 1
+        bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+        pa = _kronecker_pack(a, size, bias)
+        pb = pa if b is a else _kronecker_pack(b, size, bias)
+        # adding bias makes each slot c + 2^(8 size - 1), with no borrow
+        # between slots; xor with bias turns that into c's two's complement
+        data = ((pa * pb + bias) ^ bias).to_bytes(size * slots, "little")
+        return IntPoly([int.from_bytes(data[i:i + size], "little", signed=True)
+                        for i in range(0, len(data), size)])
 
     def square(self):
         return self * self
@@ -154,6 +164,16 @@ class IntPoly:
     def to_text(self) -> str:
         """Space-separated decimal coefficients, constant term first."""
         return " ".join(str(c) for c in self.coeffs) if self.coeffs else "0"
+
+
+def _kronecker_pack(coeffs, size: int, bias: int) -> int:
+    """sum c_i 2^(8 size i) for |c_i| < 2^(8 size - 1), and bias with
+    2^(8 size - 1) in at least len(coeffs) slots: the two's complement
+    slots xor bias are c_i + 2^(8 size - 1), so subtracting bias leaves
+    the signed sum."""
+    raw = int.from_bytes(b"".join(c.to_bytes(size, "little", signed=True)
+                                  for c in coeffs), "little")
+    return (raw ^ bias) - bias
 
 
 X = IntPoly([0, 1])
@@ -686,8 +706,11 @@ def discriminant_shape(n: int) -> DiscriminantShape:
     half-degree identity, which the tests pin against `_disc_direct` and
     Sylvester; the reversal, the scaling and the orbit it checks afresh.
     """
-    if not 1 <= n <= DISC_LEVEL_CAP:
-        raise ValueError(f"discriminant level {n} out of range 1..{DISC_LEVEL_CAP}")
+    if n < 1:
+        raise ValueError(f"discriminant level {n} is below 1")
+    if n > DISC_LEVEL_CAP:
+        raise ResourceLimitError(
+            f"discriminant level {n} exceeds DISC_LEVEL_CAP = {DISC_LEVEL_CAP}")
     shape = next(islice(_shape_recursion(), n - 1, None))
     fr = iterate_pair(n)
     for tau in (5, 7):

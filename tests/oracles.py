@@ -317,6 +317,20 @@ def affine_model(level: int) -> frozenset:
     return frozenset(maps)
 
 
+# -- integer polynomials -------------------------------------------------------
+
+def poly_mul(a, b) -> tuple[int, ...]:
+    """Schoolbook product of coefficient sequences, constant term first,
+    with trailing zeros dropped; the zero polynomial is ()."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 # -- resultants and discriminants over Q -------------------------------------
 
 def sylvester_resultant(f, g) -> Fraction:

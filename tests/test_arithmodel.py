@@ -12,6 +12,7 @@ the distinct squares.
 """
 
 import collections
+import dataclasses
 import hashlib
 
 import pytest
@@ -252,6 +253,17 @@ class TestConstruction:
         agrees, brute_order, model_order = brute_model_cross_check(n)
         assert agrees
         assert brute_order == model_order == EXPECTED_ORDERS[n]
+
+    def test_brute_sweep_sees_a_missing_element(self, monkeypatch):
+        # the sweep finds M_4 on its own, so a model lacking one element
+        # disagrees with it
+        real = arithmodel.build_model
+        m4 = real(4)
+        short = LevelGroup(4, m4.group.elements)
+        short.elements = m4.group.elements - {max(m4.group.elements)}
+        monkeypatch.setattr(arithmodel, "build_model", lambda n: (
+            dataclasses.replace(m4, group=short) if n == 4 else real(n)))
+        assert brute_model_cross_check(4) == (False, 256, 255)
 
     def test_geometric_index_at_top(self):
         m5 = build_model(5)

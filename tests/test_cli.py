@@ -117,7 +117,13 @@ class TestDisc:
         assert "n=1: +2^3 * t^1 * (2-t)^0" in out
 
     def test_range(self, capsys):
+        # above DISC_LEVEL_CAP is a resource limit, exit 3 as for every cap
         code, _, err = run(capsys, "disc", "--n", "6")
+        assert code == 3
+        assert "DISC_LEVEL_CAP" in err
+
+    def test_below_range(self, capsys):
+        code, _, err = run(capsys, "disc", "--n", "0")
         assert code == 2
 
 

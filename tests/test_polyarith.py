@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from imgroups import polyarith
+from imgroups import builtin_system_f, polyarith
 from imgroups.errors import (
     BadPrimeError,
     ExcludedBasePointError,
@@ -68,6 +68,39 @@ class TestIntPoly:
         f = IntPoly((6, -9, 12))
         assert f.content() == 3
         assert f.primitive().coeffs == (2, -3, 4)
+
+    def test_product_matches_schoolbook(self):
+        # Kronecker products against the oracle's schoolbook: signed
+        # coefficients up to 10^40, lengths 1..40, the zero polynomial and
+        # +/-1 constants on either side, and squares through `is`
+        rng = random.Random(3701)
+
+        def operand():
+            size = 10 ** rng.randint(0, 40)
+            return tuple(rng.randint(-size, size)
+                         for _ in range(rng.randint(1, 40)))
+
+        pairs = [(operand(), operand()) for _ in range(300)]
+        special = [(), (1,), (-1,)]
+        pairs += [(a, b) for a in special for b in special + [operand()]]
+        pairs += [(b, a) for a in special for b in (operand(), operand())]
+        for a, b in pairs:
+            f, g = IntPoly(a), IntPoly(b)
+            assert (f * g).coeffs == oracles.poly_mul(f.coeffs, g.coeffs), (a, b)
+        for a, _ in pairs[:40]:
+            f = IntPoly(a)
+            assert f.square().coeffs == oracles.poly_mul(f.coeffs, f.coeffs)
+
+    def test_product_slot_edges(self):
+        # k equal coefficients c put +/-k c^2, the bound max|a| max|b|
+        # min(len) that sizes a slot, in the middle of the product; bound
+        # bit lengths 7 mod 8 leave one spare bit in the signed slot
+        for bits in (7, 8, 15, 16, 63, 64, 127):
+            for k in (1, 2, 5):
+                c = isqrt(((1 << bits) - 1) // k)
+                f, g = IntPoly([c] * k), IntPoly([-c] * k)
+                for x, y in ((f, f), (f, g), (g, g)):
+                    assert (x * y).coeffs == oracles.poly_mul(x.coeffs, y.coeffs)
 
     def test_to_text(self):
         assert IntPoly((3, 0, -12)).to_text() == "3 0 -12"
@@ -367,8 +400,24 @@ class TestDiscriminantShapes:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             discriminant_shape(0)
-        with pytest.raises(ValueError):
+        # above the cap is a resource limit, as for every other level cap
+        with pytest.raises(ResourceLimitError, match="DISC_LEVEL_CAP"):
             discriminant_shape(6)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_branch_cycle_passport(self, n):
+        # the third route to a and b: the exponents are the defects
+        # 2^n - #cycles of a2 and a3, the branch cycles over t = 0 and 2,
+        # and with a1's over infinity the defects satisfy Riemann-Hurwitz
+        shape = (discriminant_shape(n) if n <= polyarith.DISC_LEVEL_CAP
+                 else next(itertools.islice(polyarith._shape_recursion(),
+                                            n - 1, None)))
+        system = builtin_system_f()
+        defect = {a: (1 << n) - len(system.unfold(a, n).cycle_type())
+                  for a in ("a1", "a2", "a3")}
+        assert shape.n == n
+        assert (shape.a, shape.b) == (defect["a2"], defect["a3"])
+        assert sum(defect.values()) == (1 << n + 1) - 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_full_interpolation(self, n):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from imgroups import verify
+from imgroups import arithmodel, selfsim, treeauto, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,3 +67,42 @@ def test_random_portrait_code_is_one_getrandbits_draw():
         assert u._code is None  # so `code` below is read back from `perm`
         assert u.code == twin.getrandbits((1 << level) - 1)
         assert rng.getstate() == twin.getstate()
+
+
+def _run_one(monkeypatch, claim):
+    monkeypatch.setattr(verify, "CLAIMS", tuple(
+        (name, body) for name, body in verify.CLAIMS if name == claim))
+    [result] = verify.run_claims()
+    return result
+
+
+def test_conjugacy_claim_catches_a_merged_class(monkeypatch):
+    # the root swap given the identity's key: two non-conjugate elements
+    # with one key, and the claim names that pair
+    real = treeauto.conjugacy_class
+    one, swap = treeauto.identity(3), treeauto.sigma(3)
+    monkeypatch.setattr(treeauto, "conjugacy_class",
+                        lambda u: real(one) if u == swap else real(u))
+    result = _run_one(monkeypatch, "conjugacy-brute-force")
+    assert (result.status, result.detail) == ("FAIL", str((one, swap)))
+
+
+def test_twist_claim_catches_a_nonabelian_subgroup(monkeypatch):
+    monkeypatch.setattr(selfsim, "subgroup_U", selfsim.geometric_group)
+    result = _run_one(monkeypatch, "twist-subgroup-abelian")
+    # G_2 is the dihedral group of order 8, so the claim fails at level 2
+    assert result.status == "FAIL"
+    assert result.detail.startswith("(2, Portrait('2:")
+
+
+def test_model_claims_share_the_odometer_scan():
+    # model-growth-profile scans every model up to the cap for odometers;
+    # model-odometer-free then reads levels 3..cap from the cache
+    caps, claims = verify.VerifyCaps(), dict(verify.CLAIMS)
+    arithmodel.odometer_elements.cache_clear()
+    claims["model-growth-profile"](caps)
+    before = arithmodel.odometer_elements.cache_info()
+    claims["model-odometer-free"](caps)
+    after = arithmodel.odometer_elements.cache_info()
+    assert after.misses == before.misses == caps.model_level
+    assert after.hits - before.hits == caps.model_level - 2

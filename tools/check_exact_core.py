@@ -5,6 +5,8 @@
 Imports `imgroups`, certifies the level-4 maximality of a = 5, compares
 the level-2 and level-5 discriminant shapes with their pinned texts (the
 level-5 one runs the shape's CRT guard at the level cap), compares the
+coefficients of the iterate pair (g_8, h_8), built by Kronecker products,
+with a digest taken from schoolbook products, compares the
 sorted leaf permutations of M_6, of its Frattini subgroup and of M_7 (of
 order 16384, the last model below the level cap), the cycle type table
 of M_6, and the names and element sets of the fifteen level-4 maximal
@@ -23,6 +25,9 @@ from fractions import Fraction
 import imgroups
 
 DISC_SHAPES = {2: "-2^16 * t^3 * (2-t)^1", 5: "+2^1072 * t^24 * (2-t)^22"}
+# sha256 of g_8's `to_text()`, a newline and h_8's, from schoolbook products
+ITERATE8_DIGEST = ("70a1239ba8960f3793a93b576dc1cb75a8e35ae944e6bcfd01e3c542e"
+                   "79d841b")
 # sha256 of M_6's leaf permutations, sorted and concatenated
 M6_DIGEST = "0cef5be19d1c3da79854a4b25eb7ca566ea02953fca2ef1690ddb51ac4855e0e"
 # sha256 of M_7's leaf permutations, sorted and concatenated, from the
@@ -53,6 +58,11 @@ def main() -> int:
         if shape != want:
             failures.append(f"discriminant shape at n = {n} is {shape!r}, "
                             f"not {want!r}")
+    fr = imgroups.iterate_pair(8)
+    pair8 = hashlib.sha256(f"{fr.g.to_text()}\n{fr.h.to_text()}".encode())
+    if pair8.hexdigest() != ITERATE8_DIGEST:
+        failures.append(f"(g_8, h_8) digest is {pair8.hexdigest()}, not "
+                        f"{ITERATE8_DIGEST}")
     model6 = imgroups.build_model(6)
     m6 = hashlib.sha256(_perms(model6.group)).hexdigest()
     if m6 != M6_DIGEST:
@@ -82,9 +92,9 @@ def main() -> int:
     for failure in failures:
         print(f"check_exact_core: {failure}", file=sys.stderr)
     if not failures:
-        print("exact core: a = 5 maximal, disc shapes n = 2, 5, M_6, M_7, "
-              "Phi(M_6), M_6's cycle types and the level-4 maximal subgroups "
-              "pinned, no mpmath")
+        print("exact core: a = 5 maximal, disc shapes n = 2, 5, (g_8, h_8), "
+              "M_6, M_7, Phi(M_6), M_6's cycle types and the level-4 maximal "
+              "subgroups pinned, no mpmath")
     return 1 if failures else 0
 
 
