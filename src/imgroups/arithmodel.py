@@ -64,6 +64,8 @@ from .selfsim import (
     GROUP_LEVEL_CAP,
     LevelGroup,
     _mulclose,
+    _normalizer_conditions,
+    _normalizes,
     builtin_system_f,
     generating_set,
     geometric_group,
@@ -98,23 +100,6 @@ class ArithLevelModel:
     @property
     def order(self) -> int:
         return len(self.group)
-
-
-def _normalizer_conditions(*groups: LevelGroup):
-    """(generator tables, element set) per group, for `_normalizes`."""
-    return tuple((tuple(_table(g.perm) for g in generating_set(H)), H.elements)
-                 for H in groups)
-
-
-def _normalizes(m: bytes, conditions) -> bool:
-    """True iff m^-1 g m lies in the target for every (gens, target) pair.
-
-    m is a leaf permutation, and the conjugates are composed as leaf
-    permutations; no portrait is built for them.
-    """
-    mt, mi = _table(m), _inverse(m)
-    return all(mi.translate(g).translate(mt) in target
-               for gens, target in conditions for g in gens)
 
 
 def _check(ok: bool, level: int, failure: str) -> None:
@@ -302,15 +287,13 @@ def _certify_frattini(group: LevelGroup, phi: LevelGroup) -> None:
     Group Theory, 2005)."""
     level, inside = group.level, phi.elements
     gens = [g.perm for g in generating_set(group)]
+    conditions = _normalizer_conditions(phi)
+    if not all(_normalizes(g, conditions) for g in gens):
+        raise ModelConstructionError(
+            f"level {level}: the subgroup of order {len(phi)} is not normal")
     inverses = [_inverse(g) for g in gens]
     steps = [_table(g) for g in gens]  # x.translate(step) is x * g
     backs = [_table(g) for g in inverses]  # and x * g^-1
-    for s in (_table(h.perm) for h in generating_set(phi)):
-        for gi, step in zip(inverses, steps):
-            if gi.translate(s).translate(step) not in inside:
-                raise ModelConstructionError(
-                    f"level {level}: the subgroup of order {len(phi)} is "
-                    "not normal")
     for i, g in enumerate(gens):
         if g.translate(steps[i]) not in inside:
             raise ModelConstructionError(

@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 success (any delivered verdict), 1 invariant violation,
-2 bad input, 3 resource limit.  Output is deterministic for fixed flags
-and seed; JSON is emitted with sorted keys.
+2 bad input or a prime bound too small for the point, 3 resource limit.
+Output is deterministic for fixed flags and seed; JSON is emitted with
+sorted keys.
 """
 
 from __future__ import annotations
@@ -327,14 +328,14 @@ def main(argv=None) -> int:
     try:
         caps = _load_caps(args)
         report, lines, code = _DISPATCH[args.cmd](args, caps)
-    except (ExcludedBasePointError, ValueError) as exc:
+    except (ExcludedBasePointError, ValueError, InsufficientDataError) as exc:
         print(f"img: error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"img: resource limit: {exc}", file=sys.stderr)
         return 3
     except (ModelConstructionError, ModelInconsistencyError,
-            InsufficientDataError, ShapeViolationError, AssertionError) as exc:
+            ShapeViolationError, AssertionError) as exc:
         print(f"img: invariant violation: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

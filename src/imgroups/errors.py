@@ -31,7 +31,7 @@ class BadPrimeError(ValueError):
 
 
 class InsufficientDataError(RuntimeError):
-    """Fewer usable primes below the bound than the certifier requires."""
+    """Fewer usable primes up to the bound than the certifier requires."""
 
 
 class ModelInconsistencyError(RuntimeError):

@@ -329,16 +329,12 @@ def _roots(p: int):
 
 
 def _t_add(x, y, j: int, p: int):
-    if not j:
-        return (x + y) % p
     if j == 1:
         return (x[0] + y[0]) % p, (x[1] + y[1]) % p
     return _t_add(x[0], y[0], j - 1, p), _t_add(x[1], y[1], j - 1, p)
 
 
 def _t_scale(x, c: int, j: int, p: int):
-    if not j:
-        return x * c % p
     if j == 1:
         return x[0] * c % p, x[1] * c % p
     return _t_scale(x[0], c, j - 1, p), _t_scale(x[1], c, j - 1, p)
@@ -346,14 +342,12 @@ def _t_scale(x, c: int, j: int, p: int):
 
 def _t_embed(c: int, j: int):
     """The element c of F_p at depth j."""
-    if j < 2:
-        return (c, 0) if j else c
+    if j == 1:
+        return c, 0
     return _t_embed(c, j - 1), _t_embed(0, j - 1)
 
 
 def _t_mul(x, y, tower: tuple, j: int, p: int):
-    if not j:
-        return x * y % p
     (a, b), (c, d) = x, y
     if j == 1:  # most products, in plain ints
         return (a * c + tower[0] * b * d) % p, (a * d + b * c) % p
@@ -374,24 +368,14 @@ def _t_rel_norm(x, tower: tuple, j: int, p: int):
 
 
 def _t_norm(x, tower: tuple, j: int, p: int) -> int:
-    """The norm of x to F_p."""
-    if j == 1:
-        a, b = x
-        return (a * a - tower[0] * b * b) % p
+    """The norm of x to F_p; the nonzero x is a square exactly when its
+    norm is, as N(x)^((p-1)/2) = x^((p^(2^j)-1)/2)."""
     while j:
         x, j = _t_rel_norm(x, tower, j, p), j - 1
     return x
 
 
-def _t_is_square(x, tower: tuple, j: int, p: int, is_square) -> bool:
-    """Whether the nonzero x is a square: exactly when its norm to F_p is,
-    as N(x)^((p-1)/2) = x^((p^(2^j)-1)/2)."""
-    return bool(is_square(_t_norm(x, tower, j, p)))
-
-
 def _t_inv(x, tower: tuple, j: int, p: int):
-    if not j:
-        return pow(x, -1, p)
     a, b = x
     if j == 1:
         n = pow((a * a - tower[0] * b * b) % p, -1, p)
@@ -407,14 +391,17 @@ def _t_sqrt(x, tower: tuple, j: int, p: int, roots):
     sqrt(a) in K, or sqrt(a / beta) s when a is not a square in K;
     otherwise it is c + d s with c^2 = (a +- r) / 2, r = sqrt(a^2 - beta
     b^2), taking the sign that gives a square in K (their product
-    beta b^2 / 4 is not one), and d = b / 2c."""
+    beta b^2 / 4 is not one), and d = b / 2c.  b = 0 is tested first: the
+    general formula would then ask for sqrt(0)."""
     is_square, sqrt = roots
-    if not j:
-        return sqrt(x)
+    half = (p + 1) >> 1
     a, b = x
-    if j == 1 and b:  # most roots, in plain ints
+    if j == 1:  # most roots, in plain ints
+        if not b:
+            if is_square(a):
+                return sqrt(a), 0
+            return 0, sqrt(a * pow(tower[0], -1, p) % p)
         r = sqrt((a * a - tower[0] * b * b) % p)
-        half = (p + 1) >> 1
         c2 = (a + r) * half % p
         if not is_square(c2):
             c2 = (a - r) * half % p
@@ -422,14 +409,13 @@ def _t_sqrt(x, tower: tuple, j: int, p: int, roots):
         return c, b * pow(2 * c, -1, p) % p
     j -= 1
     if b == _t_embed(0, j):
-        if _t_is_square(a, tower, j, p, is_square):
+        if is_square(_t_norm(a, tower, j, p)):
             return _t_sqrt(a, tower, j, p, roots), b
         beta_inv = _t_inv(tower[j], tower, j, p)
         return b, _t_sqrt(_t_mul(a, beta_inv, tower, j, p), tower, j, p, roots)
     r = _t_sqrt(_t_rel_norm(x, tower, j + 1, p), tower, j, p, roots)
-    half = (p + 1) >> 1
     c2 = _t_scale(_t_add(a, r, j, p), half, j, p)
-    if not _t_is_square(c2, tower, j, p, is_square):
+    if not is_square(_t_norm(c2, tower, j, p)):
         c2 = _t_add(c2, _t_scale(r, p - 1, j, p), j, p)
     c = _t_sqrt(c2, tower, j, p, roots)
     return c, _t_mul(b, _t_inv(_t_scale(c, 2, j, p), tower, j, p), tower, j, p)
@@ -525,10 +511,12 @@ def _frobenius_stream(point: BasePoint, primes) -> Iterator[tuple[int, Profile]]
         yield p, _fibre_profile(p, u * pow(v, -1, p) % p)
 
 
-def _require_usable(usable: int, prime_bound: int) -> None:
+def _require_usable(point: BasePoint, usable: int, prime_bound: int) -> None:
+    """Refuse fewer than MIN_USABLE_PRIMES usable primes, naming the point."""
     if usable < MIN_USABLE_PRIMES:
         raise InsufficientDataError(
-            f"only {usable} usable primes below {prime_bound} "
+            f"maximality: a = {point.a} has {usable} usable "
+            f"prime{'' if usable == 1 else 's'} up to {prime_bound} "
             f"(need {MIN_USABLE_PRIMES})"
         )
 
@@ -538,7 +526,7 @@ def sample_frobenius(point: BasePoint, prime_bound: int
     """Frobenius profiles at the good odd primes up to bound."""
     out = tuple(FrobeniusObservation(p, pr) for p, pr in
                 _frobenius_stream(point, _primes_to(prime_bound)))
-    _require_usable(len(out), prime_bound)
+    _require_usable(point, len(out), prime_bound)
     return out
 
 
@@ -811,7 +799,7 @@ def maximality_verdict(point: BasePoint,
         _eliminate(p, profile, pending, eliminated)
         if not pending and usable >= MIN_USABLE_PRIMES:
             break
-    _require_usable(usable, prime_bound)
+    _require_usable(point, usable, prime_bound)
     surviving = tuple(sorted(pending))
     return MaximalityVerdict(
         status="inconclusive" if surviving else "maximal",

@@ -138,29 +138,6 @@ class IntPoly:
         g = self.content()
         return IntPoly([c // g for c in self.coeffs]) if g > 1 else self
 
-    def divexact(self, other: "IntPoly") -> "IntPoly":
-        """Exact polynomial division; raises ValueError if inexact."""
-        if other.is_zero:
-            raise ValueError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        db = other.degree()
-        quo = [0] * max(len(rem) - db, 1)
-        while len(rem) - 1 >= db and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < db:
-                break
-            q, r = divmod(rem[-1], other.lc)
-            if r:
-                raise ValueError("inexact polynomial division")
-            pos = len(rem) - 1 - db
-            quo[pos] = q
-            for i, c in enumerate(other.coeffs):
-                rem[pos + i] -= q * c
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPoly(quo)
-
     def to_text(self) -> str:
         """Space-separated decimal coefficients, constant term first."""
         return " ".join(str(c) for c in self.coeffs) if self.coeffs else "0"

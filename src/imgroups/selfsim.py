@@ -72,9 +72,6 @@ class RecursionSystem:
             if exp not in (1, -1):
                 raise ValueError(f"{owner}: exponent must be +1 or -1")
 
-    def names(self) -> list[str]:
-        return list(self.rules) + list(self.words)
-
     def unfold(self, name: str, level: int) -> Portrait:
         """The portrait of a generator or derived word at the given level."""
         if level < 0:
@@ -347,6 +344,23 @@ def subgroup_index(group: LevelGroup, sub: LevelGroup) -> int:
     return len(group) // len(sub)
 
 
+def _normalizer_conditions(*groups: LevelGroup):
+    """(generator tables, element set) per group, for `_normalizes`."""
+    return tuple((tuple(_table(g.perm) for g in generating_set(H)), H.elements)
+                 for H in groups)
+
+
+def _normalizes(m: bytes, conditions) -> bool:
+    """True iff m^-1 g m lies in the target for every (gens, target) pair.
+
+    m is a leaf permutation, and the conjugates are composed as leaf
+    permutations; no portrait is built for them.
+    """
+    mt, mi = _table(m), _inverse(m)
+    return all(mi.translate(g).translate(mt) in target
+               for gens, target in conditions for g in gens)
+
+
 def quotient(group: LevelGroup, normal: LevelGroup):
     """The quotient group by a normal subgroup, as a table of cosets.
 
@@ -360,11 +374,9 @@ def quotient(group: LevelGroup, normal: LevelGroup):
     """
     if group.level != normal.level or not normal.elements <= group.elements:
         raise ValueError("not a subgroup")
-    seeds = [_table(n.perm) for n in generating_set(normal)]
+    conditions = _normalizer_conditions(normal)
     for g in generating_set(group):
-        gi, gt = _inverse(g.perm), _table(g.perm)
-        if any(gi.translate(n).translate(gt) not in normal.elements
-               for n in seeds):
+        if not _normalizes(g.perm, conditions):
             raise ValueError(f"subgroup is not normal: {g!r} conjugates "
                              f"a generator out of it")
     reps: list[Portrait] = []
@@ -509,18 +521,9 @@ def verify_triple_theorem(level: int) -> dict:
     sysf = builtin_system_f()
     a = [sysf.unfold(f"a{i}", level) for i in (1, 2, 3)]
     omega = omega_group(level).sorted_elements()
-    classes = []
-    for ai in a:
-        classes.append(frozenset(w.inverse() * ai * w for w in omega))
+    classes = [frozenset(w.inverse() * ai * w for w in omega) for ai in a]
     G = geometric_group(level)
-    # G-conjugates of each a_i, remembering a witness g per value
-    g_orbit: list[dict[Portrait, Portrait]] = []
-    for ai in a:
-        table: dict[Portrait, Portrait] = {}
-        for g in G.sorted_elements():
-            val = g * ai * g.inverse()
-            table.setdefault(val, g)
-        g_orbit.append(table)
+    g_orbit = [{g * ai * g.inverse() for g in G.sorted_elements()} for ai in a]
 
     triples = []
     for b1 in sorted(classes[0]):
@@ -542,24 +545,17 @@ def verify_triple_theorem(level: int) -> dict:
 
     # wreath-style description, with sections read one level down
     wreath_set = set()
-    if level == 1:
-        for b1 in sorted(classes[0]):
-            for b2 in omega:
-                b3 = (b1 * b2).inverse()
-                if b2 == sigma(1) and b3 == identity(1):
-                    wreath_set.add((b1, b2, b3))
-    else:
-        key = {w: conjugacy_class(w) for w in omega}
-        for b1 in sorted(classes[0]):
-            model2 = conjugacy_class(
-                pair(b1.restrict(level - 1), identity(level - 1), 1))
-            for b2 in omega:
-                if key[b2] != model2:
-                    continue
-                b3 = (b1 * b2).inverse()
-                model3 = pair(b2.restrict(level - 1), b3.restrict(level - 1), 0)
-                if key[b3] == conjugacy_class(model3):
-                    wreath_set.add((b1, b2, b3))
+    key = {w: conjugacy_class(w) for w in omega}
+    for b1 in sorted(classes[0]):
+        model2 = conjugacy_class(
+            pair(b1.restrict(level - 1), identity(level - 1), 1))
+        for b2 in omega:
+            if key[b2] != model2:
+                continue
+            b3 = (b1 * b2).inverse()
+            model3 = pair(b2.restrict(level - 1), b3.restrict(level - 1), 0)
+            if key[b3] == conjugacy_class(model3):
+                wreath_set.add((b1, b2, b3))
     return {
         "level": level,
         "triples": len(triples),

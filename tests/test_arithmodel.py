@@ -254,6 +254,12 @@ class TestConstruction:
         assert agrees
         assert brute_order == model_order == EXPECTED_ORDERS[n]
 
+    def test_brute_sweep_is_capped(self):
+        cap = treeauto.ENUMERATION_LEVEL_CAP
+        with pytest.raises(ResourceLimitError,
+                           match=f"^brute sweep capped at level {cap}$"):
+            brute_model_cross_check(cap + 1)
+
     def test_brute_sweep_sees_a_missing_element(self, monkeypatch):
         # the sweep finds M_4 on its own, so a model lacking one element
         # disagrees with it
@@ -555,7 +561,8 @@ class TestFrattini:
         x = next(x for x in m3.group if x * x == identity(3)
                  and any(x * g != g * x for g in m3.group))
         sub = closure([x])
-        with pytest.raises(ModelConstructionError, match="not normal"):
+        with pytest.raises(ModelConstructionError, match="^level 3: the "
+                           "subgroup of order 2 is not normal$"):
             arithmodel._certify_frattini(m3.group, sub)
 
     def test_certificate_refuses_a_nonabelian_quotient(self):

@@ -13,7 +13,7 @@ import pytest
 
 from imgroups import cli, constantfield, maximality, polyarith
 from imgroups.cli import main
-from imgroups.errors import ResourceLimitError
+from imgroups.errors import ModelInconsistencyError, ResourceLimitError
 from imgroups.verify import VerifyCaps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,6 +41,18 @@ class TestGroup:
         code, _, err = run(capsys, "group", "--level", "0")
         assert code == 2
 
+    def test_cache_dir_is_rebuilt_then_valid(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
+        for status in ("rebuilt", "valid"):
+            code, out, _ = run(capsys, "group", "--level", "3",
+                               "--cache-dir", cache)
+            assert code == 0
+            assert f"  cache        {status}" in out.splitlines()
+        code, out, _ = run(capsys, "group", "--level", "3", "--cache-dir",
+                           cache, "--format", "json")
+        assert json.loads(out)["cache"] == "valid"
+        assert os.listdir(cache) == ["f_G_L3.grp"]
+
 
 class TestArith:
     def test_level_4_summary(self, capsys):
@@ -53,6 +65,11 @@ class TestArith:
     def test_over_cap(self, capsys):
         code, _, err = run(capsys, "arith", "--level", "9")
         assert code == 3
+
+    def test_bad_level(self, capsys):
+        code, out, err = run(capsys, "arith", "--level", "0")
+        assert code == 2 and out == ""
+        assert err == "img: error: model level 0 must be positive\n"
 
     def test_level_7_is_public(self, capsys):
         code, out, _ = run(capsys, "arith", "--level", "7")
@@ -148,6 +165,23 @@ class TestMaximality:
     def test_zero_denominator(self, capsys):
         code, _, err = run(capsys, "maximality", "--a", "1/0")
         assert code == 2
+
+    def test_too_few_primes_is_bad_input(self, capsys):
+        # a bound too small for the point is no broken invariant
+        code, out, err = run(capsys, "maximality", "--a", "5",
+                             "--prime-bound", "10")
+        assert code == 2 and out == ""
+        assert err == ("img: error: maximality: a = 5 has 1 usable prime "
+                       "up to 10 (need 5)\n")
+
+    def test_model_inconsistency_is_an_invariant_violation(self, capsys,
+                                                           monkeypatch):
+        def inconsistent(point, bound):
+            raise ModelInconsistencyError(f"forged at a = {point.text()}")
+        monkeypatch.setattr(maximality, "maximality_verdict", inconsistent)
+        code, out, err = run(capsys, "maximality", "--a", "5")
+        assert code == 1 and out == ""
+        assert err == "img: invariant violation: forged at a = 5\n"
 
     def test_prime_near_factoring_cap(self, capsys):
         start = time.perf_counter()
@@ -245,6 +279,24 @@ class TestVerify:
                  if l.startswith(("PASS", "FAIL", "SKIP"))]
         assert len(lines) >= 25
         assert not any(l.startswith("FAIL") for l in lines)
+
+    def test_bad_level(self, capsys):
+        code, out, err = run(capsys, "verify", "--level", "0")
+        assert code == 2 and out == ""
+        assert err == "img: error: verify level 0 must be positive\n"
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "img.cfg"
+        cfg.write_text("# caps\n\nprime_bound 30\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "img: error: line 3: expected key = value\n"
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        missing = tmp_path / "absent.cfg"
+        code, out, err = run(capsys, "verify", "--config", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith(f"img: error: cannot read config {missing}: ")
 
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "img.cfg"

@@ -1,11 +1,15 @@
 """Numerical verification layer: preimage trees and radical identities."""
 
+import random
+
 import mpmath
 import pytest
 
 import oracles
+from imgroups import constantfield
 from imgroups.constantfield import (
     IDENTITY_NAMES,
+    MAX_TREE_DEPTH,
     branch_flip_invariance,
     preimage_tree,
     sample_points,
@@ -41,6 +45,22 @@ class TestPreimageTree:
         for bad in (0, 2, 1e-30, 2 + 1e-33):
             with pytest.raises(DegenerateTreeError):
                 preimage_tree(bad, 2, 128)
+
+    def test_a_leaf_within_tolerance_of_0_is_rejected(self):
+        # t0 = 2 / (1 - c)^2 with c = 2^-65 lies 2^-63 from 2, outside the
+        # root's tolerance of 2^-64 at 128 bits, but its child 1 - sqrt(2/t0)
+        # is c itself, a leaf that only the final scan sees
+        with mpmath.workprec(256):
+            t0 = 2 / (1 - mpmath.mpf(2) ** -65) ** 2
+        with pytest.raises(DegenerateTreeError,
+                           match="^value at vertex 2 is within tolerance of 0$"):
+            preimage_tree(t0, 1, 128)
+
+    @pytest.mark.parametrize("depth", [-1, MAX_TREE_DEPTH + 1])
+    def test_depth_out_of_range(self, depth):
+        with pytest.raises(ValueError, match=f"^depth {depth} out of range "
+                           f"0..{MAX_TREE_DEPTH}$"):
+            preimage_tree(3, depth)
 
     def test_flipped_branch_changes_values_not_fibers(self):
         plain = preimage_tree(5, 2, 160)
@@ -80,6 +100,11 @@ class TestRadicalIdentities:
         for t0 in (3, 5.5, 1 + 2j):
             assert branch_flip_invariance(t0, 192)
 
+    def test_a_residual_above_tolerance_fails_the_flip_check(self, monkeypatch):
+        monkeypatch.setattr(constantfield, "_depth3_residual",
+                            lambda m1: mpmath.mpf(1))
+        assert not branch_flip_invariance(3, 128)
+
     @pytest.mark.parametrize("precision", [16, 128])
     def test_flip_check_is_identity_3_of_the_full_report(self, precision):
         tol = mpmath.mpf(2) ** (-(precision // 2))
@@ -117,6 +142,17 @@ class TestSamplePoints:
     def test_deterministic(self):
         assert sample_points(10, 99) == sample_points(10, 99)
         assert sample_points(10, 99) != sample_points(10, 100)
+
+    def test_draws_near_the_postcritical_set_are_skipped(self):
+        # seed 1's 53rd draw lies within 0.2 of 0 or 2; the 60 points are
+        # the first 60 draws with it left out
+        rng = random.Random(1)
+        draws = [complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
+                 for _ in range(61)]
+        near = [i for i, z in enumerate(draws)
+                if abs(z) < 0.2 or abs(z - 2) < 0.2]
+        assert near == [52]
+        assert sample_points(60, 1) == draws[:52] + draws[53:]
 
     def test_count_and_avoidance(self):
         pts = sample_points(50, 2024)

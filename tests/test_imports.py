@@ -2,8 +2,9 @@
 
 The numeric layer `constantfield` and the claim suite `verify` need mpmath,
 so the package resolves the names it re-exports from them on first use.
-Each check runs in a fresh interpreter: this test process has long since
-imported every module.
+Each check of what an import loads runs in a fresh interpreter: this test
+process has long since imported every module.  The lookups themselves are
+also repeated in this process.
 """
 
 import json
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -67,6 +70,19 @@ def test_every_public_name_resolves():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "unresolved": [], "unlisted": [], "same": True, "cached": []}
+
+
+def test_deferred_names_resolve_in_this_process():
+    import imgroups
+    from imgroups import constantfield, verify
+    assert imgroups.run_claims is verify.run_claims
+    assert imgroups.preimage_tree is constantfield.preimage_tree
+    assert set(imgroups.__all__) <= set(dir(imgroups))
+    assert set(imgroups._DEFERRED) <= set(dir(imgroups))
+    assert not set(imgroups._DEFERRED) & set(vars(imgroups))
+    with pytest.raises(AttributeError,
+                       match="module 'imgroups' has no attribute 'nope'"):
+        imgroups.nope
 
 
 def test_unknown_attribute_is_named():

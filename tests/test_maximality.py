@@ -95,6 +95,11 @@ class TestBasePoint:
         with pytest.raises(ResourceLimitError, match="height of 4320 bits"):
             BasePoint.parse("2e1300")
 
+    def test_an_int_is_stored_as_a_fraction(self):
+        point = BasePoint(5)
+        assert type(point.a) is Fraction and point.a == 5
+        assert point == BasePoint(Fraction(5))
+
 
 class TestSquareClasses:
     def test_point_5(self):
@@ -221,6 +226,18 @@ class TestFrobeniusSampling:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             sample_frobenius(BasePoint(Fraction(5)), 6)
+
+    def test_insufficient_data_names_the_point_and_the_bound(self):
+        # 3 divides the leading coefficient 2 - 5 and 5 divides a, so 7 is
+        # the one usable prime up to 10; at a = 7/3 the usable primes up
+        # to 13 are 5, 11 and 13 itself, as the stream includes the bound
+        with pytest.raises(InsufficientDataError, match=(
+                r"^maximality: a = 5 has 1 usable prime up to 10 "
+                rf"\(need {MIN_USABLE_PRIMES}\)$")):
+            sample_frobenius(BasePoint(Fraction(5)), 10)
+        with pytest.raises(InsufficientDataError, match=(
+                r"^maximality: a = 7/3 has 3 usable primes up to 13 ")):
+            maximality_verdict(BasePoint(Fraction(7, 3)), 13)
 
 
 def _stream(a, bound):
@@ -457,6 +474,87 @@ class TestPreimageWalk:
             recheck_certificate(v)
 
 
+class TestTowerArithmetic:
+    """The F_p-tower functions bottom out at depth 1, F_p(s_1) = F_(p^2);
+    F_p itself is no depth of the tower."""
+
+    @staticmethod
+    def _tower(p, depth):
+        """beta_1 the least non-residue of F_p, beta_2 a non-square of
+        F_p(s_1) with second coordinate 1."""
+        is_square = maximality._roots(p)[0]
+        tower = (maximality._non_residue(p),)
+        if depth == 2:
+            tower += (next((c, 1) for c in range(p) if not is_square(
+                maximality._t_norm((c, 1), tower, 1, p))),)
+        return tower
+
+    @pytest.mark.parametrize("p", [7, 13, 17, 1021, 1031, 1033, 9973])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_square_roots_of_subfield_elements(self, p, depth):
+        # an element of F_p is a square in F_(p^2), with b = 0 at every
+        # depth; at depth 1 and a non-square a the root is sqrt(a/beta) s,
+        # which the general formula would reach through sqrt(0).  1021
+        # reads the root table, 1031 and 1033 (= 1 mod 4, Tonelli-Shanks,
+        # where sqrt(0) never returns) take Euler's route
+        roots = maximality._roots(p)
+        tower = self._tower(p, depth)
+        rng = random.Random(p)
+        for a in rng.sample(range(1, p), min(p - 1, 40)):
+            x = maximality._t_embed(a, depth)
+            r = maximality._t_sqrt(x, tower, depth, p, roots)
+            assert maximality._t_mul(r, r, tower, depth, p) == x, (p, a)
+            assert maximality._t_norm(x, tower, depth, p) == \
+                pow(a, 1 << depth, p)
+
+    @pytest.mark.parametrize("p", [13, 1033])
+    def test_square_roots_of_the_middle_field(self, p):
+        # a + b s_1 inside F_p(s_1, s_2): every element of F_(p^2) is a
+        # square in F_(p^4), and the non-squares of F_(p^2) take the
+        # sqrt(a / beta_2) s_2 route
+        roots = maximality._roots(p)
+        tower = self._tower(p, 2)
+        zero = maximality._t_embed(0, 1)
+        rng = random.Random(p)
+        routes = set()
+        for _ in range(60):
+            y = (rng.randrange(p), rng.randrange(1, p))
+            r = maximality._t_sqrt((y, zero), tower, 2, p, roots)
+            assert maximality._t_mul(r, r, tower, 2, p) == (y, zero), (p, y)
+            routes.add(r[1] == zero)
+        assert routes == {True, False}
+
+    def test_inverse_and_norm_at_depth_2(self):
+        p = 1033
+        tower = self._tower(p, 2)
+        one = maximality._t_embed(1, 2)
+        rng = random.Random(2)
+        for _ in range(30):
+            x = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(2))
+            if x == maximality._t_embed(0, 2):
+                continue
+            assert maximality._t_mul(
+                x, maximality._t_inv(x, tower, 2, p), tower, 2, p) == one
+            # the norm is multiplicative
+            y = maximality._t_mul(x, x, tower, 2, p)
+            assert maximality._t_norm(y, tower, 2, p) == \
+                pow(maximality._t_norm(x, tower, 2, p), 2, p)
+
+    @pytest.mark.parametrize("p", [1031, 1033, 7681])
+    def test_levels_4_and_5_against_the_ddf_oracle(self, p):
+        # above the root-table cutoff, where every root is computed; each
+        # entry k of a level-5 walk against distinct-degree factorization
+        # of g_k - t h_k, and the level-4 walk as its prefix
+        rng = random.Random(p)
+        for t in rng.sample(range(3, p), 50):
+            profile = maximality._preimage_profile(p, t, 5)
+            assert maximality._preimage_profile(p, t, 4) == profile[:4]
+            for k in range(1, 6):
+                fr = polyarith.iterate_pair(k)
+                assert profile[k - 1] == oracles.ddf_degrees_reference(
+                    (fr.g - fr.h.scale(t)).coeffs, p), (p, t, k)
+
+
 class TestBlindSubgroups:
     def test_frozen_names(self):
         assert cycle_blind_subgroups() == BLIND
@@ -556,6 +654,15 @@ class TestResidueCosets:
         assert [len(_types(t)) for t in coset_types] == [5, 5, 5, 3]
         assert [(1,) * 16 in _types(t) for t in coset_types] == \
             [True, False, False, False]
+
+    def test_residues_that_label_no_coset_one_to_one(self, monkeypatch):
+        # with no observation over a = 5, residues 5 and 7 each still fit
+        # all three cosets outside G_4
+        monkeypatch.setattr(maximality, "_frobenius_stream",
+                            lambda point, primes: iter(()))
+        with pytest.raises(ModelInconsistencyError,
+                           match=r"residue 5 fits \[1, 2, 3\].*violated"):
+            residue_cosets.__wrapped__()
 
     def test_labelling_pinned(self):
         lab = residue_cosets()
@@ -944,6 +1051,37 @@ class TestCertificateRecheck:
             for n, o in v.frobenius_eliminations))
         assert recheck_certificate(v)
         assert not recheck_certificate(moved)
+
+    def test_changed_square_class_parts_fail(self):
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        sq = v.square_class
+        assert sq.parts == (-1, 2, 5, -3)
+        forged = dataclasses.replace(sq, parts=(-1, 2, 5, -7))
+        assert recheck_certificate(v)
+        assert not recheck_certificate(
+            dataclasses.replace(v, square_class=forged))
+
+    @pytest.mark.parametrize("subset", [("2",), (), ("b",)],
+                             ids=["not-a-square", "empty", "unknown-label"])
+    def test_forged_dependent_subset_fails(self, subset):
+        # a = 1: the parts are -1, 2, 1, 1 and {a} is the stored subset;
+        # the part 2 alone is no square
+        v = maximality_verdict(BasePoint(Fraction(1)))
+        assert v.status == "not_maximal" and recheck_certificate(v)
+        forged = dataclasses.replace(v.square_class, dependent_subset=subset)
+        assert not recheck_certificate(
+            dataclasses.replace(v, square_class=forged))
+
+    def test_unknown_status_fails(self):
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        assert not recheck_certificate(dataclasses.replace(v, status="proved"))
+
+    def test_witness_naming_no_maximal_subgroup_fails(self):
+        v = maximality_verdict(BasePoint(Fraction(5)))
+        (_, obs), *rest = v.frobenius_eliminations
+        forged = dataclasses.replace(
+            v, frobenius_eliminations=(("Mmax-99", obs), *rest))
+        assert not recheck_certificate(forged)
 
     def test_square_product_beyond_factoring_cap_rechecks(self):
         # a = 2/(1 + t^2) with t = 10000044, so a(2 - a) is a square whose

@@ -9,6 +9,7 @@ square-and-multiply distinct-degree splitting.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 from types import SimpleNamespace
@@ -106,6 +107,37 @@ class TestIntPoly:
         assert IntPoly((3, 0, -12)).to_text() == "3 0 -12"
         assert IntPoly((5, 0, 0)).to_text() == "5"
         assert IntPoly(()).to_text() == "0"
+
+
+class TestRefusals:
+    def test_int_polys_hash_by_their_coefficients(self):
+        f, g = IntPoly((1, 2, 3)), IntPoly([1, 2, 3, 0])
+        assert f == g and hash(f) == hash(g)
+        assert {f: "f"}[g] == "f"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: IterateFraction(0, IntPoly([2]), IntPoly([1, -2, 1])),
+         "iterate index starts at 1"),
+        (lambda: IterateFraction(2, IntPoly([2]), IntPoly([1, -2, 1])),
+         "iterate 2: wrong degrees"),
+        (lambda: IterateFraction(2, iterate_pair(2).h, iterate_pair(2).g),
+         "iterate 2: wrong leading coefficients"),
+        (lambda: resultant(IntPoly([]), X), "resultant needs nonzero polynomials"),
+        (lambda: resultant_modular(X, IntPoly([])),
+         "resultant needs nonzero polynomials"),
+        (lambda: specialize_numerator(0, 5),
+         f"level 0 out of range 1..{polyarith.SPECIALIZE_LEVEL_CAP}"),
+        (lambda: specialize_numerator(polyarith.SPECIALIZE_LEVEL_CAP + 1, 5),
+         f"level {polyarith.SPECIALIZE_LEVEL_CAP + 1} out of range "
+         f"1..{polyarith.SPECIALIZE_LEVEL_CAP}"),
+        (lambda: factor_degrees_mod_p(IntPoly([]), 7), "zero polynomial"),
+    ])
+    def test_refused_with_a_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_a_constant_has_no_factors(self):
+        assert factor_degrees_mod_p(IntPoly([5]), 7) == ()
 
 
 class TestIterates:
@@ -824,6 +856,7 @@ class TestIsProbablePrime:
         (10**6, False),         # TRIAL_DIVISION_LIMIT itself
         (1_000_003, True),      # the first prime past it, by Miller-Rabin
         (1_000_001, False),     # 101 * 9901, past it too
+        (3 * 1_000_003, False),  # a multiple of a Miller-Rabin base
     ])
     def test_table_boundary(self, n, want):
         assert polyarith.TRIAL_DIVISION_LIMIT == 10**6

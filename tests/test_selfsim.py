@@ -5,19 +5,24 @@ over raw bit tuples, so the 2^(n+2) profile is not self-certifying.
 """
 
 import random
+import re
 from operator import attrgetter
 
 import pytest
 
 import oracles
 from imgroups import treeauto
+from imgroups import arithmodel
 from imgroups.arithmodel import build_model, frattini_subgroup, maximal_subgroups
 from imgroups.errors import ResourceLimitError
 from imgroups.selfsim import (
     CLOSURE_MAX_SIZE,
     LevelGroup,
+    RecursionSystem,
     _extend,
     _mulclose,
+    _normalizer_conditions,
+    _normalizes,
     abelian_invariants,
     builtin_system_f,
     center,
@@ -84,6 +89,20 @@ class TestRecursionSystem:
         for n in (3, 4):
             checks = verify_geometric_presentation(n)
             assert all(checks.values()), checks
+
+    @pytest.mark.parametrize("rules, words, message", [
+        ({"a": ((), (), 2)}, None, "rule a: swap bit must be 0 or 1"),
+        ({"a": ((("b", 1),), (), 1)}, None, "a: unknown symbol 'b'"),
+        ({"a": ((), (("a", 2),), 0)}, None, "a: exponent must be +1 or -1"),
+        ({"a": ((), (), 1)}, {"a": (("a", 1),)},
+         "name a is both a rule and a word"),
+        ({"a": ((), (), 1)}, {"w": (("c", -1),)}, "w: unknown symbol 'c'"),
+        ({"a": ((), (), 1)}, {"w": (("a", 0),)},
+         "w: exponent must be +1 or -1"),
+    ])
+    def test_malformed_systems_are_refused(self, rules, words, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecursionSystem(rules, words)
 
 
 class TestGroupOrders:
@@ -239,8 +258,28 @@ class TestSubgroupLedger:
         # a1 has |G3| / |C(a1)| = 32 / 8 = 4 conjugates, so <a1> of order 2
         # is not normal
         assert len(centralizer(g3, a1)) == 8
-        with pytest.raises(ValueError, match="not normal"):
+        g = next(g for g in generating_set(g3) if g.inverse() * a1 * g != a1)
+        with pytest.raises(ValueError, match=f"^subgroup is not normal: "
+                           f"{re.escape(repr(g))} conjugates a generator "
+                           f"out of it$"):
             quotient(g3, closure([a1]))
+
+    def test_one_normality_test(self, sysf):
+        # quotient and the model's checks share the test on translate tables
+        assert arithmodel._normalizes is _normalizes
+        assert arithmodel._normalizer_conditions is _normalizer_conditions
+        g3, u3 = geometric_group(3), subgroup_U(3)
+        a1 = sysf.unfold("a1", 3)
+        both = _normalizer_conditions(g3, u3)
+        assert [len(gens) for gens, _ in both] == [
+            len(generating_set(g3)), len(generating_set(u3))]
+        # G_3 normalizes itself and U_3, a1 (the root swap) does not
+        # normalize <a2>, and every automorphism normalizes the full group
+        assert all(_normalizes(g.perm, both) for g in g3)
+        a2 = sysf.unfold("a2", 3)
+        assert not _normalizes(a1.perm, _normalizer_conditions(closure([a2])))
+        assert all(_normalizes(u.perm, _normalizer_conditions(omega_group(3)))
+                   for u in omega_group(3))
 
 
 class TestClosureToolkit:
@@ -282,8 +321,44 @@ class TestClosureToolkit:
             generating_set(broken)
 
     def test_triple_theorem(self):
-        for n in (1, 2, 3):
+        # at level 1 the wreath description is the single triple
+        # (sigma, sigma, 1), read off one level down like every other level
+        for n, triples in ((1, 1), (2, 4), (3, 64)):
+            assert verify_triple_theorem(n) == {
+                "level": n, "triples": triples, "all_witnessed": True,
+                "unwitnessed": [], "wreath_description_agrees": True}
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_triple_theorem_is_capped(self, n):
+        with pytest.raises(ValueError, match="capped at level 3"):
             verify_triple_theorem(n)
+
+    def test_refusals(self, sysf):
+        g3 = geometric_group(3)
+        outside = next(u for u in omega_group(3) if u not in g3)
+        cases = [
+            (lambda: closure([]), "closure needs at least one generator"),
+            (lambda: closure([identity(2), identity(3)]),
+             "generators must share one level"),
+            (lambda: normal_closure(g3, []),
+             "normal closure needs at least one seed"),
+            (lambda: normal_closure(g3, [outside]),
+             f"seed {outside!r} lies outside the group"),
+            (lambda: centralizer(g3, outside), "element lies outside the group"),
+            (lambda: subgroup_index(g3, geometric_group(2)), "level mismatch"),
+            (lambda: subgroup_index(g3, omega_group(3)),
+             "second argument is not a subgroup of the first"),
+            (lambda: subgroup_H(4, 3), "subgroup index must be 1, 2 or 3"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_trivial_group_has_no_invariants(self):
+        trivial = LevelGroup(2, {identity(2).perm}, (identity(2),))
+        assert abelian_invariants(trivial) == ()
+        assert repr(trivial) == "<LevelGroup level=2 order=1>"
+        assert repr(geometric_group(3)) == "<LevelGroup level=3 order=32>"
 
 
 def _oracle_perms(gens, level: int) -> set:
@@ -446,6 +521,10 @@ class TestPersistence:
     def test_missing_returns_none(self, tmp_path):
         assert load_level_group(str(tmp_path), "f", "G", 3) is None
 
+    def test_empty_file_returns_none(self, tmp_path):
+        (tmp_path / "f_G_L3.grp").write_text("")
+        assert load_level_group(str(tmp_path), "f", "G", 3) is None
+
     @pytest.mark.parametrize("mangle", [
         lambda lines: ["G 4 32"] + lines[1:],          # wrong level
         lambda lines: ["G 3 999"] + lines[1:],         # wrong order
@@ -454,6 +533,9 @@ class TestPersistence:
         lambda lines: lines + ["junk"],                # trailing garbage
         lambda lines: [lines[0]] + ["0:"] + lines[2:],  # element at wrong level
         lambda lines: lines[:-1] + ["9:" + "0" * 128],  # no level-9 portraits
+        lambda lines: ["G three 32"] + lines[1:],      # a level that is no int
+        # the identity 3:00 left out: 31 members, no group
+        lambda lines: ["G 3 31"] + [l for l in lines[1:] if l != "3:00"],
     ])
     def test_corruption_rejected(self, tmp_path, mangle):
         g = geometric_group(3)

@@ -84,7 +84,55 @@ class TestWireFormat:
             Portrait(level, bits)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: identity(2) * identity(3), "level mismatch: 2 vs 3"),
+        (lambda: identity(0).sections(), "level-0 portrait has no sections"),
+        (lambda: identity(3).restrict(4), "cannot restrict level 3 to 4"),
+        (lambda: identity(3).restrict(-1), "cannot restrict level 3 to -1"),
+        (lambda: identity(3).sign(0), "sign level 0 out of range 1..3"),
+        (lambda: identity(3).sign(4), "sign level 4 out of range 1..3"),
+        (lambda: identity(0).is_level_odometer(),
+         "odometer test needs level >= 1"),
+        (lambda: sigma(0), "sigma needs level >= 1"),
+        (lambda: pair(identity(1), identity(2)), "section levels differ: 1 vs 2"),
+        (lambda: pair(identity(1), identity(1), 2),
+         "swap bit must be 0 or 1, got 2"),
+        (lambda: adding_machine(0), "adding machine needs level >= 1"),
+        (lambda: are_conjugate(identity(2), identity(3)),
+         "level mismatch: 2 vs 3"),
+    ])
+    def test_refused_with_a_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_product_with_a_non_portrait_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            identity(2) * 3
+
+
 class TestAction:
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_sections_compose_along_words(self, level):
+        # u.section(v + w) == u.section(v).section(w), against the oracle
+        # walk down one letter at a time
+        rng = random.Random(level)
+        words = [""] + ["".join(w) for k in range(1, level + 1)
+                        for w in itertools.product("12", repeat=k)]
+        for _ in range(5):
+            u = rand_portrait(rng, level)
+            assert u.section("") == u
+            for v in words:
+                below = u.section(v)
+                assert below.level == level - len(v)
+                walk = u
+                for letter in v:
+                    walk = walk.sections()[int(letter) - 1]
+                assert below == walk, (u, v)
+                for w in words:
+                    if len(v) + len(w) <= level:
+                        assert u.section(v + w) == below.section(w), (u, v, w)
+
     def test_adding_machine_leaf_walk(self):
         # frozen from the oracle walk: +1 on 3-bit reversed binary counters
         a = adding_machine(3)

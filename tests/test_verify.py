@@ -106,3 +106,42 @@ def test_model_claims_share_the_odometer_scan():
     after = arithmodel.odometer_elements.cache_info()
     assert after.misses == before.misses == caps.model_level
     assert after.hits - before.hits == caps.model_level - 2
+
+
+def _accepting(real, refused):
+    """real, except that the refusal it raises is swallowed: a callee that
+    accepts what it must refuse."""
+    def call(*args):
+        try:
+            return real(*args)
+        except refused:
+            return None
+    return call
+
+
+@pytest.mark.parametrize("claim, module, name, refused, detail", [
+    ("specialize-numerator", "polyarith", "specialize_numerator",
+     "ExcludedBasePointError", "base point 0 accepted"),
+    ("factor-degrees-mod-p", "polyarith", "factor_degrees_mod_p",
+     "BadPrimeError", "bad prime accepted"),
+    ("elimination-edge-cases", "maximality", "eliminate_maximal_subgroups",
+     "ModelInconsistencyError", "1^16 accepted at p = 3 mod 8"),
+    ("preimage-tree-values", "constantfield", "preimage_tree",
+     "DegenerateTreeError", "postcritical root accepted"),
+])
+def test_refusal_claims_catch_an_accepting_callee(monkeypatch, claim, module,
+                                                  name, refused, detail):
+    from imgroups import errors
+    layer = getattr(verify, module)
+    monkeypatch.setattr(layer, name, _accepting(
+        getattr(layer, name), getattr(errors, refused)))
+    assert _run_one(monkeypatch, claim) == verify.ClaimResult(
+        claim, "FAIL", detail)
+
+
+def test_a_claim_that_raises_is_reported_by_type(monkeypatch):
+    def broken(caps):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(verify, "CLAIMS", (("broken", broken),))
+    assert verify.run_claims() == [
+        verify.ClaimResult("broken", "FAIL", "TypeError: unsupported operand")]
