@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import compress
 
 from .errors import ModelConstructionError, ResourceLimitError
 from .selfsim import (
@@ -75,8 +75,8 @@ from .selfsim import (
 from .treeauto import (
     ENUMERATION_LEVEL_CAP,
     Portrait,
-    _BULK,
-    _all_perms,
+    _all_blocks,
+    _cuts,
     _cycle_type_counts,
     _cycle_types,
     _from_perm,
@@ -224,15 +224,16 @@ def brute_model_cross_check(level: int) -> tuple[bool, int, int]:
     # then right, are x and rho x for some x in M_(n-1) and rho in U_(n-1)
     lifts = {x + rho.translate(_table(x)) for x in prev.group.elements
              for rho in prev.twist.elements}
-    size, low = 1 << level, _low_bits(level - 1)
-    brute = set()
-    perms = _all_perms(level)
-    while batch := list(islice(perms, _BULK)):
-        # the sections of every perm in the batch by one translate
-        sections = b"".join(batch).translate(low)
-        brute.update(m for i, m in enumerate(batch)
-                     if sections[i * size:(i + 1) * size] in lifts
-                     and _normalizes(m, conditions))
+    low, brute = _low_bits(level - 1), set()
+    for block in _all_blocks(level):
+        # every perm's sections by one translate of the block, and the
+        # perms whose sections are a lift pair picked out by their slices
+        cuts = _cuts(1 << level, len(block))
+        sections = block.translate(low)
+        picks = compress(cuts, map(lifts.__contains__,
+                                   map(sections.__getitem__, cuts)))
+        brute.update(m for m in map(block.__getitem__, picks)
+                     if _normalizes(m, conditions))
     return (brute == model.group.elements, len(brute), model.order)
 
 
@@ -244,8 +245,9 @@ def odometer_elements(model: ArithLevelModel) -> tuple[Portrait, ...]:
     models."""
     els = model.group.elements
     types = _cycle_types(els)
+    full = (1 << model.level,)
     return tuple(x for x in _in_code_order(els, model.level)
-                 if _odometer(x, types[x.perm]))
+                 if _odometer(x, types[x.perm] == full))
 
 
 def cycle_type_table(group: LevelGroup) -> dict[tuple[int, ...], int]:

@@ -64,12 +64,16 @@ def preimage_tree(t0, depth: int, precision: int = DEFAULT_PRECISION, *,
         tol = _tolerance(precision)
         t0 = mpmath.mpc(t0)
         values = {"": t0}
+        # |value| per vertex, each taken once: the inner vertices' in the
+        # first loop, the leaves' in the second, read again as the scale
+        mags = {}
         frontier = [""]
         for _ in range(depth):
             nxt = []
             for word in frontier:
                 a = values[word]
-                if abs(a) <= tol or abs(a - 2) <= tol:
+                mags[word] = abs(a)
+                if mags[word] <= tol or abs(a - 2) <= tol:
                     raise DegenerateTreeError(
                         f"value at vertex {word or 'root'} is within "
                         f"tolerance of the postcritical set {{0, 2}}"
@@ -82,18 +86,20 @@ def preimage_tree(t0, depth: int, precision: int = DEFAULT_PRECISION, *,
                 values[word + "2"] = c2
                 nxt.extend((word + "1", word + "2"))
             frontier = nxt
-        for word in values:
-            if word and abs(values[word]) <= tol:
-                raise DegenerateTreeError(
-                    f"value at vertex {word} is within tolerance of 0"
-                )
+        for word in frontier:
+            if word:
+                mags[word] = abs(values[word])
+                if mags[word] <= tol:
+                    raise DegenerateTreeError(
+                        f"value at vertex {word} is within tolerance of 0"
+                    )
         # construction invariant: children really are preimages
         for word, a in values.items():
             if not word:
                 continue
             back = 2 / (values[word] - 1) ** 2
             parent = values[word[:-1]]
-            scale = max(mpmath.mpf(1), abs(parent))
+            scale = max(mpmath.mpf(1), mags[word[:-1]])
             if abs(back - parent) / scale > tol:  # pragma: no cover
                 raise AssertionError(f"preimage relation fails at {word}")
     return PreimageTreeNumeric(root=complex(t0), depth=depth,

@@ -38,9 +38,15 @@ depth, deepest depth first.  A chunk's 16 tables (one per value of its
 bits) depend only on the depth's distance to the leaves and on the chunk's
 first vertex, so all levels share them; they are built on first use and
 cached, about 0.3 MiB for every table through level 8.  A level-5
-portrait takes 9 translates, and `iter_all` composes the deepest depth's
-permutations with one table per setting of the bits above it, one
-translate per element.
+portrait takes 9 translates, one per chunk of its 31 bits.  `iter_all`
+joins the deepest depth's permutations into one block and passes the
+block through one table per setting of the bits above that depth, 128
+translates for the 2**15 elements of level 4, and cuts each result apart.
+
+Invariants read ``perm`` alone as well.  The sign at level m is the
+parity of the swap bits at depth m-1, one strided slice of ``perm``
+translated to digits and counted.  The odometer test's cycle route is
+whether u**(2**(n-1)), n-1 squarings, fixes no leaf.
 
 Whole element sets are coded and typed by two passes instead of one call
 per portrait.  `_codes` joins up to 512 permutations into one bytes object
@@ -67,9 +73,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import product, repeat, tee
+from itertools import chain, product, repeat, tee
 from math import lcm
-from operator import add
+from operator import add, eq
 
 from .errors import ResourceLimitError
 
@@ -202,25 +208,28 @@ class Portrait:
 
         The block swap at a depth-d vertex moves 2**(m-1-d) disjoint leaf
         pairs, which is odd exactly when d = m-1, so the sign is the parity
-        of the swap bits at depth m-1.
+        of the swap bits at depth m-1: bit n-m of every 2**(n-m+1)-th image
+        in ``perm``.
         """
         if not 1 <= m <= self.level:
             raise ValueError(f"sign level {m} out of range 1..{self.level}")
-        # the 2**(m-1) bits of depth m-1 are the code's bits from
-        # 2**n - 2**m up
-        depth = self.code >> ((1 << self.level) - (1 << m))
-        ones = (depth & ((1 << (1 << (m - 1))) - 1)).bit_count()
+        below = self.level - m
+        ones = self.perm[:: 2 << below].translate(_bit_digits(below)).count(49)
         return -1 if ones & 1 else 1
 
     def is_level_odometer(self) -> bool:
         """True iff the leaf action is one full 2**level cycle.
 
         Computed both from the cycle structure and from the criterion
-        "sign(u, m) = -1 for every m"; the two must agree.
+        "sign(u, m) = -1 for every m"; the two must agree.  The cycle route
+        asks whether u**(2**(level-1)) fixes no leaf: every cycle of a tree
+        automorphism has a power-of-2 length, so a cycle shorter than
+        2**level divides 2**(level-1) and its leaves are fixed points.
         """
         if self.level < 1:
             raise ValueError("odometer test needs level >= 1")
-        return _odometer(self, self.cycle_type())
+        half = _power_of_two(self.perm, self.level - 1)
+        return _odometer(self, not any(map(eq, half, _ident(self.level))))
 
     # -- wire format ----------------------------------------------------------
 
@@ -262,10 +271,9 @@ class Portrait:
         return u
 
 
-def _odometer(u: Portrait, cycle_type: tuple[int, ...]) -> bool:
-    """`Portrait.is_level_odometer` given u's cycle type: the cycle route
-    and the sign route, which must agree."""
-    by_cycle = cycle_type == (1 << u.level,)
+def _odometer(u: Portrait, by_cycle: bool) -> bool:
+    """`Portrait.is_level_odometer` given its cycle route's answer, whether
+    u is one 2**level cycle: that and the sign route, which must agree."""
     by_sign = all(u.sign(m) == -1 for m in range(1, u.level + 1))
     if by_cycle != by_sign:  # pragma: no cover - would be an internal bug
         raise AssertionError(f"odometer criteria disagree on {u!r}")
@@ -652,7 +660,22 @@ def iter_all(level: int):
 
 
 def _all_perms(level: int):
-    """The leaf permutations of `iter_all`, in the same order."""
+    """The leaf permutations of `iter_all`, in the same order: the
+    `_all_blocks` cut into permutations."""
+    size = 1 << level
+    return chain.from_iterable(map(block.__getitem__, _cuts(size, len(block)))
+                               for block in _all_blocks(level))
+
+
+def _all_blocks(level: int):
+    """The leaf permutations of `iter_all` in code order, joined into one
+    block per setting of the bits above the deepest depth.
+
+    The deepest depth's bits are the low bits of ``code``, so they run
+    innermost, and `_perm_of_code` applies them first: an element is the
+    deepest depth's permutation composed with that of the bits above it.
+    So each block is the join of the deepest depth's permutations passed
+    through one translate, 128 translates at level 4 for 2**15 elements."""
     _check_level(level)
     if level > ENUMERATION_LEVEL_CAP:
         raise ResourceLimitError(
@@ -661,15 +684,17 @@ def _all_perms(level: int):
     if not level:
         yield _ident(0)
         return
-    # the deepest depth's bits are the low bits of ``code``, so they run
-    # innermost; `_perm_of_code` applies them first, so the permutation is
-    # the deepest depth's alone composed with that of the bits above it
     width = 1 << (level - 1)
-    deepest = [_perm_of_code(level, v) for v in range(1 << width)]
+    deepest = b"".join([_perm_of_code(level, v) for v in range(1 << width)])
     for top in range(1 << (width - 1)):
-        rest = _table(_perm_of_code(level, top << width))
-        for perm in deepest:
-            yield perm.translate(rest)
+        yield deepest.translate(_table(_perm_of_code(level, top << width)))
+
+
+@lru_cache(maxsize=None)
+def _cuts(size: int, total: int) -> tuple[slice, ...]:
+    """The slices cutting ``total`` joined bytes into pieces of ``size``."""
+    return tuple(map(slice, range(0, total, size),
+                     range(size, total + size, size)))
 
 
 # -- conjugacy ------------------------------------------------------------

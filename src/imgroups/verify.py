@@ -133,7 +133,8 @@ def _claim_wire_roundtrip(caps: VerifyCaps) -> str:
     for level in range(0, min(caps.group_level, 6) + 1):
         for _ in range(min(caps.samples // 50, 200)):
             u = _rand_portrait(rng, level)
-            _check(treeauto.Portrait.decode(u.encode()) == u, u.encode())
+            text = u.encode()
+            _check(treeauto.Portrait.decode(text) == u, text)
             count += 1
     bad = ["1:", "2:X", "3:FF", "-1:0", "2:41"]
     rejected = 0
@@ -160,6 +161,7 @@ def _claim_leaf_action(caps: VerifyCaps) -> str:
 def _claim_associative(caps: VerifyCaps) -> str:
     rng = random.Random(caps.seed + 2)
     n = min(caps.samples // 2, 3000)
+    _need(n > 0, f"samples cap {caps.samples} gives no triples (needs >= 2)")
     for _ in range(n):
         level = rng.randint(1, 5)
         u, v, w = (_rand_portrait(rng, level) for _ in range(3))
@@ -170,24 +172,28 @@ def _claim_associative(caps: VerifyCaps) -> str:
 def _claim_inverse(caps: VerifyCaps) -> str:
     rng = random.Random(caps.seed + 3)
     n = min(caps.samples // 2, 3000)
+    _need(n > 0, f"samples cap {caps.samples} gives no inverses (needs >= 2)")
     for _ in range(n):
         level = rng.randint(0, 6)
         u = _rand_portrait(rng, level)
-        _check(u * u.inverse() == treeauto.identity(level))
-        _check(u.inverse().inverse() == u)
+        inv = u.inverse()
+        _check(u * inv == treeauto.identity(level))
+        _check(inv.inverse() == u)
     return f"{n} inverses verified"
 
 
 def _claim_sign_character(caps: VerifyCaps) -> str:
     rng = random.Random(caps.seed + 4)
     n = min(caps.samples // 4, 1500)
+    _need(n > 0, f"samples cap {caps.samples} gives no samples (needs >= 4)")
     for _ in range(n):
         level = rng.randint(1, 5)
         u, v = _rand_portrait(rng, level), _rand_portrait(rng, level)
         m = rng.randint(1, level)
-        _check(u.sign(m) * v.sign(m) == (u * v).sign(m))
+        sign = u.sign(m)
+        _check(sign * v.sign(m) == (u * v).sign(m))
         # independent route: parity of the full level-m leaf permutation
-        _check(u.sign(m) == _perm_parity(u.restrict(m).leaf_permutation()))
+        _check(sign == _perm_parity(u.restrict(m).leaf_permutation()))
     return f"{n} samples: sign is a character and matches permutation parity"
 
 

@@ -280,6 +280,21 @@ class TestVerify:
         assert len(lines) >= 25
         assert not any(l.startswith("FAIL") for l in lines)
 
+    def test_sample_claims_skip_without_samples(self, capsys):
+        # the samples cap bounds the random samples of three claims; one
+        # sample leaves each of them none, which is a SKIP, not a PASS
+        claims = ("portrait-associativity", "portrait-inverse",
+                  "sign-character-two-routes")
+        for samples, status in (("1", "SKIP"), ("4", "PASS")):
+            code, out, _ = run(capsys, "verify", "--samples", samples,
+                               "--format", "json")
+            assert code == 0
+            got = {c["claim"]: c for c in json.loads(out)["claims"]}
+            for claim in claims:
+                assert got[claim]["status"] == status, got[claim]
+                if status == "SKIP":
+                    assert got[claim]["detail"].startswith("samples cap 1 ")
+
     def test_bad_level(self, capsys):
         code, out, err = run(capsys, "verify", "--level", "0")
         assert code == 2 and out == ""

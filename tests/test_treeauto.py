@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import functools
 import itertools
 import math
 import random
@@ -27,6 +28,13 @@ from imgroups.treeauto import (
 
 def rand_portrait(rng, level):
     return Portrait(level, [rng.getrandbits(1) for _ in range((1 << level) - 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _parity(perm: bytes) -> int:
+    """The oracle's parity of a leaf permutation; the restrictions of a
+    level's elements repeat, so each is counted once."""
+    return oracles.perm_parity(list(perm))
 
 
 class TestWireFormat:
@@ -347,6 +355,13 @@ class TestCodeKernel:
             count += 1
         assert count == 1 << nbits
 
+    @pytest.mark.parametrize("lvl", range(5))
+    def test_all_perms_are_the_kernel_in_code_order(self, lvl):
+        # the joined blocks, cut apart, are `_perm_of_code` of every code
+        assert list(treeauto._all_perms(lvl)) == [
+            treeauto._perm_of_code(lvl, code)
+            for code in range(1 << ((1 << lvl) - 1))]
+
     def test_tables_are_lazy_and_small(self):
         treeauto._code_steps.cache_clear()
         treeauto._layer_tables.cache_clear()
@@ -450,6 +465,60 @@ class TestConjugacy:
             assert len(orbits) == counts[lvl]
             for orbit in orbits:
                 assert len({conjugacy_class(u) for u in orbit}) == 1
+
+
+class TestReadoutsAgainstOracles:
+    """`sign` and `is_level_odometer` read off the leaf permutation, against
+    the oracles' parity and cycle type of the permutation itself."""
+
+    @staticmethod
+    def _signs_match_parity(u):
+        # the same signs before and after `code` is computed and cached
+        assert u._code is None
+        before = [u.sign(m) for m in range(1, u.level + 1)]
+        u.code  # computes and caches the code
+        assert u._code is not None
+        after = [u.sign(m) for m in range(1, u.level + 1)]
+        want = [_parity(u.restrict(m).perm) for m in range(1, u.level + 1)]
+        assert before == after == want
+
+    @pytest.mark.parametrize("lvl", range(1, 5))
+    def test_sign_on_every_element(self, lvl):
+        for u in iter_all(lvl):
+            self._signs_match_parity(u)
+
+    @pytest.mark.parametrize("lvl", range(5, 9))
+    def test_sign_on_random_portraits(self, lvl):
+        rng = random.Random(5003 + lvl)
+        for _ in range(12):
+            self._signs_match_parity(rand_portrait(rng, lvl))
+
+    @staticmethod
+    def _odometer_matches_cycle_type(u):
+        want = oracles.cycle_type_of_perm(list(u.perm)) == (1 << u.level,)
+        assert u.is_level_odometer() == want
+        return want
+
+    @pytest.mark.parametrize("lvl", range(1, 5))
+    def test_odometer_on_every_element(self, lvl):
+        hits = sum(map(self._odometer_matches_cycle_type, iter_all(lvl)))
+        # 2**(2**n - 1 - n) odometers: the bits of each depth have odd
+        # parity, which fixes one bit per depth
+        assert hits == 1 << ((1 << lvl) - 1 - lvl)
+
+    @pytest.mark.parametrize("lvl", range(5, 9))
+    def test_odometer_on_random_portraits_and_conjugates(self, lvl):
+        rng = random.Random(7001 + lvl)
+        a = adding_machine(lvl)
+        flip = Portrait(lvl, [0] * ((1 << lvl) - 2) + [1])
+        for _ in range(40):
+            u, g = rand_portrait(rng, lvl), rand_portrait(rng, lvl)
+            self._odometer_matches_cycle_type(u)
+            assert self._odometer_matches_cycle_type(g.inverse() * a * g)
+            # times the transposition of two leaves, the conjugate's cycle
+            # splits in two
+            assert not self._odometer_matches_cycle_type(
+                g.inverse() * a * g * flip)
 
 
 class TestEnumeration:

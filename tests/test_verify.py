@@ -108,6 +108,26 @@ def test_model_claims_share_the_odometer_scan():
     assert after.hits - before.hits == caps.model_level - 2
 
 
+def _flip_at_level_2(real):
+    return lambda self, m: -real(self, m) if m == 2 else real(self, m)
+
+
+@pytest.mark.parametrize("claim, name, wrong", [
+    ("sign-character-two-routes", "sign", _flip_at_level_2),
+    ("portrait-inverse", "inverse", lambda real: lambda self: self),
+    ("odometer-two-routes", "is_level_odometer",
+     lambda real: lambda self: not real(self)),
+    ("portrait-wire-roundtrip", "decode",
+     lambda real: lambda text: treeauto.identity(int(text.split(":")[0]))),
+])
+def test_sample_claims_catch_a_wrong_method(monkeypatch, claim, name, wrong):
+    # each claim calls the method once per sample and checks that one
+    # answer every way it did before, so a wrong answer still fails it
+    real = getattr(treeauto.Portrait, name)
+    monkeypatch.setattr(treeauto.Portrait, name, wrong(real))
+    assert _run_one(monkeypatch, claim).status == "FAIL"
+
+
 def _accepting(real, refused):
     """real, except that the refusal it raises is swallowed: a callee that
     accepts what it must refuse."""

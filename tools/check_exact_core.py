@@ -9,9 +9,10 @@ coefficients of the iterate pair (g_8, h_8), built by Kronecker products,
 with a digest taken from schoolbook products, compares the
 sorted leaf permutations of M_6, of its Frattini subgroup and of M_7 (of
 order 16384, the last model below the level cap), the cycle type table
-of M_6, and the names and element sets of the fifteen level-4 maximal
-subgroups with pinned sha256 digests, and fails if mpmath was imported
-along the way.  It needs nothing outside the standard
+of M_6, the names and element sets of the fifteen level-4 maximal
+subgroups and the 2^15 level-4 automorphisms in enumeration order with
+pinned sha256 digests, checks that the brute-force sweep of those
+automorphisms finds M_4, and fails if mpmath was imported along the way.  It needs nothing outside the standard
 library, so it also runs where mpmath is not installed.  Exit 0 when every
 check holds, 1 otherwise, with one line per failed check on stderr.
 """
@@ -23,6 +24,7 @@ import sys
 from fractions import Fraction
 
 import imgroups
+from imgroups.treeauto import _all_perms
 
 DISC_SHAPES = {2: "-2^16 * t^3 * (2-t)^1", 5: "+2^1072 * t^24 * (2-t)^22"}
 # sha256 of g_8's `to_text()`, a newline and h_8's, from schoolbook products
@@ -42,6 +44,10 @@ M6_TYPES_DIGEST = ("05e5df8db05eb0703458a5803e64023de3d9eaaab312666b67c658264"
 # sha256 over the maximal subgroups of M_4 in order, each fed as its name,
 # a newline and its sorted leaf permutations concatenated
 KERNELS_DIGEST = "4fa02364d09bed2c6ca117bfbfb348f4c16f9ecea6949d976b369cc30ce6239a"
+# sha256 of the level-4 leaf permutations joined in enumeration (code)
+# order, taken when each was made by its own translate
+ALL_PERMS4_DIGEST = ("ad337e8a3bd17d00c2fa404c104efae01376e239b56c6594215d98ff9"
+                     "e2b6687")
 
 
 def _perms(group) -> bytes:
@@ -87,14 +93,23 @@ def main() -> int:
     if kernels.hexdigest() != KERNELS_DIGEST:
         failures.append(f"level-4 maximal subgroups digest is "
                         f"{kernels.hexdigest()}, not {KERNELS_DIGEST}")
+    all4 = hashlib.sha256(b"".join(_all_perms(4))).hexdigest()
+    if all4 != ALL_PERMS4_DIGEST:
+        failures.append(f"level-4 enumeration digest is {all4}, not "
+                        f"{ALL_PERMS4_DIGEST}")
+    sweep = imgroups.brute_model_cross_check(4)
+    if sweep != (True, 256, 256):
+        failures.append(f"the level-4 brute sweep gave {sweep}, not "
+                        f"(True, 256, 256)")
     if "mpmath" in sys.modules:
         failures.append("the exact core imported mpmath")
     for failure in failures:
         print(f"check_exact_core: {failure}", file=sys.stderr)
     if not failures:
         print("exact core: a = 5 maximal, disc shapes n = 2, 5, (g_8, h_8), "
-              "M_6, M_7, Phi(M_6), M_6's cycle types and the level-4 maximal "
-              "subgroups pinned, no mpmath")
+              "M_6, M_7, Phi(M_6), M_6's cycle types, the level-4 maximal "
+              "subgroups and enumeration pinned, the level-4 brute sweep "
+              "agrees, no mpmath")
     return 1 if failures else 0
 
 
