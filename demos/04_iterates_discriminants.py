@@ -33,7 +33,7 @@ for n in range(1, 5):
 print("iterates match direct composition at x = 3, levels 1..4")
 
 # resultants of the pair are pure powers of two, by two different
-# algorithms (subresultant chain vs CRT over word-sized primes)
+# algorithms (subresultant chain vs CRT over sieved moduli above 2^62)
 it2 = iterate_pair(2)
 print("Res(g_2, h_2) =", resultant(it2.g, it2.h),
       "=", resultant_modular(it2.g, it2.h), "(both routes)")

@@ -204,15 +204,13 @@ def _cmd_arith(args, caps) -> tuple[dict, list[str], int]:
 
 def _cmd_disc(args, caps) -> tuple[dict, list[str], int]:
     top = args.n
-    if top < 1:
-        raise ValueError(f"disc level {top} is below 1")
-    if top > polyarith.DISC_LEVEL_CAP:
-        raise ResourceLimitError(f"disc level {top} exceeds DISC_LEVEL_CAP = "
-                                 f"{polyarith.DISC_LEVEL_CAP}")
+    # the top level first: the library refuses a level out of range before
+    # any work is done
+    last = polyarith.discriminant_shape(top)
+    shapes = [polyarith.discriminant_shape(n) for n in range(1, top)] + [last]
     rows = []
     lines = [f"discriminant shapes, levels 1..{top}"]
-    for n in range(1, top + 1):
-        shape = polyarith.discriminant_shape(n)
+    for n, shape in enumerate(shapes, 1):
         meta = polyarith.iterate_metadata(n)
         rows.append({"n": n, "sign": shape.sign, "c": shape.c, "a": shape.a,
                      "b": shape.b, "wronskian_lc": meta.wronskian_lc})

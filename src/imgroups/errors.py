@@ -19,7 +19,7 @@ class ShapeViolationError(RuntimeError):
     """A discriminant did not factor as +/- 2^c * t^a * (2-t)^b, or a step
     of its derivation failed: a Wronskian factor whose roots f^n does not
     map to their critical value, an odd term in F(1 + y), or a failed
-    modular spot check."""
+    subresultant spot check."""
 
 
 class ExcludedBasePointError(ValueError):

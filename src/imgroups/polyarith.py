@@ -33,8 +33,9 @@ from .errors import (
 # the end of the largest sieved prime table: the Frobenius stream's primes
 # and square_class's trial divisors
 TRIAL_DIVISION_LIMIT = 10**6
-# discriminant_shape's guard (two CRT discriminants of degree 2**(n-1)), and
-# with it `img disc` and `img verify`, go no deeper; the recursion is uncapped
+# discriminant_shape's guard (two subresultant discriminants of degree
+# 2**(n-1)), and with it `img disc` and `img verify`, go no deeper; the
+# recursion is uncapped
 DISC_LEVEL_CAP = 5
 # iterate_pair builds the exact (g_n, h_n), of degree 2**n, up to this level
 ITERATE_LEVEL_CAP = 8
@@ -301,25 +302,6 @@ def _resultant_bound(a: list[int], b: list[int]) -> int:
     return isqrt(na ** _deg(b) * nb ** _deg(a)) + 1
 
 
-def _mahler_bound(F: IntPoly) -> int:
-    """A bound on |Res(F, F')| for F of degree d >= 1, by Mahler's
-    inequality |disc F| <= d^d M(F)^(2d-2) (Mich. Math. J. 11, 1964) and
-    Res(F, F') = +-lc(F) disc(F).  The Mahler measure comes from the second
-    Graeffe iterate G_2, whose roots are the fourth powers of F's:
-    M(F)^4 = M(G_2) <= ||G_2||_2, so M(F)^(2d-2) <= S^((d-1)/4) for S the
-    sum of the squares of G_2's coefficients, rounded up in integers."""
-    g = F
-    for _ in range(2):  # G(x^2) = +-g(x) g(-x) = +-(e(x^2)^2 - x^2 o(x^2)^2)
-        e, o = IntPoly(g.coeffs[0::2]), IntPoly(g.coeffs[1::2])
-        g = e.square() - IntPoly((0,) + o.square().coeffs)
-    d = F.degree()
-    root = sum(c * c for c in g.coeffs) ** (d - 1)
-    for _ in range(2):  # ceil(S^(1/4)) by two rounded-up square roots
-        r = isqrt(root)
-        root = r + (r * r < root)
-    return abs(F.lc) * d**d * root
-
-
 # The CRT moduli are the odd numbers above 2^62 that no odd prime below
 # _BIG_SIEVE_LIMIT divides, sieved in windows of _BIG_WINDOW of them.
 _BIG_WINDOW = 256
@@ -332,7 +314,7 @@ def _big_candidates(k: int) -> tuple[int, ...]:
     _BIG_WINDOW, that no odd prime below _BIG_SIEVE_LIMIT divides.  Those
     primes come from their own sieve of 0.02 ms: even the smallest shared
     table, `_prime_table(_TABLE_MIN_BITS)`, sieves 32 times as far, in a
-    process such as a discriminant computation that needs no other prime."""
+    process such as a modular resultant that needs no other prime."""
     start = (1 << 62) + 1 + 2 * _BIG_WINDOW * k
     sieve = bytearray([1]) * _BIG_WINDOW
     for p in _sieve_primes(_BIG_SIEVE_LIMIT)[1:]:
@@ -352,8 +334,7 @@ def _big_moduli():
 def resultant_modular(p: IntPoly, q: IntPoly) -> int:
     """The same resultant through reductions mod large moduli and CRT.
 
-    Kept as an independent route: the two algorithms must agree, and the
-    discriminant shapes are spot-checked through the same CRT route.
+    Kept as an independent route: the two algorithms must agree.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant needs nonzero polynomials")
@@ -554,20 +535,6 @@ class DiscriminantShape:
         return f"{s}2^{self.c} * t^{self.a} * (2-t)^{self.b}"
 
 
-def _disc_direct(F: IntPoly) -> int:
-    """disc_x(F) through the modular route, with no subresultant: Res(F, F')
-    by `_crt_resultant`, its CRT sized by the smaller of the Hadamard and
-    the Mahler bound.  `_disc_half_degree` runs it on the half-degree P;
-    on F itself it is the oracle of that route's identity in the tests.
-    A linear F gets disc 1."""
-    d = F.degree()
-    a, b = list(F.coeffs), list(F.derivative().coeffs)
-    bound = min(_resultant_bound(a, b), _mahler_bound(F))
-    res = _crt_resultant(a, b, bound, _big_moduli())
-    sign = -1 if (d * (d - 1) // 2) & 1 else 1
-    return sign * _divexact_int(res, F.lc)
-
-
 def _halve_about_one(F: IntPoly) -> IntPoly:
     """P with F(1 + y) = P(y^2), by an exact Taylor shift of F by 1; a
     ShapeViolationError if F(1 + y) has an odd term."""
@@ -581,18 +548,22 @@ def _halve_about_one(F: IntPoly) -> IntPoly:
 
 
 def _disc_half_degree(F: IntPoly) -> int:
-    """disc_x(F) for F(1 + y) = P(y^2), through `_disc_direct` on P of half
-    the degree m:
+    """disc_x(F) for F(1 + y) = P(y^2), through the exact subresultant
+    Res(P, P') on P of half the degree m:
 
-        disc(F) = (-4)^m * lc(P) * P(0) * disc(P)^2.
+        disc(F) = (-4)^m * lc(P) * P(0) * disc(P)^2,
+        disc(P) = (-1)^(m(m-1)/2) * Res(P, P') / lc(P).
 
     disc is invariant under x -> 1 + y; for Q(y) = P(y^2), Q' = 2y P'(y^2),
     Res(Q, y) = P(0) and Res(P(y^2), R(y^2)) = Res(P, R)^2 (multiplicativity,
     von zur Gathen-Gerhard, ch. 6) give Res(Q, Q') = 4^m P(0) Res(P, P')^2,
-    and disc(Q) = (-1)^m Res(Q, Q') / lc(P)."""
+    and disc(Q) = (-1)^m Res(Q, Q') / lc(P).  disc(P) enters squared, so
+    its sign drops out; a linear P needs no special case, as
+    Res(a x + b, a) / a = 1."""
     P = _halve_about_one(F)
     m = P.degree()
-    return (-4) ** m * P.lc * P.coeffs[0] * _disc_direct(P) ** 2
+    disc_p = _divexact_int(resultant(P, P.derivative()), P.lc)
+    return (-4) ** m * P.lc * P.coeffs[0] * disc_p ** 2
 
 
 def _critical_orbit():
@@ -679,9 +650,10 @@ def discriminant_shape(n: int) -> DiscriminantShape:
 
     Two direct discriminants, at t = 5 and 7, guard the result:
     `_disc_half_degree` gets disc_x(F_n) of the iterate pair itself from the
-    CRT resultant Res(P, P'), with no subresultant.  It shares the
-    half-degree identity, which the tests pin against `_disc_direct` and
-    Sylvester; the reversal, the scaling and the orbit it checks afresh.
+    exact subresultant Res(P, P'), a route that shares nothing with the
+    recursion but the half-degree identity, which the tests pin against a
+    full-degree CRT discriminant and Sylvester; the reversal, the scaling
+    and the orbit it checks afresh.  The recursion computes no resultant.
     """
     if n < 1:
         raise ValueError(f"discriminant level {n} is below 1")
@@ -694,7 +666,7 @@ def discriminant_shape(n: int) -> DiscriminantShape:
         want = shape.sign * (1 << shape.c) * tau**shape.a * (2 - tau)**shape.b
         if _disc_half_degree(fr.g - fr.h.scale(tau)) != want:
             raise ShapeViolationError(
-                f"level {n}: modular cross-check failed at t={tau}")
+                f"level {n}: half-degree subresultant guard failed at t={tau}")
     return shape
 
 

@@ -3,11 +3,14 @@
 Everything in this file recomputes results from first principles with
 deliberately different algorithms and data layouts (binary strings for
 tree nodes, Fraction matrices for resultants, floating point roots for
-discriminants).  Nothing here imports library internals: only public
-constructors, the public closure and generating sets for the model's
-Schreier orbit walk and, for the full discriminant interpolation, the
-public subresultant `resultant`, so agreement between the two routes is
-meaningful.
+discriminants).  Nothing here imports library internals but the CRT
+route: only public constructors, the public closure and generating sets
+for the model's Schreier orbit walk and, for the full discriminant
+interpolation, the public subresultant `resultant`, so agreement between
+the two routes is meaningful.  The full-degree `disc_direct` runs the
+CRT route (`_crt_resultant` over `_big_moduli()`, with the Hadamard
+`_resultant_bound`) under its own Mahler bound: the library takes every
+discriminant by the subresultant, so that route is the independent one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from imgroups import (
+    IntPoly,
     LevelGroup,
     ModelConstructionError,
     ResourceLimitError,
@@ -35,6 +39,7 @@ from imgroups import (
     sigma,
     subgroup_U,
 )
+from imgroups import polyarith
 
 
 # -- tree automorphisms as node-string actions ------------------------------
@@ -383,6 +388,43 @@ def discriminant_via_sylvester(f) -> Fraction:
     deriv = [i * fc[i] for i in range(1, d + 1)]
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * sylvester_resultant(fc, deriv) / fc[-1]
+
+
+def mahler_bound(F: IntPoly) -> int:
+    """A bound on |Res(F, F')| for F of degree d >= 1, by Mahler's
+    inequality |disc F| <= d^d M(F)^(2d-2) (Mich. Math. J. 11, 1964) and
+    Res(F, F') = +-lc(F) disc(F).  The Mahler measure comes from the second
+    Graeffe iterate G_2, whose roots are the fourth powers of F's:
+    M(F)^4 = M(G_2) <= ||G_2||_2, so M(F)^(2d-2) <= S^((d-1)/4) for S the
+    sum of the squares of G_2's coefficients, rounded up in integers."""
+    g = F
+    for _ in range(2):  # G(x^2) = +-g(x) g(-x) = +-(e(x^2)^2 - x^2 o(x^2)^2)
+        e, o = IntPoly(g.coeffs[0::2]), IntPoly(g.coeffs[1::2])
+        g = e.square() - IntPoly((0,) + o.square().coeffs)
+    d = F.degree()
+    root = sum(c * c for c in g.coeffs) ** (d - 1)
+    for _ in range(2):  # ceil(S^(1/4)) by two rounded-up square roots
+        r = math.isqrt(root)
+        root = r + (r * r < root)
+    return abs(F.lc) * d**d * root
+
+
+def disc_direct(F: IntPoly) -> int:
+    """disc_x(F) at full degree through the library's CRT route, with no
+    subresultant: Res(F, F') by `_crt_resultant` over the sieved moduli
+    above 2^62, its CRT sized by the smaller of the Hadamard and the
+    Mahler bound.  `discriminant_shape`'s guard takes disc of the
+    half-degree P by the subresultant, so this is a third opinion on its
+    identity.  A linear F gets disc 1."""
+    d = F.degree()
+    a, b = list(F.coeffs), list(F.derivative().coeffs)
+    bound = min(polyarith._resultant_bound(a, b), mahler_bound(F))
+    res = polyarith._crt_resultant(a, b, bound, polyarith._big_moduli())
+    sign = -1 if (d * (d - 1) // 2) & 1 else 1
+    quo, rem = divmod(res, F.lc)
+    if rem:
+        raise ArithmeticError("Res(F, F') is not divisible by lc(F)")
+    return sign * quo
 
 
 def resultant_via_roots(f, g, dps: int = 60) -> complex:

@@ -271,6 +271,32 @@ class TestConstruction:
             dataclasses.replace(m4, group=short) if n == 4 else real(n)))
         assert brute_model_cross_check(4) == (False, 256, 255)
 
+    @pytest.mark.parametrize("n, calls", [(2, 8), (3, 64), (4, 1024)])
+    def test_brute_sweep_tests_exactly_the_lift_pairs(self, n, calls,
+                                                      monkeypatch):
+        # the sweep runs the normality test on the automorphisms whose
+        # sections (x, y) are a lift pair, x in M_(n-1) and y = rho * x for
+        # rho in U_(n-1), and on no other; that set is found here from
+        # `Portrait.sections()` on every automorphism of the level
+        prev = build_model(n - 1)
+        build_model(n)
+        tested, real = [], arithmodel._normalizes
+
+        def recording(m, conditions):
+            tested.append(m)
+            return real(m, conditions)
+
+        monkeypatch.setattr(arithmodel, "_normalizes", recording)
+        assert brute_model_cross_check(n)[0]
+        pairs = set()
+        for u in treeauto.iter_all(n):
+            left, right, _ = u.sections()
+            if (left.perm in prev.group.elements
+                    and (right * left.inverse()).perm in prev.twist.elements):
+                pairs.add(u.perm)
+        assert len(tested) == calls
+        assert set(tested) == pairs
+
     def test_geometric_index_at_top(self):
         m5 = build_model(5)
         assert subgroup_index(m5.group, geometric_group(5)) == 8

@@ -143,6 +143,20 @@ class TestDisc:
         code, _, err = run(capsys, "disc", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("n, exit_code", [("-2", 2), ("0", 2), ("6", 3)])
+    def test_out_of_range_does_no_work(self, capsys, monkeypatch, n,
+                                       exit_code):
+        # `discriminant_shape` checks the level range, before any iterate
+        # or shape is computed
+        def refuse(*args):
+            raise AssertionError("work done for an out-of-range level")
+
+        monkeypatch.setattr(polyarith, "iterate_pair", refuse)
+        monkeypatch.setattr(polyarith, "_shape_recursion", refuse)
+        code, _, err = run(capsys, "disc", "--n", n)
+        assert code == exit_code
+        assert ("DISC_LEVEL_CAP" in err) == (exit_code == 3)
+
 
 class TestMaximality:
     def test_maximal_point(self, capsys):

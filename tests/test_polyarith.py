@@ -7,6 +7,7 @@ lists against root counting, the factor-count parity law and
 square-and-multiply distinct-degree splitting.
 """
 
+import dataclasses
 import itertools
 import random
 import re
@@ -33,7 +34,6 @@ from imgroups.polyarith import (
     _GFPackedRing,
     _gf_resultant,
     _is_probable_prime,
-    _mahler_bound,
     _resultant_bound,
     discriminant_shape,
     factor_degrees_mod_p,
@@ -330,7 +330,7 @@ class TestCRTResultant:
     def test_mahler_bound_between_resultant_and_hadamard(self, n):
         # below degree 8 the Mahler bound can exceed the Hadamard bound even
         # with the exact measure (n = 2, tau = 3: 1.78e10 against 4.79e9),
-        # which is why `_disc_direct` takes the smaller of the two
+        # which is why `oracles.disc_direct` takes the smaller of the two
         fr = iterate_pair(n)
         d = 1 << n
         skipped = []
@@ -340,11 +340,11 @@ class TestCRTResultant:
                 skipped.append(tau)
                 continue
             polys = [F]
-            if n >= 3:  # the half-degree P of the spot checks, of degree >= 4
+            if n >= 3:  # the half-degree P of the guard, of degree >= 4
                 polys.append(polyarith._halve_about_one(F))
             for G in polys:
                 a, b = list(G.coeffs), list(G.derivative().coeffs)
-                bound = _mahler_bound(G)
+                bound = oracles.mahler_bound(G)
                 assert abs(resultant(G, G.derivative())) <= bound
                 assert n < 3 or bound <= _resultant_bound(a, b)
         assert skipped == ([0] if n == 1 else [2])
@@ -354,12 +354,12 @@ class TestCRTResultant:
         # S = 321 and ceil(321^(1/4)) = 5, so the bound is 1 * 2^2 * 5;
         # |Res(F, F')| = 8
         F = IntPoly([-2, 0, 1])
-        assert _mahler_bound(F) == 20
+        assert oracles.mahler_bound(F) == 20
         assert abs(resultant(F, F.derivative())) == 8
 
     def test_cold_discriminant_shape_proves_no_prime(self, monkeypatch):
-        # the two spot checks at n = 5 run on the degree-16 P and take 13
-        # moduli each under the Mahler bound (34 and 35 on the degree-32 F)
+        # the guard's two discriminants at n = 5 come from the subresultant,
+        # so no CRT modulus is drawn and no prime is proved
         proofs, pulled = [], []
         real_proof, real_moduli = polyarith._is_probable_prime, _big_moduli
 
@@ -377,29 +377,42 @@ class TestCRTResultant:
         monkeypatch.setattr(polyarith, "_big_moduli", counting_moduli)
         assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
         assert proofs == []
-        assert pulled == [13, 13]
+        assert pulled == []
 
     def test_cold_discriminant_shape_resultants_stay_at_half_degree(
             self, monkeypatch):
-        # no modular resultant of the degree-32 F: the spot checks reduce
-        # only the degree-16 P and its derivative
-        degrees, real = [], _gf_resultant
+        # at every level the guard takes exactly two subresultants, one per
+        # t, each of the half-degree P and P', and no modular resultant
+        calls, real = [], resultant
 
-        def recording(a, b, m):
-            degrees.append(max(len(a), len(b)) - 1)
-            return real(a, b, m)
+        def recording(p, q):
+            calls.append((p, q))
+            return real(p, q)
 
-        monkeypatch.setattr(polyarith, "_gf_resultant", recording)
-        assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
-        assert degrees and max(degrees) == 16
+        def refuse(a, b, m):
+            raise AssertionError("modular resultant called")
 
-    def test_discriminant_shape_needs_no_subresultant(self, monkeypatch):
-        # the recursion computes no resultant and the guard only CRT ones
-        def refuse(p, q):
-            raise AssertionError("subresultant called")
+        monkeypatch.setattr(polyarith, "resultant", recording)
+        monkeypatch.setattr(polyarith, "_gf_resultant", refuse)
+        for n in range(1, polyarith.DISC_LEVEL_CAP + 1):
+            calls.clear()
+            discriminant_shape(n)
+            assert len(calls) == 2
+            for p, q in calls:
+                assert p.degree() == 1 << n - 1
+                assert q == p.derivative()
 
-        monkeypatch.setattr(polyarith, "resultant", refuse)
-        assert str(discriminant_shape(5)) == "+2^1072 * t^24 * (2-t)^22"
+    def test_shape_recursion_needs_no_resultant(self, monkeypatch):
+        # the recursion computes no resultant by either route; only the
+        # guard in `discriminant_shape` does
+        def refuse(*args):
+            raise AssertionError("resultant called")
+
+        for name in ("resultant", "resultant_modular", "_crt_resultant",
+                     "_gf_resultant"):
+            monkeypatch.setattr(polyarith, name, refuse)
+        shape = next(itertools.islice(polyarith._shape_recursion(), 4, None))
+        assert str(shape) == "+2^1072 * t^24 * (2-t)^22"
 
 
 class TestDiscriminantShapes:
@@ -489,13 +502,13 @@ class TestDiscriminantShapes:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_half_degree_route_matches_full_degree(self, n):
         # the identity disc(F) = (-4)^m lc(P) P(0) disc(P)^2 for
-        # F(1 + y) = P(y^2), against the modular route on F itself
+        # F(1 + y) = P(y^2), against the CRT route on F itself
         fr = iterate_pair(n)
         for tau in (-3, 3, 5, 7, 11):
             F = fr.g - fr.h.scale(tau)
             P = polyarith._halve_about_one(F)
             assert P.degree() == 1 << n - 1
-            assert polyarith._disc_half_degree(F) == polyarith._disc_direct(F)
+            assert polyarith._disc_half_degree(F) == oracles.disc_direct(F)
 
     def test_half_degree_identity_on_random_polynomials(self):
         rng = random.Random(4057)
@@ -522,8 +535,29 @@ class TestDiscriminantShapes:
         monkeypatch.setattr(polyarith, "_disc_half_degree",
                             lambda F: real(F) + 1)
         with pytest.raises(ShapeViolationError,
-                           match=r"level 3: modular cross-check failed at t=5"):
+                           match=r"level 3: half-degree subresultant guard "
+                                 r"failed at t=5"):
             discriminant_shape(3)
+
+    @pytest.mark.parametrize("corrupt", ["sign", "c", "swap"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_guard_catches_a_wrong_recursion(self, n, corrupt, monkeypatch):
+        # the recursion off at level n: the sign flipped, c one too large,
+        # or a and b exchanged; the guard's two discriminants refuse each
+        real = polyarith._shape_recursion
+
+        def wrong():
+            for s in real():
+                if s.n == n:
+                    s = dataclasses.replace(s, **{
+                        "sign": {"sign": -s.sign},
+                        "c": {"c": s.c + 1},
+                        "swap": {"a": s.b, "b": s.a}}[corrupt])
+                yield s
+
+        monkeypatch.setattr(polyarith, "_shape_recursion", wrong)
+        with pytest.raises(ShapeViolationError, match=rf"^level {n}: "):
+            discriminant_shape(n)
 
     def test_closed_forms_through_level_24(self):
         # sign +, a = 3 * 2^(n-2), b = a - 2 and c = 4^n + (n - 2) 2^(n-1)

@@ -1,20 +1,23 @@
 """Check that the exact core of the package runs without mpmath.
 
     PYTHONPATH=src python3 tools/check_exact_core.py
+    PYTHONPATH=src python3 -O tools/check_exact_core.py
 
 Imports `imgroups`, certifies the level-4 maximality of a = 5, compares
 the level-2 and level-5 discriminant shapes with their pinned texts (the
-level-5 one runs the shape's CRT guard at the level cap), compares the
-coefficients of the iterate pair (g_8, h_8), built by Kronecker products,
-with a digest taken from schoolbook products, compares the
-sorted leaf permutations of M_6, of its Frattini subgroup and of M_7 (of
-order 16384, the last model below the level cap), the cycle type table
-of M_6, the names and element sets of the fifteen level-4 maximal
-subgroups and the 2^15 level-4 automorphisms in enumeration order with
-pinned sha256 digests, checks that the brute-force sweep of those
-automorphisms finds M_4, and fails if mpmath was imported along the way.  It needs nothing outside the standard
-library, so it also runs where mpmath is not installed.  Exit 0 when every
-check holds, 1 otherwise, with one line per failed check on stderr.
+level-5 one runs the shape's subresultant guard at the level cap),
+compares the coefficients of the iterate pair (g_8, h_8), built by
+Kronecker products, with a digest taken from schoolbook products,
+compares the sorted leaf permutations of M_6, of its Frattini subgroup
+and of M_7 (of order 16384, the last model below the level cap), the
+cycle type table of M_6, the names and element sets of the fifteen
+level-4 maximal subgroups and the 2^15 level-4 automorphisms in
+enumeration order with pinned sha256 digests, checks that the
+brute-force sweep of those automorphisms finds M_4, and fails if mpmath
+was imported along the way.  It needs nothing outside the standard
+library, so it also runs where mpmath is not installed, and no check
+rests on `assert`, so it means the same under `python -O`.  Exit 0 when
+every check holds, 1 otherwise, with one line per failed check on stderr.
 """
 
 from __future__ import annotations
